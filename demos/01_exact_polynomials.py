@@ -1,8 +1,9 @@
 # Exact polynomial arithmetic in q
 #
 # Everything in this library runs on dense integer polynomials and Laurent
-# polynomials.  Multiplication picks schoolbook, sparse, or Karatsuba
-# automatically; division is monic-only so results stay integral.
+# polynomials.  Multiplication picks schoolbook, sparse schoolbook, or
+# Kronecker substitution automatically; division is monic-only so results
+# stay integral.
 
 from fractions import Fraction
 
@@ -23,13 +24,13 @@ b = Poly([1, -1])         # 1 - q
 print("(1+q)(1-q) =", a * b)
 print("(q-1)(q^2+q+1) =", Poly([-1, 1]) * Poly([1, 1, 1]))
 
-# %% strategy independence: the Karatsuba path agrees with schoolbook
+# %% strategy independence: the Kronecker path agrees with schoolbook
 import random
 
 rng = random.Random(0)
 big1 = Poly([rng.randint(-9, 9) for _ in range(2001)])
 big2 = Poly([rng.randint(-9, 9) for _ in range(2001)])
-print("degree-2000 Karatsuba == schoolbook:", big1 * big2 == mul_schoolbook(big1, big2))
+print("degree-2000 Kronecker == schoolbook:", big1 * big2 == mul_schoolbook(big1, big2))
 
 # %% monic division is exact over the integers
 quotient, remainder = div_rem_by_monic(Poly([-1, 0, 0, 1]), Poly([-1, 1]))

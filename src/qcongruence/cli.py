@@ -35,7 +35,9 @@ from .congruence import (
 from .cyclotomic import cyclotomic
 from .padic import (
     CLASSICAL_KINDS,
+    MIN_PRIME,
     dwork_quotient_check,
+    is_prime,
     verify_lucas,
     verify_m2,
     verify_swisher,
@@ -105,8 +107,13 @@ class RunConfig:
             if n < 3 or n % 2 == 0:
                 raise ValueError("n values must be odd and >= 3")
         for p in cfg.primes:
-            if p < 3 or p % 2 == 0:
-                raise ValueError("primes must be odd")
+            if p < 3 or not is_prime(p):
+                raise ValueError(f"primes must be odd primes, got {p}")
+        for name in cfg.checks:
+            low = [p for p in cfg.primes if p < MIN_PRIME.get(name, 0)]
+            if low:
+                raise ValueError(f"check {name!r} needs primes >= "
+                                 f"{MIN_PRIME[name]}, got {low[0]}")
         if cfg.exponent_policy not in ("proven", "conjectural", "both"):
             raise ValueError("exponent_policy must be proven|conjectural|both")
         if cfg.format not in ("json", "csv", "text"):
@@ -452,22 +459,24 @@ def _cmd_bench(args) -> int:
     rng = random.Random(7)
     print(f"{'kernel':<28}{'size':>8}{'ms':>12}")
     for size in args.sizes:
-        a = Poly([rng.randrange(-99, 100) for _ in range(size)] + [1])
-        b = Poly([rng.randrange(-99, 100) for _ in range(size)] + [1])
-        t0 = time.perf_counter()
-        auto = a * b
-        t1 = time.perf_counter()
-        school = mul_schoolbook(a, b)
-        t2 = time.perf_counter()
-        if auto != school:
-            print("error: strategy mismatch", file=sys.stderr)
-            return 1
-        print(f"{'mul (auto strategy)':<28}{size:>8}{(t1 - t0) * 1e3:>12.2f}")
-        print(f"{'mul (schoolbook)':<28}{size:>8}{(t2 - t1) * 1e3:>12.2f}")
-        t3 = time.perf_counter()
-        divmod(auto, b)
-        t4 = time.perf_counter()
-        print(f"{'divmod by monic':<28}{size:>8}{(t4 - t3) * 1e3:>12.2f}")
+        # +-99 coefficients, then ~256-bit ones (wide Kronecker slots)
+        for bound, tag in ((99, ""), (1 << 256, ", 256-bit")):
+            a, b = (Poly([rng.randrange(-bound, bound + 1)
+                          for _ in range(size)] + [1]) for _ in range(2))
+            t0 = time.perf_counter()
+            auto = a * b
+            t1 = time.perf_counter()
+            school = mul_schoolbook(a, b)
+            t2 = time.perf_counter()
+            if auto != school:
+                print("error: strategy mismatch", file=sys.stderr)
+                return 1
+            divmod(auto, b)
+            t3 = time.perf_counter()
+            for label, seconds in ((f"mul (auto strategy{tag})", t1 - t0),
+                                   (f"mul (schoolbook{tag})", t2 - t1),
+                                   (f"divmod by monic{tag}", t3 - t2)):
+                print(f"{label:<28}{size:>8}{seconds * 1e3:>12.2f}")
     t5 = time.perf_counter()
     cyclotomic(105)
     t6 = time.perf_counter()

@@ -17,7 +17,10 @@ from fractions import Fraction
 from .polycore import INFINITE
 from .qseries import classical_term_value, eta_product_coefficients
 
-CLASSICAL_KINDS = ("c2", "j2", "c3", "j3", "cc", "jj", "m2", "dwork", "lucas")
+#: Smallest prime each classical check accepts, in listing order.
+MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
+             "m2": 3, "dwork": 3, "lucas": 3}
+CLASSICAL_KINDS = tuple(MIN_PRIME)
 
 
 @dataclass
@@ -123,7 +126,7 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
     """
     if kind not in ("c2", "j2"):
         raise ValueError("kind must be c2 or j2")
-    _require_odd_prime(p, minimum=5)
+    _require_odd_prime(p, minimum=MIN_PRIME[kind])
     if not 1 <= exponent <= 4:
         raise ValueError("exponent must be between 1 and 4")
     t0 = time.perf_counter()
@@ -147,7 +150,7 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
     """
     if kind not in ("c3", "j3", "cc", "jj"):
         raise ValueError("kind must be one of c3, j3, cc, jj")
-    _require_odd_prime(p, minimum=5)
+    _require_odd_prime(p, minimum=MIN_PRIME[kind])
     if r < 1:
         raise ValueError("r must be >= 1")
     if exponent < 1:

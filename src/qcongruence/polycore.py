@@ -1,9 +1,10 @@
 """Dense arbitrary-precision polynomial and Laurent-polynomial arithmetic in q.
 
 Coefficients are Python integers stored ascending by exponent with no
-trailing zeros.  Multiplication switches between schoolbook and Karatsuba
-above a size threshold (the result never depends on the strategy), and a
-sparse path handles the binomial cofactors that dominate q-series work.
+trailing zeros.  A product is schoolbook when the shorter operand is short
+or sparse (the binomial cofactors of q-series work), and otherwise one
+Kronecker substitution: both operands are packed into big integers, which
+CPython's C code multiplies.  The result never depends on the strategy.
 Division is restricted to monic divisors so every intermediate stays an
 exact integer.  All values are immutable after construction and safe to
 share between concurrent workers.
@@ -23,12 +24,13 @@ Rational = Fraction
 #: Valuation of the zero polynomial (divisible by every power).
 INFINITE = math.inf
 
-#: Coefficient count below which schoolbook multiplication wins.  Tunable;
-#: correctness never depends on it.
-KARATSUBA_THRESHOLD = 32
+#: Shorter-operand length up to which schoolbook beats Kronecker
+#: substitution (measured crossover).  Correctness never depends on it.
+SCHOOLBOOK_THRESHOLD = 16
 
-# An operand with fewer than len/_SPARSE_DIVISOR nonzero coefficients is
-# multiplied by sparse schoolbook instead of Karatsuba.
+# A shorter operand with at most len/_SPARSE_DIVISOR nonzero coefficients
+# goes to schoolbook, which skips its zeros: a binomial cofactor times a
+# long numerator costs O(nnz * len), not a Kronecker pack of both.
 _SPARSE_DIVISOR = 8
 
 
@@ -79,47 +81,41 @@ def _schoolbook(a: list, b: list) -> list:
     return out
 
 
-def _karatsuba(a: list, b: list) -> list:
-    m = max(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _mul_lists(a0, b0)
-    z2 = _mul_lists(a1, b1)
-    z1 = _mul_lists(_add_lists(a0, a1), _add_lists(b0, b1))
-    z1 = _sub_lists(_sub_lists(z1, z0), z2)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] = v
-    for i, v in enumerate(z1):
-        if v:
-            out[m + i] += v
-    for i, v in enumerate(z2):
-        if v:
-            out[2 * m + i] += v
-    return out
+def _kronecker(a, b) -> list:
+    # |product coefficient| <= min(la, lb) * max|a| * max|b|; a slot of w
+    # bytes holds it plus half a slot of bias, so every slot is nonnegative
+    # and no borrow crosses into the next one.
+    la, lb = len(a), len(b)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(la, lb).bit_length() + 2)
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    bias = half.to_bytes(w, "little")
+
+    def pack(cs):
+        biases = bias * len(cs)
+        buf = bytearray(biases)
+        for i, c in enumerate(cs):
+            if c:
+                buf[i * w:i * w + w] = (c + half).to_bytes(w, "little")
+        return int.from_bytes(buf, "little") - int.from_bytes(biases, "little")
+
+    n = la + lb - 1
+    product = pack(a) * pack(b) + int.from_bytes(bias * n, "little")
+    view = memoryview(product.to_bytes(w * n, "little"))
+    return [int.from_bytes(view[i:i + w], "little") - half
+            for i in range(0, w * n, w)]
 
 
-def _mul_lists(a: list, b: list) -> list:
+def _mul_lists(a, b) -> list:
     if not a or not b:
         return []
     if len(a) > len(b):
         a, b = b, a
-    la, lb = len(a), len(b)
-    if la <= KARATSUBA_THRESHOLD:
+    la = len(a)
+    if la <= SCHOOLBOOK_THRESHOLD or (la - a.count(0)) * _SPARSE_DIVISOR <= la:
         return _schoolbook(a, b)
-    nnz = sum(1 for x in a if x)
-    if nnz * _SPARSE_DIVISOR <= la:
-        return _schoolbook(a, b)
-    if lb > 2 * la:
-        # slice the long operand so each piece is balanced against the short one
-        out = [0] * (la + lb - 1)
-        for s in range(0, lb, la):
-            piece = _mul_lists(a, b[s:s + la])
-            for i, v in enumerate(piece):
-                if v:
-                    out[s + i] += v
-        return out
-    return _karatsuba(a, b)
+    return _kronecker(a, b)
 
 
 def _divmod_monic(a: list, m: tuple) -> tuple[list, list]:
@@ -214,7 +210,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(_mul_lists(list(self.coeffs), list(other.coeffs)))
+        return Poly(_mul_lists(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -362,7 +358,7 @@ def mul_schoolbook(a: Poly, b: Poly) -> Poly:
     """Reference quadratic product, used as the oracle for strategy checks."""
     if a.is_zero() or b.is_zero():
         return Poly()
-    return Poly(_schoolbook(list(a.coeffs), list(b.coeffs)))
+    return Poly(_schoolbook(a.coeffs, b.coeffs))
 
 
 def div_rem_by_monic(a: Poly, m: Poly) -> tuple[Poly, Poly]:

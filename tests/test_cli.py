@@ -136,6 +136,17 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("primes", [[3], [9]])
+def test_sweep_bad_prime_exit_two(tmp_path, capsys, primes):
+    # p = 3 is below the minimum of c2 and 9 is not prime: both are config
+    # errors, reported on one line before any case runs.
+    path = write_config(tmp_path, checks=["c2"], primes=primes)
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_write_error_exit_three(tmp_path, capsys):
     path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
     assert main(["sweep", "--config", path, "--output",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from qcongruence.polycore import (
     INFINITE,
+    SCHOOLBOOK_THRESHOLD,
     LaurentPoly,
     Poly,
     div_rem_by_monic,
@@ -37,14 +38,14 @@ def test_mul_zero_and_one():
     assert Poly() * Poly() == Poly()
 
 
-def test_karatsuba_matches_schoolbook_large():
+def test_dense_product_matches_schoolbook_large():
     rng = random.Random(20240201)
     a = rand_poly(rng, 2000)
     b = rand_poly(rng, 2000)
     assert a * b == mul_schoolbook(a, b)
 
 
-def test_karatsuba_matches_schoolbook_unbalanced_and_sparse():
+def test_unbalanced_and_sparse_products_match_schoolbook():
     rng = random.Random(7)
     a = rand_poly(rng, 700)
     b = rand_poly(rng, 90)
@@ -54,6 +55,86 @@ def test_karatsuba_matches_schoolbook_unbalanced_and_sparse():
         sparse[i] = rng.randint(-5, 5)
     c = Poly(sparse + [1])
     assert a * c == mul_schoolbook(a, c)
+
+
+def _signed(rng, bits):
+    """A nonzero coefficient of magnitude at most 2**bits, extremes included."""
+    c = rng.choice((1 << bits, (1 << bits) - 1, rng.randint(1, 1 << bits)))
+    return c if rng.random() < 0.5 else -c
+
+
+def _dense(rng, length, bits):
+    return Poly([_signed(rng, bits) for _ in range(length)])
+
+
+def _sparse(rng, length, nnz, bits):
+    cs = [0] * length
+    for i in rng.sample(range(length - 1), nnz - 1):
+        cs[i] = _signed(rng, bits)
+    cs[-1] = _signed(rng, bits)
+    return Poly(cs)
+
+
+def _with_zero_run(rng, length, bits):
+    cs = [_signed(rng, bits) for _ in range(length)]
+    start = rng.randrange(1, length // 2)
+    cs[start:start + length // 2] = [0] * (length // 2)
+    return Poly(cs)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 64, 300, 333])
+def test_product_oracle_random(bits):
+    # Seeded differential check of every multiplication strategy against
+    # the quadratic reference, with the shorter operand on both sides of
+    # the schoolbook threshold and 300+-bit signed coefficients.
+    rng = random.Random(bits)
+    t = SCHOOLBOOK_THRESHOLD
+    cases = []
+    for la in (1, 2, t - 1, t, t + 1, 2 * t, 97):
+        for lb in (la, la + 3, 20 * la + 5):
+            cases.append((_dense(rng, la, bits), _dense(rng, lb, bits)))
+    for la in (4 * t, 300):
+        cases.append((_sparse(rng, la, 2, bits), _dense(rng, 20 * la, bits)))
+        cases.append((_sparse(rng, la, la // 8, bits), _dense(rng, la, bits)))
+        cases.append((_sparse(rng, la, la // 8 + 1, bits),
+                      _dense(rng, 2 * la, bits)))
+        cases.append((_dense(rng, la, bits), _sparse(rng, la + 7, 3, bits)))
+        cases.append((_with_zero_run(rng, la, bits),
+                      _with_zero_run(rng, 3 * la, bits)))
+    for a, b in cases:
+        expected = mul_schoolbook(a, b)
+        assert a * b == expected
+        assert b * a == expected
+
+
+@pytest.mark.parametrize("length", [SCHOOLBOOK_THRESHOLD + 1, 63])
+def test_product_oracle_extreme_magnitudes(length):
+    # With all coefficients of one sign at 2^k - 1 or 2^k, the middle
+    # product coefficient is as large as the operands allow.  Eight
+    # consecutive k and lengths of odd and even bit length put its top
+    # bit at every position within a byte.
+    for k in range(300, 308):
+        for top in ((1 << k) - 1, 1 << k):
+            neg = Poly([-top] * length)
+            pos = Poly([top] * (2 * length))
+            square = neg * neg
+            assert square == mul_schoolbook(neg, neg)
+            assert max(square.coeffs) == length * top * top
+            assert neg * pos == mul_schoolbook(neg, pos)
+    ones = Poly([-1] * length)
+    assert ones * ones == mul_schoolbook(ones, ones)
+
+
+def test_laurent_product_oracle_negative_offsets():
+    rng = random.Random(41)
+    for la, lb in ((3, 5), (40, 40), (60, 1300)):
+        a = LaurentPoly(_dense(rng, la, 120), -rng.randint(1, 50))
+        b = LaurentPoly(_with_zero_run(rng, lb, 9), rng.randint(-70, 70))
+        product = a * b
+        assert product.offset == a.offset + b.offset
+        assert product.body == mul_schoolbook(a.body, b.body)
+        assert mul(a, b.body) == LaurentPoly(
+            mul_schoolbook(a.body, b.body), a.offset)
 
 
 def test_mul_commutative_associative():
