@@ -3,7 +3,8 @@
 # Everything in this library runs on dense integer polynomials and Laurent
 # polynomials.  Multiplication picks schoolbook, sparse schoolbook, or
 # Kronecker substitution automatically; division is monic-only so results
-# stay integral.
+# stay integral.  Phi_d-adic valuations divide by the binomials 1 - q^m
+# whose Moebius product is Phi_d, so they never build Phi_d itself.
 
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from qcongruence import (
     normalize_one_minus_pow,
     valuation_at,
 )
-from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polycore import mul_schoolbook, one_minus_q
 
 # %% basic products
@@ -36,9 +36,9 @@ print("degree-2000 Kronecker == schoolbook:", big1 * big2 == mul_schoolbook(big1
 quotient, remainder = div_rem_by_monic(Poly([-1, 0, 0, 1]), Poly([-1, 1]))
 print("(q^3-1)/(q-1) =", quotient, " remainder", remainder)
 
-# %% cyclotomic valuations by repeated division
+# %% cyclotomic valuations through binomial factors, without building Phi_d
 square = one_minus_q(6) * one_minus_q(6)      # (1 - q^6)^2
-print("valuation of (1-q^6)^2 at Phi_3:", valuation_at(square, cyclotomic(3)))
+print("valuation of (1-q^6)^2 at Phi_3:", valuation_at(square, 3))
 
 # %% Laurent polynomials carry negative exponents; evaluation is exact
 lp = LaurentPoly(Poly([1, 1]), -2)            # q^-2 + q^-1

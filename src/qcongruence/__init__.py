@@ -29,6 +29,7 @@ from .cyclotomic import (
     euler_phi,
     ord_cyclotomic_in_one_minus_pow,
     q_integer_cyclotomic_factors,
+    valuation_at,
 )
 from .padic import (
     ResidueReport,
@@ -44,12 +45,10 @@ from .polycore import (
     INFINITE,
     LaurentPoly,
     Poly,
-    Rational,
     div_rem_by_monic,
     eval_at,
     mul,
     normalize_one_minus_pow,
-    valuation_at,
 )
 from .qseries import (
     FactoredProduct,

@@ -5,7 +5,7 @@ Subcommands
     sweep      run the cartesian case grid of a JSON config file
     classical  one prime-power check from flags
     list       enumerate supported checks
-    bench      timing table for the polynomial kernels
+    bench      timing table for the polynomial kernels and the valuation
 
 Exit codes: 0 all asserted (non-conjectural) cases pass; 1 some asserted
 case failed; 2 usage error; 3 report write error.  Conjectural cases are
@@ -32,7 +32,7 @@ from .congruence import (
     admissible_root_indices,
     verify_case,
 )
-from .cyclotomic import cyclotomic
+from .cyclotomic import cyclotomic, valuation_at
 from .padic import (
     CLASSICAL_KINDS,
     MIN_PRIME,
@@ -106,6 +106,9 @@ class RunConfig:
         for n in cfg.n_values:
             if n < 3 or n % 2 == 0:
                 raise ValueError("n values must be odd and >= 3")
+        for t in cfg.t_values:
+            if t % 2 == 0:
+                raise ValueError(f"t values must be odd, got {t}")
         for p in cfg.primes:
             if p < 3 or not is_prime(p):
                 raise ValueError(f"primes must be odd primes, got {p}")
@@ -473,14 +476,22 @@ def _cmd_bench(args) -> int:
                 return 1
             divmod(auto, b)
             t3 = time.perf_counter()
+            multiple = a * cyclotomic(7) ** 8
+            t4 = time.perf_counter()
+            found = valuation_at(multiple, 7)
+            t5 = time.perf_counter()
+            if found != 8 + valuation_at(a, 7):
+                print("error: valuation mismatch", file=sys.stderr)
+                return 1
             for label, seconds in ((f"mul (auto strategy{tag})", t1 - t0),
                                    (f"mul (schoolbook{tag})", t2 - t1),
-                                   (f"divmod by monic{tag}", t3 - t2)):
+                                   (f"divmod by monic{tag}", t3 - t2),
+                                   (f"valuation at Phi_7{tag}", t5 - t4)):
                 print(f"{label:<28}{size:>8}{seconds * 1e3:>12.2f}")
-    t5 = time.perf_counter()
+    t0 = time.perf_counter()
     cyclotomic(105)
-    t6 = time.perf_counter()
-    print(f"{'cyclotomic(105)':<28}{'':>8}{(t6 - t5) * 1e3:>12.2f}")
+    t1 = time.perf_counter()
+    print(f"{'cyclotomic(105)':<28}{'':>8}{(t1 - t0) * 1e3:>12.2f}")
     return 0
 
 

@@ -16,6 +16,13 @@ where the denominator valuations are read off the factored form without
 any division.  Monic divisibility is unaffected by the nonzero integer
 scalars, so they never need to be cleared.
 
+The valuation of delta is counted one exact division by Phi_d at a time,
+but Phi_d is never built: cyclotomic.valuation_at multiplies by the
+binomials 1 - q^m of the Moebius factorisation of Phi_d with exponent -1
+and divides in place by those with exponent +1, each a linear pass over
+the coefficients.  Laurent offsets do not matter, since q is a unit
+modulo every Phi_d.
+
 verify_case assembles both sides of every supported check from the term
 families, picks the right modulus, and delegates here.  Reports carry the
 per-part margins; conjectural checks are flagged so that drivers can
@@ -28,8 +35,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cyclotomic import cyclotomic, divisors, q_integer_cyclotomic_factors
-from .polycore import INFINITE, LaurentPoly, one_minus_q, valuation_at
+from .cyclotomic import (
+    cyclotomic,
+    divisors,
+    q_integer_cyclotomic_factors,
+    valuation_at,
+)
+from .polycore import INFINITE, LaurentPoly, one_minus_q
 from .qseries import (
     FactoredProduct,
     FamilySpec,
@@ -214,7 +226,7 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
         if count_denominators:
             required += lhs.denominator.ord_cyclotomic(d) \
                 + rhs.denominator.ord_cyclotomic(d)
-        found = INFINITE if identical else valuation_at(delta, cyclotomic(d))
+        found = INFINITE if identical else valuation_at(delta, d)
         parts.append(PartResult(d, required, found, found - required,
                                 component))
     t3 = time.perf_counter()

@@ -207,6 +207,11 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
     avoids series inversion and is equivalent to the quotient form because
     the constant terms are 1.  The native exponent is r; higher exponents
     are exploratory.
+
+    The reported valuation is the minimum over m <= degree_cap of
+    v_p((lhs_m - rhs_m) mod p^exponent), capped at exponent: the largest
+    e <= exponent at which the check passes (0 if none), since the residues
+    are only held to precision p^exponent.
     """
     _require_odd_prime(p)
     if r < 1:
@@ -232,6 +237,7 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
         return residues[k] if k < min(cut, len(residues)) else 0
 
     mismatches = []
+    valuation = exponent
     for m in range(degree_cap + 1):
         lhs = sum(a(m - p * jj, cut_hi) * a(jj, cut_lo)
                   for jj in range(min(cut_lo - 1, m // p) + 1)) % modulus
@@ -239,11 +245,13 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
                   for jj in range(min(cut_mid - 1, m // p) + 1)) % modulus
         if lhs != rhs:
             mismatches.append(m)
+            valuation = min(valuation,
+                            padic_valuation((lhs - rhs) % modulus, p))
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"dwork p={p} r={r} K={degree_cap} exp={exponent}",
         kind="dwork", params={"p": p, "r": r, "K": degree_cap},
-        exponent=exponent, valuation=exponent if not mismatches else 0,
+        exponent=exponent, valuation=valuation,
         passed=not mismatches, conjectural=exponent > r,
         timings={"total_ms": ms},
         extra={"mismatched_degrees": mismatches[:10]})

@@ -6,20 +6,21 @@ or sparse (the binomial cofactors of q-series work), and otherwise one
 Kronecker substitution: both operands are packed into big integers, which
 CPython's C code multiplies.  The result never depends on the strategy.
 Division is restricted to monic divisors so every intermediate stays an
-exact integer.  All values are immutable after construction and safe to
-share between concurrent workers.
+exact integer.  Products with and exact divisions by a binomial 1 - q^m
+are single linear passes over a coefficient list (a shifted difference,
+and a running sum per residue class mod m); cyclotomic.valuation_at is
+built from them.  All values are immutable after construction and safe
+to share between concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable, Union
-
-# Exact rational scalars; denominator > 0 and gcd(num, den) = 1 are
-# guaranteed by the class itself.
-Rational = Fraction
 
 #: Valuation of the zero polynomial (divisible by every power).
 INFINITE = math.inf
@@ -135,6 +136,28 @@ def _divmod_monic(a: list, m: tuple) -> tuple[list, list]:
                 r[off + j] -= c * mc
             r[i] = 0
     return q, _trimmed(r[:dm])
+
+
+def _times_one_minus(cs: list, m: int) -> list:
+    # cs * (1 - q^m) as one C-level pass: out[i] = cs[i] - cs[i - m].
+    zeros = [0] * m
+    return list(map(operator.sub, chain(cs, zeros), chain(zeros, cs)))
+
+
+def _divide_one_minus(x: list, m: int) -> bool:
+    # Divide a nonzero x by (1 - q^m) in place: the quotient y has y[i] =
+    # x[i] + y[i - m], a running sum along each residue class mod m.  The
+    # division is exact iff the last m running sums vanish; they are then
+    # deleted.  On False, x is left holding the running sums.
+    n = len(x)
+    if n <= m:
+        return False    # nonzero of degree < m
+    for i in range(m):
+        x[i::m] = accumulate(x[i::m])
+    if any(x[n - m:]):
+        return False
+    del x[n - m:]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +305,6 @@ class LaurentPoly:
         return self.body.is_zero()
 
     @property
-    def low_degree(self) -> int:
-        return self.offset
-
-    @property
     def high_degree(self) -> int:
         return self.offset + self.body.degree
 
@@ -377,36 +396,6 @@ def div_rem_by_monic(a: Poly, m: Poly) -> tuple[Poly, Poly]:
         raise ValueError("divisor must be monic")
     q, r = _divmod_monic(list(a.coeffs), m.coeffs)
     return Poly(q), Poly(r)
-
-
-def valuation_at(a: Union[Poly, LaurentPoly], m: Poly):
-    """Largest e with m^e dividing a; INFINITE for a = 0.
-
-    Laurent offsets are ignored when m has nonzero constant term (q is then
-    a unit modulo m).  Computed by repeated exact monic division.
-    """
-    if m.degree < 1:
-        raise ValueError("modulus must be nonconstant")
-    if m.leading() != 1:
-        raise ValueError("modulus must be monic")
-    lp = as_laurent(a)
-    if lp.is_zero():
-        return INFINITE
-    if m.constant() == 0:
-        if lp.offset < 0:
-            raise ValueError(
-                "negative Laurent offset with modulus divisible by q")
-        cs = [0] * lp.offset + list(lp.body.coeffs)
-    else:
-        cs = list(lp.body.coeffs)
-    count = 0
-    mc = m.coeffs
-    while True:
-        q, r = _divmod_monic(cs, mc)
-        if r:
-            return count
-        count += 1
-        cs = q
 
 
 def eval_at(a: Union[Poly, LaurentPoly], x) -> Fraction:

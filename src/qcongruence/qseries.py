@@ -87,19 +87,11 @@ class FactoredProduct:
         return FactoredProduct(self.sign * other.sign,
                                self.power + other.power, merged)
 
-    def with_factor(self, m: int, e: int = 1) -> "FactoredProduct":
-        merged = dict(self.factors)
-        merged[m] = merged.get(m, 0) + e
-        return FactoredProduct(self.sign, self.power, merged)
-
     def ord_cyclotomic(self, d: int) -> int:
         """Multiplicity of the d-th cyclotomic polynomial, analytically."""
         if d < 1:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
-
-    def expanded_degree(self) -> int:
-        return sum(m * e for m, e in self.factors.items())
 
     def expand(self) -> LaurentPoly:
         """Multiply everything out; equals the product of the parts exactly."""
@@ -128,10 +120,6 @@ class SeriesSum:
     @staticmethod
     def zero() -> "SeriesSum":
         return SeriesSum(LaurentPoly.zero())
-
-    @staticmethod
-    def of(numerator: LaurentPoly) -> "SeriesSum":
-        return SeriesSum(numerator)
 
     def scaled_by(self, factor: LaurentPoly) -> "SeriesSum":
         return SeriesSum(self.numerator * factor, self.denominator,

@@ -52,6 +52,13 @@ def test_list_and_bench(capsys):
     assert main(["bench", "--sizes", "64"]) == 0
 
 
+def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
+    import qcongruence.cli as cli
+    monkeypatch.setattr(cli, "valuation_at", lambda a, d: 0)
+    assert main(["bench", "--sizes", "16"]) == 1
+    assert capsys.readouterr().err == "error: valuation mismatch\n"
+
+
 def test_asserted_failure_gives_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
 
@@ -145,6 +152,15 @@ def test_sweep_bad_prime_exit_two(tmp_path, capsys, primes):
     err = capsys.readouterr().err
     assert err.startswith("error: bad config: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_even_t_exit_two(tmp_path, capsys):
+    # an even specialization exponent is a config error, not a case failure
+    path = write_config(tmp_path, checks=["param-sampled-c"], n_values=[3],
+                        t_values=[4])
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad config: t values must be odd, got 4\n"
 
 
 def test_write_error_exit_three(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qcongruence.cyclotomic import (
@@ -6,8 +8,16 @@ from qcongruence.cyclotomic import (
     euler_phi,
     ord_cyclotomic_in_one_minus_pow,
     q_integer_cyclotomic_factors,
+    valuation_at,
 )
-from qcongruence.polycore import Poly, eval_at
+from qcongruence.polycore import (
+    INFINITE,
+    LaurentPoly,
+    Poly,
+    div_rem_by_monic,
+    eval_at,
+    one_minus_q,
+)
 from qcongruence.qseries import q_integer
 
 
@@ -61,4 +71,67 @@ def test_rejects_bad_indices():
     with pytest.raises(ValueError):
         cyclotomic(0)
     with pytest.raises(ValueError):
+        valuation_at(Poly([1, 1]), 0)
+    with pytest.raises(ValueError):
         q_integer_cyclotomic_factors(1)
+
+
+# ---------------------------------------------------------------------------
+# Phi_d-adic valuation against repeated monic division
+
+
+def valuation_by_repeated_division(a: LaurentPoly, d: int):
+    body = a.body
+    if body.is_zero():
+        return INFINITE
+    phi = cyclotomic(d)
+    count = 0
+    while True:
+        body, rem = div_rem_by_monic(body, phi)
+        if not rem.is_zero():
+            return count
+        count += 1
+
+
+# every d up to 49, then prime powers and composites with several
+# binomials of each Moebius sign
+ORACLE_INDICES = list(range(1, 50)) + [63, 75, 105, 121, 225]
+
+
+def random_laurent(rng, length, bits):
+    bound = 1 << bits
+    return LaurentPoly(Poly([rng.randint(-bound, bound)
+                             for _ in range(length)]), rng.randint(-9, 9))
+
+
+@pytest.mark.parametrize("bits", [3, 64, 300])
+def test_valuation_matches_repeated_division(bits):
+    # a * Phi_d^k, where a sometimes carries 1 - q^j for a proper divisor j
+    # of d: the Phi_e content of every other e | d, but no Phi_d
+    rng = random.Random(bits)
+    for d in ORACLE_INDICES:
+        assert valuation_at(Poly(), d) == INFINITE
+        phi = LaurentPoly(cyclotomic(d))
+        for k in range(6):
+            for _ in range(4):
+                a = random_laurent(rng, rng.randint(1, 2 * d + 8), bits)
+                if a.is_zero():
+                    continue
+                if d > 1 and rng.random() < 0.5:
+                    a = a * one_minus_q(rng.choice(divisors(d)[:-1]))
+                x = a * phi ** k
+                expected = valuation_by_repeated_division(x, d)
+                assert expected >= k
+                assert valuation_at(x, d) == expected, (d, k)
+
+
+def test_valuation_of_short_inputs_is_zero():
+    # degree < phi(d): not divisible, and shorter than the first binomial
+    rng = random.Random(3)
+    for d in ORACLE_INDICES:
+        for length in {1, 2, euler_phi(d)}:
+            a = random_laurent(rng, length, 8)
+            if a.is_zero():
+                continue
+            assert valuation_at(a, d) == 0 == \
+                valuation_by_repeated_division(a, d), (d, length)

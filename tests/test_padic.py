@@ -136,6 +136,16 @@ def test_dwork_grid():
     assert dwork_quotient_check(7, 2, 50, exponent=3).conjectural
 
 
+@pytest.mark.parametrize("p, r, exponent", [(3, 2, 5), (5, 1, 3), (7, 2, 4)])
+def test_dwork_valuation_is_largest_passing_exponent(p, r, exponent):
+    rep = dwork_quotient_check(p, r, 50, exponent)
+    assert not rep.passed and rep.conjectural
+    passing = [e for e in range(1, exponent + 1)
+               if dwork_quotient_check(p, r, 50, e).passed]
+    assert rep.valuation == max(passing, default=0)
+    assert dwork_quotient_check(p, r, 50).valuation == r
+
+
 def test_lucas_vanishing():
     # frozen examples: valuations of single coefficients
     assert fraction_valuation(classical_term_value("M", 3), 5) == 4
