@@ -1,10 +1,11 @@
 # Exact polynomial arithmetic in q
 #
 # Everything in this library runs on dense integer polynomials and Laurent
-# polynomials.  Multiplication picks schoolbook, sparse schoolbook, or
-# Kronecker substitution automatically; division is monic-only so results
-# stay integral.  Phi_d-adic valuations divide by the binomials 1 - q^m
-# whose Moebius product is Phi_d, so they never build Phi_d itself.
+# polynomials.  Multiplication picks schoolbook or Kronecker substitution
+# automatically; a product with binomials 1 - q^m is instead one linear
+# pass per binomial (LaurentPoly.times_one_minus).  Division is monic-only
+# so results stay integral.  Phi_d-adic valuations divide by the binomials
+# 1 - q^m whose Moebius product is Phi_d, so they never build Phi_d itself.
 
 from fractions import Fraction
 
@@ -36,8 +37,12 @@ print("degree-2000 Kronecker == schoolbook:", big1 * big2 == mul_schoolbook(big1
 quotient, remainder = div_rem_by_monic(Poly([-1, 0, 0, 1]), Poly([-1, 1]))
 print("(q^3-1)/(q-1) =", quotient, " remainder", remainder)
 
+# %% products with binomials are linear passes, not general products
+square = LaurentPoly.one().times_one_minus([6, 6])   # (1 - q^6)^2
+print("(1-q^6)^2 by passes == by products:",
+      square == one_minus_q(6) * one_minus_q(6))
+
 # %% cyclotomic valuations through binomial factors, without building Phi_d
-square = one_minus_q(6) * one_minus_q(6)      # (1 - q^6)^2
 print("valuation of (1-q^6)^2 at Phi_3:", valuation_at(square, 3))
 
 # %% Laurent polynomials carry negative exponents; evaluation is exact

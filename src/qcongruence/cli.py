@@ -43,7 +43,7 @@ from .padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from .polycore import Poly, mul_schoolbook
+from .polycore import LaurentPoly, Poly, mul_schoolbook, one_minus_q
 
 Q_KIND_VALUES = tuple(k.value for k in CheckKind)
 
@@ -125,6 +125,9 @@ class RunConfig:
             raise ValueError("r_max and parallelism must be >= 1")
         if any(d not in (1, 2) for d in cfg.d_values):
             raise ValueError("d values must be 1 or 2")
+        if cfg.dwork_degree_cap < 0:
+            raise ValueError(f"dwork_degree_cap must be >= 0, "
+                             f"got {cfg.dwork_degree_cap}")
         return cfg
 
     def digest(self) -> str:
@@ -483,10 +486,18 @@ def _cmd_bench(args) -> int:
             if found != 8 + valuation_at(a, 7):
                 print("error: valuation mismatch", file=sys.stderr)
                 return 1
+            la = LaurentPoly(a)
+            t6 = time.perf_counter()
+            passes = la.times_one_minus([7] * 8)
+            t7 = time.perf_counter()
+            if passes != la * one_minus_q(7) ** 8:
+                print("error: binomial mismatch", file=sys.stderr)
+                return 1
             for label, seconds in ((f"mul (auto strategy{tag})", t1 - t0),
                                    (f"mul (schoolbook{tag})", t2 - t1),
                                    (f"divmod by monic{tag}", t3 - t2),
-                                   (f"valuation at Phi_7{tag}", t5 - t4)):
+                                   (f"valuation at Phi_7{tag}", t5 - t4),
+                                   (f"times (1-q^m)^k{tag}", t7 - t6)):
                 print(f"{label:<28}{size:>8}{seconds * 1e3:>12.2f}")
     t0 = time.perf_counter()
     cyclotomic(105)

@@ -1,16 +1,17 @@
 """Dense arbitrary-precision polynomial and Laurent-polynomial arithmetic in q.
 
 Coefficients are Python integers stored ascending by exponent with no
-trailing zeros.  A product is schoolbook when the shorter operand is short
-or sparse (the binomial cofactors of q-series work), and otherwise one
-Kronecker substitution: both operands are packed into big integers, which
-CPython's C code multiplies.  The result never depends on the strategy.
-Division is restricted to monic divisors so every intermediate stays an
-exact integer.  Products with and exact divisions by a binomial 1 - q^m
-are single linear passes over a coefficient list (a shifted difference,
-and a running sum per residue class mod m); cyclotomic.valuation_at is
-built from them.  All values are immutable after construction and safe
-to share between concurrent workers.
+trailing zeros.  A product is schoolbook when the shorter operand is
+short, and otherwise one Kronecker substitution: both operands are packed
+into big integers, which CPython's C code multiplies.  The result never
+depends on the strategy.  Division is restricted to monic divisors so
+every intermediate stays an exact integer.  Products with and exact
+divisions by a binomial 1 - q^m never go through the general product:
+each is a single linear pass over a coefficient list (a shifted
+difference, and a running sum per residue class mod m).
+LaurentPoly.times_one_minus, the q-series sums and denominators, and
+cyclotomic.valuation_at are built from them.  All values are immutable
+after construction and safe to share between concurrent workers.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ INFINITE = math.inf
 #: Shorter-operand length up to which schoolbook beats Kronecker
 #: substitution (measured crossover).  Correctness never depends on it.
 SCHOOLBOOK_THRESHOLD = 16
-
-# A shorter operand with at most len/_SPARSE_DIVISOR nonzero coefficients
-# goes to schoolbook, which skips its zeros: a binomial cofactor times a
-# long numerator costs O(nnz * len), not a Kronecker pack of both.
-_SPARSE_DIVISOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +109,7 @@ def _mul_lists(a, b) -> list:
         return []
     if len(a) > len(b):
         a, b = b, a
-    la = len(a)
-    if la <= SCHOOLBOOK_THRESHOLD or (la - a.count(0)) * _SPARSE_DIVISOR <= la:
+    if len(a) <= SCHOOLBOOK_THRESHOLD:
         return _schoolbook(a, b)
     return _kronecker(a, b)
 
@@ -138,10 +133,13 @@ def _divmod_monic(a: list, m: tuple) -> tuple[list, list]:
     return q, _trimmed(r[:dm])
 
 
-def _times_one_minus(cs: list, m: int) -> list:
-    # cs * (1 - q^m) as one C-level pass: out[i] = cs[i] - cs[i - m].
+def _times_one_minus(cs, m: int, negated: bool = False) -> list:
+    # cs * (1 - q^m) as one C-level pass: out[i] = cs[i] - cs[i - m]; with
+    # negated, cs * (q^m - 1) by the same pass with the operands swapped.
     zeros = [0] * m
-    return list(map(operator.sub, chain(cs, zeros), chain(zeros, cs)))
+    lo, hi = chain(cs, zeros), chain(zeros, cs)
+    return list(map(operator.sub, hi, lo) if negated
+                else map(operator.sub, lo, hi))
 
 
 def _divide_one_minus(x: list, m: int) -> bool:
@@ -316,7 +314,30 @@ class LaurentPoly:
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly.zero()
+        if c == 1:
+            return self
         return LaurentPoly(self.body * c, self.offset)
+
+    def times_one_minus(self, exps: Iterable[int]) -> "LaurentPoly":
+        """self * prod over e in exps of (1 - q^e), one linear pass each.
+
+        A negative e is folded as -q^e (1 - q^-e); e == 0 gives zero, as
+        one_minus_q(0) does.
+
+        >>> lp = LaurentPoly.one().times_one_minus([2, -1])
+        >>> lp.body.coeffs, lp.offset
+        ((-1, 1, 1, -1), -1)
+        """
+        if self.is_zero():
+            return self
+        cs, offset = self.body.coeffs, self.offset
+        for e in exps:
+            if e == 0:
+                return LaurentPoly.zero()
+            if e < 0:
+                offset += e
+            cs = _times_one_minus(cs, abs(e), negated=e < 0)
+        return LaurentPoly(cs, offset)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero():
@@ -436,10 +457,3 @@ def one_minus_q(e: int) -> LaurentPoly:
     if e > 0:
         return LaurentPoly(Poly([1] + [0] * (e - 1) + [-1]))
     return LaurentPoly(Poly([-1] + [0] * (-e - 1) + [1]), e)
-
-
-def poly_one_minus_q(e: int) -> Poly:
-    """The binomial 1 - q^e for e >= 1 as a plain polynomial."""
-    if e < 1:
-        raise ValueError("exponent must be positive")
-    return Poly([1] + [0] * (e - 1) + [-1])

@@ -3,10 +3,11 @@
 A sum is a SeriesSum: a Laurent numerator over a *factored* denominator
 +-q^t * prod (1 - q^m)^e.  Denominators are never expanded while a sum is
 accumulated; consecutive terms of every supported family share nested
-denominators, so each step multiplies the running numerator by a small
-cofactor and adds the next term's numerator.  Keeping the denominator
-factored also makes its cyclotomic valuations analytic (count the bases m
-divisible by d) instead of requiring any division.
+denominators, so each step multiplies the running numerator by the new
+binomials 1 - q^m, one linear pass over its coefficients each, and adds
+the next term's numerator.  Keeping the denominator factored also makes
+its cyclotomic valuations analytic (count the bases m divisible by d)
+instead of requiring any division.
 
 Five term families are supported, named by the tags used throughout the
 check drivers:
@@ -41,10 +42,9 @@ from typing import Iterator, Optional
 from .polycore import (
     LaurentPoly,
     Poly,
-    div_rem_by_monic,
+    _divide_one_minus,
+    _times_one_minus,
     eval_at,
-    one_minus_q,
-    poly_one_minus_q,
 )
 
 PLAIN_FAMILIES = ("C", "J", "M")
@@ -93,14 +93,15 @@ class FactoredProduct:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
 
+    def multiply(self, lp: LaurentPoly) -> LaurentPoly:
+        """lp times this product, exactly: one linear pass per binomial."""
+        out = lp.times_one_minus(
+            [m for m in sorted(self.factors) for _ in range(self.factors[m])])
+        return (-out if self.sign < 0 else out).shift(self.power)
+
     def expand(self) -> LaurentPoly:
         """Multiply everything out; equals the product of the parts exactly."""
-        acc = Poly.one()
-        for m in sorted(self.factors):
-            b = poly_one_minus_q(m)
-            for _ in range(self.factors[m]):
-                acc = acc * b
-        return LaurentPoly(acc * self.sign, self.power)
+        return self.multiply(LaurentPoly.one())
 
 
 @dataclass
@@ -212,22 +213,15 @@ def q_pochhammer(start: int, step: int, count: int
 
 
 def _mul_q_integer(lp: LaurentPoly, count: int, step: int) -> LaurentPoly:
-    # lp * (1 + q^step + ... + q^{step(count-1)}) by sliding-window sums:
-    # out[i] = out[i-step] + c[i] - c[i-step*count].
+    # lp * (1 + q^step + ... + q^{step(count-1)})
+    #   = lp * (1 - q^{step*count}) / (1 - q^step):
+    # one binomial pass, then one exact division in place.
     if lp.is_zero() or count == 1:
         return lp
-    c = lp.body.coeffs
-    total = len(c) + step * (count - 1)
-    out = [0] * total
-    for i in range(total):
-        v = out[i - step] if i >= step else 0
-        if i < len(c):
-            v += c[i]
-        j = i - step * count
-        if j >= 0:
-            v -= c[j]
-        out[i] = v
-    return LaurentPoly(Poly(out), lp.offset)
+    cs = _times_one_minus(lp.body.coeffs, step * count)
+    if not _divide_one_minus(cs, step):
+        raise AssertionError("q-integer product division not exact")
+    return LaurentPoly(cs, lp.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +272,7 @@ def _term_stream(spec: FamilySpec
     yield 0, LaurentPoly.one(), []
     for k in range(1, spec.upper + 1):
         num_exps, den_exps = _step_exponents(spec, k)
-        for e in num_exps:
-            prod = prod * one_minus_q(e)
+        prod = prod.times_one_minus(num_exps)
         yield k, _finish_term(spec, k, prod), den_exps
 
 
@@ -288,8 +281,8 @@ class _Accumulator:
 
     The raw denominator after step k factors as unit * F_k with F_k a
     positive-base FactoredProduct and F_{k-1} dividing F_k; the running
-    numerator is kept over F_k, so each step multiplies it by the small
-    expanded cofactor F_k / F_{k-1} and adds the unit-adjusted term
+    numerator is kept over F_k, so each step multiplies it by the binomials
+    of F_k / F_{k-1}, one linear pass each, and adds the unit-adjusted term
     numerator.  No rational reduction is ever performed.
     """
 
@@ -300,19 +293,17 @@ class _Accumulator:
         self.unit_power = 0
 
     def absorb(self, raw_num: LaurentPoly, raw_den_exps: list[int]) -> None:
-        if raw_den_exps:
-            cof = Poly.one()
-            for e in raw_den_exps:
-                if e == 0:
-                    raise ZeroDivisionError("vanishing denominator factor")
-                if e < 0:
-                    self.unit_sign = -self.unit_sign
-                    self.unit_power += e
-                    e = -e
-                self.factors[e] = self.factors.get(e, 0) + 1
-                cof = cof * poly_one_minus_q(e)
-            if not self.numerator.is_zero():
-                self.numerator = self.numerator * cof
+        pos_exps = []
+        for e in raw_den_exps:
+            if e == 0:
+                raise ZeroDivisionError("vanishing denominator factor")
+            if e < 0:
+                self.unit_sign = -self.unit_sign
+                self.unit_power += e
+                e = -e
+            self.factors[e] = self.factors.get(e, 0) + 1
+            pos_exps.append(e)
+        self.numerator = self.numerator.times_one_minus(pos_exps)
         if not raw_num.is_zero():
             adjusted = raw_num.scale(self.unit_sign).shift(-self.unit_power)
             self.numerator = self.numerator + adjusted
@@ -367,23 +358,19 @@ def classical_term_value(family: str, k: int) -> Fraction:
     return Fraction(central ** 4, 256 ** k)
 
 
-def _poch_poly(start: int, step: int, count: int) -> Poly:
-    acc = Poly.one()
-    for i in range(count):
-        acc = acc * poly_one_minus_q(start + step * i)
-    return acc
-
-
 def central_q_binomial(k: int, base: int = 1) -> Poly:
-    """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial."""
-    if k == 0:
-        return Poly.one()
-    num = _poch_poly(base, base, 2 * k)
-    den = _poch_poly(base, base, k)
-    quotient, rem = div_rem_by_monic(num, den * den)
-    if not rem.is_zero():
-        raise AssertionError("central q-binomial division not exact")
-    return quotient
+    """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial.
+
+    Built as prod_{i=k+1}^{2k} (1 - q^{si}) and divided in place by
+    (1 - q^{si}) for i <= k, each step one linear pass.
+    """
+    cs = [1]
+    for i in range(k + 1, 2 * k + 1):
+        cs = _times_one_minus(cs, base * i)
+    for i in range(1, k + 1):
+        if not _divide_one_minus(cs, base * i):
+            raise AssertionError("central q-binomial division not exact")
+    return Poly(cs)
 
 
 def term_value_at_one(family: str, k: int) -> Fraction:

@@ -59,6 +59,14 @@ def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: valuation mismatch\n"
 
 
+def test_bench_binomial_mismatch_exit_one(capsys, monkeypatch):
+    import qcongruence.cli as cli
+    monkeypatch.setattr(cli.LaurentPoly, "times_one_minus",
+                        lambda self, exps: self)
+    assert main(["bench", "--sizes", "16"]) == 1
+    assert capsys.readouterr().err == "error: binomial mismatch\n"
+
+
 def test_asserted_failure_gives_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
 
@@ -161,6 +169,15 @@ def test_sweep_even_t_exit_two(tmp_path, capsys):
     assert main(["sweep", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err == "error: bad config: t values must be odd, got 4\n"
+
+
+def test_sweep_negative_dwork_cap_exit_two(tmp_path, capsys):
+    # a negative degree cap is a config error, not a traceback mid-sweep
+    path = write_config(tmp_path, checks=["dwork"], primes=[5],
+                        dwork_degree_cap=-3)
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad config: dwork_degree_cap must be >= 0, got -3\n"
 
 
 def test_write_error_exit_three(tmp_path, capsys):

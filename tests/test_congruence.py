@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence import congruence
 from qcongruence.congruence import (
     CheckKind,
     ModulusSpec,
@@ -17,7 +18,7 @@ from qcongruence.congruence import (
     verify_parametric_sampled,
 )
 from qcongruence.cyclotomic import cyclotomic
-from qcongruence.polycore import INFINITE, LaurentPoly, Poly
+from qcongruence.polycore import INFINITE, LaurentPoly, Poly, mul_schoolbook
 from qcongruence.qseries import FamilySpec, SeriesSum, q_integer, sum_truncated
 
 
@@ -72,6 +73,50 @@ def test_theorem_spot_case_n3():
     rhs = SeriesSum(LaurentPoly(q_integer(3), -1))
     rep = check_congruence(lhs, rhs, ModulusSpec([(3, 3)]))
     assert rep.passed and not rep.identically_equal
+
+
+def _times_expanded(lp, fp):
+    # lp * expand(fp), the denominator expanded binomial by binomial and
+    # every product done by the schoolbook reference
+    acc = Poly.one()
+    for m, e in sorted(fp.factors.items()):
+        for _ in range(e):
+            acc = mul_schoolbook(acc, Poly([1] + [0] * (m - 1) + [-1]))
+    return LaurentPoly(mul_schoolbook(lp.body, acc) * fp.sign,
+                       lp.offset + fp.power)
+
+
+@pytest.mark.parametrize("case", [
+    dict(kind="thm1-full", n=3, r=2),
+    dict(kind="conj43", n=3, r=1, d=2),
+    dict(kind="param-sampled-j", n=3, r=2, d=1, t=7),
+])
+def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
+    # The delta handed to valuation_at is lhsN * D_R - rhsN * D_L with both
+    # denominators expanded.
+    seen = []
+    real_check = congruence.check_congruence
+
+    def check(lhs, rhs, modulus, **kwargs):
+        expected = _times_expanded(lhs.numerator * rhs.scalar_den,
+                                   rhs.denominator) \
+            - _times_expanded(rhs.numerator * lhs.scalar_den,
+                              lhs.denominator)
+        deltas = []
+        monkeypatch.setattr(congruence, "valuation_at",
+                            lambda a, d: deltas.append(a) or 0)
+        report = real_check(lhs, rhs, modulus, **kwargs)
+        assert report.identically_equal == expected.is_zero()
+        if expected.is_zero():
+            assert not deltas
+        else:
+            assert deltas and all(a == expected for a in deltas)
+        seen.append(len(deltas))
+        return report
+
+    monkeypatch.setattr(congruence, "check_congruence", check)
+    verify_case(**case)
+    assert sum(seen) > 0
 
 
 def test_multiplying_by_cyclotomic_raises_found_by_one():

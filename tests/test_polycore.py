@@ -190,6 +190,41 @@ def test_binomial_kernels_round_trip():
         assert not _divide_one_minus(bumped, m)
 
 
+def _fold_one_minus(lp, exps):
+    # the oracle: one general product by one_minus_q(e) per factor
+    for e in exps:
+        lp = lp * one_minus_q(e)
+    return lp
+
+
+@pytest.mark.parametrize("bits", [3, 64, 300])
+def test_times_one_minus_matches_binomial_fold(bits):
+    # Seeded: positive, negative and repeated exponents, exponents beyond
+    # the operand's length, Laurent offsets -9..9.
+    rng = random.Random(1000 + bits)
+    for _ in range(200):
+        length = rng.randint(1, 40)
+        lp = LaurentPoly(_dense(rng, length, bits), rng.randint(-9, 9))
+        exps = [rng.choice((1, -1)) * rng.randint(1, 12)
+                for _ in range(rng.randint(0, 5))]
+        exps.append(rng.choice((1, -1)) * (length + rng.randint(1, 20)))
+        exps += exps[:rng.randint(0, len(exps))]
+        rng.shuffle(exps)
+        assert lp.times_one_minus(exps) == _fold_one_minus(lp, exps)
+
+
+def test_times_one_minus_zero_exponent_and_zero_operand():
+    lp = LaurentPoly([3, -1, 2], -4)
+    for exps in ([0], [5, 0, -2], [-3, -3, 0]):
+        assert lp.times_one_minus(exps).is_zero()
+        assert lp.times_one_minus(exps) == _fold_one_minus(lp, exps)
+    assert lp.times_one_minus([]) == lp
+    zero = LaurentPoly.zero()
+    for exps in ([], [0], [4, -7, 4]):
+        assert zero.times_one_minus(exps) == zero == _fold_one_minus(zero,
+                                                                    exps)
+
+
 def test_valuation_examples():
     phi3 = cyclotomic(3)
     sq = one_minus_q(6) * one_minus_q(6)

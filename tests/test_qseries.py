@@ -9,6 +9,7 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    _mul_q_integer,
     central_q_binomial,
     classical_term_value,
     eta_product_coefficients,
@@ -117,6 +118,43 @@ def test_q_pochhammer():
         fp, zero = q_pochhammer(start, step, count)
         assert not zero
         assert fp.expand() == poch_laurent(start, step, count)
+
+
+def expand_by_fold(fp):
+    # sign * q^power * every binomial, one general product at a time
+    acc = LaurentPoly.one()
+    for m, e in sorted(fp.factors.items()):
+        for _ in range(e):
+            acc = acc * one_minus_q(m)
+    return acc.scale(fp.sign).shift(fp.power)
+
+
+@pytest.mark.parametrize("bits", [3, 64, 300])
+def test_factored_product_multiply_matches_expanded_product(bits):
+    rng = random.Random(404 + bits)
+    for _ in range(80):
+        factors = {rng.randint(1, 30): rng.randint(1, 4)
+                   for _ in range(rng.randint(0, 5))}
+        fp = FactoredProduct(rng.choice((1, -1)), rng.randint(-9, 9), factors)
+        lp = LaurentPoly([rng.randint(-(1 << bits), 1 << bits)
+                          for _ in range(rng.randint(1, 50))],
+                         rng.randint(-9, 9))
+        expanded = expand_by_fold(fp)
+        assert fp.expand() == expanded
+        assert fp.multiply(lp) == lp * expanded
+    assert FactoredProduct(-1, 3, {2: 1}).multiply(LaurentPoly.zero()) \
+        == LaurentPoly.zero()
+
+
+def test_q_integer_product_matches_general_product():
+    rng = random.Random(5)
+    for _ in range(200):
+        lp = LaurentPoly([rng.randint(-(1 << 80), 1 << 80)
+                          for _ in range(rng.randint(1, 40))],
+                         rng.randint(-9, 9))
+        count, step = rng.randint(1, 30), rng.randint(1, 8)
+        assert _mul_q_integer(lp, count, step) \
+            == lp * LaurentPoly(q_integer(count, step))
 
 
 def test_factored_product_validation():
@@ -248,6 +286,11 @@ def test_central_q_binomial():
     assert central_q_binomial(0) == Poly([1])
     assert central_q_binomial(1) == Poly([1, 1])  # 1 + q
     assert central_q_binomial(2, 1) == Poly([1, 1, 2, 1, 1])
+    for base in (1, 2, 3):
+        for k in range(9):
+            assert LaurentPoly(central_q_binomial(k, base)) \
+                * poch_laurent(base, base, k) ** 2 \
+                == poch_laurent(base, base, 2 * k), (base, k)
 
 
 # ---------------------------------------------------------------------------
