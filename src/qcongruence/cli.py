@@ -378,16 +378,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    p, r = args.p, args.r
+    p, r, exp = args.p, args.r, args.exp
+    # an explicit --exp 0 must reach the validators, so test for None
     try:
         if args.check in ("c2", "j2"):
-            rep = verify_van_hamme(args.check, p, args.exp or 4)
+            rep = verify_van_hamme(args.check, p, 4 if exp is None else exp)
         elif args.check in ("c3", "j3", "cc", "jj"):
-            rep = verify_swisher(args.check, p, r, args.exp or 3 * r)
+            rep = verify_swisher(args.check, p, r,
+                                 3 * r if exp is None else exp)
         elif args.check == "m2":
             rep = verify_m2(p)
         elif args.check == "dwork":
-            rep = dwork_quotient_check(p, r, args.kcap, args.exp or r)
+            rep = dwork_quotient_check(p, r, args.kcap, exp)
         elif args.check == "lucas":
             rep = verify_lucas(p, r)
         else:
@@ -493,11 +495,19 @@ def _cmd_bench(args) -> int:
             if passes != la * one_minus_q(7) ** 8:
                 print("error: binomial mismatch", file=sys.stderr)
                 return 1
+            lb = LaurentPoly(b, -(size // 2))
+            t8 = time.perf_counter()
+            difference = la - lb
+            t9 = time.perf_counter()
+            if difference != la + (-lb):
+                print("error: subtract mismatch", file=sys.stderr)
+                return 1
             for label, seconds in ((f"mul (auto strategy{tag})", t1 - t0),
                                    (f"mul (schoolbook{tag})", t2 - t1),
                                    (f"divmod by monic{tag}", t3 - t2),
                                    (f"valuation at Phi_7{tag}", t5 - t4),
-                                   (f"times (1-q^m)^k{tag}", t7 - t6)):
+                                   (f"times (1-q^m)^k{tag}", t7 - t6),
+                                   (f"subtract{tag}", t9 - t8)):
                 print(f"{label:<28}{size:>8}{seconds * 1e3:>12.2f}")
     t0 = time.perf_counter()
     cyclotomic(105)

@@ -4,22 +4,27 @@ A congruence LHS == RHS (mod prod over (d,e) of Phi_d^e) between rational
 functions is certified through the valuation semantics: the Phi_d-adic
 valuation of LHS - RHS must be at least e for every part.  With both sides
 held as numerator / factored denominator this needs a single
-cross-multiplied difference
+cross-multiplied difference, taken through the binomials the two
+denominators do not share.  With G the shared ones (each 1 - q^m to the
+smaller of its two exponents, read off the factored forms),
 
-    delta = rhsD * (b * lhsN) - lhsD * (a * rhsN)
+    delta' = (rhsD / G) * (b * lhsN) - (lhsD / G) * (a * rhsN)
 
-(a, b the integer scalar denominators) and, per part, the comparison
+(a, b the integer scalar denominators), and per part the comparison is
 
-    valuation(delta, Phi_d) >= e + ord_d(lhsD) + ord_d(rhsD),
+    found = valuation(delta', Phi_d) + ord_d(G)
+          >= e + ord_d(lhsD) + ord_d(rhsD).
 
-where the denominator valuations are read off the factored form without
-any division.  Neither denominator is expanded: each numerator is
-multiplied through the other side's factored denominator, one linear
-pass per binomial 1 - q^m (FactoredProduct.multiply).  Monic
-divisibility is unaffected by the nonzero integer scalars, so they never
-need to be cleared.
+found is still the Phi_d-adic valuation of the full difference
+rhsD * (b * lhsN) - lhsD * (a * rhsN) = G * delta', because valuations
+add and G is nonzero.  The valuations of G and of the denominators are
+read off the factored form without any division.  Neither denominator is
+expanded: each numerator is multiplied through the other side's reduced
+denominator, one linear pass per binomial 1 - q^m
+(FactoredProduct.multiply).  Monic divisibility is unaffected by the
+nonzero integer scalars, so they never need to be cleared.
 
-The valuation of delta is counted one exact division by Phi_d at a time,
+The valuation of delta' is counted one exact division by Phi_d at a time,
 but Phi_d is never built: cyclotomic.valuation_at multiplies by the
 binomials 1 - q^m of the Moebius factorisation of Phi_d with exponent -1
 and divides in place by those with exponent +1, each a linear pass over
@@ -216,8 +221,9 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     denominator collides with the modulus.
     """
     t0 = time.perf_counter()
-    delta = rhs.denominator.multiply(lhs.numerator * rhs.scalar_den) \
-        - lhs.denominator.multiply(rhs.numerator * lhs.scalar_den)
+    common, left, right = _reduced_cross_products(lhs, rhs)
+    delta = left - right
+    del left, right     # not held through the valuation passes
     t1 = time.perf_counter()
     identical = delta.is_zero()
     parts = []
@@ -226,7 +232,8 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
         if count_denominators:
             required += lhs.denominator.ord_cyclotomic(d) \
                 + rhs.denominator.ord_cyclotomic(d)
-        found = INFINITE if identical else valuation_at(delta, d)
+        found = INFINITE if identical \
+            else valuation_at(delta, d) + common.ord_cyclotomic(d)
         parts.append(PartResult(d, required, found, found - required,
                                 component))
     t2 = time.perf_counter()
@@ -240,9 +247,21 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
     """Exact equality of the two rational functions (cross-multiplied)."""
-    left = rhs.denominator.multiply(lhs.numerator * rhs.scalar_den)
-    right = lhs.denominator.multiply(rhs.numerator * lhs.scalar_den)
+    _, left, right = _reduced_cross_products(lhs, rhs)
     return left == right
+
+
+def _reduced_cross_products(lhs: SeriesSum, rhs: SeriesSum):
+    """(G, (D_R/G) * b * lhsN, (D_L/G) * a * rhsN), G the shared binomials.
+
+    The two products differ by the factor G from the full cross-multiplied
+    ones, so they are equal exactly when those are.
+    """
+    common, left_den, right_den = \
+        lhs.denominator.split_common(rhs.denominator)
+    return (common,
+            right_den.multiply(lhs.numerator * rhs.scalar_den),
+            left_den.multiply(rhs.numerator * lhs.scalar_den))
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,

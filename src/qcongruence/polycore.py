@@ -43,21 +43,23 @@ def _trimmed(cs: list) -> list:
     return cs
 
 
-def _add_lists(a: list, b: list) -> list:
+def _add_lists(a, b) -> list:
+    # a + b as one C-level pass over the common length, then the tail of
+    # the longer operand copied as it is.
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
+    out = list(map(operator.add, a, b))
+    out += a[len(b):]
     return out
 
 
-def _sub_lists(a: list, b: list) -> list:
-    out = list(a)
-    if len(out) < len(b):
-        out.extend([0] * (len(b) - len(out)))
-    for i, y in enumerate(b):
-        out[i] -= y
+def _sub_lists(a, b) -> list:
+    # a - b the same way; a tail of b is negated in a second C-level pass.
+    out = list(map(operator.sub, a, b))
+    if len(a) >= len(b):
+        out += a[len(b):]
+    else:
+        out += map(operator.neg, b[len(a):])
     return out
 
 
@@ -218,10 +220,10 @@ class Poly:
         return Poly((0,) * e + self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly(_add_lists(list(self.coeffs), list(other.coeffs)))
+        return Poly(_add_lists(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(_sub_lists(list(self.coeffs), list(other.coeffs)))
+        return Poly(_sub_lists(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
@@ -339,18 +341,31 @@ class LaurentPoly:
             cs = _times_one_minus(cs, abs(e), negated=e < 0)
         return LaurentPoly(cs, offset)
 
+    def _aligned(self, other: "LaurentPoly") -> tuple[tuple, tuple, int]:
+        # both coefficient tuples written from the lower of the two offsets
+        off = min(self.offset, other.offset)
+        a, b = self.body.coeffs, other.body.coeffs
+        if self.offset > off:
+            a = (0,) * (self.offset - off) + a
+        if other.offset > off:
+            b = (0,) * (other.offset - off) + b
+        return a, b, off
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        off = min(self.offset, other.offset)
-        a = [0] * (self.offset - off) + list(self.body.coeffs)
-        b = [0] * (other.offset - off) + list(other.body.coeffs)
+        a, b, off = self._aligned(other)
         return LaurentPoly(_add_lists(a, b), off)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        a, b, off = self._aligned(other)
+        return LaurentPoly(_sub_lists(a, b), off)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(-self.body, self.offset)

@@ -87,6 +87,34 @@ class FactoredProduct:
         return FactoredProduct(self.sign * other.sign,
                                self.power + other.power, merged)
 
+    def divided_by(self, other: "FactoredProduct") -> "FactoredProduct":
+        """self / other, exactly; other's binomials must be among self's."""
+        rest = dict(self.factors)
+        for m, e in other.factors.items():
+            left = rest.get(m, 0) - e
+            if left < 0:
+                raise ValueError(
+                    f"(1 - q^{m})^{e} does not divide the product")
+            if left:
+                rest[m] = left
+            else:
+                del rest[m]
+        return FactoredProduct(self.sign * other.sign,
+                               self.power - other.power, rest)
+
+    def split_common(self, other: "FactoredProduct"
+                     ) -> tuple["FactoredProduct", "FactoredProduct",
+                                "FactoredProduct"]:
+        """(G, self / G, other / G), G the binomials both products share.
+
+        G takes each 1 - q^m to the smaller of its two exponents; it is
+        read off the factored forms, with no arithmetic on polynomials.
+        """
+        common = FactoredProduct(1, 0, {
+            m: min(e, other.factors[m])
+            for m, e in self.factors.items() if m in other.factors})
+        return common, self.divided_by(common), other.divided_by(common)
+
     def ord_cyclotomic(self, d: int) -> int:
         """Multiplicity of the d-th cyclotomic polynomial, analytically."""
         if d < 1:

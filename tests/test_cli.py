@@ -45,11 +45,24 @@ def test_classical_exit_codes(capsys):
     assert main(["classical", "--check", "nope", "--p", "5"]) == 2
 
 
+@pytest.mark.parametrize("check", ["c2", "c3", "dwork"])
+def test_classical_exp_zero_is_rejected(capsys, check):
+    # 0 is an explicit exponent, not "use the default"
+    assert main(["classical", "--check", check, "--p", "5",
+                 "--exp", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_list_and_bench(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "thm1-half" in out and "dwork" in out
     assert main(["bench", "--sizes", "64"]) == 0
+    rows = capsys.readouterr().out
+    assert "subtract " in rows and "subtract, 256-bit" in rows
 
 
 def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
@@ -65,6 +78,14 @@ def test_bench_binomial_mismatch_exit_one(capsys, monkeypatch):
                         lambda self, exps: self)
     assert main(["bench", "--sizes", "16"]) == 1
     assert capsys.readouterr().err == "error: binomial mismatch\n"
+
+
+def test_bench_subtract_mismatch_exit_one(capsys, monkeypatch):
+    import qcongruence.cli as cli
+    monkeypatch.setattr(cli.LaurentPoly, "__sub__",
+                        lambda self, other: self)
+    assert main(["bench", "--sizes", "16"]) == 1
+    assert capsys.readouterr().err == "error: subtract mismatch\n"
 
 
 def test_asserted_failure_gives_exit_one(capsys, monkeypatch):

@@ -18,8 +18,20 @@ from qcongruence.congruence import (
     verify_parametric_sampled,
 )
 from qcongruence.cyclotomic import cyclotomic
-from qcongruence.polycore import INFINITE, LaurentPoly, Poly, mul_schoolbook
-from qcongruence.qseries import FamilySpec, SeriesSum, q_integer, sum_truncated
+from qcongruence.polycore import (
+    INFINITE,
+    LaurentPoly,
+    Poly,
+    div_rem_by_monic,
+    mul_schoolbook,
+)
+from qcongruence.qseries import (
+    FactoredProduct,
+    FamilySpec,
+    SeriesSum,
+    q_integer,
+    sum_truncated,
+)
 
 
 def laurent(coeffs, offset=0):
@@ -86,37 +98,113 @@ def _times_expanded(lp, fp):
                        lp.offset + fp.power)
 
 
+def _shared(fp_a, fp_b):
+    # the binomials both products carry, each at the smaller exponent
+    return FactoredProduct(1, 0, {m: min(e, fp_b.factors[m])
+                                  for m, e in fp_a.factors.items()
+                                  if m in fp_b.factors})
+
+
+def _division_valuation(lp, d):
+    # Phi_d-adic valuation of a nonzero lp by repeated monic division
+    phi, body, count = cyclotomic(d), lp.body, 0
+    while True:
+        body, rem = div_rem_by_monic(body, phi)
+        if not rem.is_zero():
+            return count
+        count += 1
+
+
 @pytest.mark.parametrize("case", [
     dict(kind="thm1-full", n=3, r=2),
     dict(kind="conj43", n=3, r=1, d=2),
     dict(kind="param-sampled-j", n=3, r=2, d=1, t=7),
+    dict(kind="conj41", n=3, r=1),
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
-    # The delta handed to valuation_at is lhsN * D_R - rhsN * D_L with both
-    # denominators expanded.
+    # With full = lhsN * D_R - rhsN * D_L (both denominators expanded) and
+    # G the binomials D_L and D_R share, the delta handed to valuation_at
+    # times G is full, and every found valuation is full's, counted by
+    # repeated division.
     seen = []
     real_check = congruence.check_congruence
+    real_valuation = congruence.valuation_at
 
     def check(lhs, rhs, modulus, **kwargs):
-        expected = _times_expanded(lhs.numerator * rhs.scalar_den,
-                                   rhs.denominator) \
+        full = _times_expanded(lhs.numerator * rhs.scalar_den,
+                               rhs.denominator) \
             - _times_expanded(rhs.numerator * lhs.scalar_den,
                               lhs.denominator)
+        shared = _shared(lhs.denominator, rhs.denominator)
         deltas = []
-        monkeypatch.setattr(congruence, "valuation_at",
-                            lambda a, d: deltas.append(a) or 0)
+        monkeypatch.setattr(
+            congruence, "valuation_at",
+            lambda a, d: deltas.append(a) or real_valuation(a, d))
         report = real_check(lhs, rhs, modulus, **kwargs)
-        assert report.identically_equal == expected.is_zero()
-        if expected.is_zero():
+        assert report.identically_equal == full.is_zero()
+        if full.is_zero():
             assert not deltas
+            assert all(p.found == INFINITE for p in report.parts)
         else:
-            assert deltas and all(a == expected for a in deltas)
+            assert deltas
+            assert all(_times_expanded(a, shared) == full for a in deltas)
+            assert [p.found for p in report.parts] \
+                == [_division_valuation(full, d) for d, _ in modulus.parts]
         seen.append(len(deltas))
         return report
 
     monkeypatch.setattr(congruence, "check_congruence", check)
     verify_case(**case)
     assert sum(seen) > 0
+
+
+def _identity_pairs(rng):
+    # (lhs, rhs, overlap, equal): lhs = a Y E_L / (a C E_L) and rhs the
+    # same value written as b Y E_R / (b C E_R), then rhs with one
+    # numerator coefficient changed.  The denominators share C only.
+    def factors(bases):
+        return {m: rng.randint(1, 4) for m in bases}
+
+    def side(y, extra, common, scalar):
+        num = _times_expanded(y, FactoredProduct(1, 0, extra)).scale(scalar)
+        return SeriesSum(num, FactoredProduct(1, 0, common).times(
+            FactoredProduct(1, 0, extra)), scalar)
+
+    layouts = {
+        "none": ({}, [3, 7, 11], [2, 5]),
+        "partial": ({4: 2, 9: 1}, [1, 6], [10, 13, 40]),
+        "full": ({2: 3, 5: 1, 8: 2}, [], []),
+    }
+    for overlap, (common, left, right) in layouts.items():
+        y = laurent([rng.randint(-50, 50) for _ in range(rng.randint(1, 30))]
+                    + [rng.choice((-1, 1))], rng.randint(-9, 9))
+        lhs = side(y, factors(left), common, rng.randint(1, 5))
+        rhs = side(y, factors(right), common, rng.randint(1, 5))
+        yield lhs, rhs, overlap, True
+        cs = list(rhs.numerator.body.coeffs)
+        cs[rng.randrange(len(cs))] += 1
+        bumped = SeriesSum(LaurentPoly(cs, rhs.numerator.offset),
+                           rhs.denominator, rhs.scalar_den)
+        yield lhs, bumped, overlap, False
+
+
+def test_identity_equal_matches_full_cross_multiplication():
+    rng = random.Random(2019)
+    kinds = set()
+    for _ in range(4):
+        for lhs, rhs, overlap, equal in _identity_pairs(rng):
+            full_equal = _times_expanded(lhs.numerator * rhs.scalar_den,
+                                         rhs.denominator) \
+                == _times_expanded(rhs.numerator * lhs.scalar_den,
+                                   lhs.denominator)
+            assert full_equal == equal
+            assert check_identity_equal(lhs, rhs) == equal
+            assert check_identity_equal(rhs, lhs) == equal
+            shared = _shared(lhs.denominator, rhs.denominator).factors
+            kinds.add((overlap, bool(shared),
+                       shared == lhs.denominator.factors))
+    assert kinds == {("none", False, False), ("partial", True, False),
+                     ("full", True, True)}
 
 
 def test_multiplying_by_cyclotomic_raises_found_by_one():

@@ -6,7 +6,9 @@ from fractions import Fraction
 from qcongruence.polycore import (
     INFINITE,
     SCHOOLBOOK_THRESHOLD,
+    _add_lists,
     _divide_one_minus,
+    _sub_lists,
     _times_one_minus,
     LaurentPoly,
     Poly,
@@ -301,6 +303,88 @@ def test_laurent_normalization_and_arithmetic():
     assert (a * b).offset == -1
     assert a * LaurentPoly.zero() == LaurentPoly.zero()
     assert -(-a) == a
+
+
+def _loop_combine(a, b, sign):
+    # a + sign * b, one coefficient at a time
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    return out
+
+
+def _laurent_combine(x, y, sign):
+    # x + sign * y through exponent -> coefficient maps
+    terms = {}
+    for lp, s in ((x, 1), (y, sign)):
+        for i, c in enumerate(lp.body.coeffs):
+            e = lp.offset + i
+            terms[e] = terms.get(e, 0) + s * c
+    live = [e for e, c in terms.items() if c]
+    if not live:
+        return LaurentPoly.zero()
+    lo, hi = min(live), max(live)
+    return LaurentPoly([terms.get(e, 0) for e in range(lo, hi + 1)], lo)
+
+
+@pytest.mark.parametrize("bits", [3, 64, 300])
+def test_add_and_subtract_passes_match_loop(bits):
+    rng = random.Random(31 + bits)
+    bound = 1 << bits
+
+    def coeffs(n):
+        return [rng.randint(-bound, bound) for _ in range(n)]
+
+    for la, lb in ((0, 0), (0, 5), (7, 7), (3, 40), (40, 3), (1, 1),
+                   (64, 300), (300, 64)):
+        for _ in range(5):
+            a, b = coeffs(la), coeffs(lb)
+            for x, y in ((a, b), (b, a), (tuple(a), tuple(b))):
+                assert _add_lists(x, y) == _loop_combine(x, y, 1)
+                assert _sub_lists(x, y) == _loop_combine(x, y, -1)
+                assert isinstance(_sub_lists(x, y), list)
+            assert _add_lists(a, b) == _add_lists(b, a)
+            assert _sub_lists(a, a) == [0] * la
+            if la == lb:
+                assert _add_lists(a, [-c for c in a]) == [0] * la
+
+
+@pytest.mark.parametrize("bits", [3, 64, 300])
+def test_laurent_subtract_matches_oracles(bits):
+    rng = random.Random(97 + bits)
+    bound = 1 << bits
+
+    def rand_laurent(length):
+        cs = [rng.randint(-bound, bound) for _ in range(length)]
+        return LaurentPoly(cs + [rng.choice((-1, 1))], rng.randint(-9, 9))
+
+    cases = []
+    for _ in range(60):
+        x = rand_laurent(rng.randint(0, 40))
+        y = rand_laurent(rng.randint(0, 40))
+        cases += [(x, y), (y, x), (x, LaurentPoly.zero()),
+                  (LaurentPoly.zero(), y)]
+        # cancels to zero: the offset must normalise to 0
+        cases.append((x, LaurentPoly(x.body, x.offset)))
+        # cancels at both ends: leading and trailing zeros must go
+        tail = rand_laurent(5)
+        shifted = tail.shift(x.high_degree + 1 - tail.offset)
+        head = LaurentPoly.monomial(x.offset - 3, 5)
+        cases.append((x + shifted + head, shifted + head + y))
+    for x, y in cases:
+        difference = x - y
+        assert difference == _laurent_combine(x, y, -1)
+        assert difference == x + (-y)
+        assert x + y == _laurent_combine(x, y, 1)
+        cs = difference.body.coeffs
+        if cs:
+            assert cs[0] != 0 and cs[-1] != 0
+        else:
+            assert difference.offset == 0
+    same = rand_laurent(12).shift(7)
+    assert (same - same).offset == 0 and (same - same).is_zero()
 
 
 def test_mixed_mul_promotes_to_laurent():

@@ -157,6 +157,46 @@ def test_q_integer_product_matches_general_product():
             == lp * LaurentPoly(q_integer(count, step))
 
 
+def _random_factored(rng):
+    factors = {rng.randint(1, 40): rng.randint(1, 4)
+               for _ in range(rng.randint(0, 8))}
+    return FactoredProduct(rng.choice((1, -1)), rng.randint(-9, 9), factors)
+
+
+def test_split_common_is_shared_binomials_and_exact_quotients():
+    rng = random.Random(2019)
+    for _ in range(300):
+        a, b = _random_factored(rng), _random_factored(rng)
+        if rng.random() < 0.3:
+            b = b.times(a)     # a's binomials all shared
+        common, a_rest, b_rest = a.split_common(b)
+        assert common.is_unit_free()
+        for m in set(a.factors) | set(b.factors):
+            assert common.factors.get(m, 0) \
+                == min(a.factors.get(m, 0), b.factors.get(m, 0))
+        assert not set(a_rest.factors) & set(b_rest.factors)
+        for whole, rest in ((a, a_rest), (b, b_rest)):
+            assert common.times(rest) == whole
+            for d in range(1, 41):
+                assert whole.ord_cyclotomic(d) \
+                    == common.ord_cyclotomic(d) + rest.ord_cyclotomic(d)
+
+
+def test_divided_by_non_sub_multiset_raises():
+    rng = random.Random(77)
+    for _ in range(100):
+        a = _random_factored(rng)
+        m = rng.randint(1, 40)
+        over = FactoredProduct(1, 0, {m: a.factors.get(m, 0) + 1})
+        with pytest.raises(ValueError):
+            a.divided_by(over)
+        with pytest.raises(ValueError):
+            a.divided_by(a.times(over))
+        assert a.divided_by(a).is_one()
+    assert FactoredProduct(-1, 5, {3: 2, 4: 1}).divided_by(
+        FactoredProduct(-1, 2, {3: 1})) == FactoredProduct(1, 3, {3: 1, 4: 1})
+
+
 def test_factored_product_validation():
     with pytest.raises(ValueError):
         FactoredProduct(1, 0, {0: 1})
