@@ -4,12 +4,16 @@ Subcommands
     verify     one q-side check from flags
     sweep      run the cartesian case grid of a JSON config file
     classical  one prime-power check from flags
-    list       enumerate supported checks
+    list       enumerate supported checks, as the check table holds them
     bench      timing table for the polynomial kernels and the valuation
 
+Every check is one row of CHECKS: its name, description, parameter axes and
+runner.  A case is plain data, (name, params), so it can be pickled.
+
 Exit codes: 0 all asserted (non-conjectural) cases pass; 1 some asserted
-case failed; 2 usage error; 3 report write error.  Conjectural cases are
-always executed and reported but never fail a run.
+case failed; 2 usage or config error; 3 report write error; 4 some sweep
+case raised and no asserted case failed.  Conjectural cases are always
+executed and reported but never fail a run.
 """
 
 from __future__ import annotations
@@ -23,18 +27,14 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .congruence import (
-    CheckKind,
-    admissible_root_indices,
-    verify_case,
-)
+from .congruence import admissible_root_indices, verify_case
 from .cyclotomic import cyclotomic, valuation_at
 from .padic import (
-    CLASSICAL_KINDS,
     MIN_PRIME,
     dwork_quotient_check,
     is_prime,
@@ -44,37 +44,6 @@ from .padic import (
     verify_van_hamme,
 )
 from .polycore import LaurentPoly, Poly, mul_schoolbook, one_minus_q
-
-Q_KIND_VALUES = tuple(k.value for k in CheckKind)
-
-_DESCRIPTIONS = {
-    "thm1-half": "quartic family, half range vs base-raised target",
-    "thm1-full": "quartic family, full range vs base-raised target",
-    "thm2-half": "sextic family, half range vs base-raised target",
-    "thm2-full": "sextic family, full range vs base-raised target",
-    "gw": "quartic family vs cubic-corrected closed form (asserted)",
-    "qj2": "sextic family vs cubic-corrected closed form (conjectural)",
-    "conj41": "full-range product splitting mod Phi_n^3 (conjectural)",
-    "conj42": "half-range product splitting mod Phi_n^3 (conjectural)",
-    "conj43": "product splitting at divisor d mod Phi_n^2 (conjectural)",
-    "lemma22": "quartic root-specialization closed form (exact identity)",
-    "lemma31": "sextic root-specialization closed form (exact identity)",
-    "param-roots-c": "quartic parametric sides equal at root specializations",
-    "param-roots-j": "sextic parametric sides equal at root specializations",
-    "param-sampled-c": "quartic parametric sides vanish mod [n^r] at odd t",
-    "param-sampled-j": "sextic parametric sides vanish mod [n^r] at odd t",
-    "half-vs-full-m": "truncation separation mod Phi_n, agreement mod "
-                      "Phi_{n^{r+1}}^4",
-    "c2": "half-range quartic sum == p mod p^exp (proven to exp 4)",
-    "j2": "half-range sextic sum == +-p mod p^exp (proven to exp 4)",
-    "c3": "half-range quartic quotient congruence mod p^exp",
-    "j3": "half-range sextic quotient congruence mod p^exp",
-    "cc": "full-range quartic quotient congruence mod p^exp",
-    "jj": "full-range sextic quotient congruence mod p^exp",
-    "m2": "half and full quartic sums == eta coefficient mod p^3",
-    "dwork": "cross-multiplied truncation compatibility mod p^r",
-    "lucas": "central-binomial vanishing windows at order 4",
-}
 
 
 @dataclass
@@ -95,14 +64,23 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        known = set(RunConfig().__dict__)
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        defaults = RunConfig().__dict__
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for key, value in data.items():
+            # each field takes its default's exact type: no bool for an int
+            listed = isinstance(defaults[key], list)
+            kind = (str if key == "checks" else int) if listed \
+                else type(defaults[key])
+            items = value if listed else [value]
+            if listed and type(value) is not list \
+                    or any(type(v) is not kind for v in items):
+                raise ValueError(f"{key} must be {'a list of ' * listed}"
+                                 f"{kind.__name__}, got {value!r}")
         cfg = RunConfig(**data)
-        for name in cfg.checks:
-            if name not in Q_KIND_VALUES and name not in CLASSICAL_KINDS:
-                raise ValueError(f"unknown check {name!r}")
         for n in cfg.n_values:
             if n < 3 or n % 2 == 0:
                 raise ValueError("n values must be odd and >= 3")
@@ -113,6 +91,8 @@ class RunConfig:
             if p < 3 or not is_prime(p):
                 raise ValueError(f"primes must be odd primes, got {p}")
         for name in cfg.checks:
+            if name not in CHECKS:
+                raise ValueError(f"unknown check {name!r}")
             low = [p for p in cfg.primes if p < MIN_PRIME.get(name, 0)]
             if low:
                 raise ValueError(f"check {name!r} needs primes >= "
@@ -141,71 +121,158 @@ class ReportSet:
     entries: list[dict]
 
     def asserted_failures(self) -> int:
-        return sum(1 for e in self.entries
-                   if not e["conjectural"] and not e["pass"])
+        return sum(1 for e in self.entries if e["type"] != "error"
+                   and not e["conjectural"] and not e["pass"])
+
+    def errors(self) -> int:
+        return sum(1 for e in self.entries if e["type"] == "error")
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+@dataclass
+class Check:
+    """One row of the check table: run(name, **params) returns the report
+    of one case, and axes name its params in grid order.  A sweep takes an
+    axis's values from _AXIS_VALUES, the exponent's from exponents."""
+
+    name: str
+    description: str
+    axes: tuple[str, ...]
+    run: Callable
+    exponents: Callable = None
+
+    @property
+    def classical(self) -> bool:
+        return "p" in self.axes
+
+    def grid(self, cfg: RunConfig, pinned: dict) -> list[tuple]:
+        """(name, params) at every grid point under cfg; pinned maps an
+        axis to the list of its values, in place of cfg's."""
+        points = [{}]
+        for axis in self.axes:
+            values = _AXIS_VALUES.get(axis, self.exponents)
+            points = [dict(params, **{axis: value}) for params in points
+                      for value in pinned.get(axis) or values(cfg, params)]
+        return [(self.name, params) for params in points]
+
+
+#: Axis -> its values in a sweep, from the config and the axes before it.
+_AXIS_VALUES = {
+    "n": lambda cfg, params: cfg.n_values,
+    "r": lambda cfg, params: range(1, cfg.r_max + 1),
+    "d": lambda cfg, params: cfg.d_values,
+    "j": lambda cfg, params: admissible_root_indices(
+        params["n"], params["r"], params["d"]),
+    "t": lambda cfg, params: cfg.t_values,
+    "p": lambda cfg, params: cfg.primes,
+    "kcap": lambda cfg, params: [cfg.dwork_degree_cap],
+}
+
+
+# Runners look the engine's checks up as attributes of this module at call
+# time, so a name replaced here (by a test or a tracer) is the one called.
+def _run_q(name, **params):
+    return verify_case(name, **params)
+
+
+def _by_policy(cfg: RunConfig, params: dict) -> list[int]:
+    # the quotient checks are proven modulo p^{3r}; 4r is conjectural
+    return [k * params["r"] for k, tag in ((3, "proven"), (4, "conjectural"))
+            if cfg.exponent_policy in (tag, "both")]
+
+
+_N_R = ("n", "r")
+_P_R_EXP = ("p", "r", "exponent")
+
+CHECKS = {check.name: check for check in (
+    Check("thm1-half", "quartic family, half range vs base-raised target",
+          _N_R, _run_q),
+    Check("thm1-full", "quartic family, full range vs base-raised target",
+          _N_R, _run_q),
+    Check("thm2-half", "sextic family, half range vs base-raised target",
+          _N_R, _run_q),
+    Check("thm2-full", "sextic family, full range vs base-raised target",
+          _N_R, _run_q),
+    Check("gw", "quartic family vs cubic-corrected closed form (asserted)",
+          ("n",), _run_q),
+    Check("qj2", "sextic family vs cubic-corrected closed form "
+          "(conjectural)", ("n",), _run_q),
+    Check("conj41", "full-range product splitting mod Phi_n^3 "
+          "(conjectural)", _N_R, _run_q),
+    Check("conj42", "half-range product splitting mod Phi_n^3 "
+          "(conjectural)", _N_R, _run_q),
+    Check("conj43", "product splitting at divisor d mod Phi_n^2 "
+          "(conjectural)", ("n", "r", "d"), _run_q),
+    Check("lemma22", "quartic root-specialization closed form "
+          "(exact identity)", ("n",), _run_q),
+    Check("lemma31", "sextic root-specialization closed form "
+          "(exact identity)", ("n",), _run_q),
+    Check("param-roots-c", "quartic parametric sides equal at root "
+          "specializations", ("n", "r", "d", "j"), _run_q),
+    Check("param-roots-j", "sextic parametric sides equal at root "
+          "specializations", ("n", "r", "d", "j"), _run_q),
+    Check("param-sampled-c", "quartic parametric sides vanish mod [n^r] at "
+          "odd t", ("n", "r", "d", "t"), _run_q),
+    Check("param-sampled-j", "sextic parametric sides vanish mod [n^r] at "
+          "odd t", ("n", "r", "d", "t"), _run_q),
+    Check("half-vs-full-m", "truncation separation mod Phi_n, agreement "
+          "mod Phi_{n^{r+1}}^4", _N_R, _run_q),
+    Check("c2", "half-range quartic sum == p mod p^exp (proven to exp 4)",
+          ("p", "exponent"), lambda name, **kw: verify_van_hamme(name, **kw),
+          lambda cfg, params: [4]),
+    Check("j2", "half-range sextic sum == +-p mod p^exp (proven to exp 4)",
+          ("p", "exponent"), lambda name, **kw: verify_van_hamme(name, **kw),
+          lambda cfg, params: [4]),
+    Check("c3", "half-range quartic quotient congruence mod p^exp",
+          _P_R_EXP, lambda name, **kw: verify_swisher(name, **kw), _by_policy),
+    Check("j3", "half-range sextic quotient congruence mod p^exp",
+          _P_R_EXP, lambda name, **kw: verify_swisher(name, **kw), _by_policy),
+    Check("cc", "full-range quartic quotient congruence mod p^exp",
+          _P_R_EXP, lambda name, **kw: verify_swisher(name, **kw), _by_policy),
+    Check("jj", "full-range sextic quotient congruence mod p^exp",
+          _P_R_EXP, lambda name, **kw: verify_swisher(name, **kw), _by_policy),
+    Check("m2", "half and full quartic sums == eta coefficient mod p^3",
+          ("p",), lambda name, p: verify_m2(p)),
+    Check("dwork", "cross-multiplied truncation compatibility mod p^r",
+          ("p", "r", "kcap", "exponent"),
+          lambda name, p, r, kcap, exponent: dwork_quotient_check(
+              p, r, kcap, exponent), lambda cfg, params: [params["r"]]),
+    Check("lucas", "central-binomial vanishing windows at order 4",
+          ("p", "r"), lambda name, p, r: verify_lucas(p, r)),
+)}
 
 
 # ---------------------------------------------------------------------------
 # case enumeration and execution
 
 
-def _q_case_calls(name: str, cfg: RunConfig):
-    kind = CheckKind(name)
-    per_n_only = kind in (CheckKind.GW, CheckKind.QJ2,
-                          CheckKind.LEMMA22_IDENTITY,
-                          CheckKind.LEMMA31_IDENTITY)
-    for n in cfg.n_values:
-        if per_n_only:
-            yield dict(kind=kind, n=n)
-            continue
-        for r in range(1, cfg.r_max + 1):
-            if kind in (CheckKind.PARAM_ROOTS_C, CheckKind.PARAM_ROOTS_J):
-                for d in cfg.d_values:
-                    for j in admissible_root_indices(n, r, d):
-                        yield dict(kind=kind, n=n, r=r, d=d, j=j)
-            elif kind in (CheckKind.PARAM_SAMPLED_C,
-                          CheckKind.PARAM_SAMPLED_J):
-                for d in cfg.d_values:
-                    for t in cfg.t_values:
-                        yield dict(kind=kind, n=n, r=r, d=d, t=t)
-            elif kind is CheckKind.CONJ43:
-                for d in cfg.d_values:
-                    yield dict(kind=kind, n=n, r=r, d=d)
-            else:
-                yield dict(kind=kind, n=n, r=r)
+def enumerate_cases(cfg: RunConfig) -> list[tuple]:
+    """(name, params) for every case of the config's grid."""
+    return [spec for name in cfg.checks
+            for spec in CHECKS[name].grid(cfg, {})]
 
 
-def _classical_case_calls(name: str, cfg: RunConfig):
-    for p in cfg.primes:
-        if name in ("c2", "j2"):
-            yield lambda p=p: verify_van_hamme(name, p, 4)
-        elif name == "m2":
-            yield lambda p=p: verify_m2(p)
-        else:
-            for r in range(1, cfg.r_max + 1):
-                if name == "dwork":
-                    yield lambda p=p, r=r: dwork_quotient_check(
-                        p, r, cfg.dwork_degree_cap)
-                elif name == "lucas":
-                    yield lambda p=p, r=r: verify_lucas(p, r)
-                else:
-                    if cfg.exponent_policy in ("proven", "both"):
-                        yield lambda p=p, r=r: verify_swisher(name, p, r,
-                                                              3 * r)
-                    if cfg.exponent_policy in ("conjectural", "both"):
-                        yield lambda p=p, r=r: verify_swisher(name, p, r,
-                                                              4 * r)
+def run_case(spec: tuple) -> dict:
+    """The report entry of one (name, params) case."""
+    name, params = spec
+    return CHECKS[name].run(name, **params).to_dict()
 
 
-def enumerate_cases(cfg: RunConfig) -> list:
-    calls = []
-    for name in cfg.checks:
-        if name in CLASSICAL_KINDS:
-            calls.extend(_classical_case_calls(name, cfg))
-        else:
-            for kwargs in _q_case_calls(name, cfg):
-                calls.append(lambda kw=kwargs: verify_case(**kw))
-    return calls
+def _run_recorded(spec: tuple) -> dict:
+    # a raising case becomes an error entry, never an asserted failure
+    start = time.perf_counter()
+    try:
+        return run_case(spec)
+    except Exception as exc:
+        name, params = spec
+        label = " ".join([name] + [f"{k}={v}" for k, v in params.items()])
+        return {"type": "error", "label": label, "kind": name,
+                "params": dict(params), "conjectural": False, "pass": False,
+                "error": " ".join(f"{type(exc).__name__}: {exc}".split()),
+                "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3)}
 
 
 def sweep(cfg: RunConfig) -> ReportSet:
@@ -213,36 +280,35 @@ def sweep(cfg: RunConfig) -> ReportSet:
 
     Cases are pure; results are collected in any order and canonicalized
     by case label, so the report content is deterministic for a fixed
-    config.  Individual case failures never abort a sweep.
+    config.  A case that raises is recorded as an error entry and never
+    aborts a sweep.
     """
-    calls = enumerate_cases(cfg)
-    if cfg.parallelism > 1 and len(calls) > 1:
+    specs = enumerate_cases(cfg)
+    if cfg.parallelism > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            reports = list(pool.map(lambda fn: fn(), calls))
+            entries = list(pool.map(_run_recorded, specs))
     else:
-        reports = [fn() for fn in calls]
-    entries = sorted((rep.to_dict() for rep in reports),
-                     key=lambda e: e["label"])
-    report_set = ReportSet(
-        meta={
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "engine_version": __version__,
-            "config_digest": cfg.digest(),
-            "case_count": len(entries),
-        },
-        entries=entries)
-    report_set.meta["asserted_failures"] = report_set.asserted_failures()
+        entries = [_run_recorded(spec) for spec in specs]
+    return _report_set(entries, cfg)
+
+
+def _report_set(entries: list[dict], cfg: RunConfig) -> ReportSet:
+    entries.sort(key=lambda e: e["label"])
+    report_set = ReportSet(meta={
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "engine_version": __version__,
+        "config_digest": cfg.digest(),
+        "case_count": len(entries),
+    }, entries=entries)
+    report_set.meta.update(asserted_failures=report_set.asserted_failures(),
+                           errors=report_set.errors())
     return report_set
 
 
 def canonical_entries(report_set: ReportSet) -> list[dict]:
     """Entries with volatile fields removed; identical across reruns."""
-    out = []
-    for entry in report_set.entries:
-        e = dict(entry)
-        e.pop("elapsed_ms", None)
-        out.append(e)
-    return out
+    return [{k: v for k, v in e.items() if k != "elapsed_ms"}
+            for e in report_set.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -250,36 +316,29 @@ def canonical_entries(report_set: ReportSet) -> list[dict]:
 
 
 def _flat_rows(report_set: ReportSet) -> list[dict]:
+    # one row per modulus part; an infinite valuation (None) reads "inf"
     rows = []
     for e in report_set.entries:
-        base = {
-            "label": e["label"],
-            "kind": e["kind"],
-            "conjectural": e["conjectural"],
-            "pass": e["pass"],
-            "elapsed_ms": e["elapsed_ms"],
-        }
-        if e["type"] == "classical":
-            rows.append(dict(base, component="", d="",
-                             required=e["exponent"],
-                             found="inf" if e["valuation"] is None
-                             else e["valuation"],
-                             margin=""))
+        base = {key: e.get(key, "") for key in (
+            "label", "kind", "conjectural", "pass", "elapsed_ms", "error")}
+        blank = dict(base, d="", required="", found="", margin="")
+        if e["type"] == "error":
+            rows.append(dict(blank, component="error"))
+        elif e["type"] == "classical":
+            rows.append(dict(blank, component="", required=e["exponent"],
+                             found=e["valuation"]))
         elif e["parts"]:
-            for p in e["parts"]:
-                rows.append(dict(
-                    base, component=p["component"], d=p["d"],
-                    required=p["required"],
-                    found="inf" if p["found"] is None else p["found"],
-                    margin="inf" if p["margin"] is None else p["margin"]))
+            rows += [dict(base, component=p["component"], d=p["d"],
+                          required=p["required"], found=p["found"],
+                          margin=p["margin"]) for p in e["parts"]]
         else:
-            rows.append(dict(base, component="identity", d="", required="",
-                             found="", margin=""))
-    return rows
+            rows.append(dict(blank, component="identity"))
+    return [{k: "inf" if v is None else v for k, v in row.items()}
+            for row in rows]
 
 
 _CSV_FIELDS = ["label", "kind", "conjectural", "pass", "component", "d",
-               "required", "found", "margin", "elapsed_ms"]
+               "required", "found", "margin", "elapsed_ms", "error"]
 
 
 def emit_report(report_set: ReportSet, fmt: str) -> bytes:
@@ -291,24 +350,24 @@ def emit_report(report_set: ReportSet, fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
         writer.writeheader()
-        for row in _flat_rows(report_set):
-            writer.writerow(row)
+        writer.writerows(_flat_rows(report_set))
         return buf.getvalue().encode()
     if fmt == "text":
         rows = _flat_rows(report_set)
         headers = ["label", "part", "d", "req", "found", "margin", "pass"]
         table = [[r["label"], r["component"], str(r["d"]), str(r["required"]),
                   str(r["found"]), str(r["margin"]),
-                  ("PASS" if r["pass"] else "FAIL")
-                  + ("*" if r["conjectural"] else "")]
+                  "ERROR" if r["error"] else
+                  ("PASS" if r["pass"] else "FAIL") + "*" * r["conjectural"]]
                  for r in rows]
         widths = [max(len(h), *(len(row[i]) for row in table)) if table
                   else len(h) for i, h in enumerate(headers)]
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
         for row in table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        lines += [f"{r['label']}: {r['error']}" for r in rows if r["error"]]
         lines.append(f"asserted failures: {report_set.asserted_failures()}"
-                     "  (* = conjectural)")
+                     f"  errors: {report_set.errors()}  (* = conjectural)")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -329,97 +388,61 @@ def parse_csv_report(data: bytes) -> list[dict]:
     return rows
 
 
-def _write_output(report_set: ReportSet, fmt: str, path: str) -> int:
+def _finish(report_set: ReportSet, fmt: str, path: str) -> int:
+    """Write the report to path (stdout for "" or "-"); the exit code."""
     blob = emit_report(report_set, fmt)
     if not path or path == "-":
         sys.stdout.write(blob.decode())
-        return 0
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    else:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 3
+    return 1 if report_set.asserted_failures() \
+        else 4 if report_set.errors() else 0
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_verify(args) -> int:
+def _cmd_single(args) -> int:
+    # verify and classical: the cases of one check, from flags.  A flag left
+    # out is None; a given one pins its axis, and one the check does not
+    # take is an error.
+    classical = args.command == "classical"
+    if classical:
+        cfg = RunConfig(checks=[args.check], primes=[args.p],
+                        r_max=args.r or 1, dwork_degree_cap=args.kcap)
+        flags = {"r": args.r, "exponent": args.exp}
+    else:
+        cfg = RunConfig(checks=[args.check], n_values=[args.n],
+                        r_max=args.r or 1, d_values=[args.d],
+                        t_values=args.t or [3, 5, 7])
+        flags = {"r": args.r, "j": args.j, "t": args.t}
+    check = CHECKS.get(args.check)
+    if check is None or check.classical != classical:
+        side = "classical " * classical
+        return _usage_error(f"unknown {side}check {args.check!r}")
+    pinned = {}
+    for axis, value in flags.items():
+        if value is None:
+            continue
+        if axis not in check.axes:
+            return _usage_error(f"check {check.name!r} takes no {axis}")
+        pinned[axis] = value if isinstance(value, list) else [value]
     try:
-        kind = CheckKind(args.check)
-    except ValueError:
-        print(f"error: unknown check {args.check!r}", file=sys.stderr)
-        return 2
-    cfg = RunConfig(checks=[kind.value], n_values=[args.n],
-                    r_max=args.r, d_values=[args.d],
-                    t_values=args.t if args.t else [3, 5, 7])
-    try:
-        cases = []
-        for kwargs in _q_case_calls(kind.value, cfg):
-            if kwargs.get("r", args.r) != args.r:
-                continue
-            if args.j is not None and kwargs.get("j", args.j) != args.j:
-                continue
-            cases.append(kwargs)
-        if not cases:
-            raise ValueError("no admissible cases for these parameters")
-        reports = [verify_case(**kw) for kw in cases]
+        entries = [run_case(spec) for spec in check.grid(cfg, pinned)]
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report_set = _wrap_reports(reports, cfg)
-    rc = _write_output(report_set, args.format, args.output)
-    if rc:
-        return rc
-    return 1 if report_set.asserted_failures() else 0
-
-
-def _cmd_classical(args) -> int:
-    p, r, exp = args.p, args.r, args.exp
-    # an explicit --exp 0 must reach the validators, so test for None
-    try:
-        if args.check in ("c2", "j2"):
-            rep = verify_van_hamme(args.check, p, 4 if exp is None else exp)
-        elif args.check in ("c3", "j3", "cc", "jj"):
-            rep = verify_swisher(args.check, p, r,
-                                 3 * r if exp is None else exp)
-        elif args.check == "m2":
-            rep = verify_m2(p)
-        elif args.check == "dwork":
-            rep = dwork_quotient_check(p, r, args.kcap, exp)
-        elif args.check == "lucas":
-            rep = verify_lucas(p, r)
-        else:
-            print(f"error: unknown classical check {args.check!r}",
-                  file=sys.stderr)
-            return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report_set = _wrap_reports([rep], RunConfig(checks=[args.check],
-                                                primes=[p], r_max=r))
-    rc = _write_output(report_set, args.format, args.output)
-    if rc:
-        return rc
-    return 1 if report_set.asserted_failures() else 0
-
-
-def _wrap_reports(reports, cfg: RunConfig) -> ReportSet:
-    entries = sorted((rep.to_dict() for rep in reports),
-                     key=lambda e: e["label"])
-    rs = ReportSet(
-        meta={
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "engine_version": __version__,
-            "config_digest": cfg.digest(),
-            "case_count": len(entries),
-        },
-        entries=entries)
-    rs.meta["asserted_failures"] = rs.asserted_failures()
-    return rs
+        return _usage_error(str(exc))
+    return _finish(_report_set(entries, cfg), args.format, args.output)
 
 
 def _cmd_sweep(args) -> int:
@@ -427,39 +450,28 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = RunConfig.from_dict(json.load(fh))
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot read config: {exc}")
     except (ValueError, TypeError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"bad config: {exc}")
     env_parallelism = os.environ.get("QCONGRUENCE_PARALLELISM")
     if env_parallelism:
         try:
             cfg.parallelism = max(1, int(env_parallelism))
         except ValueError:
-            print("error: QCONGRUENCE_PARALLELISM must be an integer",
-                  file=sys.stderr)
-            return 2
-    if args.parallelism:
-        cfg.parallelism = args.parallelism
-    if args.format:
-        cfg.format = args.format
-    if args.output:
-        cfg.output_path = args.output
-    report_set = sweep(cfg)
-    rc = _write_output(report_set, cfg.format, cfg.output_path)
-    if rc:
-        return rc
-    return 1 if report_set.asserted_failures() else 0
+            return _usage_error("QCONGRUENCE_PARALLELISM must be an integer")
+    cfg.parallelism = args.parallelism or cfg.parallelism
+    cfg.format = args.format or cfg.format
+    cfg.output_path = args.output or cfg.output_path
+    return _finish(sweep(cfg), cfg.format, cfg.output_path)
 
 
 def _cmd_list(_args) -> int:
-    print("q-side checks:")
-    for kind in CheckKind:
-        print(f"  {kind.value:<18} {_DESCRIPTIONS[kind.value]}")
-    print("classical checks:")
-    for name in CLASSICAL_KINDS:
-        print(f"  {name:<18} {_DESCRIPTIONS[name]}")
+    for title, classical in (("q-side checks:", False),
+                             ("classical checks:", True)):
+        print(title)
+        for check in CHECKS.values():
+            if check.classical == classical:
+                print(f"  {check.name:<18} {check.description}")
     return 0
 
 
@@ -528,27 +540,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run one q-side check")
-    p_verify.add_argument("--check", required=True)
+    p_classical = sub.add_parser("classical", help="run one classical check")
+    for single in (p_verify, p_classical):
+        single.add_argument("--check", required=True)
+        single.add_argument("--r", type=int, default=None)
+        single.add_argument("--format", default="text",
+                            choices=("json", "csv", "text"))
+        single.add_argument("--output", default="")
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--r", type=int, default=1)
     p_verify.add_argument("--d", type=int, default=2, choices=(1, 2))
     p_verify.add_argument("--j", type=int, default=None,
                           help="root index; default: all admissible")
     p_verify.add_argument("--t", type=int, action="append", default=None,
                           help="sampled specialization exponent(s)")
-    p_verify.add_argument("--format", default="text",
-                          choices=("json", "csv", "text"))
-    p_verify.add_argument("--output", default="")
-
-    p_classical = sub.add_parser("classical", help="run one classical check")
-    p_classical.add_argument("--check", required=True)
     p_classical.add_argument("--p", type=int, required=True)
-    p_classical.add_argument("--r", type=int, default=1)
     p_classical.add_argument("--exp", type=int, default=None)
     p_classical.add_argument("--kcap", type=int, default=50)
-    p_classical.add_argument("--format", default="text",
-                             choices=("json", "csv", "text"))
-    p_classical.add_argument("--output", default="")
 
     p_sweep = sub.add_parser("sweep", help="run a config-file case grid")
     p_sweep.add_argument("--config", required=True)
@@ -566,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "classical": _cmd_classical,
+    "verify": _cmd_single,
+    "classical": _cmd_single,
     "sweep": _cmd_sweep,
     "list": _cmd_list,
     "bench": _cmd_bench,

@@ -31,10 +31,11 @@ and divides in place by those with exponent +1, each a linear pass over
 the coefficients.  Laurent offsets do not matter, since q is a unit
 modulo every Phi_d.
 
-verify_case assembles both sides of every supported check from the term
-families, picks the right modulus, and delegates here.  Reports carry the
-per-part margins; conjectural checks are flagged so that drivers can
-separate findings from failures.
+verify_case looks up the runner of the named check, which validates its
+parameters, assembles both sides from the term families, picks the right
+modulus, and delegates here.  Reports carry the per-part margins;
+conjectural checks are flagged so that drivers can separate findings from
+failures.
 """
 
 from __future__ import annotations
@@ -183,9 +184,7 @@ def build_modulus_theorem(n: int, r: int) -> ModulusSpec:
     The q-integer contributes every divisor of n^r above 1 once; the
     square product raises the powers of n themselves to 3.
     """
-    _require_odd(n)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _require_case(n, r)
     powers = {n ** j for j in range(1, r + 1)}
     return ModulusSpec([(d, 3 if d in powers else 1)
                         for d in divisors(n ** r) if d > 1])
@@ -331,9 +330,13 @@ def _scale_signed(n: int) -> LaurentPoly:
     return _scale_plain(n).scale(sign)
 
 
-def _require_odd(n: int, minimum: int = 3) -> None:
+def _require_case(n: int, r: int = 1, d: int = 1, minimum: int = 3) -> None:
     if n is None or n < minimum or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= {minimum}")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if d not in (1, 2):
+        raise ValueError("d must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +345,13 @@ def _require_odd(n: int, minimum: int = 3) -> None:
 
 def admissible_root_indices(n: int, r: int, d: int) -> range:
     """The j values covered by the root-specialization product."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     return range((n ** (r - 1) - 1) // d + 1)
 
 
-def verify_parametric_roots(family: str, n: int, r: int, d: int, j: int,
-                            ) -> CongruenceReport:
+def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
+                            j: int = 0) -> CongruenceReport:
     """Exact equality of both sides at the root specialization t = -(2j+1)n.
 
     The +(2j+1)n specialization gives the same rational function by the
@@ -356,11 +361,9 @@ def verify_parametric_roots(family: str, n: int, r: int, d: int, j: int,
     (scaled: q^{nk^2}[6k+1]_{q^n}; printed: q^{k^2}[6k+1]_{q^2}) are
     evaluated and reported.
     """
-    _require_odd(n)
+    _require_case(n, r, d)
     if family not in ("C", "J"):
         raise ValueError("family must be C or J")
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
     if j not in admissible_root_indices(n, r, d):
         raise ValueError("j out of the admissible range")
     t0 = time.perf_counter()
@@ -399,8 +402,8 @@ def verify_parametric_roots(family: str, n: int, r: int, d: int, j: int,
         timings={"total_ms": ms}, extra=extra)
 
 
-def verify_parametric_sampled(family: str, n: int, r: int, d: int, t: int,
-                              ) -> CongruenceReport:
+def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
+                              t: int = None) -> CongruenceReport:
     """At a sampled odd specialization t: LHS, RHS and their difference all
     vanish modulo the q-integer [n^r].
 
@@ -412,13 +415,11 @@ def verify_parametric_sampled(family: str, n: int, r: int, d: int, t: int,
     factor collides with the modulus.  For family J the scaled reading is
     asserted; the printed reading's outcome is recorded in extra.
     """
-    _require_odd(n)
+    _require_case(n, r, d)
     if family not in ("C", "J"):
         raise ValueError("family must be C or J")
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
-    if t % 2 == 0:
-        raise ValueError("t must be odd")
+    if t is None or t % 2 == 0:
+        raise ValueError("sampled checks need an odd specialization t")
     t0 = time.perf_counter()
     fam = family + "_PARAM"
     upper_l = (n ** r - 1) // d
@@ -466,7 +467,8 @@ def verify_parametric_sampled(family: str, n: int, r: int, d: int, t: int,
 # case driver
 
 
-def _theorem_case(kind: CheckKind, n: int, r: int) -> CongruenceReport:
+def _theorem_case(kind: CheckKind, n: int, r: int = 1) -> CongruenceReport:
+    modulus = build_modulus_theorem(n, r)
     half = kind in (CheckKind.THM1_HALF, CheckKind.THM2_HALF)
     family = "C" if kind in (CheckKind.THM1_HALF, CheckKind.THM1_FULL) \
         else "J"
@@ -478,7 +480,7 @@ def _theorem_case(kind: CheckKind, n: int, r: int) -> CongruenceReport:
     rhs = sum_truncated(FamilySpec(family, n, upper_r)).scaled_by(scale)
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
-        lhs, rhs, build_modulus_theorem(n, r),
+        lhs, rhs, modulus,
         label=f"{kind.value} n={n} r={r}", kind=kind.value,
         params={"n": n, "r": r})
     rep.timings["build_ms"] = build_ms
@@ -488,6 +490,7 @@ def _theorem_case(kind: CheckKind, n: int, r: int) -> CongruenceReport:
 def _correction_case(kind: CheckKind, n: int) -> CongruenceReport:
     # target q^{(1-n)/2}([n] + (n^2-1)(1-q)^2 [n]^3 / 24), sign -q for J,
     # modulo [n] Phi_n^3; held over the integer scalar 24.
+    _require_case(n)
     t0 = time.perf_counter()
     family = "C" if kind is CheckKind.GW else "J"
     lhs = sum_truncated(FamilySpec(family, 1, (n - 1) // 2))
@@ -506,15 +509,16 @@ def _correction_case(kind: CheckKind, n: int) -> CongruenceReport:
     return rep
 
 
-def _product_conjecture_case(kind: CheckKind, n: int, r: int, d: int,
+def _product_conjecture_case(kind: CheckKind, n: int, r: int = 1, d: int = 2,
                              ) -> CongruenceReport:
-    t0 = time.perf_counter()
+    _require_case(n, r, d)
     if kind is CheckKind.CONJ41:
         div, inner_base, exponent = 1, n * n, 3
     elif kind is CheckKind.CONJ42:
         div, inner_base, exponent = 2, n * n, 3
     else:
         div, inner_base, exponent = d, n, 2
+    t0 = time.perf_counter()
     lhs = sum_truncated(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
     first = sum_truncated(FamilySpec("M", 1, (n - 1) // div))
     second = sum_truncated(FamilySpec("M", inner_base, (n ** r - 1) // div))
@@ -532,9 +536,11 @@ def _product_conjecture_case(kind: CheckKind, n: int, r: int, d: int,
     return rep
 
 
-def _half_vs_full_case(n: int, r: int) -> CongruenceReport:
+def _half_vs_full_case(kind: CheckKind, n: int, r: int = 1,
+                       ) -> CongruenceReport:
     # The two truncations of the M family must separate modulo Phi_n but
     # agree modulo Phi_{n^{r+1}}^4.
+    _require_case(n, r)
     t0 = time.perf_counter()
     top = n ** (r + 1)
     full = sum_truncated(FamilySpec("M", 1, top - 1))
@@ -551,7 +557,7 @@ def _half_vs_full_case(n: int, r: int) -> CongruenceReport:
     for key in ("delta_ms", "valuation_ms"):
         timings[key] = sep.timings[key] + agree.timings[key]
     return CongruenceReport(
-        label=f"half-vs-full-m n={n} r={r}", kind=CheckKind.HALF_VS_FULL_M.value,
+        label=f"{kind.value} n={n} r={r}", kind=kind.value,
         params={"n": n, "r": r}, parts=parts,
         passed=all(p.met() for p in parts),
         identically_equal=False, timings=timings,
@@ -559,7 +565,7 @@ def _half_vs_full_case(n: int, r: int) -> CongruenceReport:
 
 
 def _identity_case(kind: CheckKind, n: int) -> CongruenceReport:
-    _require_odd(n, minimum=1)
+    _require_case(n, minimum=1)
     t0 = time.perf_counter()
     if kind is CheckKind.LEMMA22_IDENTITY:
         lhs = sum_truncated(FamilySpec("C_PARAM", 1, (n - 1) // 2, -n))
@@ -575,39 +581,26 @@ def _identity_case(kind: CheckKind, n: int) -> CongruenceReport:
         timings={"total_ms": ms})
 
 
-def verify_case(kind: CheckKind, *, n: int = None, r: int = 1, d: int = 2,
-                j: int = 0, t: int = None) -> CongruenceReport:
-    """Assemble and certify a single named check."""
+#: Kind -> runner(kind, **params); each runner validates its own params.
+_RUNNERS = {
+    **dict.fromkeys(("thm1-half", "thm1-full", "thm2-half", "thm2-full"),
+                    _theorem_case),
+    **dict.fromkeys(("gw", "qj2"), _correction_case),
+    **dict.fromkeys(("conj41", "conj42", "conj43"), _product_conjecture_case),
+    **dict.fromkeys(("lemma22", "lemma31"), _identity_case),
+    "param-roots-c": lambda kind, **kw: verify_parametric_roots("C", **kw),
+    "param-roots-j": lambda kind, **kw: verify_parametric_roots("J", **kw),
+    "param-sampled-c": lambda kind, **kw: verify_parametric_sampled("C", **kw),
+    "param-sampled-j": lambda kind, **kw: verify_parametric_sampled("J", **kw),
+    "half-vs-full-m": _half_vs_full_case,
+}
+
+
+def verify_case(kind: CheckKind, **params) -> CongruenceReport:
+    """Assemble and certify a single named check.
+
+    params are the check's own parameters: n, plus r, d, j or t where the
+    check takes them (r defaults to 1, d to 2, j to 0).
+    """
     kind = CheckKind(kind)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if kind in (CheckKind.THM1_HALF, CheckKind.THM1_FULL,
-                CheckKind.THM2_HALF, CheckKind.THM2_FULL):
-        _require_odd(n)
-        return _theorem_case(kind, n, r)
-    if kind in (CheckKind.GW, CheckKind.QJ2):
-        _require_odd(n)
-        return _correction_case(kind, n)
-    if kind in (CheckKind.CONJ41, CheckKind.CONJ42, CheckKind.CONJ43):
-        _require_odd(n)
-        if kind is CheckKind.CONJ43 and d not in (1, 2):
-            raise ValueError("d must be 1 or 2")
-        return _product_conjecture_case(kind, n, r, d)
-    if kind is CheckKind.HALF_VS_FULL_M:
-        _require_odd(n)
-        return _half_vs_full_case(n, r)
-    if kind in (CheckKind.LEMMA22_IDENTITY, CheckKind.LEMMA31_IDENTITY):
-        return _identity_case(kind, n)
-    if kind is CheckKind.PARAM_ROOTS_C:
-        return verify_parametric_roots("C", n, r, d, j)
-    if kind is CheckKind.PARAM_ROOTS_J:
-        return verify_parametric_roots("J", n, r, d, j)
-    if kind is CheckKind.PARAM_SAMPLED_C:
-        if t is None:
-            raise ValueError("sampled checks need a specialization t")
-        return verify_parametric_sampled("C", n, r, d, t)
-    if kind is CheckKind.PARAM_SAMPLED_J:
-        if t is None:
-            raise ValueError("sampled checks need a specialization t")
-        return verify_parametric_sampled("J", n, r, d, t)
-    raise ValueError(f"unhandled check kind {kind}")
+    return _RUNNERS[kind.value](kind, **params)

@@ -17,10 +17,9 @@ from fractions import Fraction
 from .polycore import INFINITE
 from .qseries import classical_term_value, eta_product_coefficients
 
-#: Smallest prime each classical check accepts, in listing order.
+#: Smallest prime each classical check accepts.
 MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
              "m2": 3, "dwork": 3, "lucas": 3}
-CLASSICAL_KINDS = tuple(MIN_PRIME)
 
 
 @dataclass

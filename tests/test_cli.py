@@ -1,8 +1,10 @@
 import json
+import pickle
 
 import pytest
 
 from qcongruence.cli import (
+    CHECKS,
     ReportSet,
     RunConfig,
     canonical_entries,
@@ -275,3 +277,110 @@ def test_config_digest_stable():
     assert a.digest() == b.digest()
     c = RunConfig.from_dict({"checks": ["thm1-half"], "n_values": [5]})
     assert a.digest() != c.digest()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_values", [3.0]), ("primes", [5.0]), ("r_max", 1.5),
+    ("d_values", [1.0]), ("output_path", 7), ("r_max", True),
+    ("n_values", 3), ("checks", "thm1-half"), ("format", 1),
+])
+def test_sweep_non_integer_config_value_exit_two(tmp_path, capsys, field,
+                                                 value):
+    # a wrongly typed value is a config error, never a mid-sweep traceback
+    good = {"checks": ["thm1-half", "c2"], "n_values": [3], "primes": [5],
+            "r_max": 1}
+    path = write_config(tmp_path, **dict(good, **{field: value}))
+    assert main(["sweep", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad config: {field} must be ")
+    assert captured.err.count("\n") == 1
+
+
+def _raising_for_r2(monkeypatch):
+    import qcongruence.cli as cli
+    real = cli.verify_case
+
+    def verify(name, **params):
+        if params.get("r") == 2:
+            raise RuntimeError("boom\nsecond line")
+        return real(name, **params)
+
+    monkeypatch.setattr(cli, "verify_case", verify)
+    return {"checks": ["thm1-half"], "n_values": [3], "r_max": 2}
+
+
+def test_sweep_records_a_raising_case_and_goes_on(tmp_path, capsys,
+                                                  monkeypatch):
+    data = _raising_for_r2(monkeypatch)
+    rs = sweep(RunConfig.from_dict(data))
+    assert rs.meta["case_count"] == 2
+    assert rs.meta["errors"] == 1 and rs.meta["asserted_failures"] == 0
+    ok, error = rs.entries
+    assert ok["type"] == "q" and ok["pass"] is True
+    assert error["type"] == "error" and error["kind"] == "thm1-half"
+    assert error["params"] == {"n": 3, "r": 2}
+    assert error["error"] == "RuntimeError: boom second line"
+    rows = parse_csv_report(emit_report(rs, "csv"))
+    assert rows[-1]["component"] == "error"
+    assert rows[-1]["error"] == "RuntimeError: boom second line"
+    text = emit_report(rs, "text").decode()
+    assert "ERROR" in text and "errors: 1" in text
+    assert "thm1-half n=3 r=2: RuntimeError: boom second line" in text
+    path = write_config(tmp_path, **data)
+    assert main(["sweep", "--config", path]) == 4
+    capsys.readouterr()
+
+
+def test_asserted_failure_outranks_a_raising_case(tmp_path, capsys,
+                                                  monkeypatch):
+    import qcongruence.cli as cli
+    data = _raising_for_r2(monkeypatch)
+    raising = cli.verify_case
+
+    def failing(name, **params):
+        rep = raising(name, **params)
+        rep.passed = False
+        return rep
+
+    monkeypatch.setattr(cli, "verify_case", failing)
+    path = write_config(tmp_path, **data)
+    assert main(["sweep", "--config", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["meta"]["asserted_failures"] == 1
+    assert payload["meta"]["errors"] == 1
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["classical", "--check", "m2", "--p", "5", "--exp", "9"], "exponent"),
+    (["classical", "--check", "lucas", "--p", "5", "--exp", "3"], "exponent"),
+    (["classical", "--check", "c2", "--p", "5", "--r", "2"], "r"),
+    (["verify", "--check", "gw", "--n", "3", "--r", "5"], "r"),
+    (["verify", "--check", "thm1-half", "--n", "3", "--j", "1"], "j"),
+    (["verify", "--check", "conj41", "--n", "3", "--t", "7"], "t"),
+])
+def test_flag_the_check_does_not_take_exit_two(capsys, argv, axis):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {argv[2]!r} takes no {axis}\n"
+
+
+def test_fingerprint_grid_counts_and_specs_pickle():
+    cfg = RunConfig.from_dict({
+        "checks": list(CHECKS), "n_values": [3, 5], "r_max": 2,
+        "d_values": [1, 2], "t_values": [7, 9], "primes": [5, 7],
+        "exponent_policy": "both"})
+    specs = enumerate_cases(cfg)
+    counts = {name: sum(1 for spec in specs if spec[0] == name)
+              for name in CHECKS}
+    assert counts == {
+        "thm1-half": 4, "thm1-full": 4, "thm2-half": 4, "thm2-full": 4,
+        "gw": 2, "qj2": 2, "lemma22": 2, "lemma31": 2,
+        "conj41": 4, "conj42": 4, "conj43": 8,
+        "param-roots-c": 17, "param-roots-j": 17,
+        "param-sampled-c": 16, "param-sampled-j": 16, "half-vs-full-m": 4,
+        "c2": 2, "j2": 2, "c3": 8, "j3": 8, "cc": 8, "jj": 8,
+        "m2": 2, "dwork": 4, "lucas": 4}
+    assert len(specs) == 156
+    assert pickle.loads(pickle.dumps(specs)) == specs
