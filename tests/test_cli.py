@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 
@@ -384,3 +385,17 @@ def test_fingerprint_grid_counts_and_specs_pickle():
         "m2": 2, "dwork": 4, "lucas": 4}
     assert len(specs) == 156
     assert pickle.loads(pickle.dumps(specs)) == specs
+
+
+def test_canonical_entries_fingerprint():
+    # one small case of every check; the reports must stay byte-identical
+    # under any refactor of the engine
+    cfg = RunConfig.from_dict({
+        "checks": list(CHECKS), "n_values": [3], "r_max": 2,
+        "d_values": [1, 2], "t_values": [7], "primes": [5],
+        "exponent_policy": "both"})
+    rs = sweep(cfg)
+    blob = json.dumps(canonical_entries(rs), sort_keys=True).encode()
+    assert (len(rs.entries), len(blob)) == (67, 20127)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b21b3382d15ad50647518b0f0101e331fc57f7fa86a2184ede0af4fea93ad28b")
