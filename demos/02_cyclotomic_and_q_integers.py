@@ -1,15 +1,17 @@
 # Cyclotomic polynomials and q-integers
 #
-# Phi_n is built by exact division of q^n - 1, never through roots of
-# unity, and the q-integer [n] factors as the product of Phi_d over the
-# divisors d > 1 of n.  That factorization is what turns "modulo [n^r]"
+# Phi_n is the product of the binomials 1 - q^{n/e} over the divisors e of
+# n with Moebius value +1, divided exactly by those with value -1: never
+# through roots of unity.  The q-integer [n] factors as the product of
+# Phi_d over the divisors d > 1 of n.  That factorization is what turns "modulo [n^r]"
 # statements into per-cyclotomic valuation checks.
+
+from math import gcd
 
 from qcongruence import (
     Poly,
     cyclotomic,
     divisors,
-    euler_phi,
     q_integer,
     q_integer_cyclotomic_factors,
 )
@@ -25,8 +27,8 @@ for d in divisors(n):
     prod = prod * cyclotomic(d)
 print("prod of Phi_d over d | 30 equals q^30 - 1:",
       prod == Poly([-1] + [0] * 29 + [1]))
-print("degree of Phi_105:", cyclotomic(105).degree, "= phi(105) =",
-      euler_phi(105))
+print("degree of Phi_105:", cyclotomic(105).high_degree, "= phi(105) =",
+      sum(1 for k in range(1, 106) if gcd(k, 105) == 1))
 
 # %% q-integers and their cyclotomic factorizations
 print("[9] =", q_integer(9))

@@ -26,8 +26,6 @@ from .congruence import (
 from .cyclotomic import (
     cyclotomic,
     divisors,
-    euler_phi,
-    ord_cyclotomic_in_one_minus_pow,
     q_integer_cyclotomic_factors,
     valuation_at,
 )
@@ -41,15 +39,7 @@ from .padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from .polycore import (
-    INFINITE,
-    LaurentPoly,
-    Poly,
-    div_rem_by_monic,
-    eval_at,
-    mul,
-    normalize_one_minus_pow,
-)
+from .polycore import INFINITE, Poly, eval_at
 from .qseries import (
     FactoredProduct,
     FamilySpec,

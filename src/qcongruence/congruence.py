@@ -50,7 +50,7 @@ from .cyclotomic import (
     q_integer_cyclotomic_factors,
     valuation_at,
 )
-from .polycore import INFINITE, LaurentPoly, one_minus_q
+from .polycore import INFINITE, Poly, one_minus_q
 from .qseries import (
     FactoredProduct,
     FamilySpec,
@@ -108,10 +108,10 @@ class ModulusSpec:
         self.parts = tuple(sorted(norm))
 
     def expand(self):
-        acc = LaurentPoly.one()
+        acc = Poly.one()
         for d, e in self.parts:
-            acc = acc * LaurentPoly(cyclotomic(d)) ** e
-        return acc.body
+            acc = acc * cyclotomic(d) ** e
+        return acc
 
 
 @dataclass
@@ -291,7 +291,7 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
                 raise ZeroDivisionError("vanishing denominator factor")
     lam = a + s * (n + 1) - b - c
     acc = _Accumulator()
-    prod = LaurentPoly.one()
+    prod = Poly.one()
     for k in range(n + 1):
         if k == 0:
             acc.absorb(one_minus_q(a), [a])
@@ -303,7 +303,7 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
                          a + s * (n + k)])
     lhs = SeriesSum(acc.numerator, acc.denominator())
 
-    rnum = LaurentPoly.one().times_one_minus(
+    rnum = Poly.one().times_one_minus(
         [e for i in range(n) for e in (a + s + s * i, a - b - c + s + s * i)])
     den1, z1 = q_pochhammer(a - b + s, s, n)
     den2, z2 = q_pochhammer(a - c + s, s, n)
@@ -319,12 +319,12 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
 # prefactors
 
 
-def _scale_plain(n: int) -> LaurentPoly:
+def _scale_plain(n: int) -> Poly:
     # q^{(1-n)/2} [n]; the exponent is integral because n is odd.
-    return LaurentPoly(q_integer(n), (1 - n) // 2)
+    return q_integer(n).shift((1 - n) // 2)
 
 
-def _scale_signed(n: int) -> LaurentPoly:
+def _scale_signed(n: int) -> Poly:
     # (-q)^{(1-n)/2} [n] = (-1)^{(n-1)/2} q^{(1-n)/2} [n].
     sign = -1 if ((n - 1) // 2) % 2 else 1
     return _scale_plain(n).scale(sign)
@@ -380,7 +380,7 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
             .scaled_by(_scale_plain(n))
         equal = check_identity_equal(lhs, rhs)
         m = (2 * j + 1) * n
-        closed = SeriesSum(LaurentPoly(q_integer(m), (1 - m) // 2))
+        closed = SeriesSum(q_integer(m).shift((1 - m) // 2))
         closed_ok = check_identity_equal(lhs, closed)
         passed = equal and closed_ok
         extra["closed_form"] = closed_ok
@@ -494,7 +494,7 @@ def _correction_case(kind: CheckKind, n: int) -> CongruenceReport:
     t0 = time.perf_counter()
     family = "C" if kind is CheckKind.GW else "J"
     lhs = sum_truncated(FamilySpec(family, 1, (n - 1) // 2))
-    qint = LaurentPoly(q_integer(n))
+    qint = q_integer(n)
     correction = (qint ** 3).times_one_minus([1, 1]).scale(n * n - 1)
     numerator = (qint.scale(24) + correction).shift((1 - n) // 2)
     if family == "J":

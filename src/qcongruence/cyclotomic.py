@@ -1,34 +1,22 @@
-"""Cyclotomic polynomials, their valuations in binomials 1 - q^m, and the
-Phi_d-adic valuation of a polynomial.
+"""Cyclotomic polynomials and the Phi_d-adic valuation of a polynomial,
+both through the binomials 1 - q^m.
 
-Construction never touches roots of unity: the n-th cyclotomic polynomial
-is obtained by exactly dividing q^n - 1 by the cyclotomic polynomials of
-the proper divisors of n, which keeps every intermediate an integer
-polynomial.  Results are memoized; the fill is idempotent, so concurrent
-workers may share the table without locking.
+Neither ever touches roots of unity.  Both use the Moebius factorisation
 
-The valuation never builds Phi_d.  It uses the Moebius factorisation
+    Phi_d = prod over e | d of (1 - q^{d/e})^{mu(e)}     (d >= 2),
 
-    Phi_d = +-prod over e | d of (1 - q^{d/e})^{mu(e)},
-
-so one exact division by Phi_d is a product with each binomial of
-mu(e) = -1 followed by an in-place exact division by each binomial of
-mu(e) = +1: linear passes over the coefficient list that run in C.
+whose sign is + because the mu(e) sum to 0.  Phi_d itself is the product
+of the binomials with mu(e) = +1, divided in place by each binomial of
+mu(e) = -1; one exact division by Phi_d is a product with each binomial
+of mu(e) = -1 followed by an in-place exact division by each binomial of
+mu(e) = +1.  Each step is one linear pass over the coefficient list that
+runs in C.  Cyclotomic polynomials are memoized; the fill is idempotent,
+so concurrent workers may share the table without locking.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from .polycore import (
-    INFINITE,
-    LaurentPoly,
-    Poly,
-    _divide_one_minus,
-    _times_one_minus,
-    as_laurent,
-    div_rem_by_monic,
-)
+from .polycore import INFINITE, Poly, _divide_one_minus, _times_one_minus
 
 _CACHE: dict[int, Poly] = {1: Poly((-1, 1))}
 
@@ -67,19 +55,9 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient by trial-division factorization."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
-    return result
-
-
 def cyclotomic(n: int) -> Poly:
     """The monic integer polynomial with the primitive n-th roots of unity
-    as roots, of degree euler_phi(n).
+    as roots, built through its binomial factors (module docstring).
 
     >>> cyclotomic(1).coeffs
     (-1, 1)
@@ -91,27 +69,15 @@ def cyclotomic(n: int) -> Poly:
     cached = _CACHE.get(n)
     if cached is not None:
         return cached
-    pol = Poly([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n):
-        if d < n:
-            pol, rem = div_rem_by_monic(pol, cyclotomic(d))
-            if not rem.is_zero():
-                raise AssertionError(f"inexact cyclotomic division at n={n}")
-    _CACHE[n] = pol
+    up, down = _binomial_exponents(n)
+    cs = [1]
+    for m in down:
+        cs = _times_one_minus(cs, m)
+    for m in up:
+        if not _divide_one_minus(cs, m):
+            raise AssertionError(f"inexact cyclotomic division at n={n}")
+    pol = _CACHE[n] = Poly._adopt(cs)
     return pol
-
-
-def ord_cyclotomic_in_one_minus_pow(d: int, m: int) -> int:
-    """Multiplicity of the d-th cyclotomic polynomial in 1 - q^m.
-
-    Since q^m - 1 is the squarefree product of the cyclotomic polynomials
-    over the divisors of m, the answer is 1 exactly when d divides m.
-    """
-    if d < 2:
-        raise ValueError("cyclotomic index must be >= 2")
-    if m < 1:
-        raise ValueError("exponent must be >= 1")
-    return 1 if m % d == 0 else 0
 
 
 def q_integer_cyclotomic_factors(n: int) -> list[int]:
@@ -139,10 +105,10 @@ def _binomial_exponents(d: int) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def valuation_at(a: Union[Poly, LaurentPoly], d: int):
+def valuation_at(a: Poly, d: int):
     """Largest e with Phi_d^e dividing a; INFINITE for a = 0.
 
-    Laurent offsets are ignored, since q is a unit modulo every Phi_d.
+    The offset is ignored, since q is a unit modulo every Phi_d.
     Each pass is one exact division by Phi_d through its binomial factors
     (see the module docstring); the first inexact one ends the count.
 
@@ -151,11 +117,10 @@ def valuation_at(a: Union[Poly, LaurentPoly], d: int):
     """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    lp = as_laurent(a)
-    if lp.is_zero():
+    if a.is_zero():
         return INFINITE
     up, down = _binomial_exponents(d)
-    cs = list(lp.body.coeffs)
+    cs = list(a.coeffs)
     count = 0
     while True:
         for m in up:

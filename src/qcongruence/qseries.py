@@ -39,13 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .polycore import (
-    LaurentPoly,
-    Poly,
-    _divide_one_minus,
-    _times_one_minus,
-    eval_at,
-)
+from .polycore import Poly, _divide_one_minus, _times_one_minus
 
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
@@ -121,22 +115,22 @@ class FactoredProduct:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
 
-    def multiply(self, lp: LaurentPoly) -> LaurentPoly:
+    def multiply(self, lp: Poly) -> Poly:
         """lp times this product, exactly: one linear pass per binomial."""
         out = lp.times_one_minus(
             [m for m in sorted(self.factors) for _ in range(self.factors[m])])
         return (-out if self.sign < 0 else out).shift(self.power)
 
-    def expand(self) -> LaurentPoly:
+    def expand(self) -> Poly:
         """Multiply everything out; equals the product of the parts exactly."""
-        return self.multiply(LaurentPoly.one())
+        return self.multiply(Poly.one())
 
 
 @dataclass
 class SeriesSum:
     """A truncated sum as numerator / (scalar_den * expanded denominator)."""
 
-    numerator: LaurentPoly
+    numerator: Poly
     denominator: FactoredProduct = field(default_factory=FactoredProduct)
     scalar_den: int = 1
 
@@ -148,9 +142,9 @@ class SeriesSum:
 
     @staticmethod
     def zero() -> "SeriesSum":
-        return SeriesSum(LaurentPoly.zero())
+        return SeriesSum(Poly.zero())
 
-    def scaled_by(self, factor: LaurentPoly) -> "SeriesSum":
+    def scaled_by(self, factor: Poly) -> "SeriesSum":
         return SeriesSum(self.numerator * factor, self.denominator,
                          self.scalar_den)
 
@@ -212,7 +206,7 @@ def q_integer(n: int, base: int = 1) -> Poly:
     cs = [0] * (base * (n - 1) + 1)
     for i in range(n):
         cs[base * i] = 1
-    return Poly(cs)
+    return Poly._adopt(cs)
 
 
 def q_pochhammer(start: int, step: int, count: int
@@ -240,16 +234,16 @@ def q_pochhammer(start: int, step: int, count: int
     return FactoredProduct(sign, power, factors), vanished
 
 
-def _mul_q_integer(lp: LaurentPoly, count: int, step: int) -> LaurentPoly:
+def _mul_q_integer(lp: Poly, count: int, step: int) -> Poly:
     # lp * (1 + q^step + ... + q^{step(count-1)})
     #   = lp * (1 - q^{step*count}) / (1 - q^step):
     # one binomial pass, then one exact division in place.
     if lp.is_zero() or count == 1:
         return lp
-    cs = _times_one_minus(lp.body.coeffs, step * count)
+    cs = _times_one_minus(lp.coeffs, step * count)
     if not _divide_one_minus(cs, step):
         raise AssertionError("q-integer product division not exact")
-    return LaurentPoly(cs, lp.offset)
+    return Poly._adopt(cs, lp.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
             [4 * s * k + t, 4 * s * k - t, 4 * s * k])
 
 
-def _finish_term(spec: FamilySpec, k: int, prod: LaurentPoly) -> LaurentPoly:
+def _finish_term(spec: FamilySpec, k: int, prod: Poly) -> Poly:
     s = spec.base
     if spec.family in ("C", "C_PARAM"):
         return _mul_q_integer(prod, 4 * k + 1, s)
@@ -289,15 +283,15 @@ def _finish_term(spec: FamilySpec, k: int, prod: LaurentPoly) -> LaurentPoly:
 
 
 def _term_stream(spec: FamilySpec
-                 ) -> Iterator[tuple[int, LaurentPoly, list[int]]]:
+                 ) -> Iterator[tuple[int, Poly, list[int]]]:
     """Yield (k, raw numerator, raw new denominator exponents) for k <= upper.
 
     The numerator is exact; a vanishing numerator factor makes it (and all
     later numerators) zero.  Denominator exponents are raw and may be
     negative; the caller normalizes them.
     """
-    prod = LaurentPoly.one()
-    yield 0, LaurentPoly.one(), []
+    prod = Poly.one()
+    yield 0, Poly.one(), []
     for k in range(1, spec.upper + 1):
         num_exps, den_exps = _step_exponents(spec, k)
         prod = prod.times_one_minus(num_exps)
@@ -315,12 +309,12 @@ class _Accumulator:
     """
 
     def __init__(self) -> None:
-        self.numerator = LaurentPoly.zero()
+        self.numerator = Poly.zero()
         self.factors: dict[int, int] = {}
         self.unit_sign = 1
         self.unit_power = 0
 
-    def absorb(self, raw_num: LaurentPoly, raw_den_exps: list[int]) -> None:
+    def absorb(self, raw_num: Poly, raw_den_exps: list[int]) -> None:
         pos_exps = []
         for e in raw_den_exps:
             if e == 0:
@@ -336,21 +330,21 @@ class _Accumulator:
             adjusted = raw_num.scale(self.unit_sign).shift(-self.unit_power)
             self.numerator = self.numerator + adjusted
 
-    def last_term_numerator(self, raw_num: LaurentPoly) -> LaurentPoly:
+    def last_term_numerator(self, raw_num: Poly) -> Poly:
         return raw_num.scale(self.unit_sign).shift(-self.unit_power)
 
     def denominator(self) -> FactoredProduct:
         return FactoredProduct(1, 0, dict(self.factors))
 
 
-def term_of(spec: FamilySpec, k: int) -> tuple[LaurentPoly, FactoredProduct]:
+def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
     """The exact k-th term as (numerator, factored denominator)."""
     if k > spec.upper:
         spec = FamilySpec(spec.family, spec.base, k, spec.t,
                           spec.prefix_base, spec.qint_base)
     acc = _Accumulator()
     for i, raw_num, raw_exps in _term_stream(spec):
-        acc.absorb(LaurentPoly.zero(), raw_exps)
+        acc.absorb(Poly.zero(), raw_exps)
         if i == k:
             return acc.last_term_numerator(raw_num), acc.denominator()
     raise AssertionError("unreachable")
@@ -384,49 +378,6 @@ def classical_term_value(family: str, k: int) -> Fraction:
     if family == "J":
         return Fraction((6 * k + 1) * central ** 3, 256 ** k)
     return Fraction(central ** 4, 256 ** k)
-
-
-def central_q_binomial(k: int, base: int = 1) -> Poly:
-    """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial.
-
-    Built as prod_{i=k+1}^{2k} (1 - q^{si}) and divided in place by
-    (1 - q^{si}) for i <= k, each step one linear pass.
-    """
-    cs = [1]
-    for i in range(k + 1, 2 * k + 1):
-        cs = _times_one_minus(cs, base * i)
-    for i in range(1, k + 1):
-        if not _divide_one_minus(cs, base * i):
-            raise AssertionError("central q-binomial division not exact")
-    return Poly(cs)
-
-
-def term_value_at_one(family: str, k: int) -> Fraction:
-    """Pole-free q = 1 evaluation of the k-th plain-family term.
-
-    Each shifted-factorial ratio is rewritten through the central
-    q-binomial coefficient divided by (-q^s;q^s)_k^2 so that no factor
-    vanishes at q = 1; the pieces are then evaluated exactly.
-    """
-    if family not in PLAIN_FAMILIES:
-        raise ValueError("classical values exist for plain families only")
-    one = Fraction(1)
-    minus_poch1 = one
-    minus_poch2 = one
-    for i in range(1, k + 1):
-        minus_poch1 *= 2  # (1 + q^i) at q = 1
-        minus_poch2 *= 2  # (1 + q^{2i}) at q = 1
-    cqb1 = eval_at(central_q_binomial(k, 1), 1)
-    if family == "C":
-        ratio = cqb1 / minus_poch1 ** 2
-        return (4 * k + 1) * ratio ** 4
-    if family == "M":
-        ratio = cqb1 / minus_poch1 ** 2
-        return ratio ** 4
-    cqb2 = eval_at(central_q_binomial(k, 2), 1)
-    ratio_a = cqb1 / (minus_poch1 ** 2 * minus_poch2)
-    ratio_b = cqb2 / minus_poch2 ** 2
-    return (6 * k + 1) * ratio_a ** 2 * ratio_b
 
 
 # ---------------------------------------------------------------------------

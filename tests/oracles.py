@@ -1,0 +1,107 @@
+"""Slow reference implementations the tests compare the engine against.
+
+None of them is used by the engine: monic long division (the oracle for
+the binomial-pass valuation and cyclotomic construction), the rewrite of
+1 - q^m to a positive base, Euler's totient, the cyclotomic content of a
+binomial, and the pole-free q = 1 value of a plain-family term.
+"""
+
+import math
+from fractions import Fraction
+
+from qcongruence.polycore import Poly, eval_at, one_minus_q
+
+
+def _dense(p: Poly) -> list:
+    # coefficients from exponent 0; p must be an ordinary polynomial
+    assert p.offset >= 0, "long division takes no negative exponents"
+    return [0] * p.offset + list(p.coeffs)
+
+
+def div_rem_by_monic(a: Poly, m: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by a monic m of degree >= 1, by long
+    division over the integers: a == q*m + r with deg(r) < deg(m).
+
+    >>> q, r = div_rem_by_monic(Poly([-1, 0, 0, 1]), Poly([-1, 1]))
+    >>> (q.coeffs, r.coeffs)
+    ((1, 1, 1), ())
+    """
+    r, mc = _dense(a), _dense(m)
+    dm = len(mc) - 1
+    assert dm >= 1 and mc[-1] == 1, "divisor must be monic and nonconstant"
+    q = [0] * max(len(r) - dm, 0)
+    for i in range(len(r) - 1, dm - 1, -1):
+        c = r[i]
+        if c:
+            q[i - dm] = c
+            for j, x in enumerate(mc):
+                r[i - dm + j] -= c * x
+    return Poly(q), Poly(r[:dm])
+
+
+def normalize_one_minus_pow(m: int) -> tuple[tuple[int, int], int]:
+    """Rewrite 1 - q^m with a positive-exponent base factor.
+
+    Returns ((sign, exponent), factor_index) with
+    1 - q^m == sign * q^exponent * (1 - q^factor_index).
+
+    >>> normalize_one_minus_pow(-2)
+    ((-1, -2), 2)
+    >>> normalize_one_minus_pow(5)
+    ((1, 0), 5)
+    """
+    if m == 0:
+        raise ValueError("1 - q^0 is zero: degenerate factor")
+    if m > 0:
+        return (1, 0), m
+    return (-1, m), -m
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, by counting the residues prime to n."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def ord_cyclotomic_in_one_minus_pow(d: int, m: int) -> int:
+    """Multiplicity of the d-th cyclotomic polynomial in 1 - q^m.
+
+    Since q^m - 1 is the squarefree product of the cyclotomic polynomials
+    over the divisors of m, the answer is 1 exactly when d divides m.
+    """
+    if d < 2:
+        raise ValueError("cyclotomic index must be >= 2")
+    if m < 1:
+        raise ValueError("exponent must be >= 1")
+    return 1 if m % d == 0 else 0
+
+
+def central_q_binomial(k: int, base: int = 1) -> Poly:
+    """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial: the product
+    of q^{si} - 1 over k < i <= 2k, long-divided by q^{si} - 1 for i <= k.
+    """
+    num = Poly.one()
+    for i in range(k + 1, 2 * k + 1):
+        num = num * -one_minus_q(base * i)
+    for i in range(1, k + 1):
+        num, rem = div_rem_by_monic(num, -one_minus_q(base * i))
+        assert rem.is_zero()
+    return num
+
+
+def term_value_at_one(family: str, k: int) -> Fraction:
+    """Pole-free q = 1 evaluation of the k-th plain-family term.
+
+    Each shifted-factorial ratio is rewritten through the central
+    q-binomial coefficient divided by (-q^s;q^s)_k^2 so that no factor
+    vanishes at q = 1; the pieces are then evaluated exactly.
+    """
+    minus_poch1 = minus_poch2 = Fraction(2) ** k  # (-q;q)_k, (-q^2;q^2)_k
+    cqb1 = eval_at(central_q_binomial(k, 1), 1)
+    if family == "C":
+        return (4 * k + 1) * (cqb1 / minus_poch1 ** 2) ** 4
+    if family == "M":
+        return (cqb1 / minus_poch1 ** 2) ** 4
+    cqb2 = eval_at(central_q_binomial(k, 2), 1)
+    ratio_a = cqb1 / (minus_poch1 ** 2 * minus_poch2)
+    ratio_b = cqb2 / minus_poch2 ** 2
+    return (6 * k + 1) * ratio_a ** 2 * ratio_b

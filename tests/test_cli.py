@@ -77,7 +77,7 @@ def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
 
 def test_bench_binomial_mismatch_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
-    monkeypatch.setattr(cli.LaurentPoly, "times_one_minus",
+    monkeypatch.setattr(cli.Poly, "times_one_minus",
                         lambda self, exps: self)
     assert main(["bench", "--sizes", "16"]) == 1
     assert capsys.readouterr().err == "error: binomial mismatch\n"
@@ -85,7 +85,7 @@ def test_bench_binomial_mismatch_exit_one(capsys, monkeypatch):
 
 def test_bench_subtract_mismatch_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
-    monkeypatch.setattr(cli.LaurentPoly, "__sub__",
+    monkeypatch.setattr(cli.Poly, "__sub__",
                         lambda self, other: self)
     assert main(["bench", "--sizes", "16"]) == 1
     assert capsys.readouterr().err == "error: subtract mismatch\n"
@@ -399,3 +399,48 @@ def test_canonical_entries_fingerprint():
     assert (len(rs.entries), len(blob)) == (67, 20127)
     assert hashlib.sha256(blob).hexdigest() == (
         "b21b3382d15ad50647518b0f0101e331fc57f7fa86a2184ede0af4fea93ad28b")
+
+
+@pytest.mark.parametrize("first, second", [
+    (["classical", "--check", "c3", "--p", "5", "--exp", "3"],
+     ["classical", "--check", "c3", "--p", "5", "--exp", "4"]),
+    (["verify", "--check", "param-roots-c", "--n", "3", "--r", "2",
+      "--d", "1", "--j", "0"],
+     ["verify", "--check", "param-roots-c", "--n", "3", "--r", "2",
+      "--d", "1", "--j", "1"]),
+])
+def test_single_case_digest_covers_pinned_axes(capsys, first, second):
+    digests = []
+    for argv in (first, second, first):
+        assert main(argv + ["--format", "json"]) == 0
+        digests.append(
+            json.loads(capsys.readouterr().out)["meta"]["config_digest"])
+    assert digests[0] != digests[1] and digests[0] == digests[2]
+
+
+def test_sweep_digest_is_unchanged(tmp_path, capsys):
+    # a sweep pins nothing beyond its config: the digest of the config
+    # alone, as it has always been
+    path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
+    assert main(["sweep", "--config", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["meta"]["config_digest"] == "7d43e3034da36f37"
+
+
+@pytest.mark.parametrize("env, flag", [
+    (None, "-2"), (None, "0"), ("-5", None), ("0", None), ("2", "-1"),
+    ("-5", "2"),
+])
+def test_bad_parallelism_exit_two(tmp_path, monkeypatch, capsys, env, flag):
+    path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
+    if env is None:
+        monkeypatch.delenv("QCONGRUENCE_PARALLELISM", raising=False)
+    else:
+        monkeypatch.setenv("QCONGRUENCE_PARALLELISM", env)
+    argv = ["sweep", "--config", path]
+    assert main(argv + (["--parallelism", flag] if flag else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "parallelism" in captured.err.lower()
+    assert captured.err.count("\n") == 1

@@ -5,20 +5,17 @@ import pytest
 from qcongruence.cyclotomic import (
     cyclotomic,
     divisors,
-    euler_phi,
-    ord_cyclotomic_in_one_minus_pow,
     q_integer_cyclotomic_factors,
     valuation_at,
 )
-from qcongruence.polycore import (
-    INFINITE,
-    LaurentPoly,
-    Poly,
-    div_rem_by_monic,
-    eval_at,
-    one_minus_q,
-)
+from qcongruence.polycore import INFINITE, Poly, eval_at, one_minus_q
 from qcongruence.qseries import q_integer
+
+from oracles import (
+    div_rem_by_monic,
+    euler_phi,
+    ord_cyclotomic_in_one_minus_pow,
+)
 
 
 def test_first_values():
@@ -38,9 +35,22 @@ def test_product_identity_up_to_200():
         assert prod == Poly([-1] + [0] * (n - 1) + [1]), n
 
 
+def test_matches_repeated_monic_division_up_to_400():
+    # the oracle: q^n - 1 long-divided by the oracle's Phi_d for every
+    # proper divisor d of n
+    oracle = {}
+    for n in range(1, 401):
+        pol = Poly([-1] + [0] * (n - 1) + [1])
+        for d in divisors(n)[:-1]:
+            pol, rem = div_rem_by_monic(pol, oracle[d])
+            assert rem.is_zero(), (n, d)
+        oracle[n] = pol
+        assert cyclotomic(n) == pol, n
+
+
 def test_degree_is_totient():
     for n in range(1, 201):
-        assert cyclotomic(n).degree == euler_phi(n), n
+        assert cyclotomic(n).high_degree == euler_phi(n), n
 
 
 def test_odd_index_value_at_minus_one_is_odd():
@@ -80,8 +90,8 @@ def test_rejects_bad_indices():
 # Phi_d-adic valuation against repeated monic division
 
 
-def valuation_by_repeated_division(a: LaurentPoly, d: int):
-    body = a.body
+def valuation_by_repeated_division(a: Poly, d: int):
+    body = Poly(a.coeffs)
     if body.is_zero():
         return INFINITE
     phi = cyclotomic(d)
@@ -100,8 +110,8 @@ ORACLE_INDICES = list(range(1, 50)) + [63, 75, 105, 121, 225]
 
 def random_laurent(rng, length, bits):
     bound = 1 << bits
-    return LaurentPoly(Poly([rng.randint(-bound, bound)
-                             for _ in range(length)]), rng.randint(-9, 9))
+    return Poly([rng.randint(-bound, bound) for _ in range(length)],
+                rng.randint(-9, 9))
 
 
 @pytest.mark.parametrize("bits", [3, 64, 300])
@@ -111,7 +121,7 @@ def test_valuation_matches_repeated_division(bits):
     rng = random.Random(bits)
     for d in ORACLE_INDICES:
         assert valuation_at(Poly(), d) == INFINITE
-        phi = LaurentPoly(cyclotomic(d))
+        phi = cyclotomic(d)
         for k in range(6):
             for _ in range(4):
                 a = random_laurent(rng, rng.randint(1, 2 * d + 8), bits)
