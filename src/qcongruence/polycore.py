@@ -147,9 +147,6 @@ class Poly:
     Zeros at both ends are trimmed into the offset, so equal polynomials
     have equal fields.
 
-    >>> p = Poly([0, 0, 2, 0, -1, 0], -5)
-    >>> p.coeffs, p.offset, p.high_degree
-    ((2, 0, -1), -3, -1)
     >>> Poly([0, 0], 4) == Poly.zero()
     True
     """
@@ -158,6 +155,14 @@ class Poly:
     offset: int
 
     def __init__(self, coeffs: Iterable[int] = (), offset: int = 0):
+        """Trim zeros at both ends, moving the low ones into the offset.
+
+        >>> Poly([0, 1, -1], -3).offset
+        -2
+        >>> p = Poly([0, 0, 2, 0, -1, 0], -5)
+        >>> p.coeffs, p.offset, p.high_degree
+        ((2, 0, -1), -3, -1)
+        """
         cs = tuple(coeffs)
         hi = len(cs)
         while hi and cs[hi - 1] == 0:
