@@ -32,7 +32,6 @@ from .cyclotomic import (
 from .padic import (
     ResidueReport,
     dwork_quotient_check,
-    lucas_vanishing,
     truncation,
     verify_lucas,
     verify_m2,

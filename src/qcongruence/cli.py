@@ -23,12 +23,10 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -59,7 +57,6 @@ class RunConfig:
     exponent_policy: str = "proven"
     output_path: str = ""
     format: str = "json"
-    parallelism: int = 1
     dwork_degree_cap: int = 50
 
     @staticmethod
@@ -101,8 +98,8 @@ class RunConfig:
             raise ValueError("exponent_policy must be proven|conjectural|both")
         if cfg.format not in ("json", "csv", "text"):
             raise ValueError("format must be json|csv|text")
-        if cfg.r_max < 1 or cfg.parallelism < 1:
-            raise ValueError("r_max and parallelism must be >= 1")
+        if cfg.r_max < 1:
+            raise ValueError("r_max must be >= 1")
         if any(d not in (1, 2) for d in cfg.d_values):
             raise ValueError("d values must be 1 or 2")
         if cfg.dwork_degree_cap < 0:
@@ -280,20 +277,14 @@ def _run_recorded(spec: tuple) -> dict:
 
 
 def sweep(cfg: RunConfig) -> ReportSet:
-    """Execute the case grid with at most cfg.parallelism concurrent cases.
+    """Run the cases of the config's grid one after another in this process.
 
-    Cases are pure; results are collected in any order and canonicalized
-    by case label, so the report content is deterministic for a fixed
-    config.  A case that raises is recorded as an error entry and never
-    aborts a sweep.
+    Entries are ordered by case label, so the report content is
+    deterministic for a fixed config.  A case that raises is recorded as
+    an error entry and never aborts a sweep.
     """
-    specs = enumerate_cases(cfg)
-    if cfg.parallelism > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            entries = list(pool.map(_run_recorded, specs))
-    else:
-        entries = [_run_recorded(spec) for spec in specs]
-    return _report_set(entries, cfg.digest())
+    return _report_set([_run_recorded(spec) for spec in enumerate_cases(cfg)],
+                       cfg.digest())
 
 
 def _report_set(entries: list[dict], digest: str) -> ReportSet:
@@ -458,19 +449,6 @@ def _cmd_sweep(args) -> int:
         return _usage_error(f"cannot read config: {exc}")
     except (ValueError, TypeError) as exc:
         return _usage_error(f"bad config: {exc}")
-    for source, value in (
-            ("QCONGRUENCE_PARALLELISM",
-             os.environ.get("QCONGRUENCE_PARALLELISM") or None),
-            ("--parallelism", args.parallelism)):
-        if value is None:
-            continue
-        try:
-            cfg.parallelism = int(value)
-        except ValueError:
-            cfg.parallelism = 0
-        if cfg.parallelism < 1:
-            return _usage_error(f"{source} must be an integer >= 1, "
-                                f"got {value!r}")
     cfg.format = args.format or cfg.format
     cfg.output_path = args.output or cfg.output_path
     return _finish(sweep(cfg), cfg.format, cfg.output_path)
@@ -569,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", default="")
     p_sweep.add_argument("--format", default="",
                          choices=("", "json", "csv", "text"))
-    p_sweep.add_argument("--parallelism", type=int, default=None)
 
     sub.add_parser("list", help="enumerate supported checks")
 

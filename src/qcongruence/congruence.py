@@ -546,22 +546,17 @@ def _half_vs_full_case(kind: CheckKind, n: int, r: int = 1,
     full = sum_truncated(FamilySpec("M", 1, top - 1))
     half = sum_truncated(FamilySpec("M", 1, (top - 1) // 2))
     build_ms = (time.perf_counter() - t0) * 1e3
-    sep = check_congruence(full, half, ModulusSpec([(n, 1)]),
-                           component="separation")
-    agree = check_congruence(full, half, ModulusSpec([(top, 4)]),
-                             component="agreement")
-    for p in sep.parts:
-        p.expect = "lt"
-    parts = sep.parts + agree.parts
-    timings = {"build_ms": build_ms}
-    for key in ("delta_ms", "valuation_ms"):
-        timings[key] = sep.timings[key] + agree.timings[key]
-    return CongruenceReport(
-        label=f"{kind.value} n={n} r={r}", kind=kind.value,
-        params={"n": n, "r": r}, parts=parts,
-        passed=all(p.met() for p in parts),
-        identically_equal=False, timings=timings,
-        note="separation part expects non-divisibility")
+    rep = check_congruence(full, half, ModulusSpec([(n, 1), (top, 4)]),
+                           label=f"{kind.value} n={n} r={r}",
+                           kind=kind.value, params={"n": n, "r": r},
+                           component="agreement")
+    separation = rep.parts[0]       # parts ascend by d, and n < n^{r+1}
+    separation.component, separation.expect = "separation", "lt"
+    rep.passed = all(p.met() for p in rep.parts)
+    rep.identically_equal = False
+    rep.timings["build_ms"] = build_ms
+    rep.note = "separation part expects non-divisibility"
+    return rep
 
 
 def _identity_case(kind: CheckKind, n: int) -> CongruenceReport:

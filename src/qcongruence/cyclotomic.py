@@ -10,8 +10,7 @@ of the binomials with mu(e) = +1, divided in place by each binomial of
 mu(e) = -1; one exact division by Phi_d is a product with each binomial
 of mu(e) = -1 followed by an in-place exact division by each binomial of
 mu(e) = +1.  Each step is one linear pass over the coefficient list that
-runs in C.  Cyclotomic polynomials are memoized; the fill is idempotent,
-so concurrent workers may share the table without locking.
+runs in C.  Cyclotomic polynomials are memoized.
 """
 
 from __future__ import annotations

@@ -104,6 +104,8 @@ def truncation(p: int, r: int, cap: int = None) -> list[Fraction]:
         raise ValueError("r must be >= 0")
     count = p ** r
     if cap is not None:
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
         count = min(count, cap + 1)
     return [classical_term_value("M", k) for k in range(count)]
 
@@ -269,13 +271,6 @@ def lucas_min_valuation(p: int, r: int):
             if val < best:
                 best = val
     return best
-
-
-def lucas_vanishing(p: int, r: int) -> bool:
-    """True iff A_k vanishes to order >= 4 at p on the stated windows,
-    which certifies that the half- and full-range truncations agree
-    modulo p^3 at the checked scale."""
-    return lucas_min_valuation(p, r) >= 4
 
 
 def verify_lucas(p: int, r: int) -> ResidueReport:

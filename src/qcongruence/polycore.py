@@ -13,8 +13,7 @@ sums and denominators, cyclotomic.cyclotomic and cyclotomic.valuation_at
 are built from them.  Products and passes of normal-form operands are in
 normal form already, so their lists are adopted as they are; only sums
 and differences, which can cancel at either end, are trimmed.  All values
-are immutable after construction and safe to share between concurrent
-workers.
+are immutable after construction.
 """
 
 from __future__ import annotations

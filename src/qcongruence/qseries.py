@@ -71,9 +71,6 @@ class FactoredProduct:
     def is_unit_free(self) -> bool:
         return self.sign == 1 and self.power == 0
 
-    def is_one(self) -> bool:
-        return self.is_unit_free() and not self.factors
-
     def times(self, other: "FactoredProduct") -> "FactoredProduct":
         merged = dict(self.factors)
         for m, e in other.factors.items():

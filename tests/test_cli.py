@@ -146,9 +146,9 @@ def test_sweep_determinism_across_parallelism():
     base = {"checks": ["thm1-half", "lemma22", "param-roots-c", "m2", "c3"],
             "n_values": [3, 5], "r_max": 2, "d_values": [1, 2],
             "primes": [5, 7]}
-    one = sweep(RunConfig.from_dict(dict(base, parallelism=1)))
-    four = sweep(RunConfig.from_dict(dict(base, parallelism=4)))
-    assert canonical_entries(one) == canonical_entries(four)
+    one = sweep(RunConfig.from_dict(base))
+    two = sweep(RunConfig.from_dict(base))
+    assert canonical_entries(one) == canonical_entries(two)
     # byte-identical emission for identical report sets
     assert emit_report(one, "json") == emit_report(one, "json")
 
@@ -173,6 +173,15 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"bogus_field": 1}))
     assert main(["sweep", "--config", str(path)]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+    # parallelism is neither a config field nor a sweep flag
+    capsys.readouterr()
+    path.write_text(json.dumps({"checks": ["lemma22"], "n_values": [3],
+                                "parallelism": 2}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad config: unknown config fields: ['parallelism']\n")
+    path.write_text(json.dumps({"checks": ["lemma22"], "n_values": [3]}))
+    assert main(["sweep", "--config", str(path), "--parallelism", "2"]) == 2
 
 
 @pytest.mark.parametrize("primes", [[3], [9]])
@@ -262,14 +271,6 @@ def test_mixed_results_serialize_and_count_asserted_only():
     payload = json.loads(emit_report(mixed, "json"))
     assert len(payload["entries"]) == 3
     assert {e["pass"] for e in payload["entries"]} == {True, False}
-
-
-def test_parallelism_env_override(tmp_path, monkeypatch, capsys):
-    path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
-    monkeypatch.setenv("QCONGRUENCE_PARALLELISM", "2")
-    assert main(["sweep", "--config", path]) == 0
-    monkeypatch.setenv("QCONGRUENCE_PARALLELISM", "zebra")
-    assert main(["sweep", "--config", path]) == 2
 
 
 def test_config_digest_stable():
@@ -420,27 +421,11 @@ def test_single_case_digest_covers_pinned_axes(capsys, first, second):
 
 def test_sweep_digest_is_unchanged(tmp_path, capsys):
     # a sweep pins nothing beyond its config: the digest of the config
-    # alone, as it has always been
+    # alone, pinned so that a change to the field set shows
     path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
     assert main(["sweep", "--config", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["meta"]["config_digest"] == "7d43e3034da36f37"
-
-
-@pytest.mark.parametrize("env, flag", [
-    (None, "-2"), (None, "0"), ("-5", None), ("0", None), ("2", "-1"),
-    ("-5", "2"),
-])
-def test_bad_parallelism_exit_two(tmp_path, monkeypatch, capsys, env, flag):
-    path = write_config(tmp_path, checks=["lemma22"], n_values=[3])
-    if env is None:
-        monkeypatch.delenv("QCONGRUENCE_PARALLELISM", raising=False)
-    else:
-        monkeypatch.setenv("QCONGRUENCE_PARALLELISM", env)
-    argv = ["sweep", "--config", path]
-    assert main(argv + (["--parallelism", flag] if flag else [])) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "parallelism" in captured.err.lower()
-    assert captured.err.count("\n") == 1
+    digest = payload["meta"]["config_digest"]
+    assert digest == "2b513d1a8a2659eb"
+    with open(path, encoding="utf-8") as fh:
+        assert digest == RunConfig.from_dict(json.load(fh)).digest()

@@ -7,7 +7,6 @@ from qcongruence.padic import (
     dwork_quotient_check,
     fraction_valuation,
     lucas_min_valuation,
-    lucas_vanishing,
     padic_valuation,
     truncation,
     verify_lucas,
@@ -33,6 +32,8 @@ def test_truncation_coefficients():
     assert a[2] == Fraction(81, 4096)
     assert len(a) == 5
     assert len(truncation(5, 2, cap=7)) == 8
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        truncation(5, 1, cap=-3)
 
 
 def test_van_hamme_exact_values_p5():
@@ -154,6 +155,6 @@ def test_lucas_vanishing():
     assert classical_term_value("M", 4) == Fraction(35, 128) ** 4
     assert fraction_valuation(classical_term_value("M", 2), 3) == 4
     for p in (5, 7, 11):
-        assert lucas_vanishing(p, 2), p
+        assert verify_lucas(p, 2).passed, p
         assert lucas_min_valuation(p, 2) >= 4
     assert verify_lucas(5, 1).passed
