@@ -2,8 +2,9 @@
 #
 # A truncated sum is held as a Laurent numerator over a *factored*
 # denominator.  Denominators of consecutive terms nest, so accumulation
-# multiplies by a small cofactor per step and never reduces fractions;
-# cyclotomic valuations of the denominator are read off analytically.
+# multiplies by the new binomials 1 - q^m of each step and never reduces
+# fractions; cyclotomic valuations of the denominator are read off
+# analytically.
 
 from qcongruence import (
     FamilySpec,
@@ -24,8 +25,14 @@ print("sum to k=3: numerator degree", s.numerator.high_degree,
       "| denominator factors", s.denominator.factors)
 
 # %% parametric families specialize a free parameter to q^t (t odd)
+# At t=-3 the numerator factor 1 - q^{(2k-1)+t} is 1 - q^0 at k=2, so every
+# term from k=2 on is zero and the sum stops there: the numerator holds the
+# terms k < 2, and the binomials of the steps k >= 2 stay factored in the
+# cofactor.  The sum is cofactor * numerator / denominator.
 p = sum_truncated(FamilySpec("C_PARAM", base=1, upper=2, t=-3))
 print("specialized sum at t=-3: numerator", p.numerator)
+print("  cofactor factors", p.cofactor.factors,
+      "| denominator factors", p.denominator.factors)
 
 # %% every family's terms reduce to central-binomial ratios at q = 1
 for family in ("C", "J", "M"):

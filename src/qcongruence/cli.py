@@ -419,9 +419,10 @@ def _cmd_single(args) -> int:
         flags = {"r": args.r, "exponent": args.exp}
     else:
         cfg = RunConfig(checks=[args.check], n_values=[args.n],
-                        r_max=args.r or 1, d_values=[args.d],
+                        r_max=args.r or 1,
+                        d_values=[2 if args.d is None else args.d],
                         t_values=args.t or [3, 5, 7])
-        flags = {"r": args.r, "j": args.j, "t": args.t}
+        flags = {"r": args.r, "d": args.d, "j": args.j, "t": args.t}
     check = CHECKS.get(args.check)
     if check is None or check.classical != classical:
         side = "classical " * classical
@@ -432,7 +433,8 @@ def _cmd_single(args) -> int:
             continue
         if axis not in check.axes:
             return _usage_error(f"check {check.name!r} takes no {axis}")
-        pinned[axis] = value if isinstance(value, list) else [value]
+        if axis != "d":     # d reaches the grid and digest as cfg.d_values
+            pinned[axis] = value if isinstance(value, list) else [value]
     try:
         entries = [run_case(spec) for spec in check.grid(cfg, pinned)]
     except (ValueError, ZeroDivisionError) as exc:
@@ -465,6 +467,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    low = [size for size in args.sizes if size < 1]
+    if low:
+        return _usage_error(f"sizes must be >= 1, got {low[0]}")
     rng = random.Random(7)
     print(f"{'kernel':<28}{'size':>8}{'ms':>12}")
     for size in args.sizes:
@@ -533,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=("json", "csv", "text"))
         single.add_argument("--output", default="")
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--d", type=int, default=2, choices=(1, 2))
+    p_verify.add_argument("--d", type=int, default=None, choices=(1, 2),
+                          help="divisor index; default: 2")
     p_verify.add_argument("--j", type=int, default=None,
                           help="root index; default: all admissible")
     p_verify.add_argument("--t", type=int, action="append", default=None,

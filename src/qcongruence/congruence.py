@@ -2,25 +2,28 @@
 
 A congruence LHS == RHS (mod prod over (d,e) of Phi_d^e) between rational
 functions is certified through the valuation semantics: the Phi_d-adic
-valuation of LHS - RHS must be at least e for every part.  With both sides
-held as numerator / factored denominator this needs a single
-cross-multiplied difference, taken through the binomials the two
-denominators do not share.  With G the shared ones (each 1 - q^m to the
-smaller of its two exponents, read off the factored forms),
+valuation of LHS - RHS must be at least e for every part.  Each side is
+held as (C * N) / D, with N the expanded numerator and the cofactor C
+(1 unless the sum stopped at a vanishing term) and the denominator D
+factored, C dividing D.  This needs a single cross-multiplied difference,
+taken through the binomials the reduced denominators R = D / C do not
+share.  With G the shared ones (each 1 - q^m to the smaller of its two
+exponents, read off the factored forms),
 
-    delta' = (rhsD / G) * (b * lhsN) - (lhsD / G) * (a * rhsN)
+    delta' = (rhsR / G) * (b * lhsN) - (lhsR / G) * (a * rhsN)
 
 (a, b the integer scalar denominators), and per part the comparison is
 
-    found = valuation(delta', Phi_d) + ord_d(G)
+    found = valuation(delta', Phi_d) + ord_d(G) + ord_d(lhsC * rhsC)
           >= e + ord_d(lhsD) + ord_d(rhsD).
 
-found is still the Phi_d-adic valuation of the full difference
-rhsD * (b * lhsN) - lhsD * (a * rhsN) = G * delta', because valuations
-add and G is nonzero.  The valuations of G and of the denominators are
-read off the factored form without any division.  Neither denominator is
-expanded: each numerator is multiplied through the other side's reduced
-denominator, one linear pass per binomial 1 - q^m
+found is still the Phi_d-adic valuation of the full difference of the
+nominal numerators, rhsD * (b * lhsC * lhsN) - lhsD * (a * rhsC * rhsN)
+= G * lhsC * rhsC * delta', because valuations add and G, lhsC and rhsC
+are nonzero.  The valuations of G, of the cofactors and of the
+denominators are read off the factored form without any division.
+Neither denominator is expanded: each numerator is multiplied through the
+other side's reduced denominator, one linear pass per binomial 1 - q^m
 (FactoredProduct.multiply).  Monic divisibility is unaffected by the
 nonzero integer scalars, so they never need to be cleared.
 
@@ -251,14 +254,18 @@ def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
 
 
 def _reduced_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """(G, (D_R/G) * b * lhsN, (D_L/G) * a * rhsN), G the shared binomials.
+    """(G * C_L * C_R, (R_R/G) * b * lhsN, (R_L/G) * a * rhsN).
 
-    The two products differ by the factor G from the full cross-multiplied
-    ones, so they are equal exactly when those are.
+    C_L, C_R are the cofactors, R_L = D_L / C_L and R_R = D_R / C_R the
+    reduced denominators, and G the binomials R_L and R_R share.  The two
+    products differ by the factor G * C_L * C_R from the full
+    cross-multiplied ones of the nominal numerators C * N, so they are
+    equal exactly when those are.
     """
     common, left_den, right_den = \
-        lhs.denominator.split_common(rhs.denominator)
-    return (common,
+        lhs.denominator.divided_by(lhs.cofactor).split_common(
+            rhs.denominator.divided_by(rhs.cofactor))
+    return (common.times(lhs.cofactor).times(rhs.cofactor),
             right_den.multiply(lhs.numerator * rhs.scalar_den),
             left_den.multiply(rhs.numerator * lhs.scalar_den))
 

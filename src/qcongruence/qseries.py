@@ -9,6 +9,14 @@ the next term's numerator.  Keeping the denominator factored also makes
 its cyclotomic valuations analytic (count the bases m divisible by d)
 instead of requiring any division.
 
+A specialized parametric sum stops at its first vanishing term: once a
+numerator factor 1 - q^0 enters the nested product at step k0, every
+later term is zero, so the numerator gets no more passes.  The binomials
+of steps k0..upper still enter the denominator, and are carried
+unexpanded as the sum's cofactor: the sum is (cofactor * numerator) /
+denominator, with denominator the full last-term denominator F_upper and
+cofactor dividing it.  A sum that never vanishes has cofactor 1.
+
 Five term families are supported, named by the tags used throughout the
 check drivers:
 
@@ -125,17 +133,24 @@ class FactoredProduct:
 
 @dataclass
 class SeriesSum:
-    """A truncated sum as numerator / (scalar_den * expanded denominator)."""
+    """A truncated sum as (cofactor * numerator) / (scalar_den * denominator).
+
+    cofactor and denominator are unit-free factored products, and cofactor
+    divides denominator; only the numerator is ever expanded.
+    """
 
     numerator: Poly
     denominator: FactoredProduct = field(default_factory=FactoredProduct)
     scalar_den: int = 1
+    cofactor: FactoredProduct = field(default_factory=FactoredProduct)
 
     def __post_init__(self):
         if self.scalar_den < 1:
             raise ValueError("scalar denominator must be positive")
-        if not self.denominator.is_unit_free():
+        if not (self.denominator.is_unit_free()
+                and self.cofactor.is_unit_free()):
             raise ValueError("series denominators carry no unit part")
+        self.denominator.divided_by(self.cofactor)  # raises unless it divides
 
     @staticmethod
     def zero() -> "SeriesSum":
@@ -143,12 +158,13 @@ class SeriesSum:
 
     def scaled_by(self, factor: Poly) -> "SeriesSum":
         return SeriesSum(self.numerator * factor, self.denominator,
-                         self.scalar_den)
+                         self.scalar_den, self.cofactor)
 
     def times(self, other: "SeriesSum") -> "SeriesSum":
         return SeriesSum(self.numerator * other.numerator,
                          self.denominator.times(other.denominator),
-                         self.scalar_den * other.scalar_den)
+                         self.scalar_den * other.scalar_den,
+                         self.cofactor.times(other.cofactor))
 
 
 @dataclass
@@ -303,6 +319,10 @@ class _Accumulator:
     numerator is kept over F_k, so each step multiplies it by the binomials
     of F_k / F_{k-1}, one linear pass each, and adds the unit-adjusted term
     numerator.  No rational reduction is ever performed.
+
+    After stop() every later term is zero: the new binomials of each step
+    still enter F_k but go to the cofactor instead of the numerator, so
+    the sum is cofactor * numerator over F_k.
     """
 
     def __init__(self) -> None:
@@ -310,6 +330,7 @@ class _Accumulator:
         self.factors: dict[int, int] = {}
         self.unit_sign = 1
         self.unit_power = 0
+        self.tail: Optional[dict[int, int]] = None   # cofactor, once stopped
 
     def absorb(self, raw_num: Poly, raw_den_exps: list[int]) -> None:
         pos_exps = []
@@ -322,16 +343,27 @@ class _Accumulator:
                 e = -e
             self.factors[e] = self.factors.get(e, 0) + 1
             pos_exps.append(e)
+        if self.tail is not None:
+            for e in pos_exps:
+                self.tail[e] = self.tail.get(e, 0) + 1
+            return
         self.numerator = self.numerator.times_one_minus(pos_exps)
         if not raw_num.is_zero():
             adjusted = raw_num.scale(self.unit_sign).shift(-self.unit_power)
             self.numerator = self.numerator + adjusted
+
+    def stop(self) -> None:
+        if self.tail is None:
+            self.tail = {}
 
     def last_term_numerator(self, raw_num: Poly) -> Poly:
         return raw_num.scale(self.unit_sign).shift(-self.unit_power)
 
     def denominator(self) -> FactoredProduct:
         return FactoredProduct(1, 0, dict(self.factors))
+
+    def cofactor(self) -> FactoredProduct:
+        return FactoredProduct(1, 0, dict(self.tail or {}))
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
@@ -348,11 +380,20 @@ def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
 
 
 def sum_truncated(spec: FamilySpec) -> SeriesSum:
-    """Sum of the terms k = 0..upper over the common (last) denominator."""
+    """Sum of the terms k = 0..upper over the common (last) denominator.
+
+    The first zero term (k0 >= 1, as term 0 is 1; only a vanishing
+    numerator factor makes one) stops the sum: the binomials of steps k0..upper become the
+    cofactor, and the numerator is the sum of the terms k < k0 over
+    F_{k0-1}.
+    """
     acc = _Accumulator()
     for _, raw_num, raw_exps in _term_stream(spec):
+        if raw_num.is_zero():
+            acc.stop()
         acc.absorb(raw_num, raw_exps)
-    return SeriesSum(acc.numerator, acc.denominator())
+    return SeriesSum(acc.numerator, acc.denominator(),
+                     cofactor=acc.cofactor())
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,14 @@ def test_list_and_bench(capsys):
     assert "subtract " in rows and "subtract, 256-bit" in rows
 
 
+@pytest.mark.parametrize("sizes", [["0"], ["-3"], ["16", "0"]])
+def test_bench_size_below_one_exit_two(capsys, sizes):
+    assert main(["bench", "--sizes", *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sizes must be >= 1, got {sizes[-1]}\n"
+
+
 def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
     monkeypatch.setattr(cli, "valuation_at", lambda a, d: 0)
@@ -360,6 +368,7 @@ def test_asserted_failure_outranks_a_raising_case(tmp_path, capsys,
     (["verify", "--check", "gw", "--n", "3", "--r", "5"], "r"),
     (["verify", "--check", "thm1-half", "--n", "3", "--j", "1"], "j"),
     (["verify", "--check", "conj41", "--n", "3", "--t", "7"], "t"),
+    (["verify", "--check", "thm1-full", "--n", "3", "--d", "1"], "d"),
 ])
 def test_flag_the_check_does_not_take_exit_two(capsys, argv, axis):
     assert main(argv) == 2
@@ -417,6 +426,21 @@ def test_single_case_digest_covers_pinned_axes(capsys, first, second):
         digests.append(
             json.loads(capsys.readouterr().out)["meta"]["config_digest"])
     assert digests[0] != digests[1] and digests[0] == digests[2]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--check", "thm1-full", "--n", "3"], "5c31b27b03ca85cc"),
+    (["--check", "conj43", "--n", "3"], "5ee6b8872794d45a"),
+    (["--check", "conj43", "--n", "3", "--d", "2"], "5ee6b8872794d45a"),
+    (["--check", "conj43", "--n", "3", "--d", "1"], "de4bec4803027216"),
+    (["--check", "param-sampled-c", "--n", "3", "--d", "1", "--t", "7"],
+     "9483f23003df0540"),
+])
+def test_verify_d_default_keeps_digests(capsys, argv, digest):
+    # --d left out means d = 2 on a check with a d axis
+    assert main(["verify"] + argv + ["--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["config_digest"] == digest
 
 
 def test_sweep_digest_is_unchanged(tmp_path, capsys):

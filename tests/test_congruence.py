@@ -23,6 +23,8 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    _Accumulator,
+    _term_stream,
     q_integer,
     sum_truncated,
 )
@@ -100,6 +102,18 @@ def _shared(fp_a, fp_b):
                                   if m in fp_b.factors})
 
 
+def _nominal(series):
+    # cofactor * numerator, the cofactor expanded by the schoolbook product
+    return _times_expanded(series.numerator, series.cofactor)
+
+
+def _reduced(series):
+    # the denominator with the cofactor's binomials taken out
+    left = {m: e - series.cofactor.factors.get(m, 0)
+            for m, e in series.denominator.factors.items()}
+    return FactoredProduct(1, 0, {m: e for m, e in left.items() if e})
+
+
 def _division_valuation(lp, d):
     # Phi_d-adic valuation of a nonzero lp by repeated monic division
     phi, body, count = cyclotomic(d), Poly(lp.coeffs), 0
@@ -117,20 +131,22 @@ def _division_valuation(lp, d):
     dict(kind="conj41", n=3, r=1),
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
-    # With full = lhsN * D_R - rhsN * D_L (both denominators expanded) and
-    # G the binomials D_L and D_R share, the delta handed to valuation_at
-    # times G is full, and every found valuation is full's, counted by
-    # repeated division.
+    # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
+    # both denominators expanded) and G the binomials the reduced
+    # denominators D_L / C_L and D_R / C_R share, the delta handed to
+    # valuation_at times G C_L C_R is full, and every found valuation is
+    # full's, counted by repeated division.
     seen = []
     real_check = congruence.check_congruence
     real_valuation = congruence.valuation_at
 
     def check(lhs, rhs, modulus, **kwargs):
-        full = _times_expanded(lhs.numerator * rhs.scalar_den,
+        full = _times_expanded(_nominal(lhs) * rhs.scalar_den,
                                rhs.denominator) \
-            - _times_expanded(rhs.numerator * lhs.scalar_den,
+            - _times_expanded(_nominal(rhs) * lhs.scalar_den,
                               lhs.denominator)
-        shared = _shared(lhs.denominator, rhs.denominator)
+        shared = _shared(_reduced(lhs), _reduced(rhs)).times(
+            lhs.cofactor).times(rhs.cofactor)
         deltas = []
         monkeypatch.setattr(
             congruence, "valuation_at",
@@ -151,6 +167,40 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     monkeypatch.setattr(congruence, "check_congruence", check)
     verify_case(**case)
     assert sum(seen) > 0
+
+
+def _full_accumulation(spec):
+    # every step, as before the early stop: the numerator takes each new
+    # binomial and each (possibly zero) term, and the cofactor is 1
+    acc = _Accumulator()
+    for _, raw_num, raw_exps in _term_stream(spec):
+        acc.absorb(raw_num, raw_exps)
+    return SeriesSum(acc.numerator, acc.denominator())
+
+
+@pytest.mark.parametrize("family", ["c", "j"])
+def test_sampled_parts_match_full_accumulation(monkeypatch, family):
+    # the stopped sums give the same report as the full accumulations
+    cases = [dict(kind=f"param-sampled-{family}", n=n, r=r, d=d, t=t)
+             for n in (3, 5) for r in (1, 2) for d in (1, 2)
+             for t in (3, 5, 7, 9)]
+    stopped = []
+    engine_sum = congruence.sum_truncated
+
+    def recording_sum(spec):
+        series = engine_sum(spec)
+        stopped.append(series.cofactor != FactoredProduct())
+        return series
+
+    monkeypatch.setattr(congruence, "sum_truncated", recording_sum)
+    fast = [verify_case(**case).to_dict() for case in cases]
+    monkeypatch.setattr(congruence, "sum_truncated", _full_accumulation)
+    slow = [verify_case(**case).to_dict() for case in cases]
+    for a, b in zip(fast, slow):
+        a.pop("elapsed_ms")
+        b.pop("elapsed_ms")
+        assert a == b, a["label"]
+    assert any(stopped) and not all(stopped)
 
 
 def _identity_pairs(rng):

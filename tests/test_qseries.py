@@ -75,7 +75,8 @@ def naive_sum(spec):
 
 
 def assert_same_rational(series: SeriesSum, num: Poly, den: Poly):
-    left = series.numerator * den
+    # series holds (cofactor * numerator) / (scalar_den * denominator)
+    left = series.cofactor.multiply(series.numerator) * den
     right = (num * series.denominator.expand()).scale(series.scalar_den)
     assert left == right
 
@@ -277,6 +278,77 @@ def test_sum_m_two_steps_matches_naive():
 def test_sums_match_naive_all_families():
     for spec in ALL_SPECS:
         assert_same_rational(sum_truncated(spec), *naive_sum(spec))
+
+
+# (spec, k0): t = +-s(2 k0 - 1) makes the numerator factor 1 - q^{s(2k0-1)
+# -+ t} vanish at step k0; k0 > upper never vanishes within the sum.
+EARLY_STOP_SPECS = [
+    (FamilySpec("C_PARAM", 1, 6, 1), 1),
+    (FamilySpec("C_PARAM", 1, 6, -5), 3),
+    (FamilySpec("C_PARAM", 1, 6, 11), 6),
+    (FamilySpec("C_PARAM", 1, 6, -13), 7),
+    (FamilySpec("C_PARAM", 3, 5, -3), 1),
+    (FamilySpec("C_PARAM", 3, 5, 9), 2),
+    (FamilySpec("C_PARAM", 3, 5, -27), 5),
+    (FamilySpec("C_PARAM", 3, 4, 27), 5),
+    (FamilySpec("J_PARAM", 1, 6, -1), 1),
+    (FamilySpec("J_PARAM", 1, 6, 7), 4),
+    (FamilySpec("J_PARAM", 1, 6, -11), 6),
+    (FamilySpec("J_PARAM", 1, 5, 11), 6),
+    (FamilySpec("J_PARAM", 3, 5, 3), 1),
+    (FamilySpec("J_PARAM", 3, 5, -15), 3),
+    (FamilySpec("J_PARAM", 3, 5, 27), 5),
+    (FamilySpec("J_PARAM", 3, 5, -9, prefix_base=1, qint_base=2), 2),
+    (FamilySpec("J_PARAM", 3, 4, 15, prefix_base=1, qint_base=2), 3),
+    (FamilySpec("J_PARAM", 3, 3, -27, prefix_base=1, qint_base=2), 5),
+]
+
+
+@pytest.mark.parametrize("spec, k0", EARLY_STOP_SPECS)
+def test_sum_stops_at_first_vanishing_term(spec, k0):
+    series = sum_truncated(spec)
+    assert_same_rational(series, *naive_sum(spec))
+    # the denominator stays the last term's; the cofactor holds the
+    # binomials of steps k0..upper, and the numerator is over F_{k0-1}
+    last = term_of(spec, spec.upper)[1].factors
+    before = term_of(spec, min(k0 - 1, spec.upper))[1].factors
+    assert series.denominator.factors == last
+    assert series.cofactor.factors == {
+        m: e - before.get(m, 0) for m, e in last.items()
+        if e != before.get(m, 0)}
+    assert (series.cofactor == FactoredProduct()) == (k0 > spec.upper)
+    stopped = [k for k in range(1, spec.upper + 1)
+               if term_of(spec, k)[0].is_zero()]
+    assert stopped == list(range(k0, spec.upper + 1))
+
+
+def test_series_sum_carries_its_cofactor():
+    a = sum_truncated(FamilySpec("C_PARAM", 1, 4, -3))
+    b = sum_truncated(FamilySpec("J_PARAM", 3, 3, 3))
+    assert a.cofactor.factors and b.cofactor.factors
+    scaled = a.scaled_by(q_integer(3))
+    assert scaled.cofactor == a.cofactor
+    assert_same_rational(scaled, a.cofactor.multiply(a.numerator)
+                         * q_integer(3), a.denominator.expand())
+    product = a.times(b)
+    assert product.cofactor == a.cofactor.times(b.cofactor)
+    assert_same_rational(
+        product,
+        a.cofactor.multiply(a.numerator) * b.cofactor.multiply(b.numerator),
+        a.denominator.expand() * b.denominator.expand())
+    with pytest.raises(ValueError):     # the cofactor must divide
+        SeriesSum(Poly.one(), FactoredProduct(1, 0, {2: 1}), 1,
+                  FactoredProduct(1, 0, {3: 1}))
+
+
+def test_vanishing_denominator_after_the_stop_still_raises():
+    from qcongruence.qseries import _Accumulator
+    acc = _Accumulator()
+    acc.absorb(Poly.one(), [])
+    acc.stop()
+    acc.absorb(Poly.zero(), [3, -1])
+    with pytest.raises(ZeroDivisionError):
+        acc.absorb(Poly.zero(), [5, 0])
 
 
 def test_sum_denominator_is_last_term_denominator():
