@@ -6,11 +6,11 @@
 # must cover e plus the denominators' own Phi_d content.  Reports show
 # required and found valuations part by part.
 
-from qcongruence import CheckKind, verify_case
+from qcongruence import verify_case
 from qcongruence.congruence import verify_parametric_roots
 
 # %% the flagship congruence for the quartic family, n=3, depth r=2
-rep = verify_case(CheckKind.THM1_HALF, n=3, r=2)
+rep = verify_case("thm1-half", n=3, r=2)
 print(rep.label, "->", "PASS" if rep.passed else "FAIL")
 for part in rep.parts:
     print(f"  Phi_{part.d}: required {part.required}, found {part.found},"
@@ -26,11 +26,11 @@ rep = verify_parametric_roots("J", 3, 2, 1, j=1)
 print(rep.label, "-> readings:", rep.extra["readings"])
 
 # %% conjectural checks are flagged; failures would be findings, not bugs
-rep = verify_case(CheckKind.CONJ41, n=3, r=1)
+rep = verify_case("conj41", n=3, r=1)
 print(rep.label, "-> pass:", rep.passed, "| conjectural:", rep.conjectural)
 
 # %% two truncations that disagree mod Phi_3 but agree mod Phi_9^4
-rep = verify_case(CheckKind.HALF_VS_FULL_M, n=3, r=1)
+rep = verify_case("half-vs-full-m", n=3, r=1)
 for part in rep.parts:
     print(f"  {part.component}: Phi_{part.d}, margin {part.margin},"
           f" expectation '{part.expect}' met: {part.met()}")

@@ -11,7 +11,6 @@ floating point or on any probabilistic shortcut.
 __version__ = "0.1.0"
 
 from .congruence import (
-    CheckKind,
     CongruenceReport,
     ModulusSpec,
     build_modulus_theorem,
@@ -46,7 +45,6 @@ from .qseries import (
     classical_term_value,
     eta_product_coefficients,
     q_integer,
-    q_pochhammer,
     sum_truncated,
     term_of,
 )

@@ -44,6 +44,11 @@ from .padic import (
 from .polycore import Poly, mul_schoolbook, one_minus_q
 
 
+def _first_repeat(values: list):
+    # the first value that also occurs earlier in values, or None
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 @dataclass
 class RunConfig:
     """Sweep configuration; JSON object with exactly these fields."""
@@ -77,6 +82,9 @@ class RunConfig:
                     or any(type(v) is not kind for v in items):
                 raise ValueError(f"{key} must be {'a list of ' * listed}"
                                  f"{kind.__name__}, got {value!r}")
+            repeat = _first_repeat(items)
+            if repeat is not None:
+                raise ValueError(f"duplicate value {repeat!r} in {key}")
         cfg = RunConfig(**data)
         for n in cfg.n_values:
             if n < 3 or n % 2 == 0:
@@ -367,22 +375,6 @@ def emit_report(report_set: ReportSet, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse_csv_report(data: bytes) -> list[dict]:
-    """Round-trip reader for the CSV format; numeric fields recovered."""
-    rows = []
-    for row in csv.DictReader(io.StringIO(data.decode())):
-        out = dict(row)
-        for key in ("d", "required", "found", "margin"):
-            v = row[key]
-            out[key] = (float("inf") if v == "inf"
-                        else int(v) if v not in ("", None) else "")
-        out["pass"] = row["pass"] == "True"
-        out["conjectural"] = row["conjectural"] == "True"
-        out["elapsed_ms"] = float(row["elapsed_ms"])
-        rows.append(out)
-    return rows
-
-
 def _finish(report_set: ReportSet, fmt: str, path: str) -> int:
     """Write the report to path (stdout for "" or "-"); the exit code."""
     blob = emit_report(report_set, fmt)
@@ -433,8 +425,12 @@ def _cmd_single(args) -> int:
             continue
         if axis not in check.axes:
             return _usage_error(f"check {check.name!r} takes no {axis}")
+        values = value if isinstance(value, list) else [value]
+        repeat = _first_repeat(values)
+        if repeat is not None:
+            return _usage_error(f"duplicate value {repeat} in --{axis}")
         if axis != "d":     # d reaches the grid and digest as cfg.d_values
-            pinned[axis] = value if isinstance(value, list) else [value]
+            pinned[axis] = values
     try:
         entries = [run_case(spec) for spec in check.grid(cfg, pinned)]
     except (ValueError, ZeroDivisionError) as exc:

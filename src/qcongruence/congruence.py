@@ -10,22 +10,21 @@ taken through the binomials the reduced denominators R = D / C do not
 share.  With G the shared ones (each 1 - q^m to the smaller of its two
 exponents, read off the factored forms),
 
-    delta' = (rhsR / G) * (b * lhsN) - (lhsR / G) * (a * rhsN)
+    delta' = (rhsR / G) * lhsN - (lhsR / G) * rhsN,
 
-(a, b the integer scalar denominators), and per part the comparison is
+and per part the comparison is
 
     found = valuation(delta', Phi_d) + ord_d(G) + ord_d(lhsC * rhsC)
           >= e + ord_d(lhsD) + ord_d(rhsD).
 
 found is still the Phi_d-adic valuation of the full difference of the
-nominal numerators, rhsD * (b * lhsC * lhsN) - lhsD * (a * rhsC * rhsN)
+nominal numerators, rhsD * lhsC * lhsN - lhsD * rhsC * rhsN
 = G * lhsC * rhsC * delta', because valuations add and G, lhsC and rhsC
 are nonzero.  The valuations of G, of the cofactors and of the
 denominators are read off the factored form without any division.
 Neither denominator is expanded: each numerator is multiplied through the
 other side's reduced denominator, one linear pass per binomial 1 - q^m
-(FactoredProduct.multiply).  Monic divisibility is unaffected by the
-nonzero integer scalars, so they never need to be cleared.
+(FactoredProduct.multiply).
 
 The valuation of delta' is counted one exact division by Phi_d at a time,
 but Phi_d is never built: cyclotomic.valuation_at multiplies by the
@@ -34,7 +33,8 @@ and divides in place by those with exponent +1, each a linear pass over
 the coefficients.  Laurent offsets do not matter, since q is a unit
 modulo every Phi_d.
 
-verify_case looks up the runner of the named check, which validates its
+verify_case looks up the runner of the named check in _RUNNERS, one row
+per check with the check's constants bound in; the runner validates its
 parameters, assembles both sides from the term families, picks the right
 modulus, and delegates here.  Reports carry the per-part margins;
 conjectural checks are flagged so that drivers can separate findings from
@@ -44,8 +44,8 @@ failures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .cyclotomic import (
     cyclotomic,
@@ -55,39 +55,12 @@ from .cyclotomic import (
 )
 from .polycore import INFINITE, Poly, one_minus_q
 from .qseries import (
-    FactoredProduct,
     FamilySpec,
     SeriesSum,
     _Accumulator,
     q_integer,
-    q_pochhammer,
     sum_truncated,
 )
-
-
-class CheckKind(str, Enum):
-    THM1_HALF = "thm1-half"
-    THM1_FULL = "thm1-full"
-    THM2_HALF = "thm2-half"
-    THM2_FULL = "thm2-full"
-    GW = "gw"
-    QJ2 = "qj2"
-    CONJ41 = "conj41"
-    CONJ42 = "conj42"
-    CONJ43 = "conj43"
-    LEMMA22_IDENTITY = "lemma22"
-    LEMMA31_IDENTITY = "lemma31"
-    PARAM_ROOTS_C = "param-roots-c"
-    PARAM_ROOTS_J = "param-roots-j"
-    PARAM_SAMPLED_C = "param-sampled-c"
-    PARAM_SAMPLED_J = "param-sampled-j"
-    HALF_VS_FULL_M = "half-vs-full-m"
-
-
-#: Kinds whose statements are conjectural: a failed report is a finding,
-#: not an implementation bug.  Everything else is asserted.
-CONJECTURAL_KINDS = frozenset(
-    {CheckKind.QJ2, CheckKind.CONJ41, CheckKind.CONJ42, CheckKind.CONJ43})
 
 
 @dataclass
@@ -254,7 +227,7 @@ def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
 
 
 def _reduced_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """(G * C_L * C_R, (R_R/G) * b * lhsN, (R_L/G) * a * rhsN).
+    """(G * C_L * C_R, (R_R/G) * lhsN, (R_L/G) * rhsN).
 
     C_L, C_R are the cofactors, R_L = D_L / C_L and R_R = D_R / C_R the
     reduced denominators, and G the binomials R_L and R_R share.  The two
@@ -266,8 +239,8 @@ def _reduced_cross_products(lhs: SeriesSum, rhs: SeriesSum):
         lhs.denominator.divided_by(lhs.cofactor).split_common(
             rhs.denominator.divided_by(rhs.cofactor))
     return (common.times(lhs.cofactor).times(rhs.cofactor),
-            right_den.multiply(lhs.numerator * rhs.scalar_den),
-            left_den.multiply(rhs.numerator * lhs.scalar_den))
+            right_den.multiply(lhs.numerator),
+            left_den.multiply(rhs.numerator))
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
@@ -310,15 +283,15 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
                          a + s * (n + k)])
     lhs = SeriesSum(acc.numerator, acc.denominator())
 
+    # the closed form as one term: the accumulator turns its negative
+    # denominator exponents around and moves their unit to the numerator
+    ks = range(1, n + 1)
+    right = _Accumulator()
+    right.absorb(Poly.zero(), [e for k in ks
+                               for e in (a - b + s * k, a - c + s * k)])
     rnum = Poly.one().times_one_minus(
-        [e for i in range(n) for e in (a + s + s * i, a - b - c + s + s * i)])
-    den1, z1 = q_pochhammer(a - b + s, s, n)
-    den2, z2 = q_pochhammer(a - c + s, s, n)
-    if z1 or z2:
-        raise ZeroDivisionError("vanishing denominator factor")
-    rden = den1.times(den2)
-    rnum = rnum.scale(rden.sign).shift(-rden.power)
-    rhs = SeriesSum(rnum, FactoredProduct(1, 0, dict(rden.factors)))
+        [e for k in ks for e in (a + s * k, a - b - c + s * k)])
+    rhs = SeriesSum(right.last_term_numerator(rnum), right.denominator())
     return check_identity_equal(lhs, rhs)
 
 
@@ -326,15 +299,14 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
 # prefactors
 
 
-def _scale_plain(n: int) -> Poly:
-    # q^{(1-n)/2} [n]; the exponent is integral because n is odd.
-    return q_integer(n).shift((1 - n) // 2)
+def _sign(family: str, n: int) -> int:
+    # the sextic targets carry (-q)^{(1-n)/2} = (-1)^{(n-1)/2} q^{(1-n)/2}
+    return -1 if family == "J" and ((n - 1) // 2) % 2 else 1
 
 
-def _scale_signed(n: int) -> Poly:
-    # (-q)^{(1-n)/2} [n] = (-1)^{(n-1)/2} q^{(1-n)/2} [n].
-    sign = -1 if ((n - 1) // 2) % 2 else 1
-    return _scale_plain(n).scale(sign)
+def _scale(family: str, n: int) -> Poly:
+    # q^{(1-n)/2} [n], or (-q)^{(1-n)/2} [n] for J; n is odd.
+    return q_integer(n).shift((1 - n) // 2).scale(_sign(family, n))
 
 
 def _require_case(n: int, r: int = 1, d: int = 1, minimum: int = 3) -> None:
@@ -384,7 +356,7 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
     extra: dict = {}
     if family == "C":
         rhs = sum_truncated(FamilySpec(fam, n, upper_r, t)) \
-            .scaled_by(_scale_plain(n))
+            .scaled_by(_scale(family, n))
         equal = check_identity_equal(lhs, rhs)
         m = (2 * j + 1) * n
         closed = SeriesSum(q_integer(m).shift((1 - m) // 2))
@@ -393,10 +365,10 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
         extra["closed_form"] = closed_ok
     else:
         rhs_scaled = sum_truncated(FamilySpec(fam, n, upper_r, t)) \
-            .scaled_by(_scale_signed(n))
+            .scaled_by(_scale(family, n))
         rhs_printed = sum_truncated(
             FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)) \
-            .scaled_by(_scale_signed(n))
+            .scaled_by(_scale(family, n))
         eq_scaled = check_identity_equal(lhs, rhs_scaled)
         eq_printed = check_identity_equal(lhs, rhs_printed)
         equal = eq_scaled
@@ -433,7 +405,7 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
     upper_r = (n ** (r - 1) - 1) // d
     modulus = modulus_q_integer(n ** r)
     lhs = sum_truncated(FamilySpec(fam, 1, upper_l, t))
-    scale = _scale_plain(n) if family == "C" else _scale_signed(n)
+    scale = _scale(family, n)
     rhs = sum_truncated(FamilySpec(fam, n, upper_r, t)).scaled_by(scale)
     zero = SeriesSum.zero()
     sub = [
@@ -474,77 +446,69 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
 # case driver
 
 
-def _theorem_case(kind: CheckKind, n: int, r: int = 1) -> CongruenceReport:
+def _theorem_case(family: str, half: bool, kind: str, n: int, r: int = 1
+                  ) -> CongruenceReport:
     modulus = build_modulus_theorem(n, r)
-    half = kind in (CheckKind.THM1_HALF, CheckKind.THM2_HALF)
-    family = "C" if kind in (CheckKind.THM1_HALF, CheckKind.THM1_FULL) \
-        else "J"
     t0 = time.perf_counter()
     upper_l = (n ** r - 1) // 2 if half else n ** r - 1
     upper_r = (n ** (r - 1) - 1) // 2 if half else n ** (r - 1) - 1
     lhs = sum_truncated(FamilySpec(family, 1, upper_l))
-    scale = _scale_plain(n) if family == "C" else _scale_signed(n)
-    rhs = sum_truncated(FamilySpec(family, n, upper_r)).scaled_by(scale)
+    rhs = sum_truncated(FamilySpec(family, n, upper_r)) \
+        .scaled_by(_scale(family, n))
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
         lhs, rhs, modulus,
-        label=f"{kind.value} n={n} r={r}", kind=kind.value,
-        params={"n": n, "r": r})
+        label=f"{kind} n={n} r={r}", kind=kind, params={"n": n, "r": r})
     rep.timings["build_ms"] = build_ms
     return rep
 
 
-def _correction_case(kind: CheckKind, n: int) -> CongruenceReport:
+def _correction_case(family: str, conjectural: bool, kind: str, n: int
+                     ) -> CongruenceReport:
     # target q^{(1-n)/2}([n] + (n^2-1)(1-q)^2 [n]^3 / 24), sign -q for J,
-    # modulo [n] Phi_n^3; held over the integer scalar 24.
+    # modulo [n] Phi_n^3; both sides are multiplied by 24.
     _require_case(n)
     t0 = time.perf_counter()
-    family = "C" if kind is CheckKind.GW else "J"
     lhs = sum_truncated(FamilySpec(family, 1, (n - 1) // 2))
+    lhs = replace(lhs, numerator=lhs.numerator.scale(24))
     qint = q_integer(n)
     correction = (qint ** 3).times_one_minus([1, 1]).scale(n * n - 1)
-    numerator = (qint.scale(24) + correction).shift((1 - n) // 2)
-    if family == "J":
-        numerator = numerator.scale(-1 if ((n - 1) // 2) % 2 else 1)
-    rhs = SeriesSum(numerator, scalar_den=24)
+    rhs = SeriesSum((qint.scale(24) + correction).shift((1 - n) // 2)
+                    .scale(_sign(family, n)))
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
         lhs, rhs, _modulus_qint_times_cubed(n),
-        label=f"{kind.value} n={n}", kind=kind.value, params={"n": n},
-        conjectural=kind in CONJECTURAL_KINDS)
+        label=f"{kind} n={n}", kind=kind, params={"n": n},
+        conjectural=conjectural)
     rep.timings["build_ms"] = build_ms
     return rep
 
 
-def _product_conjecture_case(kind: CheckKind, n: int, r: int = 1, d: int = 2,
+def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
+                             kind: str, n: int, r: int = 1, d: int = 2,
                              ) -> CongruenceReport:
+    # div None takes the divisor from the d axis; squared makes the inner
+    # base n^2 instead of n.
     _require_case(n, r, d)
-    if kind is CheckKind.CONJ41:
-        div, inner_base, exponent = 1, n * n, 3
-    elif kind is CheckKind.CONJ42:
-        div, inner_base, exponent = 2, n * n, 3
-    else:
-        div, inner_base, exponent = d, n, 2
+    label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
+    if div is None:
+        div = params["d"] = d
+        label += f" d={d}"
     t0 = time.perf_counter()
     lhs = sum_truncated(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
     first = sum_truncated(FamilySpec("M", 1, (n - 1) // div))
-    second = sum_truncated(FamilySpec("M", inner_base, (n ** r - 1) // div))
+    second = sum_truncated(FamilySpec("M", n * n if squared else n,
+                                      (n ** r - 1) // div))
     rhs = first.times(second)
     build_ms = (time.perf_counter() - t0) * 1e3
-    label = f"{kind.value} n={n} r={r}"
-    params = {"n": n, "r": r}
-    if kind is CheckKind.CONJ43:
-        label += f" d={d}"
-        params["d"] = d
     rep = check_congruence(
         lhs, rhs, ModulusSpec([(n, exponent)]), label=label,
-        kind=kind.value, params=params, conjectural=True)
+        kind=kind, params=params, conjectural=True)
     rep.timings["build_ms"] = build_ms
     return rep
 
 
-def _half_vs_full_case(kind: CheckKind, n: int, r: int = 1,
-                       ) -> CongruenceReport:
+def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     # The two truncations of the M family must separate modulo Phi_n but
     # agree modulo Phi_{n^{r+1}}^4.
     _require_case(n, r)
@@ -554,8 +518,8 @@ def _half_vs_full_case(kind: CheckKind, n: int, r: int = 1,
     half = sum_truncated(FamilySpec("M", 1, (top - 1) // 2))
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(full, half, ModulusSpec([(n, 1), (top, 4)]),
-                           label=f"{kind.value} n={n} r={r}",
-                           kind=kind.value, params={"n": n, "r": r},
+                           label=f"{kind} n={n} r={r}",
+                           kind=kind, params={"n": n, "r": r},
                            component="agreement")
     separation = rep.parts[0]       # parts ascend by d, and n < n^{r+1}
     separation.component, separation.expect = "separation", "lt"
@@ -566,30 +530,34 @@ def _half_vs_full_case(kind: CheckKind, n: int, r: int = 1,
     return rep
 
 
-def _identity_case(kind: CheckKind, n: int) -> CongruenceReport:
+def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
     _require_case(n, minimum=1)
     t0 = time.perf_counter()
-    if kind is CheckKind.LEMMA22_IDENTITY:
-        lhs = sum_truncated(FamilySpec("C_PARAM", 1, (n - 1) // 2, -n))
-        rhs = SeriesSum(_scale_plain(n))
-    else:
-        lhs = sum_truncated(FamilySpec("J_PARAM", 1, (n - 1) // 2, -n))
-        rhs = SeriesSum(_scale_signed(n))
-    equal = check_identity_equal(lhs, rhs)
+    lhs = sum_truncated(FamilySpec(family + "_PARAM", 1, (n - 1) // 2, -n))
+    equal = check_identity_equal(lhs, SeriesSum(_scale(family, n)))
     ms = (time.perf_counter() - t0) * 1e3
     return CongruenceReport(
-        label=f"{kind.value} n={n}", kind=kind.value, params={"n": n},
+        label=f"{kind} n={n}", kind=kind, params={"n": n},
         parts=[], passed=equal, identically_equal=equal,
         timings={"total_ms": ms})
 
 
-#: Kind -> runner(kind, **params); each runner validates its own params.
+#: Check name -> runner(name, **params), with the check's own constants
+#: bound in front; each runner validates its own params.  qj2 and the
+#: product checks are conjectural: a failed report is a finding, not an
+#: implementation bug.
 _RUNNERS = {
-    **dict.fromkeys(("thm1-half", "thm1-full", "thm2-half", "thm2-full"),
-                    _theorem_case),
-    **dict.fromkeys(("gw", "qj2"), _correction_case),
-    **dict.fromkeys(("conj41", "conj42", "conj43"), _product_conjecture_case),
-    **dict.fromkeys(("lemma22", "lemma31"), _identity_case),
+    "thm1-half": partial(_theorem_case, "C", True),
+    "thm1-full": partial(_theorem_case, "C", False),
+    "thm2-half": partial(_theorem_case, "J", True),
+    "thm2-full": partial(_theorem_case, "J", False),
+    "gw": partial(_correction_case, "C", False),
+    "qj2": partial(_correction_case, "J", True),
+    "conj41": partial(_product_conjecture_case, 1, 3, True),
+    "conj42": partial(_product_conjecture_case, 2, 3, True),
+    "conj43": partial(_product_conjecture_case, None, 2, False),
+    "lemma22": partial(_identity_case, "C"),
+    "lemma31": partial(_identity_case, "J"),
     "param-roots-c": lambda kind, **kw: verify_parametric_roots("C", **kw),
     "param-roots-j": lambda kind, **kw: verify_parametric_roots("J", **kw),
     "param-sampled-c": lambda kind, **kw: verify_parametric_sampled("C", **kw),
@@ -598,11 +566,12 @@ _RUNNERS = {
 }
 
 
-def verify_case(kind: CheckKind, **params) -> CongruenceReport:
+def verify_case(kind: str, **params) -> CongruenceReport:
     """Assemble and certify a single named check.
 
     params are the check's own parameters: n, plus r, d, j or t where the
     check takes them (r defaults to 1, d to 2, j to 0).
     """
-    kind = CheckKind(kind)
-    return _RUNNERS[kind.value](kind, **params)
+    if kind not in _RUNNERS:
+        raise ValueError(f"unknown check {kind!r}")
+    return _RUNNERS[kind](kind, **params)

@@ -183,12 +183,13 @@ def verify_m2(p: int) -> ResidueReport:
     _require_odd_prime(p)
     t0 = time.perf_counter()
     modulus = p ** 3
-    gamma = eta_product_coefficients(p)[p - 1] % modulus
+    gamma_p = eta_product_coefficients(p)[p - 1]
+    full_sum = _classical_sum("M", p - 1)
+    gamma = gamma_p % modulus
     half = _reduce_mod(_classical_sum("M", (p - 1) // 2), modulus)
-    full = _reduce_mod(_classical_sum("M", p - 1), modulus)
+    full = _reduce_mod(full_sum, modulus)
     passed = half == full == gamma
-    diff_val = fraction_valuation(
-        _classical_sum("M", p - 1) - eta_product_coefficients(p)[p - 1], p)
+    diff_val = fraction_valuation(full_sum - gamma_p, p)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"m2 p={p}", kind="m2", params={"p": p}, exponent=3,

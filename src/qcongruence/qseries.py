@@ -1,13 +1,16 @@
 """Truncated q-hypergeometric sums held as exact rational functions.
 
 A sum is a SeriesSum: a Laurent numerator over a *factored* denominator
-+-q^t * prod (1 - q^m)^e.  Denominators are never expanded while a sum is
-accumulated; consecutive terms of every supported family share nested
-denominators, so each step multiplies the running numerator by the new
-binomials 1 - q^m, one linear pass over its coefficients each, and adds
-the next term's numerator.  Keeping the denominator factored also makes
-its cyclotomic valuations analytic (count the bases m divisible by d)
-instead of requiring any division.
+prod (1 - q^m)^e, m >= 1, a multiset of binomials.  A binomial with a
+negative exponent is rewritten 1 - q^{-m} = -q^{-m} (1 - q^m) as it
+enters, and its unit -q^{-m} goes into the numerator, so a denominator
+never carries a sign or a power of q.  Denominators are never expanded
+while a sum is accumulated; consecutive terms of every supported family
+share nested denominators, so each step multiplies the running numerator
+by the new binomials 1 - q^m, one linear pass over its coefficients
+each, and adds the next term's numerator.  Keeping the denominator
+factored also makes its cyclotomic valuations analytic (count the bases
+m divisible by d) instead of requiring any division.
 
 A specialized parametric sum stops at its first vanishing term: once a
 numerator factor 1 - q^0 enters the nested product at step k0, every
@@ -60,31 +63,24 @@ FAMILIES = PLAIN_FAMILIES + PARAMETRIC_FAMILIES
 
 @dataclass
 class FactoredProduct:
-    """sign * q^power * prod over factors m -> e of (1 - q^m)^e, m >= 1.
+    """prod over factors m -> e of (1 - q^m)^e, m, e >= 1: a multiset of
+    binomials.
 
     Treated as immutable after construction; operations return new values.
     """
 
-    sign: int = 1
-    power: int = 0
     factors: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +-1")
         for m, e in self.factors.items():
             if m < 1 or e < 1:
                 raise ValueError("factor bases and exponents must be >= 1")
-
-    def is_unit_free(self) -> bool:
-        return self.sign == 1 and self.power == 0
 
     def times(self, other: "FactoredProduct") -> "FactoredProduct":
         merged = dict(self.factors)
         for m, e in other.factors.items():
             merged[m] = merged.get(m, 0) + e
-        return FactoredProduct(self.sign * other.sign,
-                               self.power + other.power, merged)
+        return FactoredProduct(merged)
 
     def divided_by(self, other: "FactoredProduct") -> "FactoredProduct":
         """self / other, exactly; other's binomials must be among self's."""
@@ -98,8 +94,7 @@ class FactoredProduct:
                 rest[m] = left
             else:
                 del rest[m]
-        return FactoredProduct(self.sign * other.sign,
-                               self.power - other.power, rest)
+        return FactoredProduct(rest)
 
     def split_common(self, other: "FactoredProduct"
                      ) -> tuple["FactoredProduct", "FactoredProduct",
@@ -109,7 +104,7 @@ class FactoredProduct:
         G takes each 1 - q^m to the smaller of its two exponents; it is
         read off the factored forms, with no arithmetic on polynomials.
         """
-        common = FactoredProduct(1, 0, {
+        common = FactoredProduct({
             m: min(e, other.factors[m])
             for m, e in self.factors.items() if m in other.factors})
         return common, self.divided_by(common), other.divided_by(common)
@@ -122,9 +117,8 @@ class FactoredProduct:
 
     def multiply(self, lp: Poly) -> Poly:
         """lp times this product, exactly: one linear pass per binomial."""
-        out = lp.times_one_minus(
+        return lp.times_one_minus(
             [m for m in sorted(self.factors) for _ in range(self.factors[m])])
-        return (-out if self.sign < 0 else out).shift(self.power)
 
     def expand(self) -> Poly:
         """Multiply everything out; equals the product of the parts exactly."""
@@ -133,23 +127,17 @@ class FactoredProduct:
 
 @dataclass
 class SeriesSum:
-    """A truncated sum as (cofactor * numerator) / (scalar_den * denominator).
+    """A truncated sum as (cofactor * numerator) / denominator.
 
-    cofactor and denominator are unit-free factored products, and cofactor
-    divides denominator; only the numerator is ever expanded.
+    cofactor and denominator are factored products, and cofactor divides
+    denominator; only the numerator is ever expanded.
     """
 
     numerator: Poly
     denominator: FactoredProduct = field(default_factory=FactoredProduct)
-    scalar_den: int = 1
     cofactor: FactoredProduct = field(default_factory=FactoredProduct)
 
     def __post_init__(self):
-        if self.scalar_den < 1:
-            raise ValueError("scalar denominator must be positive")
-        if not (self.denominator.is_unit_free()
-                and self.cofactor.is_unit_free()):
-            raise ValueError("series denominators carry no unit part")
         self.denominator.divided_by(self.cofactor)  # raises unless it divides
 
     @staticmethod
@@ -158,12 +146,11 @@ class SeriesSum:
 
     def scaled_by(self, factor: Poly) -> "SeriesSum":
         return SeriesSum(self.numerator * factor, self.denominator,
-                         self.scalar_den, self.cofactor)
+                         self.cofactor)
 
     def times(self, other: "SeriesSum") -> "SeriesSum":
         return SeriesSum(self.numerator * other.numerator,
                          self.denominator.times(other.denominator),
-                         self.scalar_den * other.scalar_den,
                          self.cofactor.times(other.cofactor))
 
 
@@ -220,31 +207,6 @@ def q_integer(n: int, base: int = 1) -> Poly:
     for i in range(n):
         cs[base * i] = 1
     return Poly._adopt(cs)
-
-
-def q_pochhammer(start: int, step: int, count: int
-                 ) -> tuple[FactoredProduct, bool]:
-    """prod_{i<count} (1 - q^{start+step*i}) in positive-base factored form.
-
-    The flag reports that some factor was exactly zero (the true value of
-    the product is then 0, which is legal in numerators: it truncates a
-    series).  The returned factors are the nonzero part.
-    """
-    if step < 1:
-        raise ValueError("step exponent must be >= 1")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    sign, power, factors = 1, 0, {}
-    vanished = False
-    for i in range(count):
-        e = start + step * i
-        if e == 0:
-            vanished = True
-            continue
-        if e < 0:
-            sign, power, e = -sign, power + e, -e
-        factors[e] = factors.get(e, 0) + 1
-    return FactoredProduct(sign, power, factors), vanished
 
 
 def _mul_q_integer(lp: Poly, count: int, step: int) -> Poly:
@@ -360,10 +322,10 @@ class _Accumulator:
         return raw_num.scale(self.unit_sign).shift(-self.unit_power)
 
     def denominator(self) -> FactoredProduct:
-        return FactoredProduct(1, 0, dict(self.factors))
+        return FactoredProduct(dict(self.factors))
 
     def cofactor(self) -> FactoredProduct:
-        return FactoredProduct(1, 0, dict(self.tail or {}))
+        return FactoredProduct(dict(self.tail or {}))
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:

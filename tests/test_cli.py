@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import pickle
 
@@ -12,9 +14,24 @@ from qcongruence.cli import (
     emit_report,
     enumerate_cases,
     main,
-    parse_csv_report,
     sweep,
 )
+
+
+def parse_csv_report(data: bytes) -> list[dict]:
+    # reads the CSV format back; numeric fields recovered
+    rows = []
+    for row in csv.DictReader(io.StringIO(data.decode())):
+        out = dict(row)
+        for key in ("d", "required", "found", "margin"):
+            v = row[key]
+            out[key] = (float("inf") if v == "inf"
+                        else int(v) if v not in ("", None) else "")
+        out["pass"] = row["pass"] == "True"
+        out["conjectural"] = row["conjectural"] == "True"
+        out["elapsed_ms"] = float(row["elapsed_ms"])
+        rows.append(out)
+    return rows
 
 
 def write_config(tmp_path, **overrides):
@@ -190,6 +207,16 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys):
         "error: bad config: unknown config fields: ['parallelism']\n")
     path.write_text(json.dumps({"checks": ["lemma22"], "n_values": [3]}))
     assert main(["sweep", "--config", str(path), "--parallelism", "2"]) == 2
+    # a repeated axis value would run one case twice under one label
+    for key, values in (("checks", ["lemma22", "lemma22"]),
+                        ("n_values", [3, 3]), ("d_values", [1, 2, 1]),
+                        ("t_values", [7, 9, 7]), ("primes", [5, 5])):
+        path.write_text(json.dumps(dict(
+            {"checks": ["lemma22"], "n_values": [3]}, **{key: values})))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad config: duplicate value {values[-1]!r} in {key}\n")
 
 
 @pytest.mark.parametrize("primes", [[3], [9]])
@@ -375,6 +402,14 @@ def test_flag_the_check_does_not_take_exit_two(capsys, argv, axis):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: check {argv[2]!r} takes no {axis}\n"
+
+
+def test_verify_repeated_t_exit_two(capsys):
+    assert main(["verify", "--check", "param-sampled-c", "--n", "3",
+                 "--t", "3", "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate value 3 in --t\n"
 
 
 def test_fingerprint_grid_counts_and_specs_pickle():

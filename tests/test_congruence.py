@@ -5,7 +5,6 @@ import pytest
 
 from qcongruence import congruence
 from qcongruence.congruence import (
-    CheckKind,
     ModulusSpec,
     admissible_root_indices,
     build_modulus_theorem,
@@ -92,14 +91,14 @@ def _times_expanded(lp, fp):
     for m, e in sorted(fp.factors.items()):
         for _ in range(e):
             acc = mul_schoolbook(acc, Poly([1] + [0] * (m - 1) + [-1]))
-    return (mul_schoolbook(lp, acc) * fp.sign).shift(fp.power)
+    return mul_schoolbook(lp, acc)
 
 
 def _shared(fp_a, fp_b):
     # the binomials both products carry, each at the smaller exponent
-    return FactoredProduct(1, 0, {m: min(e, fp_b.factors[m])
-                                  for m, e in fp_a.factors.items()
-                                  if m in fp_b.factors})
+    return FactoredProduct({m: min(e, fp_b.factors[m])
+                            for m, e in fp_a.factors.items()
+                            if m in fp_b.factors})
 
 
 def _nominal(series):
@@ -111,7 +110,7 @@ def _reduced(series):
     # the denominator with the cofactor's binomials taken out
     left = {m: e - series.cofactor.factors.get(m, 0)
             for m, e in series.denominator.factors.items()}
-    return FactoredProduct(1, 0, {m: e for m, e in left.items() if e})
+    return FactoredProduct({m: e for m, e in left.items() if e})
 
 
 def _division_valuation(lp, d):
@@ -141,10 +140,8 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     real_valuation = congruence.valuation_at
 
     def check(lhs, rhs, modulus, **kwargs):
-        full = _times_expanded(_nominal(lhs) * rhs.scalar_den,
-                               rhs.denominator) \
-            - _times_expanded(_nominal(rhs) * lhs.scalar_den,
-                              lhs.denominator)
+        full = _times_expanded(_nominal(lhs), rhs.denominator) \
+            - _times_expanded(_nominal(rhs), lhs.denominator)
         shared = _shared(_reduced(lhs), _reduced(rhs)).times(
             lhs.cofactor).times(rhs.cofactor)
         deltas = []
@@ -204,16 +201,16 @@ def test_sampled_parts_match_full_accumulation(monkeypatch, family):
 
 
 def _identity_pairs(rng):
-    # (lhs, rhs, overlap, equal): lhs = a Y E_L / (a C E_L) and rhs the
-    # same value written as b Y E_R / (b C E_R), then rhs with one
-    # numerator coefficient changed.  The denominators share C only.
+    # (lhs, rhs, overlap, equal): lhs = Y E_L / (C E_L) and rhs the same
+    # value written as Y E_R / (C E_R), then rhs with one numerator
+    # coefficient changed.  The denominators share C only.
     def factors(bases):
         return {m: rng.randint(1, 4) for m in bases}
 
-    def side(y, extra, common, scalar):
-        num = _times_expanded(y, FactoredProduct(1, 0, extra)).scale(scalar)
-        return SeriesSum(num, FactoredProduct(1, 0, common).times(
-            FactoredProduct(1, 0, extra)), scalar)
+    def side(y, extra, common):
+        num = _times_expanded(y, FactoredProduct(extra))
+        return SeriesSum(num, FactoredProduct(common).times(
+            FactoredProduct(extra)))
 
     layouts = {
         "none": ({}, [3, 7, 11], [2, 5]),
@@ -223,13 +220,12 @@ def _identity_pairs(rng):
     for overlap, (common, left, right) in layouts.items():
         y = laurent([rng.randint(-50, 50) for _ in range(rng.randint(1, 30))]
                     + [rng.choice((-1, 1))], rng.randint(-9, 9))
-        lhs = side(y, factors(left), common, rng.randint(1, 5))
-        rhs = side(y, factors(right), common, rng.randint(1, 5))
+        lhs = side(y, factors(left), common)
+        rhs = side(y, factors(right), common)
         yield lhs, rhs, overlap, True
         cs = list(rhs.numerator.coeffs)
         cs[rng.randrange(len(cs))] += 1
-        bumped = SeriesSum(Poly(cs, rhs.numerator.offset),
-                           rhs.denominator, rhs.scalar_den)
+        bumped = SeriesSum(Poly(cs, rhs.numerator.offset), rhs.denominator)
         yield lhs, bumped, overlap, False
 
 
@@ -238,10 +234,8 @@ def test_identity_equal_matches_full_cross_multiplication():
     kinds = set()
     for _ in range(4):
         for lhs, rhs, overlap, equal in _identity_pairs(rng):
-            full_equal = _times_expanded(lhs.numerator * rhs.scalar_den,
-                                         rhs.denominator) \
-                == _times_expanded(rhs.numerator * lhs.scalar_den,
-                                   lhs.denominator)
+            full_equal = _times_expanded(lhs.numerator, rhs.denominator) \
+                == _times_expanded(rhs.numerator, lhs.denominator)
             assert full_equal == equal
             assert check_identity_equal(lhs, rhs) == equal
             assert check_identity_equal(rhs, lhs) == equal
@@ -265,16 +259,19 @@ def test_multiplying_by_cyclotomic_raises_found_by_one():
         assert p1.found == p0.found + 1
 
 
-def test_scalar_denominators_do_not_change_verdicts():
+def test_common_integer_factors_do_not_change_verdicts():
+    # a nonzero integer is a unit modulo every Phi_d, so multiplying both
+    # sides by it (as gw and qj2 do by 24) moves no valuation
     lhs = sum_truncated(FamilySpec("C", 1, 1))
     rhs = SeriesSum(q_integer(3).shift(-1))
     modulus = ModulusSpec([(3, 3)])
     plain = check_congruence(lhs, rhs, modulus)
-    scaled = check_congruence(
-        SeriesSum(lhs.numerator.scale(24), lhs.denominator, 24),
-        SeriesSum(rhs.numerator.scale(7), rhs.denominator, 7), modulus)
-    assert [(p.required, p.found) for p in plain.parts] \
-        == [(p.required, p.found) for p in scaled.parts]
+    for factor in (24, -7, 168):
+        scaled = check_congruence(
+            SeriesSum(lhs.numerator.scale(factor), lhs.denominator),
+            SeriesSum(rhs.numerator.scale(factor), rhs.denominator), modulus)
+        assert [(p.required, p.found) for p in plain.parts] \
+            == [(p.required, p.found) for p in scaled.parts]
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +286,10 @@ def test_quartic_root_identity_small():
 
 
 def test_identity_cases_via_driver():
-    assert verify_case(CheckKind.LEMMA22_IDENTITY, n=1).passed
+    assert verify_case("lemma22", n=1).passed
     for n in range(3, 23, 2):
-        assert verify_case(CheckKind.LEMMA22_IDENTITY, n=n).passed, n
-        assert verify_case(CheckKind.LEMMA31_IDENTITY, n=n).passed, n
+        assert verify_case("lemma22", n=n).passed, n
+        assert verify_case("lemma31", n=n).passed, n
 
 
 def test_sextic_root_identity_sign():
@@ -421,28 +418,28 @@ def test_parameter_inversion_symmetry():
 
 def test_theorem_cases_and_r1_target_is_single_term():
     for n in (3, 5, 7):
-        rep = verify_case(CheckKind.THM1_HALF, n=n, r=1)
+        rep = verify_case("thm1-half", n=n, r=1)
         assert rep.passed and not rep.identically_equal, n
-    rep = verify_case(CheckKind.THM2_HALF, n=3, r=2)
+    rep = verify_case("thm2-half", n=3, r=2)
     assert rep.passed
 
 
 def test_gw_modulus_for_prime_n_is_fourth_power():
-    rep = verify_case(CheckKind.GW, n=5)
+    rep = verify_case("gw", n=5)
     assert rep.passed
     assert [(p.d, p.required) for p in rep.parts] == [(5, 4)]
 
 
 def test_conjecture_cases_flagged():
-    rep = verify_case(CheckKind.CONJ41, n=3, r=1)
+    rep = verify_case("conj41", n=3, r=1)
     assert rep.conjectural
     assert rep.passed  # expected pass; failure would be a finding
-    rep = verify_case(CheckKind.QJ2, n=3)
+    rep = verify_case("qj2", n=3)
     assert rep.conjectural and rep.passed
 
 
 def test_half_vs_full_separation():
-    rep = verify_case(CheckKind.HALF_VS_FULL_M, n=3, r=1)
+    rep = verify_case("half-vs-full-m", n=3, r=1)
     assert rep.passed
     by_component = {p.component: p for p in rep.parts}
     assert by_component["separation"].expect == "lt"
@@ -452,11 +449,18 @@ def test_half_vs_full_separation():
 
 def test_verify_case_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        verify_case(CheckKind.THM1_HALF, n=4, r=1)
+        verify_case("thm1-half", n=4, r=1)
     with pytest.raises(ValueError):
-        verify_case(CheckKind.THM1_HALF, n=3, r=0)
+        verify_case("thm1-half", n=3, r=0)
     with pytest.raises(ValueError):
-        verify_case(CheckKind.PARAM_SAMPLED_C, n=3, r=1, d=2)  # t missing
+        verify_case("param-sampled-c", n=3, r=1, d=2)  # t missing
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        verify_case("nope", n=3)
+    # a check's constants are bound in its runner, not taken as params
+    with pytest.raises(TypeError):
+        verify_case("thm1-half", n=3, half=False)
+    with pytest.raises(TypeError):
+        verify_case("gw", n=3, conjectural=True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +470,7 @@ def test_verify_case_rejects_bad_parameters():
 def test_q_side_pass_implies_classical_pass():
     from qcongruence.padic import verify_swisher
     for p in (5, 7):
-        assert verify_case(CheckKind.THM1_HALF, n=p, r=1).passed
+        assert verify_case("thm1-half", n=p, r=1).passed
         assert verify_swisher("c3", p, 1, 3).passed
-        assert verify_case(CheckKind.THM2_HALF, n=p, r=1).passed
+        assert verify_case("thm2-half", n=p, r=1).passed
         assert verify_swisher("j3", p, 1, 3).passed
