@@ -5,28 +5,35 @@ functions is certified through the valuation semantics: the Phi_d-adic
 valuation of LHS - RHS must be at least e for every part.  Each side is
 held as (C * N) / D, with N the expanded numerator and the cofactor C
 (1 unless the sum stopped at a vanishing term) and the denominator D
-factored, C dividing D.  This needs a single cross-multiplied difference,
-taken through the binomials the reduced denominators R = D / C do not
-share.  With G the shared ones (each 1 - q^m to the smaller of its two
-exponents, read off the factored forms),
+factored, C dividing D.  A reduced denominator R = D / C is a product of
+binomials 1 - q^m, so its Phi_d content ord_d(R) is the sum of its
+exponents over the m divisible by d (1 - q standing in for Phi_1).  The
+single cross-multiplied difference is taken through the cyclotomic lcm L
+of the two, L_d = max(ord_d(lhsR), ord_d(rhsR)):
 
-    delta' = (rhsR / G) * lhsN - (lhsR / G) * rhsN,
+    delta = (L / lhsR) * lhsN - (L / rhsR) * rhsN = L * (LHS - RHS),
 
 and per part the comparison is
 
-    found = valuation(delta', Phi_d) + ord_d(G) + ord_d(lhsC * rhsC)
+    found = valuation(delta, Phi_d) + ord_d(lhsD) + ord_d(rhsD) - L_d
           >= e + ord_d(lhsD) + ord_d(rhsD).
 
-found is still the Phi_d-adic valuation of the full difference of the
-nominal numerators, rhsD * lhsC * lhsN - lhsD * rhsC * rhsN
-= G * lhsC * rhsC * delta', because valuations add and G, lhsC and rhsC
-are nonzero.  The valuations of G, of the cofactors and of the
-denominators are read off the factored form without any division.
-Neither denominator is expanded: each numerator is multiplied through the
-other side's reduced denominator, one linear pass per binomial 1 - q^m
-(FactoredProduct.multiply).
+found is the Phi_d-adic valuation of the full difference of the nominal
+numerators, rhsD * lhsC * lhsN - lhsD * rhsC * rhsN = lhsD * rhsD *
+delta / L, because valuations add; every term but the first is read off
+the factored forms without any division.  Neither denominator is
+expanded: L / lhsR is written back as binomials through the Moebius
+factorisation of each Phi_d by which rhsR exceeds lhsR
+(cyclotomic.binomial_form), L / rhsR is that times lhsR / rhsR, and each
+numerator takes one linear pass per binomial of positive exponent, then
+one exact in-place division per binomial of negative exponent.  A side whose reduced denominator holds
+the other's is left as it is, and the other is multiplied by exactly the
+binomials it lacks.  Phi_d content the two sides hold through different
+binomials (1 - q^{2j} against 1 - q^{2n^2 k} in the base-n^2 product
+checks) enters L once, not once per side, so valuation_at makes no pass
+for the second copy.
 
-The valuation of delta' is counted one exact division by Phi_d at a time,
+The valuation of delta is counted one exact division by Phi_d at a time,
 but Phi_d is never built: cyclotomic.valuation_at multiplies by the
 binomials 1 - q^m of the Moebius factorisation of Phi_d with exponent -1
 and divides in place by those with exponent +1, each a linear pass over
@@ -48,13 +55,15 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .cyclotomic import (
+    binomial_form,
     cyclotomic,
     divisors,
     q_integer_cyclotomic_factors,
     valuation_at,
 )
-from .polycore import INFINITE, Poly, one_minus_q
+from .polycore import INFINITE, Poly, _divide_one_minus, one_minus_q
 from .qseries import (
+    FactoredProduct,
     FamilySpec,
     SeriesSum,
     _Accumulator,
@@ -196,19 +205,18 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     denominator collides with the modulus.
     """
     t0 = time.perf_counter()
-    common, left, right = _reduced_cross_products(lhs, rhs)
+    reduced, left, right = _lcm_cross_products(lhs, rhs)
     delta = left - right
     del left, right     # not held through the valuation passes
     t1 = time.perf_counter()
     identical = delta.is_zero()
     parts = []
     for d, e in modulus.parts:
-        required = e
-        if count_denominators:
-            required += lhs.denominator.ord_cyclotomic(d) \
-                + rhs.denominator.ord_cyclotomic(d)
-        found = INFINITE if identical \
-            else valuation_at(delta, d) + common.ord_cyclotomic(d)
+        dens = lhs.denominator.ord_cyclotomic(d) \
+            + rhs.denominator.ord_cyclotomic(d)
+        required = e + dens if count_denominators else e
+        found = INFINITE if identical else valuation_at(delta, d) + dens \
+            - max(r.ord_cyclotomic(d) for r in reduced)
         parts.append(PartResult(d, required, found, found - required,
                                 component))
     t2 = time.perf_counter()
@@ -222,25 +230,62 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
     """Exact equality of the two rational functions (cross-multiplied)."""
-    _, left, right = _reduced_cross_products(lhs, rhs)
+    _, left, right = _lcm_cross_products(lhs, rhs)
     return left == right
 
 
-def _reduced_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """(G * C_L * C_R, (R_R/G) * lhsN, (R_L/G) * rhsN).
+def _lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
+    """((R_L, R_R), (L/R_L) * lhsN, (L/R_R) * rhsN) for the reduced
+    denominators R_L = D_L / C_L and R_R = D_R / C_R and their cyclotomic
+    lcm L.
 
-    C_L, C_R are the cofactors, R_L = D_L / C_L and R_R = D_R / C_R the
-    reduced denominators, and G the binomials R_L and R_R share.  The two
-    products differ by the factor G * C_L * C_R from the full
-    cross-multiplied ones of the nominal numerators C * N, so they are
-    equal exactly when those are.
+    Both products are L * (LHS - RHS) split in two, so they are equal
+    exactly when the two sides are.
     """
-    common, left_den, right_den = \
-        lhs.denominator.divided_by(lhs.cofactor).split_common(
-            rhs.denominator.divided_by(rhs.cofactor))
-    return (common.times(lhs.cofactor).times(rhs.cofactor),
-            right_den.multiply(lhs.numerator),
-            left_den.multiply(rhs.numerator))
+    reduced = (lhs.denominator.divided_by(lhs.cofactor),
+               rhs.denominator.divided_by(rhs.cofactor))
+    over_left, over_right = _lcm_lifts(*reduced)
+    return (reduced, _lift(lhs.numerator, over_left),
+            _lift(rhs.numerator, over_right))
+
+
+def _lcm_lifts(left: FactoredProduct, right: FactoredProduct):
+    """(L / left, L / right) for the cyclotomic lcm L of two products of
+    binomials, L_d = max(ord_d(left), ord_d(right)), each as the net
+    exponents m -> g of its binomials 1 - q^m (g < 0 divides).
+
+    L / left is cyclotomic.binomial_form of the Phi_d content by which
+    right exceeds left, so only right's content is read; L / right is
+    that times left / right.  Both are 1 and left / right when left holds
+    right's binomials.
+    """
+    over_left = binomial_form({
+        d: more for d, e in right.cyclotomic_content().items()
+        if (more := e - left.ord_cyclotomic(d)) > 0})
+    over_right = dict(over_left)
+    for m, e in left.factors.items():
+        over_right[m] = over_right.get(m, 0) + e
+    for m, e in right.factors.items():
+        over_right[m] = over_right.get(m, 0) - e
+    return over_left, {m: g for m, g in over_right.items() if g}
+
+
+def _lift(numerator: Poly, net: dict[int, int]) -> Poly:
+    # numerator * prod (1 - q^m)^g: the passes with g > 0 first, then the
+    # exact divisions (g < 0) in place, the longest binomial first
+    if not net or numerator.is_zero():
+        return numerator
+    lifted = numerator.times_one_minus(
+        [m for m, g in sorted(net.items()) for _ in range(g)])
+    down = [m for m, g in sorted(net.items(), reverse=True)
+            for _ in range(-g)]
+    if not down:
+        return lifted
+    cs = list(lifted.coeffs)
+    for m in down:
+        if not _divide_one_minus(cs, m):
+            raise AssertionError(f"inexact division by 1 - q^{m}")
+    return Poly._adopt(cs, lifted.offset)
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
@@ -485,15 +530,18 @@ def _correction_case(family: str, conjectural: bool, kind: str, n: int
 
 
 def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
-                             kind: str, n: int, r: int = 1, d: int = 2,
+                             kind: str, n: int, r: int = 1,
+                             d: int | None = None,
                              ) -> CongruenceReport:
-    # div None takes the divisor from the d axis; squared makes the inner
-    # base n^2 instead of n.
-    _require_case(n, r, d)
+    # div None takes the divisor from the d axis (default 2), which only
+    # that row has; squared makes the inner base n^2 instead of n.
+    if div is not None and d is not None:
+        raise TypeError(f"check {kind!r} takes no d")
     label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
     if div is None:
-        div = params["d"] = d
-        label += f" d={d}"
+        div = params["d"] = 2 if d is None else d
+        label += f" d={div}"
+    _require_case(n, r, div)
     t0 = time.perf_counter()
     lhs = sum_truncated(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
     first = sum_truncated(FamilySpec("M", 1, (n - 1) // div))

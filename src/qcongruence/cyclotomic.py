@@ -104,6 +104,25 @@ def _binomial_exponents(d: int) -> tuple[list[int], list[int]]:
     return up, down
 
 
+def binomial_form(content: dict[int, int]) -> dict[int, int]:
+    """The net exponents m -> g != 0 of prod over d of B_d^content[d]
+    written as prod over m of (1 - q^m)^g, with B_d = Phi_d for d >= 2
+    and B_1 = 1 - q; g < 0 divides.  The form is unique, since
+    1 - q^m is the product of B_d over the divisors d of m.
+
+    >>> binomial_form({3: 1, 6: 1})     # Phi_3 Phi_6 = (1 - q^6) / (1 - q^2)
+    {6: 1, 2: -1}
+    """
+    net: dict[int, int] = {}
+    for d, e in content.items():
+        up, down = _binomial_exponents(d)
+        for m in down:
+            net[m] = net.get(m, 0) + e
+        for m in up:
+            net[m] = net.get(m, 0) - e
+    return {m: g for m, g in net.items() if g}
+
+
 def valuation_at(a: Poly, d: int):
     """Largest e with Phi_d^e dividing a; INFINITE for a = 0.
 

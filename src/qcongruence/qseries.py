@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .cyclotomic import divisors
 from .polycore import Poly, _divide_one_minus, _times_one_minus
 
 PLAIN_FAMILIES = ("C", "J", "M")
@@ -96,24 +97,19 @@ class FactoredProduct:
                 del rest[m]
         return FactoredProduct(rest)
 
-    def split_common(self, other: "FactoredProduct"
-                     ) -> tuple["FactoredProduct", "FactoredProduct",
-                                "FactoredProduct"]:
-        """(G, self / G, other / G), G the binomials both products share.
-
-        G takes each 1 - q^m to the smaller of its two exponents; it is
-        read off the factored forms, with no arithmetic on polynomials.
-        """
-        common = FactoredProduct({
-            m: min(e, other.factors[m])
-            for m, e in self.factors.items() if m in other.factors})
-        return common, self.divided_by(common), other.divided_by(common)
-
     def ord_cyclotomic(self, d: int) -> int:
         """Multiplicity of the d-th cyclotomic polynomial, analytically."""
         if d < 1:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
+
+    def cyclotomic_content(self) -> dict[int, int]:
+        """d -> ord_cyclotomic(d) for every d at which it is positive."""
+        content: dict[int, int] = {}
+        for m, e in self.factors.items():
+            for d in divisors(m):
+                content[d] = content.get(d, 0) + e
+        return content
 
     def multiply(self, lp: Poly) -> Poly:
         """lp times this product, exactly: one linear pass per binomial."""

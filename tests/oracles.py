@@ -6,6 +6,7 @@ the binomial-pass valuation and cyclotomic construction), the rewrite of
 binomial, and the pole-free q = 1 value of a plain-family term.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -75,9 +76,11 @@ def ord_cyclotomic_in_one_minus_pow(d: int, m: int) -> int:
     return 1 if m % d == 0 else 0
 
 
+@functools.cache
 def central_q_binomial(k: int, base: int = 1) -> Poly:
     """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial: the product
     of q^{si} - 1 over k < i <= 2k, long-divided by q^{si} - 1 for i <= k.
+    Memoized per (k, base); a Poly is immutable, so sharing it is safe.
     """
     num = Poly.one()
     for i in range(k + 1, 2 * k + 1):

@@ -123,6 +123,58 @@ def _division_valuation(lp, d):
         count += 1
 
 
+def _lcm_content(fp_a, fp_b):
+    # d -> the larger of the two Phi_d multiplicities, for every d up to
+    # the largest binomial
+    top = max(set(fp_a.factors) | set(fp_b.factors), default=0)
+    return {d: max(fp_a.ord_cyclotomic(d), fp_b.ord_cyclotomic(d))
+            for d in range(1, top + 1)}
+
+
+def _signed_cyclotomic_product(content):
+    # prod over d of B_d^content[d] in the binomials' basis, B_1 = 1 - q:
+    # the product of the cyclotomic(d)^content[d] times (-1)^content[1]
+    acc = Poly.one()
+    for d, e in sorted(content.items()):
+        for _ in range(e):
+            acc = mul_schoolbook(acc, cyclotomic(d))
+    return acc.scale((-1) ** content.get(1, 0))
+
+
+def test_lcm_lifts_are_content_maxima_and_exact_quotients():
+    # The content is ord_cyclotomic at every d, (L / R) * R expands to +-L
+    # for L the larger of the two contents at each d, and a side whose
+    # binomials hold the other's is lifted by nothing while the other is
+    # lifted by exactly the binomials it lacks.
+    rng = random.Random(2019)
+    for _ in range(150):
+        a, b = (FactoredProduct({rng.randint(1, 24): rng.randint(1, 3)
+                                 for _ in range(rng.randint(0, 5))})
+                for _ in range(2))
+        draw = rng.random()
+        if draw < 0.3:
+            b = b.times(a)     # a's binomials all in b
+        elif draw < 0.6:
+            a = a.times(b)
+        over_a, over_b = congruence._lcm_lifts(a, b)
+        for fp in (a, b):
+            assert fp.cyclotomic_content() == {
+                d: fp.ord_cyclotomic(d) for d in range(1, 25)
+                if fp.ord_cyclotomic(d)}
+        signed_lcm = _signed_cyclotomic_product(_lcm_content(a, b))
+        for fp, over in ((a, over_a), (b, over_b)):
+            up = FactoredProduct({m: g for m, g in over.items() if g > 0})
+            down = FactoredProduct({m: -g for m, g in over.items() if g < 0})
+            assert _times_expanded(_times_expanded(Poly.one(), up), fp) \
+                == _times_expanded(signed_lcm, down)
+        for small, big, over_small, over_big in ((a, b, over_a, over_b),
+                                                 (b, a, over_b, over_a)):
+            if all(big.factors.get(m, 0) >= e
+                   for m, e in small.factors.items()):
+                assert over_big == {}
+                assert over_small == big.divided_by(small).factors
+
+
 @pytest.mark.parametrize("case", [
     dict(kind="thm1-full", n=3, r=2),
     dict(kind="conj43", n=3, r=1, d=2),
@@ -131,9 +183,9 @@ def _division_valuation(lp, d):
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
-    # both denominators expanded) and G the binomials the reduced
-    # denominators D_L / C_L and D_R / C_R share, the delta handed to
-    # valuation_at times G C_L C_R is full, and every found valuation is
+    # both denominators expanded) and L the cyclotomic lcm of the reduced
+    # denominators D_L / C_L and D_R / C_R, the delta handed to
+    # valuation_at times D_L D_R is +-L full, and every found valuation is
     # full's, counted by repeated division.
     seen = []
     real_check = congruence.check_congruence
@@ -142,8 +194,8 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     def check(lhs, rhs, modulus, **kwargs):
         full = _times_expanded(_nominal(lhs), rhs.denominator) \
             - _times_expanded(_nominal(rhs), lhs.denominator)
-        shared = _shared(_reduced(lhs), _reduced(rhs)).times(
-            lhs.cofactor).times(rhs.cofactor)
+        lcm = _signed_cyclotomic_product(
+            _lcm_content(_reduced(lhs), _reduced(rhs)))
         deltas = []
         monkeypatch.setattr(
             congruence, "valuation_at",
@@ -155,7 +207,9 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
             assert all(p.found == INFINITE for p in report.parts)
         else:
             assert deltas
-            assert all(_times_expanded(a, shared) == full for a in deltas)
+            assert all(_times_expanded(_times_expanded(a, lhs.denominator),
+                                       rhs.denominator)
+                       == mul_schoolbook(lcm, full) for a in deltas)
             assert [p.found for p in report.parts] \
                 == [_division_valuation(full, d) for d, _ in modulus.parts]
         seen.append(len(deltas))
@@ -164,6 +218,50 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     monkeypatch.setattr(congruence, "check_congruence", check)
     verify_case(**case)
     assert sum(seen) > 0
+
+
+def _random_poly(rng):
+    return Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 12))],
+                rng.randint(-4, 4))
+
+
+def test_found_matches_full_difference_on_random_pairs():
+    # Denominators over 1 - q^{2j} against 1 - q^{2n^2 k}: they share
+    # Phi_d content through different binomials, so the lcm lift divides.
+    # Every found equals the repeated-division valuation of the schoolbook
+    # full difference of the nominal numerators.
+    rng = random.Random(4142)
+    shapes = set()
+    for trial in range(60):
+        n = rng.choice((3, 5))
+        den_l = FactoredProduct({2 * j: rng.randint(1, 3)
+                                 for j in rng.sample(range(1, 14), 4)})
+        den_r = FactoredProduct({2 * n * n * k: rng.randint(1, 2)
+                                 for k in rng.sample(range(1, 3), 1)})
+        cof_l = FactoredProduct({m: 1 for m in list(den_l.factors)[:1]}) \
+            if trial % 3 == 0 else FactoredProduct()
+        lhs = SeriesSum(_random_poly(rng), den_l, cof_l)
+        rhs = SeriesSum(_random_poly(rng), den_r)
+        if trial % 10 == 1:
+            rhs = lhs                               # identical sides
+        elif trial % 10 == 2:
+            rhs = SeriesSum(Poly.zero(), den_r)     # a zero numerator
+        elif trial % 10 == 3:
+            lhs, rhs = rhs, lhs
+        modulus = ModulusSpec([(d, 1) for d in sorted(
+            {2, n, 2 * n, n * n, 2 * n * n, rng.randint(3, 40)})])
+        full = _times_expanded(_nominal(lhs), rhs.denominator) \
+            - _times_expanded(_nominal(rhs), lhs.denominator)
+        report = check_congruence(lhs, rhs, modulus)
+        assert report.identically_equal == full.is_zero()
+        expected = [INFINITE if full.is_zero() else _division_valuation(full, d)
+                    for d, _ in modulus.parts]
+        assert [p.found for p in report.parts] == expected, trial
+        assert check_identity_equal(lhs, rhs) == full.is_zero()
+        over_l, over_r = congruence._lcm_lifts(_reduced(lhs), _reduced(rhs))
+        shapes.add((full.is_zero(), any(g < 0 for g in over_l.values())
+                    or any(g < 0 for g in over_r.values())))
+    assert shapes == {(True, False), (False, True), (False, False)}
 
 
 def _full_accumulation(spec):
@@ -461,6 +559,11 @@ def test_verify_case_rejects_bad_parameters():
         verify_case("thm1-half", n=3, half=False)
     with pytest.raises(TypeError):
         verify_case("gw", n=3, conjectural=True)
+    # only conj43 of the product checks has a d axis
+    with pytest.raises(TypeError):
+        verify_case("conj41", n=3, d=1)
+    with pytest.raises(TypeError):
+        verify_case("conj42", n=3, d=1)
 
 
 # ---------------------------------------------------------------------------

@@ -143,24 +143,6 @@ def _random_factored(rng):
     return FactoredProduct(factors)
 
 
-def test_split_common_is_shared_binomials_and_exact_quotients():
-    rng = random.Random(2019)
-    for _ in range(300):
-        a, b = _random_factored(rng), _random_factored(rng)
-        if rng.random() < 0.3:
-            b = b.times(a)     # a's binomials all shared
-        common, a_rest, b_rest = a.split_common(b)
-        for m in set(a.factors) | set(b.factors):
-            assert common.factors.get(m, 0) \
-                == min(a.factors.get(m, 0), b.factors.get(m, 0))
-        assert not set(a_rest.factors) & set(b_rest.factors)
-        for whole, rest in ((a, a_rest), (b, b_rest)):
-            assert common.times(rest) == whole
-            for d in range(1, 41):
-                assert whole.ord_cyclotomic(d) \
-                    == common.ord_cyclotomic(d) + rest.ord_cyclotomic(d)
-
-
 def test_divided_by_non_sub_multiset_raises():
     rng = random.Random(77)
     for _ in range(100):
