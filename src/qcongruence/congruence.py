@@ -33,12 +33,16 @@ binomials (1 - q^{2j} against 1 - q^{2n^2 k} in the base-n^2 product
 checks) enters L once, not once per side, so valuation_at makes no pass
 for the second copy.
 
-The valuation of delta is counted one exact division by Phi_d at a time,
-but Phi_d is never built: cyclotomic.valuation_at multiplies by the
-binomials 1 - q^m of the Moebius factorisation of Phi_d with exponent -1
-and divides in place by those with exponent +1, each a linear pass over
-the coefficients.  Laurent offsets do not matter, since q is a unit
-modulo every Phi_d.
+The valuation of delta is counted one power of Phi_d at a time, and
+Phi_d is never built: cyclotomic.valuation_at divides delta in place by
+1 - q^d, which holds Phi_d once, one linear pass per power for as long
+as the division is exact.  The pass that fails leaves delta's residue
+mod q^d - 1 in its last d coefficients, and Phi_d divides delta iff it
+divides that residue.  Only if it does is the pass undone and the rest
+counted through the Moebius factorisation of Phi_d: a product with each
+binomial 1 - q^m of exponent -1, then an in-place division by each of
+exponent +1.  Laurent offsets do not matter, since q is a unit modulo
+every Phi_d.
 
 verify_case looks up the runner of the named check in _RUNNERS, one row
 per check with the check's constants bound in; the runner validates its

@@ -11,6 +11,16 @@ mu(e) = -1; one exact division by Phi_d is a product with each binomial
 of mu(e) = -1 followed by an in-place exact division by each binomial of
 mu(e) = +1.  Each step is one linear pass over the coefficient list that
 runs in C.  Cyclotomic polynomials are memoized.
+
+The valuation makes that product only when it must.  1 - q^d, the
+product of Phi_e over e | d, holds exactly one Phi_d, so while it
+divides, each power of Phi_d costs one in-place pass.  The pass that
+fails leaves the class sums of the list, its residue R mod q^d - 1, in
+its last d slots; since Phi_d divides q^d - 1, Phi_d divides the list
+iff it divides R, which a Moebius check settles on d coefficients.  Only
+when it does (some proper divisor's Phi_e is used up, so 1 - q^d never
+divides again) is the list restored and the rest counted through the
+Moebius factorisation.
 """
 
 from __future__ import annotations
@@ -126,9 +136,11 @@ def binomial_form(content: dict[int, int]) -> dict[int, int]:
 def valuation_at(a: Poly, d: int):
     """Largest e with Phi_d^e dividing a; INFINITE for a = 0.
 
-    The offset is ignored, since q is a unit modulo every Phi_d.
-    Each pass is one exact division by Phi_d through its binomial factors
-    (see the module docstring); the first inexact one ends the count.
+    The offset is ignored, since q is a unit modulo every Phi_d.  Each
+    exact in-place division by 1 - q^d counts one Phi_d; at the first
+    inexact one the residue of the list mod q^d - 1 decides whether Phi_d
+    divides it at all, and only then are the remaining powers counted one
+    exact division by Phi_d at a time (module docstring).
 
     >>> valuation_at(Poly([1, 0, 0, 0, 0, 0, -1]) ** 2, 3)
     2
@@ -137,8 +149,26 @@ def valuation_at(a: Poly, d: int):
         raise ValueError("cyclotomic index must be >= 1")
     if a.is_zero():
         return INFINITE
-    up, down = _binomial_exponents(d)
     cs = list(a.coeffs)
+    count = 0
+    while _divide_one_minus(cs, d):
+        count += 1
+    n = len(cs)
+    if n <= d:
+        return count + _count_phi(cs, d)    # untouched: it is its residue
+    # The last d slots hold the class sums of slots n - d.. mod d: the
+    # residue mod q^d - 1 times a power of q, a unit modulo Phi_d.
+    if not _count_phi(cs[n - d:], d):
+        return count
+    cs = _times_one_minus(cs, d)        # the running sums, undone
+    del cs[n:]
+    return count + _count_phi(cs, d)
+
+
+def _count_phi(cs: list, d: int) -> int:
+    # Exact divisions of the nonzero cs by Phi_d through its binomials,
+    # until one fails; cs is consumed.
+    up, down = _binomial_exponents(d)
     count = 0
     while True:
         for m in up:

@@ -123,7 +123,9 @@ def _divide_one_minus(x: list, m: int) -> bool:
     # Divide a nonzero x by (1 - q^m) in place: the quotient y has y[i] =
     # x[i] + y[i - m], a running sum along each residue class mod m.  The
     # division is exact iff the last m running sums vanish; they are then
-    # deleted.  On False, x is left holding the running sums.
+    # deleted.  On False, x is left holding the running sums, whose last m
+    # are the class sums, x mod q^m - 1 (slot j: the exponents = j mod m),
+    # or is left as it was if it has at most m slots.
     n = len(x)
     if n <= m:
         return False    # nonzero of degree < m

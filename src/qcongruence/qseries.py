@@ -111,14 +111,10 @@ class FactoredProduct:
                 content[d] = content.get(d, 0) + e
         return content
 
-    def multiply(self, lp: Poly) -> Poly:
-        """lp times this product, exactly: one linear pass per binomial."""
-        return lp.times_one_minus(
-            [m for m in sorted(self.factors) for _ in range(self.factors[m])])
-
     def expand(self) -> Poly:
-        """Multiply everything out; equals the product of the parts exactly."""
-        return self.multiply(Poly.one())
+        """Multiply everything out, one linear pass per binomial."""
+        return Poly.one().times_one_minus(
+            [m for m in sorted(self.factors) for _ in range(self.factors[m])])
 
 
 @dataclass

@@ -30,13 +30,15 @@ def div_rem_by_monic(a: Poly, m: Poly) -> tuple[Poly, Poly]:
     r, mc = _dense(a), _dense(m)
     dm = len(mc) - 1
     assert dm >= 1 and mc[-1] == 1, "divisor must be monic and nonconstant"
+    # the divisor's nonzero coefficients, each at its offset from the top
+    terms = [(j - dm, x) for j, x in enumerate(mc) if x]
     q = [0] * max(len(r) - dm, 0)
     for i in range(len(r) - 1, dm - 1, -1):
         c = r[i]
         if c:
             q[i - dm] = c
-            for j, x in enumerate(mc):
-                r[i - dm + j] -= c * x
+            for j, x in terms:
+                r[i + j] -= c * x
     return Poly(q), Poly(r[:dm])
 
 

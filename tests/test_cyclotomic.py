@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -16,6 +17,9 @@ from oracles import (
     euler_phi,
     ord_cyclotomic_in_one_minus_pow,
 )
+
+# the module itself: the package's name `cyclotomic` is the function
+cyclotomic_module = importlib.import_module("qcongruence.cyclotomic")
 
 
 def test_first_values():
@@ -117,22 +121,70 @@ def random_laurent(rng, length, bits):
 @pytest.mark.parametrize("bits", [3, 64, 300])
 def test_valuation_matches_repeated_division(bits):
     # a * Phi_d^k, where a sometimes carries 1 - q^j for a proper divisor j
-    # of d: the Phi_e content of every other e | d, but no Phi_d
-    rng = random.Random(bits)
+    # of d: the Phi_e content of every other e | d, but no Phi_d.  Each is
+    # also taken times (1 - q^d)^c, so that the Moebius passes follow c
+    # divisions by 1 - q^d; 1 - q^d holds Phi_d once, so the oracle's
+    # count for a * Phi_d^k grows by c.  Beside them comes an a * Phi_d^k
+    # of at most d coefficients, which no division by 1 - q^d touches.
+    # The extra inputs draw from a second generator, leaving the first
+    # one's as they were.
+    rng, extra = random.Random(bits), random.Random(-bits)
     for d in ORACLE_INDICES:
         assert valuation_at(Poly(), d) == INFINITE
         phi = cyclotomic(d)
         for k in range(6):
+            phi_k = phi ** k
             for _ in range(4):
                 a = random_laurent(rng, rng.randint(1, 2 * d + 8), bits)
                 if a.is_zero():
                     continue
                 if d > 1 and rng.random() < 0.5:
                     a = a * one_minus_q(rng.choice(divisors(d)[:-1]))
-                x = a * phi ** k
+                x = a * phi_k
                 expected = valuation_by_repeated_division(x, d)
                 assert expected >= k
                 assert valuation_at(x, d) == expected, (d, k)
+                c = extra.randint(1, 3)
+                x = x.times_one_minus([d] * c)
+                assert valuation_at(x, d) == expected + c, (d, k, c)
+            room = d - k * euler_phi(d)
+            if room < 1:
+                continue
+            a = random_laurent(extra, extra.randint(1, room), bits)
+            if a.is_zero():
+                continue
+            x = a * phi_k
+            assert len(x.coeffs) <= d
+            assert valuation_at(x, d) == \
+                valuation_by_repeated_division(x, d), (d, k)
+
+
+def test_valuation_makes_one_pass_per_power_of_one_minus_q_d(monkeypatch):
+    # b * (1 - q^7)^c with b(1) != 0: c exact divisions by 1 - q^7 and the
+    # inexact one are the only passes over the list; the residue check
+    # after them works on at most 2 * 7 coefficients, and nothing
+    # multiplies the list
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(cs, m, *args):
+            calls.append((name, len(cs)))
+            return fn(cs, m, *args)
+        return wrapper
+
+    for name in ("_divide_one_minus", "_times_one_minus"):
+        monkeypatch.setattr(cyclotomic_module, name,
+                            counted(name, getattr(cyclotomic_module, name)))
+    rng = random.Random(7)
+    for c in range(5):
+        b = Poly([rng.randint(1, 99) for _ in range(40)])   # b(1) > 0
+        assert valuation_by_repeated_division(b, 7) == 0
+        a = b * one_minus_q(7) ** c
+        calls.clear()
+        assert valuation_at(a, 7) == c
+        passes = [call for call in calls if call[1] > 2 * 7]
+        assert passes == [("_divide_one_minus", 40 + 7 * (c - i))
+                          for i in range(c + 1)], c
 
 
 def test_valuation_of_short_inputs_is_zero():

@@ -187,6 +187,27 @@ def test_binomial_kernels_round_trip():
         assert not _divide_one_minus(bumped, m)
 
 
+def test_inexact_binomial_division_leaves_the_class_sums():
+    # Dividing x by 1 - q^m is exact iff every class sum of x mod m
+    # vanishes.  When it is not, a list longer than m ends with those sums,
+    # the residue of x mod q^m - 1: slot j of the list holds the sum over
+    # the exponents = j mod m.  A list of at most m slots is left as it is.
+    rng = random.Random(23)
+    for _ in range(400):
+        m = rng.randint(1, 12)
+        x = [rng.randint(-(1 << 70), 1 << 70)
+             for _ in range(rng.randint(1, 3 * m))]
+        if not any(x):
+            continue
+        n, work = len(x), list(x)
+        sums = [sum(x[j::m]) for j in range(m)]
+        assert _divide_one_minus(work, m) == (n > m and not any(sums))
+        if n <= m:
+            assert work == x
+        elif any(sums):
+            assert work[n - m:] == [sums[j % m] for j in range(n - m, n)]
+
+
 def _fold_one_minus(lp, exps):
     # the oracle: one general product by one_minus_q(e) per factor
     for e in exps:
