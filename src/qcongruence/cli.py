@@ -41,7 +41,7 @@ from .padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from .polycore import Poly, mul_schoolbook, one_minus_q
+from .polycore import Poly, one_minus_q
 
 
 def _first_repeat(values: list):
@@ -407,8 +407,10 @@ def _cmd_single(args) -> int:
     classical = args.command == "classical"
     if classical:
         cfg = RunConfig(checks=[args.check], primes=[args.p],
-                        r_max=args.r or 1, dwork_degree_cap=args.kcap)
-        flags = {"r": args.r, "exponent": args.exp}
+                        r_max=args.r or 1,
+                        dwork_degree_cap=50 if args.kcap is None
+                        else args.kcap)
+        flags = {"r": args.r, "exponent": args.exp, "kcap": args.kcap}
     else:
         cfg = RunConfig(checks=[args.check], n_values=[args.n],
                         r_max=args.r or 1,
@@ -429,8 +431,8 @@ def _cmd_single(args) -> int:
         repeat = _first_repeat(values)
         if repeat is not None:
             return _usage_error(f"duplicate value {repeat} in --{axis}")
-        if axis != "d":     # d reaches the grid and digest as cfg.d_values
-            pinned[axis] = values
+        if axis not in ("d", "kcap"):   # these reach the grid and digest
+            pinned[axis] = values       # as cfg.d_values, dwork_degree_cap
     try:
         entries = [run_case(spec) for spec in check.grid(cfg, pinned)]
     except (ValueError, ZeroDivisionError) as exc:
@@ -474,13 +476,8 @@ def _cmd_bench(args) -> int:
             a, b = (Poly([rng.randrange(-bound, bound + 1)
                           for _ in range(size)] + [1]) for _ in range(2))
             t0 = time.perf_counter()
-            auto = a * b
+            a * b
             t1 = time.perf_counter()
-            school = mul_schoolbook(a, b)
-            t2 = time.perf_counter()
-            if auto != school:
-                print("error: strategy mismatch", file=sys.stderr)
-                return 1
             multiple = a * cyclotomic(7) ** 8
             t3 = time.perf_counter()
             found = valuation_at(multiple, 7)
@@ -501,8 +498,7 @@ def _cmd_bench(args) -> int:
             if difference != a + (-lb):
                 print("error: subtract mismatch", file=sys.stderr)
                 return 1
-            for label, seconds in ((f"mul (auto strategy{tag})", t1 - t0),
-                                   (f"mul (schoolbook{tag})", t2 - t1),
+            for label, seconds in ((f"mul{tag}", t1 - t0),
                                    (f"valuation at Phi_7{tag}", t4 - t3),
                                    (f"times (1-q^m)^k{tag}", t6 - t5),
                                    (f"subtract{tag}", t8 - t7)):
@@ -542,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sampled specialization exponent(s)")
     p_classical.add_argument("--p", type=int, required=True)
     p_classical.add_argument("--exp", type=int, default=None)
-    p_classical.add_argument("--kcap", type=int, default=50)
+    p_classical.add_argument("--kcap", type=int, default=None,
+                             help="dwork degree cap; default: 50")
 
     p_sweep = sub.add_parser("sweep", help="run a config-file case grid")
     p_sweep.add_argument("--config", required=True)

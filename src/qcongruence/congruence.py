@@ -25,13 +25,20 @@ the factored forms without any division.  Neither denominator is
 expanded: L / lhsR is written back as binomials through the Moebius
 factorisation of each Phi_d by which rhsR exceeds lhsR
 (cyclotomic.binomial_form), L / rhsR is that times lhsR / rhsR, and each
-numerator takes one linear pass per binomial of positive exponent, then
-one exact in-place division per binomial of negative exponent.  A side whose reduced denominator holds
-the other's is left as it is, and the other is multiplied by exactly the
-binomials it lacks.  Phi_d content the two sides hold through different
-binomials (1 - q^{2j} against 1 - q^{2n^2 k} in the base-n^2 product
-checks) enters L once, not once per side, so valuation_at makes no pass
-for the second copy.
+numerator is multiplied by its lift through Poly.times_binomials: one
+linear pass per binomial of positive exponent, then one exact in-place
+division per binomial of negative exponent.  A side whose reduced
+denominator holds the other's is left as it is, and the other is
+multiplied by exactly the binomials it lacks.  Phi_d content the two
+sides hold through different binomials (1 - q^{2j} against
+1 - q^{2n^2 k} in the base-n^2 product checks) enters L once, not once
+per side, so valuation_at makes no pass for the second copy.
+
+The right side of the theorem, parametric and closed-form checks carries
+the q-integer [n] = (1 - q^n) / (1 - q), which enters the same way: one
+binomial pass and one exact division, never a general product.  The
+only general products left are those of the product conjectures' two
+sums.
 
 The valuation of delta is counted one power of Phi_d at a time, and
 Phi_d is never built: cyclotomic.valuation_at divides delta in place by
@@ -65,13 +72,14 @@ from .cyclotomic import (
     q_integer_cyclotomic_factors,
     valuation_at,
 )
-from .polycore import INFINITE, Poly, _divide_one_minus, one_minus_q
+from .polycore import INFINITE, Poly, one_minus_q
 from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
     _Accumulator,
     q_integer,
+    q_integer_binomials,
     sum_truncated,
 )
 
@@ -249,8 +257,8 @@ def _lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
     reduced = (lhs.denominator.divided_by(lhs.cofactor),
                rhs.denominator.divided_by(rhs.cofactor))
     over_left, over_right = _lcm_lifts(*reduced)
-    return (reduced, _lift(lhs.numerator, over_left),
-            _lift(rhs.numerator, over_right))
+    return (reduced, lhs.numerator.times_binomials(over_left),
+            rhs.numerator.times_binomials(over_right))
 
 
 def _lcm_lifts(left: FactoredProduct, right: FactoredProduct):
@@ -272,24 +280,6 @@ def _lcm_lifts(left: FactoredProduct, right: FactoredProduct):
     for m, e in right.factors.items():
         over_right[m] = over_right.get(m, 0) - e
     return over_left, {m: g for m, g in over_right.items() if g}
-
-
-def _lift(numerator: Poly, net: dict[int, int]) -> Poly:
-    # numerator * prod (1 - q^m)^g: the passes with g > 0 first, then the
-    # exact divisions (g < 0) in place, the longest binomial first
-    if not net or numerator.is_zero():
-        return numerator
-    lifted = numerator.times_one_minus(
-        [m for m, g in sorted(net.items()) for _ in range(g)])
-    down = [m for m, g in sorted(net.items(), reverse=True)
-            for _ in range(-g)]
-    if not down:
-        return lifted
-    cs = list(lifted.coeffs)
-    for m in down:
-        if not _divide_one_minus(cs, m):
-            raise AssertionError(f"inexact division by 1 - q^{m}")
-    return Poly._adopt(cs, lifted.offset)
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
@@ -353,9 +343,11 @@ def _sign(family: str, n: int) -> int:
     return -1 if family == "J" and ((n - 1) // 2) % 2 else 1
 
 
-def _scale(family: str, n: int) -> Poly:
-    # q^{(1-n)/2} [n], or (-q)^{(1-n)/2} [n] for J; n is odd.
-    return q_integer(n).shift((1 - n) // 2).scale(_sign(family, n))
+def _scaled(series: SeriesSum, family: str, n: int) -> SeriesSum:
+    # series * q^{(1-n)/2} [n], or * (-q)^{(1-n)/2} [n] for J; n is odd.
+    numerator = series.numerator.times_binomials(q_integer_binomials(n))
+    return replace(series, numerator=numerator.shift((1 - n) // 2)
+                   .scale(_sign(family, n)))
 
 
 def _require_case(n: int, r: int = 1, d: int = 1, minimum: int = 3) -> None:
@@ -404,8 +396,7 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
     params = {"n": n, "r": r, "d": d, "j": j, "t": t}
     extra: dict = {}
     if family == "C":
-        rhs = sum_truncated(FamilySpec(fam, n, upper_r, t)) \
-            .scaled_by(_scale(family, n))
+        rhs = _scaled(sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
         equal = check_identity_equal(lhs, rhs)
         m = (2 * j + 1) * n
         closed = SeriesSum(q_integer(m).shift((1 - m) // 2))
@@ -413,11 +404,11 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
         passed = equal and closed_ok
         extra["closed_form"] = closed_ok
     else:
-        rhs_scaled = sum_truncated(FamilySpec(fam, n, upper_r, t)) \
-            .scaled_by(_scale(family, n))
-        rhs_printed = sum_truncated(
-            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)) \
-            .scaled_by(_scale(family, n))
+        rhs_scaled = _scaled(
+            sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
+        rhs_printed = _scaled(sum_truncated(
+            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)),
+            family, n)
         eq_scaled = check_identity_equal(lhs, rhs_scaled)
         eq_printed = check_identity_equal(lhs, rhs_printed)
         equal = eq_scaled
@@ -454,8 +445,7 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
     upper_r = (n ** (r - 1) - 1) // d
     modulus = modulus_q_integer(n ** r)
     lhs = sum_truncated(FamilySpec(fam, 1, upper_l, t))
-    scale = _scale(family, n)
-    rhs = sum_truncated(FamilySpec(fam, n, upper_r, t)).scaled_by(scale)
+    rhs = _scaled(sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
     zero = SeriesSum.zero()
     sub = [
         check_congruence(lhs, zero, modulus, component="lhs==0",
@@ -468,9 +458,9 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
     parts = [p for rep in sub for p in rep.parts]
     extra: dict = {}
     if family == "J":
-        rhs_printed = sum_truncated(
-            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)) \
-            .scaled_by(scale)
+        rhs_printed = _scaled(sum_truncated(
+            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)),
+            family, n)
         printed = [
             check_congruence(rhs_printed, zero, modulus,
                              count_denominators=False),
@@ -502,8 +492,7 @@ def _theorem_case(family: str, half: bool, kind: str, n: int, r: int = 1
     upper_l = (n ** r - 1) // 2 if half else n ** r - 1
     upper_r = (n ** (r - 1) - 1) // 2 if half else n ** (r - 1) - 1
     lhs = sum_truncated(FamilySpec(family, 1, upper_l))
-    rhs = sum_truncated(FamilySpec(family, n, upper_r)) \
-        .scaled_by(_scale(family, n))
+    rhs = _scaled(sum_truncated(FamilySpec(family, n, upper_r)), family, n)
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
         lhs, rhs, modulus,
@@ -515,15 +504,15 @@ def _theorem_case(family: str, half: bool, kind: str, n: int, r: int = 1
 def _correction_case(family: str, conjectural: bool, kind: str, n: int
                      ) -> CongruenceReport:
     # target q^{(1-n)/2}([n] + (n^2-1)(1-q)^2 [n]^3 / 24), sign -q for J,
-    # modulo [n] Phi_n^3; both sides are multiplied by 24.
+    # modulo [n] Phi_n^3; both sides are multiplied by 24.  The correction
+    # is (1 - q)^2 [n]^3 = (1 - q^n)^2 [n], so the right side is
+    # (24 + (n^2-1)(1 - q^n)^2) scaled by [n].
     _require_case(n)
     t0 = time.perf_counter()
     lhs = sum_truncated(FamilySpec(family, 1, (n - 1) // 2))
     lhs = replace(lhs, numerator=lhs.numerator.scale(24))
-    qint = q_integer(n)
-    correction = (qint ** 3).times_one_minus([1, 1]).scale(n * n - 1)
-    rhs = SeriesSum((qint.scale(24) + correction).shift((1 - n) // 2)
-                    .scale(_sign(family, n)))
+    correction = Poly.one().times_one_minus([n, n]).scale(n * n - 1)
+    rhs = _scaled(SeriesSum(Poly([24]) + correction), family, n)
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
         lhs, rhs, _modulus_qint_times_cubed(n),
@@ -586,7 +575,8 @@ def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
     _require_case(n, minimum=1)
     t0 = time.perf_counter()
     lhs = sum_truncated(FamilySpec(family + "_PARAM", 1, (n - 1) // 2, -n))
-    equal = check_identity_equal(lhs, SeriesSum(_scale(family, n)))
+    equal = check_identity_equal(lhs,
+                                 _scaled(SeriesSum(Poly.one()), family, n))
     ms = (time.perf_counter() - t0) * 1e3
     return CongruenceReport(
         label=f"{kind} n={n}", kind=kind, params={"n": n},

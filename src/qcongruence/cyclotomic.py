@@ -5,12 +5,16 @@ Neither ever touches roots of unity.  Both use the Moebius factorisation
 
     Phi_d = prod over e | d of (1 - q^{d/e})^{mu(e)}     (d >= 2),
 
-whose sign is + because the mu(e) sum to 0.  Phi_d itself is the product
-of the binomials with mu(e) = +1, divided in place by each binomial of
-mu(e) = -1; one exact division by Phi_d is a product with each binomial
-of mu(e) = -1 followed by an in-place exact division by each binomial of
-mu(e) = +1.  Each step is one linear pass over the coefficient list that
-runs in C.  Cyclotomic polynomials are memoized.
+whose sign is + because the mu(e) sum to 0.  binomial_form writes a
+product of cyclotomic polynomials as these net binomial exponents, and
+Poly.times_binomials multiplies by them exactly: Phi_d itself is 1 times
+binomial_form({d: 1}), the binomials with mu(e) = +1 multiplied in and
+those with mu(e) = -1 divided out in place.  One exact division by Phi_d
+is the opposite: a product with each binomial of mu(e) = -1 followed by
+an in-place exact division by each binomial of mu(e) = +1.  Each step
+is one linear pass over the coefficient list that runs in C.  Cyclotomic
+polynomials are memoized; Phi_1 = q - 1 is preset, since binomial_form
+stands 1 - q in for it.
 
 The valuation makes that product only when it must.  1 - q^d, the
 product of Phi_e over e | d, holds exactly one Phi_d, so while it
@@ -66,7 +70,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def cyclotomic(n: int) -> Poly:
     """The monic integer polynomial with the primitive n-th roots of unity
-    as roots, built through its binomial factors (module docstring).
+    as roots, built as 1 times the binomials of binomial_form({n: 1}).
 
     >>> cyclotomic(1).coeffs
     (-1, 1)
@@ -78,14 +82,7 @@ def cyclotomic(n: int) -> Poly:
     cached = _CACHE.get(n)
     if cached is not None:
         return cached
-    up, down = _binomial_exponents(n)
-    cs = [1]
-    for m in down:
-        cs = _times_one_minus(cs, m)
-    for m in up:
-        if not _divide_one_minus(cs, m):
-            raise AssertionError(f"inexact cyclotomic division at n={n}")
-    pol = _CACHE[n] = Poly._adopt(cs)
+    pol = _CACHE[n] = Poly.one().times_binomials(binomial_form({n: 1}))
     return pol
 
 

@@ -2,16 +2,17 @@
 
 A Poly holds Python integer coefficients ascending by exponent from an
 integer offset, in one normal form: no zero at either end, and the zero
-polynomial is () at offset 0.  A product is schoolbook when the shorter
-operand is short, and otherwise one Kronecker substitution: both operands
-are packed into big integers, which CPython's C code multiplies.  The
-result never depends on the strategy.  Products with and exact divisions
-by a binomial 1 - q^m never go through the general product: each is a
-single linear pass over a coefficient list (a shifted difference, and a
-running sum per residue class mod m).  Poly.times_one_minus, the q-series
-sums and denominators, cyclotomic.cyclotomic and cyclotomic.valuation_at
-are built from them.  Products and passes of normal-form operands are in
-normal form already, so their lists are adopted as they are; only sums
+polynomial is () at offset 0.  A general product is one Kronecker
+substitution: both operands are packed into big integers, which CPython's
+C code multiplies.  Products with and exact divisions by a binomial
+1 - q^m never go through it: each is a single linear pass over a
+coefficient list (a shifted difference, and a running sum per residue
+class mod m).  Poly.times_one_minus and Poly.times_binomials, the exact
+product with prod (1 - q^m)^g for integer g, are built from them, and so
+are the q-series sums, the q-integer scalings, the lifts of the
+cross-multiplied difference, cyclotomic.cyclotomic and
+cyclotomic.valuation_at.  Products and passes of normal-form operands are
+in normal form already, so their lists are adopted as they are; only sums
 and differences, which can cancel at either end, are trimmed.  All values
 are immutable after construction.
 """
@@ -27,10 +28,6 @@ from typing import Iterable, Union
 
 #: Valuation of the zero polynomial (divisible by every power).
 INFINITE = math.inf
-
-#: Shorter-operand length up to which schoolbook beats Kronecker
-#: substitution (measured crossover).  Correctness never depends on it.
-SCHOOLBOOK_THRESHOLD = 16
 
 
 # ---------------------------------------------------------------------------
@@ -54,23 +51,6 @@ def _sub_lists(a, b) -> list:
         out += a[len(b):]
     else:
         out += map(operator.neg, b[len(a):])
-    return out
-
-
-def _schoolbook(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        if x == 1:
-            for j, y in enumerate(b):
-                out[i + j] += y
-        elif x == -1:
-            for j, y in enumerate(b):
-                out[i + j] -= y
-        else:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 
@@ -98,16 +78,6 @@ def _kronecker(a, b) -> list:
     view = memoryview(product.to_bytes(w * n, "little"))
     return [int.from_bytes(view[i:i + w], "little") - half
             for i in range(0, w * n, w)]
-
-
-def _mul_lists(a, b) -> list:
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) <= SCHOOLBOOK_THRESHOLD:
-        return _schoolbook(a, b)
-    return _kronecker(a, b)
 
 
 def _times_one_minus(cs, m: int, negated: bool = False) -> list:
@@ -234,6 +204,31 @@ class Poly:
             cs = _times_one_minus(cs, abs(e), negated=e < 0)
         return Poly._adopt(cs, offset)
 
+    def times_binomials(self, net: dict[int, int]) -> "Poly":
+        """self * prod over m of (1 - q^m)^net[m], m >= 1, exactly.
+
+        One linear pass per binomial of positive exponent, then one exact
+        in-place division per binomial of negative exponent, the longest
+        first; an inexact division raises AssertionError.
+
+        >>> Poly([1, 1]).times_binomials({4: 1, 2: -1}).coeffs
+        (1, 1, 1, 1)
+        """
+        if not net or not self.coeffs:
+            return self
+        cs = self.coeffs
+        for m, g in sorted(net.items()):
+            for _ in range(g):
+                cs = _times_one_minus(cs, m)
+        down = [m for m, g in sorted(net.items(), reverse=True)
+                for _ in range(-g)]
+        if down and cs is self.coeffs:
+            cs = list(cs)
+        for m in down:
+            if not _divide_one_minus(cs, m):
+                raise AssertionError(f"inexact division by 1 - q^{m}")
+        return Poly._adopt(cs, self.offset)
+
     def _aligned(self, other: "Poly") -> tuple[tuple, tuple, int]:
         # both coefficient tuples written from the lower of the two offsets
         off = min(self.offset, other.offset)
@@ -268,7 +263,9 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._adopt(_mul_lists(self.coeffs, other.coeffs),
+        if not self.coeffs or not other.coeffs:
+            return Poly.zero()
+        return Poly._adopt(_kronecker(self.coeffs, other.coeffs),
                            self.offset + other.offset)
 
     __rmul__ = __mul__
@@ -298,13 +295,6 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def mul_schoolbook(a: Poly, b: Poly) -> Poly:
-    """Reference quadratic product, used as the oracle for strategy checks."""
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    return Poly(_schoolbook(a.coeffs, b.coeffs), a.offset + b.offset)
 
 
 def eval_at(a: Poly, x) -> Fraction:

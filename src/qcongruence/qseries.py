@@ -8,9 +8,13 @@ never carries a sign or a power of q.  Denominators are never expanded
 while a sum is accumulated; consecutive terms of every supported family
 share nested denominators, so each step multiplies the running numerator
 by the new binomials 1 - q^m, one linear pass over its coefficients
-each, and adds the next term's numerator.  Keeping the denominator
-factored also makes its cyclotomic valuations analytic (count the bases
-m divisible by d) instead of requiring any division.
+each, and adds the next term's numerator.  A term's q-integer factor
+[N]_{q^s} = (1 - q^{sN}) / (1 - q^s) enters the same way, as one pass
+and one exact division in place (Poly.times_binomials of
+q_integer_binomials), so building a sum never makes a general product.
+Keeping the denominator factored also makes its cyclotomic valuations
+analytic (count the bases m divisible by d) instead of requiring any
+division.
 
 A specialized parametric sum stops at its first vanishing term: once a
 numerator factor 1 - q^0 enters the nested product at step k0, every
@@ -51,7 +55,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cyclotomic import divisors
-from .polycore import Poly, _divide_one_minus, _times_one_minus
+from .polycore import Poly
 
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
@@ -136,10 +140,6 @@ class SeriesSum:
     def zero() -> "SeriesSum":
         return SeriesSum(Poly.zero())
 
-    def scaled_by(self, factor: Poly) -> "SeriesSum":
-        return SeriesSum(self.numerator * factor, self.denominator,
-                         self.cofactor)
-
     def times(self, other: "SeriesSum") -> "SeriesSum":
         return SeriesSum(self.numerator * other.numerator,
                          self.denominator.times(other.denominator),
@@ -201,16 +201,16 @@ def q_integer(n: int, base: int = 1) -> Poly:
     return Poly._adopt(cs)
 
 
-def _mul_q_integer(lp: Poly, count: int, step: int) -> Poly:
-    # lp * (1 + q^step + ... + q^{step(count-1)})
-    #   = lp * (1 - q^{step*count}) / (1 - q^step):
-    # one binomial pass, then one exact division in place.
-    if lp.is_zero() or count == 1:
-        return lp
-    cs = _times_one_minus(lp.coeffs, step * count)
-    if not _divide_one_minus(cs, step):
-        raise AssertionError("q-integer product division not exact")
-    return Poly._adopt(cs, lp.offset)
+def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
+    """[count] in base q^step as the binomials of Poly.times_binomials:
+    (1 - q^{step*count}) / (1 - q^step), or none at all for count 1.
+
+    >>> q_integer_binomials(3, 2)
+    {6: 1, 2: -1}
+    """
+    if count == 1:
+        return {}
+    return {step * count: 1, step: -1}
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +224,7 @@ def _mul_q_integer(lp: Poly, count: int, step: int) -> Poly:
 def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
     s, t = spec.base, spec.t
     odd = 2 * k - 1
-    if spec.family == "C":
-        return [s * odd] * 4, [2 * s * k] * 4
-    if spec.family == "M":
+    if spec.family in ("C", "M"):
         return [s * odd] * 4, [2 * s * k] * 4
     if spec.family == "J":
         return [s * odd, s * odd, 2 * s * odd], [4 * s * k] * 3
@@ -241,9 +239,10 @@ def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
 def _finish_term(spec: FamilySpec, k: int, prod: Poly) -> Poly:
     s = spec.base
     if spec.family in ("C", "C_PARAM"):
-        return _mul_q_integer(prod, 4 * k + 1, s)
+        return prod.times_binomials(q_integer_binomials(4 * k + 1, s))
     if spec.family in ("J", "J_PARAM"):
-        num = _mul_q_integer(prod, 6 * k + 1, spec.qint_base or s)
+        num = prod.times_binomials(
+            q_integer_binomials(6 * k + 1, spec.qint_base or s))
         return num.shift((spec.prefix_base or s) * k * k)
     # M
     return prod.shift(2 * s * k)

@@ -1,9 +1,11 @@
 """Slow reference implementations the tests compare the engine against.
 
-None of them is used by the engine: monic long division (the oracle for
-the binomial-pass valuation and cyclotomic construction), the rewrite of
-1 - q^m to a positive base, Euler's totient, the cyclotomic content of a
-binomial, and the pole-free q = 1 value of a plain-family term.
+None of them is used by the engine: the quadratic schoolbook product (the
+oracle for the Kronecker product and the binomial passes), monic long
+division (the oracle for the binomial-pass valuation and cyclotomic
+construction), the rewrite of 1 - q^m to a positive base, Euler's
+totient, the cyclotomic content of a binomial, and the pole-free q = 1
+value of a plain-family term.
 """
 
 import functools
@@ -11,6 +13,30 @@ import math
 from fractions import Fraction
 
 from qcongruence.polycore import Poly, eval_at, one_minus_q
+
+
+def _schoolbook(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        if x == 1:
+            for j, y in enumerate(b):
+                out[i + j] += y
+        elif x == -1:
+            for j, y in enumerate(b):
+                out[i + j] -= y
+        else:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def mul_schoolbook(a: Poly, b: Poly) -> Poly:
+    """Reference quadratic product, the oracle for the Kronecker product."""
+    if a.is_zero() or b.is_zero():
+        return Poly.zero()
+    return Poly(_schoolbook(a.coeffs, b.coeffs), a.offset + b.offset)
 
 
 def _dense(p: Poly) -> list:

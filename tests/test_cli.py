@@ -83,6 +83,8 @@ def test_list_and_bench(capsys):
     assert main(["bench", "--sizes", "64"]) == 0
     rows = capsys.readouterr().out
     assert "subtract " in rows and "subtract, 256-bit" in rows
+    assert "mul " in rows and "mul, 256-bit" in rows
+    assert "schoolbook" not in rows
 
 
 @pytest.mark.parametrize("sizes", [["0"], ["-3"], ["16", "0"]])
@@ -396,6 +398,9 @@ def test_asserted_failure_outranks_a_raising_case(tmp_path, capsys,
     (["verify", "--check", "thm1-half", "--n", "3", "--j", "1"], "j"),
     (["verify", "--check", "conj41", "--n", "3", "--t", "7"], "t"),
     (["verify", "--check", "thm1-full", "--n", "3", "--d", "1"], "d"),
+    (["classical", "--check", "c2", "--p", "5", "--kcap", "7"], "kcap"),
+    (["classical", "--check", "c2", "--p", "5", "--kcap", "-3"], "kcap"),
+    (["classical", "--check", "lucas", "--p", "5", "--kcap", "50"], "kcap"),
 ])
 def test_flag_the_check_does_not_take_exit_two(capsys, argv, axis):
     assert main(argv) == 2
@@ -474,6 +479,22 @@ def test_single_case_digest_covers_pinned_axes(capsys, first, second):
 def test_verify_d_default_keeps_digests(capsys, argv, digest):
     # --d left out means d = 2 on a check with a d axis
     assert main(["verify"] + argv + ["--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["config_digest"] == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--check", "c2", "--p", "5"], "2f200319f1d8d3e7"),
+    (["--check", "dwork", "--p", "7", "--r", "2"], "c96ab7bd758edcfc"),
+    (["--check", "dwork", "--p", "7", "--r", "2", "--kcap", "50"],
+     "c96ab7bd758edcfc"),
+    (["--check", "dwork", "--p", "7", "--r", "2", "--kcap", "20"],
+     "25df380a07ec3d36"),
+])
+def test_classical_kcap_reaches_the_digest_as_the_degree_cap(capsys, argv,
+                                                             digest):
+    # --kcap left out means a degree cap of 50; it is not pinned as an axis
+    assert main(["classical"] + argv + ["--format", "json"]) == 0
     meta = json.loads(capsys.readouterr().out)["meta"]
     assert meta["config_digest"] == digest
 

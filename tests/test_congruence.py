@@ -17,7 +17,7 @@ from qcongruence.congruence import (
     verify_parametric_sampled,
 )
 from qcongruence.cyclotomic import cyclotomic
-from qcongruence.polycore import INFINITE, Poly, mul_schoolbook
+from qcongruence.polycore import INFINITE, Poly
 from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
@@ -28,7 +28,7 @@ from qcongruence.qseries import (
     sum_truncated,
 )
 
-from oracles import div_rem_by_monic
+from oracles import div_rem_by_monic, mul_schoolbook
 
 
 def laurent(coeffs, offset=0):

@@ -5,22 +5,19 @@ from fractions import Fraction
 
 from qcongruence.polycore import (
     INFINITE,
-    SCHOOLBOOK_THRESHOLD,
     _add_lists,
     _divide_one_minus,
     _kronecker,
-    _schoolbook,
     _sub_lists,
     _times_one_minus,
     Poly,
     eval_at,
-    mul_schoolbook,
     one_minus_q,
 )
 from qcongruence.cyclotomic import cyclotomic, valuation_at
-from qcongruence.qseries import _mul_q_integer, q_integer
+from qcongruence.qseries import q_integer, q_integer_binomials
 
-from oracles import div_rem_by_monic, normalize_one_minus_pow
+from oracles import div_rem_by_monic, mul_schoolbook, normalize_one_minus_pow
 
 
 def rand_poly(rng, degree, bound=9):
@@ -88,11 +85,11 @@ def _with_zero_run(rng, length, bits):
 
 @pytest.mark.parametrize("bits", [1, 7, 64, 300, 333])
 def test_product_oracle_random(bits):
-    # Seeded differential check of every multiplication strategy against
-    # the quadratic reference, with the shorter operand on both sides of
-    # the schoolbook threshold and 300+-bit signed coefficients.
+    # Seeded differential check of the Kronecker product against the
+    # quadratic reference, with shorter operands of 1 to 97 coefficients
+    # (below, at and above 16) and 300+-bit signed coefficients.
     rng = random.Random(bits)
-    t = SCHOOLBOOK_THRESHOLD
+    t = 16
     cases = []
     for la in (1, 2, t - 1, t, t + 1, 2 * t, 97):
         for lb in (la, la + 3, 20 * la + 5):
@@ -111,7 +108,7 @@ def test_product_oracle_random(bits):
         assert b * a == expected
 
 
-@pytest.mark.parametrize("length", [SCHOOLBOOK_THRESHOLD + 1, 63])
+@pytest.mark.parametrize("length", [17, 63])
 def test_product_oracle_extreme_magnitudes(length):
     # With all coefficients of one sign at 2^k - 1 or 2^k, the middle
     # product coefficient is as large as the operands allow.  Eight
@@ -241,6 +238,67 @@ def test_times_one_minus_zero_exponent_and_zero_operand():
     for exps in ([], [0], [4, -7, 4]):
         assert zero.times_one_minus(exps) == zero == _fold_one_minus(zero,
                                                                     exps)
+
+
+def _binomials_by_schoolbook(ms):
+    # prod over ms of (1 - q^m), every product by the quadratic reference
+    acc = Poly.one()
+    for m in ms:
+        acc = mul_schoolbook(acc, one_minus_q(m))
+    return acc
+
+
+@pytest.mark.parametrize("bits", [256, 300])
+def test_times_binomials_matches_schoolbook_and_long_division(bits):
+    # Seeded: x = base * (the binomials of the net's negative part), so
+    # x * prod (1 - q^m)^g is exact and equals base times the positive
+    # part; it is also the long quotient of x times the positive part by
+    # the negative part, written monic as prod (q^m - 1).
+    rng = random.Random(800 + bits)
+    for _ in range(80):
+        base = _dense(rng, rng.randint(1, 30), bits) \
+            .shift(-rng.randint(1, 20))
+        net = {}
+        for _ in range(rng.randint(0, 5)):
+            m = rng.randint(1, 15)
+            net[m] = net.get(m, 0) + rng.choice((-2, -1, 1, 2))
+        net = {m: g for m, g in net.items() if g}
+        up = [m for m, g in net.items() for _ in range(g)]
+        down = [m for m, g in net.items() for _ in range(-g)]
+        x = mul_schoolbook(base, _binomials_by_schoolbook(down))
+        result = x.times_binomials(net)
+        assert result == mul_schoolbook(base, _binomials_by_schoolbook(up))
+        assert result == Poly(result.coeffs, result.offset)
+        if not down:
+            continue
+        lifted = mul_schoolbook(Poly(x.coeffs), _binomials_by_schoolbook(up))
+        monic = Poly.one()
+        for m in down:
+            monic = mul_schoolbook(monic, -one_minus_q(m))
+        quotient, remainder = div_rem_by_monic(lifted, monic)
+        assert remainder.is_zero()
+        assert result == quotient.scale((-1) ** len(down)).shift(x.offset)
+        # 1 more in the lowest coefficient: x(1) = 0 becomes 1, so no
+        # binomial 1 - q^m divides the bumped list any more
+        bumped = x + Poly([1], x.offset)
+        with pytest.raises(AssertionError):
+            bumped.times_binomials({m: g for m, g in net.items() if g < 0})
+
+
+def test_times_binomials_edge_cases():
+    x = Poly([3, -1, 2], -4)
+    assert x.times_binomials({}) is x
+    assert Poly.zero().times_binomials({5: -1}) == Poly.zero()
+    with pytest.raises(AssertionError):     # (1 - q^4) / (1 - q^3)
+        Poly.one().times_binomials({4: 1, 3: -1})
+    # [1] in any base is 1: the literal {step * 1: 1, step: -1} would
+    # collapse to a division by 1 - q^step
+    for step in (1, 2, 7):
+        assert q_integer_binomials(1, step) == {}
+        assert x.times_binomials(q_integer_binomials(1, step)) is x
+        for count in (2, 5):
+            assert x.times_binomials(q_integer_binomials(count, step)) \
+                == mul_schoolbook(x, q_integer(count, step))
 
 
 def test_valuation_examples():
@@ -456,14 +514,14 @@ def test_adopted_pass_outputs_equal_public_constructor(bits):
         for cs, off in (
                 (_times_one_minus(x.coeffs, m), x.offset),
                 (_times_one_minus(x.coeffs, m, negated=True), x.offset - m),
-                (_schoolbook(x.coeffs, y.coeffs), x.offset + y.offset),
                 (_kronecker(x.coeffs, y.coeffs), x.offset + y.offset),
                 (quotient, y.offset)):
             assert Poly._adopt(cs, off) == Poly(cs, off)
         exps = [rng.choice((1, -1)) * rng.randint(1, 12) for _ in range(3)]
         for p in (x * y, y * x, x ** 2, -x, x.scale(_signed(rng, bits)),
                   x.shift(m), x.times_one_minus(exps),
-                  _mul_q_integer(x, rng.randint(1, 9), rng.randint(1, 5))):
+                  x.times_binomials(q_integer_binomials(rng.randint(1, 9),
+                                                        rng.randint(1, 5)))):
             assert p == Poly(p.coeffs, p.offset)
     for n in range(1, 60):
         for p in (cyclotomic(n), q_integer(n, rng.randint(1, 4))):

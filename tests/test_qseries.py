@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence.congruence import _scaled
 from qcongruence.cyclotomic import valuation_at
 from qcongruence.polycore import Poly, one_minus_q
 from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _mul_q_integer,
     classical_term_value,
     eta_product_coefficients,
     q_integer,
+    q_integer_binomials,
     sum_truncated,
     term_of,
 )
@@ -134,7 +135,7 @@ def test_q_integer_product_matches_general_product():
         lp = Poly([rng.randint(-(1 << 80), 1 << 80)
                    for _ in range(rng.randint(1, 40))], rng.randint(-9, 9))
         count, step = rng.randint(1, 30), rng.randint(1, 8)
-        assert _mul_q_integer(lp, count, step) \
+        assert lp.times_binomials(q_integer_binomials(count, step)) \
             == lp * q_integer(count, step)
 
 
@@ -290,10 +291,10 @@ def test_series_sum_carries_its_cofactor():
     a = sum_truncated(FamilySpec("C_PARAM", 1, 4, -3))
     b = sum_truncated(FamilySpec("J_PARAM", 3, 3, 3))
     assert a.cofactor.factors and b.cofactor.factors
-    scaled = a.scaled_by(q_integer(3))
+    scaled = _scaled(a, "C", 3)     # times q^-1 [3]
     assert scaled.cofactor == a.cofactor
     assert_same_rational(scaled, a.numerator * a.cofactor.expand()
-                         * q_integer(3), a.denominator.expand())
+                         * q_integer(3).shift(-1), a.denominator.expand())
     product = a.times(b)
     assert product.cofactor == a.cofactor.times(b.cofactor)
     assert_same_rational(
