@@ -19,8 +19,6 @@ from .congruence import (
     jackson_6phi5_terminating,
     modulus_q_integer,
     verify_case,
-    verify_parametric_roots,
-    verify_parametric_sampled,
 )
 from .cyclotomic import (
     cyclotomic,

@@ -53,8 +53,12 @@ every Phi_d.
 
 verify_case looks up the runner of the named check in _RUNNERS, one row
 per check with the check's constants bound in; the runner validates its
-parameters, assembles both sides from the term families, picks the right
-modulus, and delegates here.  Reports carry the per-part margins;
+parameters, assembles both sides, picks the right modulus, and delegates
+here.  The theorem, closed-form identity, root and sampled checks share one
+shape, built by _sides: the base-1 sum to (n^r - 1) // div against its
+companion _target, the base-n sum to (n^{r-1} - 1) // div scaled by
++-q^{(1-n)/2} [n].  The closed forms are its r = 1 root case, whose
+companion is the single term 1.  Reports carry the per-part margins;
 conjectural checks are flagged so that drivers can separate findings from
 failures.
 """
@@ -65,6 +69,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+# cyclotomic is not called here: perfbench/tracing.py wraps it by this name.
 from .cyclotomic import (
     binomial_form,
     cyclotomic,
@@ -81,6 +86,7 @@ from .qseries import (
     q_integer,
     q_integer_binomials,
     sum_truncated,
+    target_sign,
 )
 
 
@@ -103,12 +109,6 @@ class ModulusSpec:
             seen.add(d)
             norm.append((d, e))
         self.parts = tuple(sorted(norm))
-
-    def expand(self):
-        acc = Poly.one()
-        for d, e in self.parts:
-            acc = acc * cyclotomic(d) ** e
-        return acc
 
 
 @dataclass
@@ -338,16 +338,24 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
 # prefactors
 
 
-def _sign(family: str, n: int) -> int:
-    # the sextic targets carry (-q)^{(1-n)/2} = (-1)^{(n-1)/2} q^{(1-n)/2}
-    return -1 if family == "J" and ((n - 1) // 2) % 2 else 1
-
-
 def _scaled(series: SeriesSum, family: str, n: int) -> SeriesSum:
     # series * q^{(1-n)/2} [n], or * (-q)^{(1-n)/2} [n] for J; n is odd.
     numerator = series.numerator.times_binomials(q_integer_binomials(n))
     return replace(series, numerator=numerator.shift((1 - n) // 2)
-                   .scale(_sign(family, n)))
+                   .scale(target_sign(family, n)))
+
+
+def _target(family: str, n: int, r: int, div: int, t: int = None,
+            printed: bool = False) -> SeriesSum:
+    """The companion: the base-n sum to (n^{r-1} - 1) // div, scaled."""
+    inner = FamilySpec(family, n, (n ** (r - 1) - 1) // div, t, printed)
+    return _scaled(sum_truncated(inner), family, n)
+
+
+def _sides(family: str, n: int, r: int, div: int, t: int = None):
+    """(the base-1 sum to (n^r - 1) // div, its companion _target)."""
+    return (sum_truncated(FamilySpec(family, 1, (n ** r - 1) // div, t)),
+            _target(family, n, r, div, t))
 
 
 def _require_case(n: int, r: int = 1, d: int = 1, minimum: int = 3) -> None:
@@ -370,8 +378,8 @@ def admissible_root_indices(n: int, r: int, d: int) -> range:
     return range((n ** (r - 1) - 1) // d + 1)
 
 
-def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
-                            j: int = 0) -> CongruenceReport:
+def _roots_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
+                j: int = 0) -> CongruenceReport:
     """Exact equality of both sides at the root specialization t = -(2j+1)n.
 
     The +(2j+1)n specialization gives the same rational function by the
@@ -382,47 +390,32 @@ def verify_parametric_roots(family: str, n: int, r: int = 1, d: int = 2,
     evaluated and reported.
     """
     _require_case(n, r, d)
-    if family not in ("C", "J"):
-        raise ValueError("family must be C or J")
     if j not in admissible_root_indices(n, r, d):
         raise ValueError("j out of the admissible range")
     t0 = time.perf_counter()
-    t = -(2 * j + 1) * n
-    upper_l = (n ** r - 1) // d
-    upper_r = (n ** (r - 1) - 1) // d
-    fam = family + "_PARAM"
-    lhs = sum_truncated(FamilySpec(fam, 1, upper_l, t))
-    label = f"param-roots-{family.lower()} n={n} r={r} d={d} j={j}"
-    params = {"n": n, "r": r, "d": d, "j": j, "t": t}
-    extra: dict = {}
-    if family == "C":
-        rhs = _scaled(sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
-        equal = check_identity_equal(lhs, rhs)
-        m = (2 * j + 1) * n
+    m = (2 * j + 1) * n
+    lhs, rhs = _sides(family, n, r, d, -m)
+    equal = check_identity_equal(lhs, rhs)
+    if family == "C_PARAM":
         closed = SeriesSum(q_integer(m).shift((1 - m) // 2))
         closed_ok = check_identity_equal(lhs, closed)
         passed = equal and closed_ok
-        extra["closed_form"] = closed_ok
+        extra = {"closed_form": closed_ok}
     else:
-        rhs_scaled = _scaled(
-            sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
-        rhs_printed = _scaled(sum_truncated(
-            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)),
-            family, n)
-        eq_scaled = check_identity_equal(lhs, rhs_scaled)
-        eq_printed = check_identity_equal(lhs, rhs_printed)
-        equal = eq_scaled
-        passed = eq_scaled or eq_printed
-        extra["readings"] = {"scaled": eq_scaled, "printed": eq_printed}
+        printed = check_identity_equal(
+            lhs, _target(family, n, r, d, -m, printed=True))
+        passed = equal or printed
+        extra = {"readings": {"scaled": equal, "printed": printed}}
     ms = (time.perf_counter() - t0) * 1e3
     return CongruenceReport(
-        label=label, kind=f"param-roots-{family.lower()}", params=params,
-        parts=[], passed=passed, identically_equal=equal,
+        label=f"{kind} n={n} r={r} d={d} j={j}", kind=kind,
+        params={"n": n, "r": r, "d": d, "j": j, "t": -m}, parts=[],
+        passed=passed, identically_equal=equal,
         timings={"total_ms": ms}, extra=extra)
 
 
-def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
-                              t: int = None) -> CongruenceReport:
+def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
+                  t: int = None) -> CongruenceReport:
     """At a sampled odd specialization t: LHS, RHS and their difference all
     vanish modulo the q-integer [n^r].
 
@@ -435,46 +428,25 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
     asserted; the printed reading's outcome is recorded in extra.
     """
     _require_case(n, r, d)
-    if family not in ("C", "J"):
-        raise ValueError("family must be C or J")
     if t is None or t % 2 == 0:
         raise ValueError("sampled checks need an odd specialization t")
     t0 = time.perf_counter()
-    fam = family + "_PARAM"
-    upper_l = (n ** r - 1) // d
-    upper_r = (n ** (r - 1) - 1) // d
-    modulus = modulus_q_integer(n ** r)
-    lhs = sum_truncated(FamilySpec(fam, 1, upper_l, t))
-    rhs = _scaled(sum_truncated(FamilySpec(fam, n, upper_r, t)), family, n)
+    check = partial(check_congruence, modulus=modulus_q_integer(n ** r),
+                    count_denominators=False)
     zero = SeriesSum.zero()
-    sub = [
-        check_congruence(lhs, zero, modulus, component="lhs==0",
-                         count_denominators=False),
-        check_congruence(rhs, zero, modulus, component="rhs==0",
-                         count_denominators=False),
-        check_congruence(lhs, rhs, modulus, component="lhs==rhs",
-                         count_denominators=False),
-    ]
+    lhs, rhs = _sides(family, n, r, d, t)
+    sub = [check(lhs, zero, component="lhs==0"),
+           check(rhs, zero, component="rhs==0"),
+           check(lhs, rhs, component="lhs==rhs")]
     parts = [p for rep in sub for p in rep.parts]
-    extra: dict = {}
-    if family == "J":
-        rhs_printed = _scaled(sum_truncated(
-            FamilySpec(fam, n, upper_r, t, prefix_base=1, qint_base=2)),
-            family, n)
-        printed = [
-            check_congruence(rhs_printed, zero, modulus,
-                             count_denominators=False),
-            check_congruence(lhs, rhs_printed, modulus,
-                             count_denominators=False),
-        ]
-        extra["printed_reading"] = {
-            "rhs==0": printed[0].passed,
-            "lhs==rhs": printed[1].passed,
-        }
+    extra = {}
+    if family == "J_PARAM":
+        printed = _target(family, n, r, d, t, printed=True)
+        extra = {"printed_reading": {"rhs==0": check(printed, zero).passed,
+                                     "lhs==rhs": check(lhs, printed).passed}}
     ms = (time.perf_counter() - t0) * 1e3
-    label = f"param-sampled-{family.lower()} n={n} r={r} d={d} t={t}"
     return CongruenceReport(
-        label=label, kind=f"param-sampled-{family.lower()}",
+        label=f"{kind} n={n} r={r} d={d} t={t}", kind=kind,
         params={"n": n, "r": r, "d": d, "t": t}, parts=parts,
         passed=all(p.met() for p in parts),
         identically_equal=all(rep.identically_equal for rep in sub),
@@ -485,14 +457,12 @@ def verify_parametric_sampled(family: str, n: int, r: int = 1, d: int = 2,
 # case driver
 
 
-def _theorem_case(family: str, half: bool, kind: str, n: int, r: int = 1
+def _theorem_case(family: str, div: int, kind: str, n: int, r: int = 1
                   ) -> CongruenceReport:
+    # div 2 sums the half range, div 1 the full range
     modulus = build_modulus_theorem(n, r)
     t0 = time.perf_counter()
-    upper_l = (n ** r - 1) // 2 if half else n ** r - 1
-    upper_r = (n ** (r - 1) - 1) // 2 if half else n ** (r - 1) - 1
-    lhs = sum_truncated(FamilySpec(family, 1, upper_l))
-    rhs = _scaled(sum_truncated(FamilySpec(family, n, upper_r)), family, n)
+    lhs, rhs = _sides(family, n, r, div)
     build_ms = (time.perf_counter() - t0) * 1e3
     rep = check_congruence(
         lhs, rhs, modulus,
@@ -572,11 +542,10 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
 
 
 def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
+    # the r = 1 root case: the companion is the one-term sum 1
     _require_case(n, minimum=1)
     t0 = time.perf_counter()
-    lhs = sum_truncated(FamilySpec(family + "_PARAM", 1, (n - 1) // 2, -n))
-    equal = check_identity_equal(lhs,
-                                 _scaled(SeriesSum(Poly.one()), family, n))
+    equal = check_identity_equal(*_sides(family, n, 1, 2, -n))
     ms = (time.perf_counter() - t0) * 1e3
     return CongruenceReport(
         label=f"{kind} n={n}", kind=kind, params={"n": n},
@@ -589,21 +558,21 @@ def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
 #: product checks are conjectural: a failed report is a finding, not an
 #: implementation bug.
 _RUNNERS = {
-    "thm1-half": partial(_theorem_case, "C", True),
-    "thm1-full": partial(_theorem_case, "C", False),
-    "thm2-half": partial(_theorem_case, "J", True),
-    "thm2-full": partial(_theorem_case, "J", False),
+    "thm1-half": partial(_theorem_case, "C", 2),
+    "thm1-full": partial(_theorem_case, "C", 1),
+    "thm2-half": partial(_theorem_case, "J", 2),
+    "thm2-full": partial(_theorem_case, "J", 1),
     "gw": partial(_correction_case, "C", False),
     "qj2": partial(_correction_case, "J", True),
     "conj41": partial(_product_conjecture_case, 1, 3, True),
     "conj42": partial(_product_conjecture_case, 2, 3, True),
     "conj43": partial(_product_conjecture_case, None, 2, False),
-    "lemma22": partial(_identity_case, "C"),
-    "lemma31": partial(_identity_case, "J"),
-    "param-roots-c": lambda kind, **kw: verify_parametric_roots("C", **kw),
-    "param-roots-j": lambda kind, **kw: verify_parametric_roots("J", **kw),
-    "param-sampled-c": lambda kind, **kw: verify_parametric_sampled("C", **kw),
-    "param-sampled-j": lambda kind, **kw: verify_parametric_sampled("J", **kw),
+    "lemma22": partial(_identity_case, "C_PARAM"),
+    "lemma31": partial(_identity_case, "J_PARAM"),
+    "param-roots-c": partial(_roots_case, "C_PARAM"),
+    "param-roots-j": partial(_roots_case, "J_PARAM"),
+    "param-sampled-c": partial(_sampled_case, "C_PARAM"),
+    "param-sampled-j": partial(_sampled_case, "J_PARAM"),
     "half-vs-full-m": _half_vs_full_case,
 }
 

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polycore import INFINITE
-from .qseries import classical_term_value, eta_product_coefficients
+from .qseries import (
+    classical_term_value,
+    eta_product_coefficients,
+    target_sign,
+)
 
 #: Smallest prime each classical check accepts.
 MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
@@ -115,15 +119,21 @@ def _classical_sum(family: str, upper: int) -> Fraction:
                Fraction(0))
 
 
-def _j_sign(p: int) -> int:
-    return -1 if ((p - 1) // 2) % 2 else 1
+def _companion_difference(family: str, p: int, r: int, div: int) -> Fraction:
+    # the q -> 1 limit of the theorem-shaped comparison: the sum to
+    # (p^r - 1) // div minus +-p times the sum to (p^{r-1} - 1) // div
+    inner = _classical_sum(family, (p ** (r - 1) - 1) // div)
+    return _classical_sum(family, (p ** r - 1) // div) \
+        - target_sign(family, p) * p * inner
 
 
 def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
     """The two half-range prime congruences: sum == p (quartic family) or
     sum == (-1)^{(p-1)/2} p (sextic family), modulo p^exponent.
 
-    Both hold modulo p^4; exponent <= 4 is therefore asserted.
+    They are the r = 1 case of the quotient congruences c3/j3, whose
+    inner sum is the single term 1.  Both hold modulo p^4; exponent <= 4
+    is therefore asserted.
     """
     if kind not in ("c2", "j2"):
         raise ValueError("kind must be c2 or j2")
@@ -132,9 +142,7 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
         raise ValueError("exponent must be between 1 and 4")
     t0 = time.perf_counter()
     family = "C" if kind == "c2" else "J"
-    total = _classical_sum(family, (p - 1) // 2)
-    target = p if kind == "c2" else _j_sign(p) * p
-    val = fraction_valuation(total - target, p)
+    val = fraction_valuation(_companion_difference(family, p, 1, 2), p)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} exp={exponent}", kind=kind,
@@ -158,13 +166,8 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
         raise ValueError("exponent must be >= 1")
     t0 = time.perf_counter()
     family = "C" if kind in ("c3", "cc") else "J"
-    half = kind in ("c3", "j3")
-    upper_l = (p ** r - 1) // 2 if half else p ** r - 1
-    upper_r = (p ** (r - 1) - 1) // 2 if half else p ** (r - 1) - 1
-    sign = 1 if family == "C" else _j_sign(p)
-    diff = _classical_sum(family, upper_l) \
-        - sign * p * _classical_sum(family, upper_r)
-    val = fraction_valuation(diff, p)
+    div = 2 if kind in ("c3", "j3") else 1
+    val = fraction_valuation(_companion_difference(family, p, r, div), p)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} r={r} exp={exponent}", kind=kind,

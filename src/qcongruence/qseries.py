@@ -42,15 +42,16 @@ s is the base exponent (the whole series written in q^s) and, for the
 parametric families, t is the exponent of the monomial specialization of
 the free parameter.  t must be odd: the denominator factor exponents then
 stay odd (never zero), while numerator factors are allowed to vanish and
-simply truncate the sum.  For the J families the q^{.k^2} prefactor scale
-and the base of [6k+1] can be overridden independently, because the two
-printed readings of one target disagree on them.
+simply truncate the sum.  A J-family spec can ask for the printed reading
+of a base-raised target instead, q^{k^2} [6k+1]_{q^2} whatever the base,
+because the two readings of that target disagree on the prefactor.
+target_sign is the sign of the sextic targets' (-q)^{(1-n)/2}, at q = 1 too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -60,6 +61,12 @@ from .polycore import Poly
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
 FAMILIES = PLAIN_FAMILIES + PARAMETRIC_FAMILIES
+SEXTIC_FAMILIES = ("J", "J_PARAM")
+
+
+def target_sign(family: str, n: int) -> int:
+    """(-1)^{(n-1)/2} for the sextic families, 1 for the others; n is odd."""
+    return -1 if family in SEXTIC_FAMILIES and (n - 1) // 2 % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +158,15 @@ class FamilySpec:
     """Which family, in which base q^s, truncated at which upper index.
 
     For parametric families t (odd) is the specialization exponent.
-    prefix_base and qint_base override the J-family prefactor scale and
-    q-integer base; both default to the series base.
+    printed (J families only) takes the printed reading of the term,
+    q^{k^2} [6k+1]_{q^2}, in place of q^{s k^2} [6k+1]_{q^s}.
     """
 
     family: str
     base: int = 1
     upper: int = 0
     t: Optional[int] = None
-    prefix_base: Optional[int] = None
-    qint_base: Optional[int] = None
+    printed: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -176,9 +182,8 @@ class FamilySpec:
                 raise ValueError("specialization exponent t must be odd")
         elif self.t is not None:
             raise ValueError("plain families take no specialization")
-        if self.family not in ("J", "J_PARAM"):
-            if self.prefix_base is not None or self.qint_base is not None:
-                raise ValueError("prefix/qint overrides are J-family only")
+        if self.printed and self.family not in SEXTIC_FAMILIES:
+            raise ValueError("the printed reading is J-family only")
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +245,10 @@ def _finish_term(spec: FamilySpec, k: int, prod: Poly) -> Poly:
     s = spec.base
     if spec.family in ("C", "C_PARAM"):
         return prod.times_binomials(q_integer_binomials(4 * k + 1, s))
-    if spec.family in ("J", "J_PARAM"):
-        num = prod.times_binomials(
-            q_integer_binomials(6 * k + 1, spec.qint_base or s))
-        return num.shift((spec.prefix_base or s) * k * k)
+    if spec.family in SEXTIC_FAMILIES:
+        prefix, step = (1, 2) if spec.printed else (s, s)
+        num = prod.times_binomials(q_integer_binomials(6 * k + 1, step))
+        return num.shift(prefix * k * k)
     # M
     return prod.shift(2 * s * k)
 
@@ -321,15 +326,12 @@ class _Accumulator:
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
     """The exact k-th term as (numerator, factored denominator)."""
-    if k > spec.upper:
-        spec = FamilySpec(spec.family, spec.base, k, spec.t,
-                          spec.prefix_base, spec.qint_base)
+    if k < 0:
+        raise ValueError("k must be >= 0")
     acc = _Accumulator()
-    for i, raw_num, raw_exps in _term_stream(spec):
+    for _, raw_num, raw_exps in _term_stream(replace(spec, upper=k)):
         acc.absorb(Poly.zero(), raw_exps)
-        if i == k:
-            return acc.last_term_numerator(raw_num), acc.denominator()
-    raise AssertionError("unreachable")
+    return acc.last_term_numerator(raw_num), acc.denominator()
 
 
 def sum_truncated(spec: FamilySpec) -> SeriesSum:

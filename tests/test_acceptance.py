@@ -15,8 +15,6 @@ from qcongruence.congruence import (
     admissible_root_indices,
     jackson_6phi5_terminating,
     verify_case,
-    verify_parametric_roots,
-    verify_parametric_sampled,
 )
 from qcongruence.cyclotomic import cyclotomic, divisors, valuation_at
 from qcongruence.padic import (
@@ -93,15 +91,16 @@ def test_criterion_04_parametric_root_identities():
     def run():
         printed_fails = []
         cases = 0
-        for family in ("C", "J"):
+        for family in ("c", "j"):
             for n in (3, 5):
                 for r in (1, 2):
                     for d in (1, 2):
                         for j in admissible_root_indices(n, r, d):
-                            rep = verify_parametric_roots(family, n, r, d, j)
+                            rep = verify_case(f"param-roots-{family}",
+                                              n=n, r=r, d=d, j=j)
                             cases += 1
                             assert rep.passed, rep.label
-                            if family == "C":
+                            if family == "c":
                                 assert rep.identically_equal
                                 assert rep.extra["closed_form"]
                             else:
@@ -119,11 +118,12 @@ def test_criterion_04_parametric_root_identities():
 def test_criterion_05_parametric_sampled():
     def run():
         findings = []
-        for family in ("C", "J"):
+        for family in ("c", "j"):
             for n, r in [(3, 1), (3, 2), (5, 1)]:
                 for d in (1, 2):
                     for t in (3, 5, 7):
-                        rep = verify_parametric_sampled(family, n, r, d, t)
+                        rep = verify_case(f"param-sampled-{family}",
+                                          n=n, r=r, d=d, t=t)
                         assert rep.passed, rep.label
                         printed = rep.extra.get("printed_reading")
                         if printed and not all(printed.values()):

@@ -13,8 +13,6 @@ from qcongruence.congruence import (
     jackson_6phi5_terminating,
     modulus_q_integer,
     verify_case,
-    verify_parametric_roots,
-    verify_parametric_sampled,
 )
 from qcongruence.cyclotomic import cyclotomic
 from qcongruence.polycore import INFINITE, Poly
@@ -474,17 +472,29 @@ def test_jackson_vanishing_denominator_raises():
 
 
 def test_parametric_roots_examples():
-    rep = verify_parametric_roots("C", 3, 1, 2, 0)
+    rep = verify_case("param-roots-c", n=3, r=1, d=2, j=0)
     assert rep.passed and rep.identically_equal and rep.extra["closed_form"]
     for j in admissible_root_indices(3, 2, 1):
-        assert verify_parametric_roots("C", 3, 2, 1, j).passed, j
-    rep = verify_parametric_roots("J", 3, 1, 2, 0)
+        assert verify_case("param-roots-c", n=3, r=2, d=1, j=j).passed, j
+    rep = verify_case("param-roots-j", n=3, r=1, d=2, j=0)
     assert rep.passed
     assert rep.extra["readings"]["scaled"]
 
 
+def test_lemma_is_the_r1_root_case():
+    # the closed-form lemmas compare the same two sides as the root case
+    # at r = 1, d = 2, j = 0, whose companion is the one-term sum
+    for n in range(3, 12, 2):
+        assert verify_case("lemma22", n=n).passed, n
+        rep = verify_case("param-roots-c", n=n, r=1, d=2, j=0)
+        assert rep.identically_equal, n
+        assert verify_case("lemma31", n=n).passed, n
+        rep = verify_case("param-roots-j", n=n, r=1, d=2, j=0)
+        assert rep.identically_equal and rep.extra["readings"]["scaled"], n
+
+
 def test_parametric_roots_j_readings_disagree_for_deeper_targets():
-    rep = verify_parametric_roots("J", 3, 2, 1, 1)
+    rep = verify_case("param-roots-j", n=3, r=2, d=1, j=1)
     assert rep.extra["readings"]["scaled"] is True
     assert rep.extra["readings"]["printed"] is False
     assert rep.passed
@@ -492,13 +502,13 @@ def test_parametric_roots_j_readings_disagree_for_deeper_targets():
 
 def test_parametric_roots_rejects_out_of_range_j():
     with pytest.raises(ValueError):
-        verify_parametric_roots("C", 3, 1, 2, 1)
+        verify_case("param-roots-c", n=3, r=1, d=2, j=1)
 
 
 def test_parametric_sampled_examples():
-    assert verify_parametric_sampled("C", 3, 1, 2, 5).passed
-    assert verify_parametric_sampled("C", 3, 2, 1, 7).passed
-    assert verify_parametric_sampled("J", 5, 1, 2, 3).passed
+    assert verify_case("param-sampled-c", n=3, r=1, d=2, t=5).passed
+    assert verify_case("param-sampled-c", n=3, r=2, d=1, t=7).passed
+    assert verify_case("param-sampled-j", n=5, r=1, d=2, t=3).passed
 
 
 def test_parameter_inversion_symmetry():

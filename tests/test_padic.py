@@ -58,6 +58,15 @@ def test_van_hamme_more_primes():
         assert verify_van_hamme("j2", p, 4).passed
 
 
+def test_van_hamme_is_the_r1_quotient_check():
+    # at r = 1 the quotient congruence's inner sum is the single term 1,
+    # so c3/j3 compare the same difference as c2/j2
+    for p in (5, 7, 11, 13):
+        for half, quotient in (("c2", "c3"), ("j2", "j3")):
+            assert verify_van_hamme(half, p, 4).valuation \
+                == verify_swisher(quotient, p, 1, 3).valuation, (p, half)
+
+
 def test_van_hamme_rejects_bad_input():
     with pytest.raises(ValueError):
         verify_van_hamme("c2", 9, 3)

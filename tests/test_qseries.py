@@ -42,7 +42,7 @@ def naive_term(spec, k):
         num = poch_laurent(s, 2 * s, k) ** 4 * Poly.one().shift(2 * s * k)
         den = poch_laurent(2 * s, 2 * s, k) ** 4
     elif fam == "J":
-        pb, qb = spec.prefix_base or s, spec.qint_base or s
+        pb, qb = (1, 2) if spec.printed else (s, s)
         num = (q_integer(6 * k + 1, qb)
                * poch_laurent(s, 2 * s, k) ** 2
                * poch_laurent(2 * s, 4 * s, k)).shift(pb * k * k)
@@ -55,7 +55,7 @@ def naive_term(spec, k):
                * poch_laurent(2 * s - t, 2 * s, k)
                * poch_laurent(2 * s, 2 * s, k) ** 2)
     else:  # J_PARAM
-        pb, qb = spec.prefix_base or s, spec.qint_base or s
+        pb, qb = (1, 2) if spec.printed else (s, s)
         num = (q_integer(6 * k + 1, qb)
                * poch_laurent(s + t, 2 * s, k) * poch_laurent(s - t, 2 * s, k)
                * poch_laurent(2 * s, 4 * s, k)).shift(pb * k * k)
@@ -88,7 +88,7 @@ ALL_SPECS = [
     FamilySpec("C_PARAM", 1, 10, 3), FamilySpec("C_PARAM", 1, 9, -5),
     FamilySpec("C_PARAM", 3, 7, 5),
     FamilySpec("J_PARAM", 1, 9, 3), FamilySpec("J_PARAM", 2, 7, -7),
-    FamilySpec("J_PARAM", 3, 6, 5, prefix_base=1, qint_base=2),
+    FamilySpec("J_PARAM", 3, 6, 5, printed=True),
 ]
 
 
@@ -196,6 +196,19 @@ def test_terms_match_naive_expansion():
             assert num * nden == nnum * den.expand(), (spec, k)
 
 
+def test_term_of_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        term_of(FamilySpec("C", 1, 3), -1)
+
+
+def test_printed_reading_is_j_family_only():
+    for family, t in (("C", None), ("M", None), ("C_PARAM", 3)):
+        with pytest.raises(ValueError):
+            FamilySpec(family, 3, 2, t, printed=True)
+    for family, t in (("J", None), ("J_PARAM", 3)):
+        assert FamilySpec(family, 3, 2, t, printed=True).printed
+
+
 def test_parametric_term_truncates_at_vanishing_numerator():
     # t = -3: the numerator factor ladder hits 1 - q^0 beyond k = 1
     spec = FamilySpec("C_PARAM", 1, 4, -3)
@@ -263,9 +276,9 @@ EARLY_STOP_SPECS = [
     (FamilySpec("J_PARAM", 3, 5, 3), 1),
     (FamilySpec("J_PARAM", 3, 5, -15), 3),
     (FamilySpec("J_PARAM", 3, 5, 27), 5),
-    (FamilySpec("J_PARAM", 3, 5, -9, prefix_base=1, qint_base=2), 2),
-    (FamilySpec("J_PARAM", 3, 4, 15, prefix_base=1, qint_base=2), 3),
-    (FamilySpec("J_PARAM", 3, 3, -27, prefix_base=1, qint_base=2), 5),
+    (FamilySpec("J_PARAM", 3, 5, -9, printed=True), 2),
+    (FamilySpec("J_PARAM", 3, 4, 15, printed=True), 3),
+    (FamilySpec("J_PARAM", 3, 3, -27, printed=True), 5),
 ]
 
 
