@@ -3,9 +3,10 @@
 # Everything in this library runs on one type, Poly: a dense integer
 # Laurent polynomial, its coefficients held from an integer offset with no
 # zero at either end.  A general product is one Kronecker substitution; a
-# product with binomials 1 - q^m is instead one linear pass per binomial
-# (Poly.times_one_minus), and an exact quotient by one is one in-place
-# pass too (Poly.times_binomials with a negative exponent).  Phi_d-adic
+# product with binomials 1 - q^m is instead one shift-subtract per binomial
+# of the coefficients packed into one integer (Poly.times_one_minus), and
+# an exact quotient by one is one in-place pass over the list
+# (Poly.times_binomials with a negative exponent).  Phi_d-adic
 # valuations divide by the binomials 1 - q^m whose Moebius product is
 # Phi_d, so they never build Phi_d itself.
 
@@ -34,7 +35,7 @@ print("degree-2000 product exact at q = -3/7:",
 p = Poly([0, 0, 2, 1, 0], -5)                  # 2 q^-3 + q^-2
 print("coefficients", p.coeffs, "from exponent", p.offset, "=", p)
 
-# %% products with binomials are linear passes, not general products
+# %% products with binomials are shift-subtracts, not general products
 square = Poly.one().times_one_minus([6, 6])   # (1 - q^6)^2
 print("(1-q^6)^2 by passes == by products:",
       square == one_minus_q(6) * one_minus_q(6))

@@ -25,9 +25,10 @@ the factored forms without any division.  Neither denominator is
 expanded: L / lhsR is written back as binomials through the Moebius
 factorisation of each Phi_d by which rhsR exceeds lhsR
 (cyclotomic.binomial_form), L / rhsR is that times lhsR / rhsR, and each
-numerator is multiplied by its lift through Poly.times_binomials: one
-linear pass per binomial of positive exponent, then one exact in-place
-division per binomial of negative exponent.  A side whose reduced
+numerator is multiplied by its lift through Poly.times_binomials: packed
+once into one integer, one shift-subtract per binomial of positive
+exponent, unpacked once, then one exact in-place division of the list
+per binomial of negative exponent.  A side whose reduced
 denominator holds the other's is left as it is, and the other is
 multiplied by exactly the binomials it lacks.  Phi_d content the two
 sides hold through different binomials (1 - q^{2j} against
@@ -36,7 +37,7 @@ per side, so valuation_at makes no pass for the second copy.
 
 The right side of the theorem, parametric and closed-form checks carries
 the q-integer [n] = (1 - q^n) / (1 - q), which enters the same way: one
-binomial pass and one exact division, never a general product.  The
+shift-subtract and one exact division, never a general product.  The
 only general products left are those of the product conjectures' two
 sums.
 
@@ -77,12 +78,12 @@ from .cyclotomic import (
     q_integer_cyclotomic_factors,
     valuation_at,
 )
-from .polycore import INFINITE, Poly, one_minus_q
+from .polycore import INFINITE, Poly
 from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _Accumulator,
+    _accumulate,
     q_integer,
     q_integer_binomials,
     sum_truncated,
@@ -309,28 +310,20 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
             if e == 0:
                 raise ZeroDivisionError("vanishing denominator factor")
     lam = a + s * (n + 1) - b - c
-    acc = _Accumulator()
-    prod = Poly.one()
-    for k in range(n + 1):
-        if k == 0:
-            acc.absorb(one_minus_q(a), [a])
-            continue
-        prod = prod.times_one_minus((a + s * (k - 1), b + s * (k - 1),
-                                     c + s * (k - 1), s * (k - 1 - n)))
-        num = prod.times_one_minus([a + 2 * s * k]).shift(lam * k)
-        acc.absorb(num, [s * k, a - b + s * k, a - c + s * k,
-                         a + s * (n + k)])
-    lhs = SeriesSum(acc.numerator, acc.denominator())
+    # step 0 is the term 1 as (1 - q^a) / (1 - q^a); step k multiplies the
+    # nested product by the k-th numerator factors of the four shifted
+    # factorials, and its term carries 1 - q^{A+2sk}
+    lhs = _accumulate([([], [a], a, 0)] + [
+        ((a + s * (k - 1), b + s * (k - 1), c + s * (k - 1), s * (k - 1 - n)),
+         [s * k, a - b + s * k, a - c + s * k, a + s * (n + k)],
+         a + 2 * s * k, lam * k) for k in range(1, n + 1)])
 
     # the closed form as one term: the accumulator turns its negative
     # denominator exponents around and moves their unit to the numerator
     ks = range(1, n + 1)
-    right = _Accumulator()
-    right.absorb(Poly.zero(), [e for k in ks
-                               for e in (a - b + s * k, a - c + s * k)])
-    rnum = Poly.one().times_one_minus(
-        [e for k in ks for e in (a + s * k, a - b - c + s * k)])
-    rhs = SeriesSum(right.last_term_numerator(rnum), right.denominator())
+    rhs = _accumulate([(
+        [e for k in ks for e in (a + s * k, a - b - c + s * k)],
+        [e for k in ks for e in (a - b + s * k, a - c + s * k)], None, 0)])
     return check_identity_equal(lhs, rhs)
 
 

@@ -12,7 +12,8 @@ binomial_form({d: 1}), the binomials with mu(e) = +1 multiplied in and
 those with mu(e) = -1 divided out in place.  One exact division by Phi_d
 is the opposite: a product with each binomial of mu(e) = -1 followed by
 an in-place exact division by each binomial of mu(e) = +1.  Each step
-is one linear pass over the coefficient list that runs in C.  Cyclotomic
+of the valuation is one linear pass over the coefficient list that runs
+in C, made in place where it divides.  Cyclotomic
 polynomials are memoized; Phi_1 = q - 1 is preset, since binomial_form
 stands 1 - q in for it.
 

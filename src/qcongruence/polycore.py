@@ -2,17 +2,27 @@
 
 A Poly holds Python integer coefficients ascending by exponent from an
 integer offset, in one normal form: no zero at either end, and the zero
-polynomial is () at offset 0.  A general product is one Kronecker
-substitution: both operands are packed into big integers, which CPython's
-C code multiplies.  Products with and exact divisions by a binomial
-1 - q^m never go through it: each is a single linear pass over a
-coefficient list (a shifted difference, and a running sum per residue
-class mod m).  Poly.times_one_minus and Poly.times_binomials, the exact
-product with prod (1 - q^m)^g for integer g, are built from them, and so
-are the q-series sums, the q-integer scalings, the lifts of the
-cross-multiplied difference, cyclotomic.cyclotomic and
-cyclotomic.valuation_at.  Products and passes of normal-form operands are
-in normal form already, so their lists are adopted as they are; only sums
+polynomial is () at offset 0.  Big products and passes run on a packed
+value: _pack writes a coefficient list as one integer, its value at
+q = 2^W with W = 8w for slots of w bytes, and _unpack reads it back
+while every |c| < 2^(W - 1).  The packed arithmetic is exact whatever
+the coefficients; only the unpack needs that bound, so w always comes
+from a bound proven before the work.
+
+A general product is one Kronecker substitution: both operands packed,
+multiplied by CPython's C code, and unpacked.  A product with binomials
+1 - q^m never goes through it: at q = 2^W each is one shift-subtract
+x - (x << W m) of the packed value, and since each binomial at most
+doubles max|c|, Poly.times_one_minus and the positive part of
+Poly.times_binomials (the exact product with prod (1 - q^m)^g for integer
+g) pack once, make one shift-subtract per binomial, and unpack once.  An
+exact division by a binomial has no such bound on its quotient, so it
+stays a linear pass over the list, a running sum per residue class mod m,
+made in place; so do cyclotomic.valuation_at's passes and its undo step.
+The q-series sums, the q-integer scalings, the lifts of the
+cross-multiplied difference and cyclotomic.cyclotomic are all built from
+these kernels.  Products and passes of normal-form operands are in
+normal form already, so their lists are adopted as they are; only sums
 and differences, which can cancel at either end, are trimmed.  All values
 are immutable after construction.
 """
@@ -23,7 +33,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from struct import iter_unpack
 from typing import Iterable, Union
 
 #: Valuation of the zero polynomial (divisible by every power).
@@ -54,39 +65,75 @@ def _sub_lists(a, b) -> list:
     return out
 
 
+def _bias(w: int, n: int) -> int:
+    # 2^(8w - 1) in each of n slots of w bytes
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n,
+                          "little")
+
+
+def _pack(cs, w: int) -> int:
+    """The value of cs at q = 2^(8w): sum of cs[i] * 2^(8wi), exact for any
+    integers; _unpack reads it back while every |c| < 2^(8w - 1).
+
+    >>> w = 2
+    >>> _unpack(_pack([-2 ** 15, 2 ** 15 - 1, 0, -1], w), w, 4)
+    [-32768, 32767, 0, -1]
+    >>> _pack([1, -1], 1) == 1 - 256
+    True
+    """
+    half = 1 << (8 * w - 1)
+    # every slot biased into [0, 2^(8w)) and written with C-level calls
+    data = b"".join(map(int.to_bytes, map(half.__add__, cs), repeat(w),
+                        repeat("little")))
+    return int.from_bytes(data, "little") - _bias(w, len(cs))
+
+
+def _unpack(x: int, w: int, n: int) -> list:
+    # the n slots of x = _pack(cs, w), every |c| < 2^(8w - 1): with the
+    # bias added no slot borrows from the next, and each slot less the
+    # bias is its coefficient
+    half = 1 << (8 * w - 1)
+    data = (x + _bias(w, n)).to_bytes(w * n, "little")
+    slots = map(operator.itemgetter(0), iter_unpack(f"{w}s", data))
+    return list(map(half.__rsub__, map(int.from_bytes, slots,
+                                       repeat("little"))))
+
+
 def _kronecker(a, b) -> list:
-    # |product coefficient| <= min(la, lb) * max|a| * max|b|; a slot of w
-    # bytes holds it plus half a slot of bias, so every slot is nonnegative
-    # and no borrow crosses into the next one.
+    # |product coefficient| <= min(la, lb) * max|a| * max|b|, which a slot
+    # of w bytes holds with its sign.
     la, lb = len(a), len(b)
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(la, lb).bit_length() + 2)
     w = (bits + 7) // 8
-    half = 1 << (8 * w - 1)
-    bias = half.to_bytes(w, "little")
-
-    def pack(cs):
-        biases = bias * len(cs)
-        buf = bytearray(biases)
-        for i, c in enumerate(cs):
-            if c:
-                buf[i * w:i * w + w] = (c + half).to_bytes(w, "little")
-        return int.from_bytes(buf, "little") - int.from_bytes(biases, "little")
-
-    n = la + lb - 1
-    product = pack(a) * pack(b) + int.from_bytes(bias * n, "little")
-    view = memoryview(product.to_bytes(w * n, "little"))
-    return [int.from_bytes(view[i:i + w], "little") - half
-            for i in range(0, w * n, w)]
+    return _unpack(_pack(a, w) * _pack(b, w), w, la + lb - 1)
 
 
-def _times_one_minus(cs, m: int, negated: bool = False) -> list:
-    # cs * (1 - q^m) as one C-level pass: out[i] = cs[i] - cs[i - m]; with
-    # negated, cs * (q^m - 1) by the same pass with the operands swapped.
+def _packed_one_minus(x: int, e: int, bits: int) -> tuple[int, int]:
+    # x * (1 - q^e) at q = 2^bits, and the move of the offset; a negative e
+    # is folded as -q^e (1 - q^-e) = q^e (q^-e - 1)
+    if e >= 0:
+        return x - (x << bits * e), 0
+    return (x << -bits * e) - x, e
+
+
+def _times_binomials_packed(cs, exps: list) -> tuple[list, int]:
+    # cs * prod over e in exps of (1 - q^e), every e != 0, and the move of
+    # the offset, on the packed value: one shift-subtract per binomial.
+    # Each binomial at most doubles max|c|, so slots of bits(max|c|) +
+    # len(exps) bits and a sign bit hold the product.
+    w = (max(map(abs, cs)).bit_length() + len(exps)) // 8 + 1
+    x, move = _pack(cs, w), 0
+    for e in exps:
+        x, shift = _packed_one_minus(x, e, 8 * w)
+        move += shift
+    return _unpack(x, w, len(cs) + sum(map(abs, exps))), move
+
+
+def _times_one_minus(cs, m: int) -> list:
+    # cs * (1 - q^m) as one C-level pass: out[i] = cs[i] - cs[i - m]
     zeros = [0] * m
-    lo, hi = chain(cs, zeros), chain(zeros, cs)
-    return list(map(operator.sub, hi, lo) if negated
-                else map(operator.sub, lo, hi))
+    return list(map(operator.sub, chain(cs, zeros), chain(zeros, cs)))
 
 
 def _divide_one_minus(x: list, m: int) -> bool:
@@ -184,7 +231,8 @@ class Poly:
         return Poly._adopt(map(c.__mul__, self.coeffs), self.offset)
 
     def times_one_minus(self, exps: Iterable[int]) -> "Poly":
-        """self * prod over e in exps of (1 - q^e), one linear pass each.
+        """self * prod over e in exps of (1 - q^e), one shift-subtract each
+        on the packed coefficients.
 
         A negative e is folded as -q^e (1 - q^-e); e == 0 gives zero, as
         one_minus_q(0) does.
@@ -193,37 +241,32 @@ class Poly:
         >>> p.coeffs, p.offset
         ((-1, 1, 1, -1), -1)
         """
-        if not self.coeffs:
+        exps = list(exps)
+        if not self.coeffs or not exps:
             return self
-        cs, offset = self.coeffs, self.offset
-        for e in exps:
-            if e == 0:
-                return Poly.zero()
-            if e < 0:
-                offset += e
-            cs = _times_one_minus(cs, abs(e), negated=e < 0)
-        return Poly._adopt(cs, offset)
+        if 0 in exps:
+            return Poly.zero()
+        cs, move = _times_binomials_packed(self.coeffs, exps)
+        return Poly._adopt(cs, self.offset + move)
 
     def times_binomials(self, net: dict[int, int]) -> "Poly":
         """self * prod over m of (1 - q^m)^net[m], m >= 1, exactly.
 
-        One linear pass per binomial of positive exponent, then one exact
-        in-place division per binomial of negative exponent, the longest
-        first; an inexact division raises AssertionError.
+        One shift-subtract per binomial of positive exponent on the packed
+        coefficients, then one exact in-place division per binomial of
+        negative exponent, the longest first; an inexact division raises
+        AssertionError.
 
         >>> Poly([1, 1]).times_binomials({4: 1, 2: -1}).coeffs
         (1, 1, 1, 1)
         """
         if not net or not self.coeffs:
             return self
-        cs = self.coeffs
-        for m, g in sorted(net.items()):
-            for _ in range(g):
-                cs = _times_one_minus(cs, m)
+        up = [m for m, g in sorted(net.items()) for _ in range(g)]
         down = [m for m, g in sorted(net.items(), reverse=True)
                 for _ in range(-g)]
-        if down and cs is self.coeffs:
-            cs = list(cs)
+        cs = _times_binomials_packed(self.coeffs, up)[0] if up \
+            else list(self.coeffs)
         for m in down:
             if not _divide_one_minus(cs, m):
                 raise AssertionError(f"inexact division by 1 - q^{m}")

@@ -7,18 +7,22 @@ enters, and its unit -q^{-m} goes into the numerator, so a denominator
 never carries a sign or a power of q.  Denominators are never expanded
 while a sum is accumulated; consecutive terms of every supported family
 share nested denominators, so each step multiplies the running numerator
-by the new binomials 1 - q^m, one linear pass over its coefficients
-each, and adds the next term's numerator.  A term's q-integer factor
-[N]_{q^s} = (1 - q^{sN}) / (1 - q^s) enters the same way, as one pass
-and one exact division in place (Poly.times_binomials of
-q_integer_binomials), so building a sum never makes a general product.
+by the new binomials 1 - q^m and adds the next term's numerator.  The
+running numerator and the nested product of the numerator factors are
+packed integers (polycore._pack) of one width for the whole sum, fixed
+before the first step by a bound from the counts of binomials and sums
+alone, so each binomial is one shift-subtract of an integer.  A term's
+q-integer factor [N]_{q^s} = (1 - q^{sN}) / (1 - q^s) enters as one
+shift-subtract by 1 - q^{sN}; the factor 1 / (1 - q^s), common to every
+term, comes out once at the end, by one exact division in place of the
+unpacked numerator.  Building a sum never makes a general product.
 Keeping the denominator factored also makes its cyclotomic valuations
 analytic (count the bases m divisible by d) instead of requiring any
 division.
 
 A specialized parametric sum stops at its first vanishing term: once a
 numerator factor 1 - q^0 enters the nested product at step k0, every
-later term is zero, so the numerator gets no more passes.  The binomials
+later term is zero, so the numerator takes no more binomials.  The binomials
 of steps k0..upper still enter the denominator, and are carried
 unexpanded as the sum's cofactor: the sum is (cofactor * numerator) /
 denominator, with denominator the full last-term denominator F_upper and
@@ -53,10 +57,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cyclotomic import divisors
-from .polycore import Poly
+from .polycore import Poly, _divide_one_minus, _packed_one_minus, _unpack
 
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
@@ -123,7 +127,7 @@ class FactoredProduct:
         return content
 
     def expand(self) -> Poly:
-        """Multiply everything out, one linear pass per binomial."""
+        """Multiply everything out, one shift-subtract per binomial."""
         return Poly.one().times_one_minus(
             [m for m in sorted(self.factors) for _ in range(self.factors[m])])
 
@@ -241,114 +245,143 @@ def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
             [4 * s * k + t, 4 * s * k - t, 4 * s * k])
 
 
-def _finish_term(spec: FamilySpec, k: int, prod: Poly) -> Poly:
-    s = spec.base
+def _q_integer_step(spec: FamilySpec) -> int:
+    """The base q^step of every term's q-integer; 0 for M, which has none."""
     if spec.family in ("C", "C_PARAM"):
-        return prod.times_binomials(q_integer_binomials(4 * k + 1, s))
+        return spec.base
     if spec.family in SEXTIC_FAMILIES:
-        prefix, step = (1, 2) if spec.printed else (s, s)
-        num = prod.times_binomials(q_integer_binomials(6 * k + 1, step))
-        return num.shift(prefix * k * k)
-    # M
-    return prod.shift(2 * s * k)
+        return 2 if spec.printed else spec.base
+    return 0
 
 
-def _term_stream(spec: FamilySpec
-                 ) -> Iterator[tuple[int, Poly, list[int]]]:
-    """Yield (k, raw numerator, raw new denominator exponents) for k <= upper.
-
-    The numerator is exact; a vanishing numerator factor makes it (and all
-    later numerators) zero.  Denominator exponents are raw and may be
-    negative; the caller normalizes them.
-    """
-    prod = Poly.one()
-    yield 0, Poly.one(), []
-    for k in range(1, spec.upper + 1):
-        num_exps, den_exps = _step_exponents(spec, k)
-        prod = prod.times_one_minus(num_exps)
-        yield k, _finish_term(spec, k, prod), den_exps
+def _term_binomial(spec: FamilySpec, k: int) -> tuple[Optional[int], int]:
+    """(top, shift): term k's numerator is prod_k (1 - q^top) q^shift over
+    1 - q^step, its q-integer [N]_{q^step} = (1 - q^{step N}) / (1 - q^step)
+    written as one binomial; top is None for M."""
+    s, step = spec.base, _q_integer_step(spec)
+    if spec.family in ("C", "C_PARAM"):
+        return step * (4 * k + 1), 0
+    if spec.family in SEXTIC_FAMILIES:
+        return step * (6 * k + 1), (1 if spec.printed else s) * k * k
+    return None, 2 * s * k
 
 
-class _Accumulator:
-    """Common-denominator accumulation with unit folding.
+def _steps(spec: FamilySpec) -> list[tuple]:
+    """The steps k = 0..upper of spec for _accumulate."""
+    return [(*(_step_exponents(spec, k) if k else ([], [])),
+             *_term_binomial(spec, k)) for k in range(spec.upper + 1)]
+
+
+def _width(steps: list[tuple]) -> int:
+    # Bytes per slot that hold every coefficient of the final numerator
+    # with its sign, from the counts of operations alone: each binomial
+    # at most doubles max|c| (one bit), so term j times the binomials of
+    # the later steps stays below 2^num_bits, and a sum of terms many
+    # such values below 2^(num_bits + bits(terms)).  prod starts at 1; a
+    # zero exponent stops the sum.
+    prod_bits, num_bits, terms = 1, 0, 0
+    for ups, dens, top, _ in steps:
+        if 0 in ups:
+            break
+        prod_bits += len(ups)
+        num_bits = max(num_bits + len(dens), prod_bits + (top is not None))
+        terms += 1
+    return (num_bits + terms.bit_length()) // 8 + 1
+
+
+def _accumulate(steps: list[tuple], step: int = 0,
+                only: Optional[int] = None) -> SeriesSum:
+    """Sum the terms of steps over the common (last) denominator.
+
+    Step k is (ups, dens, top, shift): the nested product prod_k is
+    prod_{k-1} times the binomials 1 - q^e, e in ups; term k is prod_k
+    (1 - q^top) q^shift / (1 - q^step) (no binomial for top None, no
+    divisor for step 0) over the raw denominator binomials of dens and of
+    every earlier step.
 
     The raw denominator after step k factors as unit * F_k with F_k a
-    positive-base FactoredProduct and F_{k-1} dividing F_k; the running
-    numerator is kept over F_k, so each step multiplies it by the binomials
-    of F_k / F_{k-1}, one linear pass each, and adds the unit-adjusted term
-    numerator.  No rational reduction is ever performed.
+    product of binomials of positive base and F_{k-1} dividing F_k.  The
+    running numerator is kept over F_k (1 - q^step), so each step
+    multiplies it by the binomials of F_k / F_{k-1} and adds the
+    unit-adjusted term times 1 - q^step: prod_k (1 - q^top) q^shift, with
+    no division.  No rational reduction is ever performed.  The numerator
+    and prod are packed integers of one width (_width) for the whole run,
+    so each binomial is one shift-subtract; the numerator is unpacked once
+    at the end and divided by 1 - q^step in place, exactly.
 
-    After stop() every later term is zero: the new binomials of each step
-    still enter F_k but go to the cofactor instead of the numerator, so
-    the sum is cofactor * numerator over F_k.
+    A zero exponent in ups makes prod and every later term zero: from
+    that step on the new binomials of each step still enter F_k but go to
+    the cofactor instead of the numerator, so the sum is cofactor *
+    numerator over F_upper.  With only = k, term k alone is added.
     """
-
-    def __init__(self) -> None:
-        self.numerator = Poly.zero()
-        self.factors: dict[int, int] = {}
-        self.unit_sign = 1
-        self.unit_power = 0
-        self.tail: Optional[dict[int, int]] = None   # cofactor, once stopped
-
-    def absorb(self, raw_num: Poly, raw_den_exps: list[int]) -> None:
-        pos_exps = []
-        for e in raw_den_exps:
+    w = _width(steps)
+    bits = 8 * w
+    prod, prod_off = 1, 0
+    num, num_off = 0, 0
+    factors: dict[int, int] = {}
+    unit_sign, unit_power = 1, 0
+    tail: Optional[dict[int, int]] = None   # cofactor, once stopped
+    for k, (ups, dens, top, shift) in enumerate(steps):
+        new = []
+        for e in dens:
             if e == 0:
                 raise ZeroDivisionError("vanishing denominator factor")
             if e < 0:
-                self.unit_sign = -self.unit_sign
-                self.unit_power += e
-                e = -e
-            self.factors[e] = self.factors.get(e, 0) + 1
-            pos_exps.append(e)
-        if self.tail is not None:
-            for e in pos_exps:
-                self.tail[e] = self.tail.get(e, 0) + 1
-            return
-        self.numerator = self.numerator.times_one_minus(pos_exps)
-        if not raw_num.is_zero():
-            adjusted = raw_num.scale(self.unit_sign).shift(-self.unit_power)
-            self.numerator = self.numerator + adjusted
-
-    def stop(self) -> None:
-        if self.tail is None:
-            self.tail = {}
-
-    def last_term_numerator(self, raw_num: Poly) -> Poly:
-        return raw_num.scale(self.unit_sign).shift(-self.unit_power)
-
-    def denominator(self) -> FactoredProduct:
-        return FactoredProduct(dict(self.factors))
-
-    def cofactor(self) -> FactoredProduct:
-        return FactoredProduct(dict(self.tail or {}))
+                unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
+            factors[e] = factors.get(e, 0) + 1
+            new.append(e)
+        if tail is None:
+            for e in ups:
+                prod, move = _packed_one_minus(prod, e, bits)
+                prod_off += move
+            if not prod:
+                tail = {}
+        if tail is not None:
+            for e in new:
+                tail[e] = tail.get(e, 0) + 1
+            continue
+        for e in new:
+            num -= num << bits * e
+        if only is not None and k != only:
+            continue
+        term, move = (prod, 0) if top is None \
+            else _packed_one_minus(prod, top, bits)
+        term_off = prod_off + move + shift - unit_power
+        if unit_sign < 0:
+            term = -term
+        if term_off >= num_off:
+            num += term << bits * (term_off - num_off)
+        else:
+            num = (num << bits * (num_off - term_off)) + term
+            num_off = term_off
+    numerator = Poly.zero()
+    if num:
+        cs = _unpack(num, w, abs(num).bit_length() // bits + 1)
+        if step and not _divide_one_minus(cs, step):
+            raise AssertionError(f"inexact division by 1 - q^{step}")
+        numerator = Poly(cs, num_off)
+    return SeriesSum(numerator, FactoredProduct(factors),
+                     FactoredProduct(tail or {}))
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
     """The exact k-th term as (numerator, factored denominator)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    acc = _Accumulator()
-    for _, raw_num, raw_exps in _term_stream(replace(spec, upper=k)):
-        acc.absorb(Poly.zero(), raw_exps)
-    return acc.last_term_numerator(raw_num), acc.denominator()
+    steps = _steps(replace(spec, upper=k))
+    term = _accumulate(steps, _q_integer_step(spec), only=k)
+    return term.numerator, term.denominator
 
 
 def sum_truncated(spec: FamilySpec) -> SeriesSum:
     """Sum of the terms k = 0..upper over the common (last) denominator.
 
     The first zero term (k0 >= 1, as term 0 is 1; only a vanishing
-    numerator factor makes one) stops the sum: the binomials of steps k0..upper become the
-    cofactor, and the numerator is the sum of the terms k < k0 over
-    F_{k0-1}.
+    numerator factor makes one) stops the sum: the binomials of steps
+    k0..upper become the cofactor, and the numerator is the sum of the
+    terms k < k0 over F_{k0-1}.
     """
-    acc = _Accumulator()
-    for _, raw_num, raw_exps in _term_stream(spec):
-        if raw_num.is_zero():
-            acc.stop()
-        acc.absorb(raw_num, raw_exps)
-    return SeriesSum(acc.numerator, acc.denominator(),
-                     cofactor=acc.cofactor())
+    return _accumulate(_steps(spec), _q_integer_step(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ None of them is used by the engine: the quadratic schoolbook product (the
 oracle for the Kronecker product and the binomial passes), monic long
 division (the oracle for the binomial-pass valuation and cyclotomic
 construction), the rewrite of 1 - q^m to a positive base, Euler's
-totient, the cyclotomic content of a binomial, and the pole-free q = 1
-value of a plain-family term.
+totient, the cyclotomic content of a binomial, the pole-free q = 1
+value of a plain-family term, and the sums built with one list pass per
+binomial (the oracle for the packed accumulator).
 """
 
 import functools
@@ -13,6 +14,12 @@ import math
 from fractions import Fraction
 
 from qcongruence.polycore import Poly, eval_at, one_minus_q
+from qcongruence.qseries import (
+    SEXTIC_FAMILIES,
+    FactoredProduct,
+    SeriesSum,
+    _step_exponents,
+)
 
 
 def _schoolbook(a: list, b: list) -> list:
@@ -136,3 +143,74 @@ def term_value_at_one(family: str, k: int) -> Fraction:
     ratio_a = cqb1 / (minus_poch1 ** 2 * minus_poch2)
     ratio_b = cqb2 / minus_poch2 ** 2
     return (6 * k + 1) * ratio_a ** 2 * ratio_b
+
+
+def _times_one_minus_by_passes(p: Poly, exps) -> Poly:
+    # p * prod over exps of (1 - q^e), one list pass per binomial: out[i] =
+    # cs[i] - cs[i - m]; a negative e as q^e (q^-e - 1)
+    cs, offset = list(p.coeffs), p.offset
+    for e in exps:
+        if e == 0:
+            return Poly.zero()
+        m = abs(e)
+        lo, hi = cs + [0] * m, [0] * m + cs
+        cs = [y - x for x, y in zip(lo, hi)] if e < 0 \
+            else [x - y for x, y in zip(lo, hi)]
+        offset += min(e, 0)
+    return Poly(cs, offset)
+
+
+def _divided_by_one_minus(p: Poly, m: int) -> Poly:
+    # the exact quotient by 1 - q^m: running sums along each class mod m
+    if p.is_zero():
+        return p
+    y = list(p.coeffs)
+    for i in range(m, len(y)):
+        y[i] += y[i - m]
+    assert len(y) > m and not any(y[-m:]), f"inexact division by 1 - q^{m}"
+    return Poly(y[:-m], p.offset)
+
+
+def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
+    """sum_truncated(spec) on coefficient lists, one pass per binomial.
+
+    Each step multiplies the nested product and then the running
+    numerator (over the last denominator) by its binomials, and adds the
+    term, whose q-integer is one pass and one exact division.  A zero term
+    stops the sum as in the engine: the binomials of the steps from it on
+    become the cofactor.  With stop False every step is taken, so the
+    numerator takes each binomial and each (zero) term, and the cofactor
+    is 1.
+    """
+    s = spec.base
+    prod = numerator = Poly.one()
+    factors, tail = {}, None
+    unit_sign, unit_power = 1, 0
+    for k in range(1, spec.upper + 1):
+        ups, dens = _step_exponents(spec, k)
+        prod = _times_one_minus_by_passes(prod, ups)
+        if spec.family in ("C", "C_PARAM"):
+            term = _divided_by_one_minus(
+                _times_one_minus_by_passes(prod, [s * (4 * k + 1)]), s)
+        elif spec.family in SEXTIC_FAMILIES:
+            prefix, step = (1, 2) if spec.printed else (s, s)
+            term = _divided_by_one_minus(_times_one_minus_by_passes(
+                prod, [step * (6 * k + 1)]), step).shift(prefix * k * k)
+        else:
+            term = prod.shift(2 * s * k)
+        if stop and term.is_zero() and tail is None:
+            tail = {}
+        new = []
+        for e in dens:
+            if e < 0:
+                unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
+            factors[e] = factors.get(e, 0) + 1
+            new.append(e)
+        if tail is not None:
+            for e in new:
+                tail[e] = tail.get(e, 0) + 1
+            continue
+        numerator = _times_one_minus_by_passes(numerator, new) \
+            + term.scale(unit_sign).shift(-unit_power)
+    return SeriesSum(numerator, FactoredProduct(factors),
+                     FactoredProduct(tail or {}))

@@ -20,13 +20,11 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _Accumulator,
-    _term_stream,
     q_integer,
     sum_truncated,
 )
 
-from oracles import div_rem_by_monic, mul_schoolbook
+from oracles import div_rem_by_monic, mul_schoolbook, sum_by_passes
 
 
 def laurent(coeffs, offset=0):
@@ -265,10 +263,7 @@ def test_found_matches_full_difference_on_random_pairs():
 def _full_accumulation(spec):
     # every step, as before the early stop: the numerator takes each new
     # binomial and each (possibly zero) term, and the cofactor is 1
-    acc = _Accumulator()
-    for _, raw_num, raw_exps in _term_stream(spec):
-        acc.absorb(raw_num, raw_exps)
-    return SeriesSum(acc.numerator, acc.denominator())
+    return sum_by_passes(spec, stop=False)
 
 
 @pytest.mark.parametrize("family", ["c", "j"])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qcongruence.cyclotomic import (
+    binomial_form,
     cyclotomic,
     divisors,
     q_integer_cyclotomic_factors,
@@ -118,6 +119,14 @@ def random_laurent(rng, length, bits):
                 rng.randint(-9, 9))
 
 
+def _times_phi_power(a, d, k):
+    # a * Phi_d^k through the binomial kernel; the binomial form's B_1 is
+    # 1 - q = -Phi_1, so d = 1 keeps the general product
+    if d == 1:
+        return a * cyclotomic(1) ** k
+    return a.times_binomials(binomial_form({d: k}))
+
+
 @pytest.mark.parametrize("bits", [3, 64, 300])
 def test_valuation_matches_repeated_division(bits):
     # a * Phi_d^k, where a sometimes carries 1 - q^j for a proper divisor j
@@ -131,16 +140,14 @@ def test_valuation_matches_repeated_division(bits):
     rng, extra = random.Random(bits), random.Random(-bits)
     for d in ORACLE_INDICES:
         assert valuation_at(Poly(), d) == INFINITE
-        phi = cyclotomic(d)
         for k in range(6):
-            phi_k = phi ** k
             for _ in range(4):
                 a = random_laurent(rng, rng.randint(1, 2 * d + 8), bits)
                 if a.is_zero():
                     continue
                 if d > 1 and rng.random() < 0.5:
-                    a = a * one_minus_q(rng.choice(divisors(d)[:-1]))
-                x = a * phi_k
+                    a = a.times_one_minus([rng.choice(divisors(d)[:-1])])
+                x = _times_phi_power(a, d, k)
                 expected = valuation_by_repeated_division(x, d)
                 assert expected >= k
                 assert valuation_at(x, d) == expected, (d, k)
@@ -153,7 +160,7 @@ def test_valuation_matches_repeated_division(bits):
             a = random_laurent(extra, extra.randint(1, room), bits)
             if a.is_zero():
                 continue
-            x = a * phi_k
+            x = _times_phi_power(a, d, k)
             assert len(x.coeffs) <= d
             assert valuation_at(x, d) == \
                 valuation_by_repeated_division(x, d), (d, k)

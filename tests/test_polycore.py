@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from qcongruence.polycore import (
     _divide_one_minus,
     _kronecker,
     _sub_lists,
+    _times_binomials_packed,
     _times_one_minus,
     Poly,
     eval_at,
@@ -283,6 +285,19 @@ def test_times_binomials_matches_schoolbook_and_long_division(bits):
         bumped = x + Poly([1], x.offset)
         with pytest.raises(AssertionError):
             bumped.times_binomials({m: g for m, g in net.items() if g < 0})
+    # Near the bound: coefficients +-(2^b - 1), at most 4 of them, times
+    # (1 - q^m)^k with m > 4 never meet in one slot, so the largest is
+    # (2^b - 1) C(k, k // 2) > 2^(b + k - 5); b makes the proven width of
+    # b + k + 1 bits a whole number of bytes, so one byte less overflows.
+    for _ in range(6):
+        k = rng.randint(150, 170)
+        b = bits - (bits + k + 1) % 8
+        m = rng.randint(5, 15)
+        base = Poly([rng.choice((-1, 1)) * ((1 << b) - 1)
+                     for _ in range(rng.randint(1, 4))], rng.randint(-9, 9))
+        power = Poly([(-1) ** (i // m) * math.comb(k, i // m)
+                      if i % m == 0 else 0 for i in range(m * k + 1)])
+        assert base.times_binomials({m: k}) == mul_schoolbook(base, power)
 
 
 def test_times_binomials_edge_cases():
@@ -513,7 +528,7 @@ def test_adopted_pass_outputs_equal_public_constructor(bits):
         assert _divide_one_minus(quotient, m)
         for cs, off in (
                 (_times_one_minus(x.coeffs, m), x.offset),
-                (_times_one_minus(x.coeffs, m, negated=True), x.offset - m),
+                (_times_binomials_packed(x.coeffs, [-m])[0], x.offset - m),
                 (_kronecker(x.coeffs, y.coeffs), x.offset + y.offset),
                 (quotient, y.offset)):
             assert Poly._adopt(cs, off) == Poly(cs, off)

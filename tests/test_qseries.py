@@ -10,6 +10,7 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    _accumulate,
     classical_term_value,
     eta_product_coefficients,
     q_integer,
@@ -18,7 +19,7 @@ from qcongruence.qseries import (
     term_of,
 )
 
-from oracles import central_q_binomial, term_value_at_one
+from oracles import central_q_binomial, sum_by_passes, term_value_at_one
 
 # ---------------------------------------------------------------------------
 # independent oracle: build each term by direct per-factor expansion and add
@@ -223,10 +224,8 @@ def test_denominator_vanishing_is_an_error():
     with pytest.raises(ValueError):
         FamilySpec("C_PARAM", 1, 3, 2)
     # a zero factor reaching a denominator position is an error
-    from qcongruence.qseries import _Accumulator
-    acc = _Accumulator()
     with pytest.raises(ZeroDivisionError):
-        acc.absorb(Poly.one(), [2, 0])
+        _accumulate([([], [2, 0], None, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +319,36 @@ def test_series_sum_carries_its_cofactor():
 
 
 def test_vanishing_denominator_after_the_stop_still_raises():
-    from qcongruence.qseries import _Accumulator
-    acc = _Accumulator()
-    acc.absorb(Poly.one(), [])
-    acc.stop()
-    acc.absorb(Poly.zero(), [3, -1])
+    # the nested product vanishes at step 1, so its binomials and those of
+    # step 2 go to the cofactor; a zero exponent among them still raises
+    steps = [([], [], None, 0), ([0], [3, -1], None, 0),
+             ([], [5, 0], None, 0)]
+    stopped = _accumulate(steps[:2])
+    assert stopped.numerator == Poly.one()
+    assert stopped.cofactor.factors == {3: 1, 1: 1}
     with pytest.raises(ZeroDivisionError):
-        acc.absorb(Poly.zero(), [5, 0])
+        _accumulate(steps)
+
+
+# The sums of the checks: base 1 to 48 (the theorems at n = 7, r = 2),
+# their base-7 and base-49 targets, the lemma sums at n = 81, and the
+# printed J reading.
+ORACLE_SPECS = [
+    *(FamilySpec(family, 1, 48) for family in ("C", "J", "M")),
+    FamilySpec("C", 7, 6), FamilySpec("J", 7, 6), FamilySpec("M", 7, 6),
+    FamilySpec("M", 49, 6), FamilySpec("M", 49, 3),
+    FamilySpec("C_PARAM", 1, 40, -81), FamilySpec("J_PARAM", 1, 40, -81),
+    FamilySpec("J", 7, 6, printed=True),
+    FamilySpec("J_PARAM", 7, 3, -21, printed=True),
+    *ALL_SPECS, *(spec for spec, _ in EARLY_STOP_SPECS),
+]
+
+
+def test_sums_match_list_pass_accumulation():
+    # the packed accumulator against one list pass per binomial: the same
+    # numerator, denominator and cofactor
+    for spec in ORACLE_SPECS:
+        assert sum_truncated(spec) == sum_by_passes(spec), spec
 
 
 def test_sum_denominator_is_last_term_denominator():
