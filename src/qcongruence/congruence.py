@@ -37,9 +37,17 @@ per side, so valuation_at makes no pass for the second copy.
 
 The right side of the theorem, parametric and closed-form checks carries
 the q-integer [n] = (1 - q^n) / (1 - q), which enters the same way: one
-shift-subtract and one exact division, never a general product.  The
-only general products left are those of the product conjectures' two
-sums.
+shift-subtract and one exact division, never a general product.  No
+check makes a general product of expanded polynomials.
+
+The product conjectures (conj41, conj42, conj43), whose modulus is one
+power of Phi_n and whose right side is a product of two sums, take the
+local path instead (local.certify_part): no sum is expanded, and neither
+the lcm lifts, the delta nor valuation_at runs.  Each part is read off a
+few rows of integers at q = zeta_n (1 + x), from the three sums' specs,
+and gives the same required and found as the global path below; their
+reports time the one phase local_ms.  The check kind alone chooses the
+path: every other check goes through check_congruence.
 
 The valuation of delta is counted one power of Phi_d at a time, and
 Phi_d is never built: cyclotomic.valuation_at divides delta in place by
@@ -78,6 +86,7 @@ from .cyclotomic import (
     q_integer_cyclotomic_factors,
     valuation_at,
 )
+from .local import certify_part
 from .polycore import INFINITE, Poly
 from .qseries import (
     FactoredProduct,
@@ -490,7 +499,8 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
                              d: int | None = None,
                              ) -> CongruenceReport:
     # div None takes the divisor from the d axis (default 2), which only
-    # that row has; squared makes the inner base n^2 instead of n.
+    # that row has; squared makes the inner base n^2 instead of n.  The
+    # one part is certified locally, from the three sums' specs.
     if div is not None and d is not None:
         raise TypeError(f"check {kind!r} takes no d")
     label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
@@ -499,17 +509,16 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
         label += f" d={div}"
     _require_case(n, r, div)
     t0 = time.perf_counter()
-    lhs = sum_truncated(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
-    first = sum_truncated(FamilySpec("M", 1, (n - 1) // div))
-    second = sum_truncated(FamilySpec("M", n * n if squared else n,
-                                      (n ** r - 1) // div))
-    rhs = first.times(second)
-    build_ms = (time.perf_counter() - t0) * 1e3
-    rep = check_congruence(
-        lhs, rhs, ModulusSpec([(n, exponent)]), label=label,
-        kind=kind, params=params, conjectural=True)
-    rep.timings["build_ms"] = build_ms
-    return rep
+    lhs = FamilySpec("M", 1, (n ** (r + 1) - 1) // div)
+    rhs = [FamilySpec("M", 1, (n - 1) // div),
+           FamilySpec("M", n * n if squared else n, (n ** r - 1) // div)]
+    required, found = certify_part([lhs], rhs, n, exponent)
+    part = PartResult(n, required, found, found - required)
+    ms = (time.perf_counter() - t0) * 1e3
+    return CongruenceReport(
+        label=label, kind=kind, params=params, parts=[part],
+        passed=part.met(), identically_equal=found == INFINITE,
+        conjectural=True, timings={"local_ms": ms})
 
 
 def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:

@@ -1,0 +1,312 @@
+"""One Phi_d part of a congruence, certified at q = zeta_d (1 + x).
+
+Phi_d is irreducible and separable, and Phi_d(zeta (1 + x)) is x times a
+unit of Q(zeta)[[x]] for a primitive d-th root of unity zeta, so the
+Phi_d-adic valuation of every nonzero f in Z[q, 1/q] is the x-order of
+f(zeta (1 + x)).  (This is the expansion at a root of unity behind the
+"creative microscoping" of Guo and Zudilin.)  Here that order is read in
+
+    A_P = (Z[g]/(g^d - 1))[x]/(x^P),   q -> g (1 + x),
+
+an element being P rows, one per power of x below P, of d exact integers,
+the coefficients of g^0 .. g^(d-1).  Z[g]/(g^d - 1) maps onto Z[zeta], so
+nothing is reduced until a row is tested for zero modulo Phi_d(g).  No
+sum is ever expanded in q: each is read off its spec, step by step
+(qseries._steps), and each binomial costs P (P + 1) / 2 row operations.
+
+A monomial and a binomial go over as
+
+    q^s     -> g^(s mod d) sum_i C(s, i) x^i     (C generalized, any s)
+    1 - q^e -> x^v u, with
+               v = 0, u = 1 - g^(e mod d) (1 + x)^e   if d does not divide e,
+               v = 1, u = -sum_i C(e, i + 1) x^i      if d divides e,
+
+and u(0) is nonzero in Z[zeta] (1 - zeta^j with d not dividing j, or
+-e), so u is a unit of Q(zeta)[[x]] and the x-order of a product of
+binomials is the count v of exponents d divides.  Multiplying by u is one
+triangular pass over the rows and one rotation of every row by g^j, never
+a general product.
+
+A sum sum_k T_k is held as x^sigma V / B with V and B in A_P and B(0) a
+unit.  The x-order m_k of term k is counted from its binomials before
+any row is built, and mu is the least of them.  The numerator runs
+
+    V_k = V_{k-1} u(dens_k) + x^(m_k - mu) X_k,
+
+u(dens_k) the product of the units of step k's denominator binomials and
+X_k the unit part of term k's numerator; B is the product of every
+denominator unit and of the unit of the q-integer's divisor 1 - q^step,
+and sigma = mu - [d divides step].  A sum that stops at a vanishing term
+has the same value as its terms before the stop, so its later steps
+enter V and B not at all (their binomials, the cofactor, stay in the
+nominal denominator and its content).  A product of sums multiplies
+(sigma, V, B) componentwise; that and the final cross-multiplication
+are the only general products.
+
+The difference of two sides, with m the lesser sigma, is
+
+    x^m (x^(sigma_L - m) V_L B_R - x^(sigma_R - m) V_R B_L) / (B_L B_R),
+
+so its x-order is m plus the index of the first row of the bracket that
+is nonzero modulo Phi_d(g), and found is that plus the Phi_d content of
+both nominal denominators, cofactors included: the valuation of the
+cross-multiplied numerator difference, as the global path reports it.
+Rows below P are exact, since no factor carries a negative power of x.
+P starts at exponent - m + 1, the fewest rows that show found whenever
+the margin is at most 0, and doubles while every row vanishes.  A
+nonzero f has v_{Phi_d}(f) <= span(f) / phi(d), with the span of the
+Laurent difference bounded from the specs' exponents, so once the rows
+reach that bound less m and the content, an all-zero bracket proves the
+two sides equal and found is INFINITE.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .cyclotomic import cyclotomic
+from .polycore import INFINITE
+from .qseries import FamilySpec, _q_integer_step, _steps
+
+
+def _binomials(e: int, count: int) -> list[int]:
+    """C(e, 0), .., C(e, count - 1), generalized to any integer e."""
+    out = [1]
+    for i in range(1, count):
+        out.append(out[-1] * (e - i + 1) // i)
+    return out
+
+
+class _Ring:
+    """A_P for one d and one precision P: elements are lists of P rows,
+    row i the coefficient of x^i, each a list of d ints.  Every operation
+    returns new rows and never changes its arguments."""
+
+    def __init__(self, d: int, precision: int):
+        self.d, self.precision = d, precision
+        self._series: dict[int, list[int]] = {}
+
+    def zero(self) -> list:
+        return [[0] * self.d for _ in range(self.precision)]
+
+    def one(self) -> list:
+        rows = self.zero()
+        rows[0][0] = 1
+        return rows
+
+    def _binomial_series(self, e: int) -> list[int]:
+        # C(e, i) for i <= P, computed once per exponent and precision
+        if e not in self._series:
+            self._series[e] = _binomials(e, self.precision + 1)
+        return self._series[e]
+
+    def _rotated(self, row: list, j: int) -> list:
+        # row * g^j in Z[g]/(g^d - 1)
+        j %= self.d
+        return row[-j:] + row[:-j] if j else row
+
+    def _times_series(self, a: list, weights: list) -> list:
+        # a * sum_i weights[i] x^i mod x^P: one triangular pass over rows
+        out = []
+        for i in range(self.precision):
+            row = None
+            for t in range(i + 1):
+                w = weights[i - t]
+                if not w:
+                    continue
+                src = a[t]
+                if row is None:
+                    row = src if w == 1 else [w * v for v in src]
+                else:
+                    row = [r + w * v for r, v in zip(row, src)]
+            out.append(row if row is not None else [0] * self.d)
+        return out
+
+    def times_power(self, a: list, s: int) -> list:
+        """a * q^s."""
+        return [self._rotated(row, s)
+                for row in self._times_series(a, self._binomial_series(s))]
+
+    def times_unit(self, a: list, e: int) -> list:
+        """a * u for 1 - q^e = x^v u; v is 1 if d divides e, else 0."""
+        series = self._binomial_series(e)
+        if e % self.d == 0:
+            return self._times_series(a, [-c for c in series[1:]])
+        # a - g^e (1 + x)^e a, row i less sum over t <= i of
+        # C(e, i - t) g^e a_t
+        turned = [self._rotated(row, e) for row in a]
+        out = []
+        for i, row in enumerate(a):
+            for t in range(i + 1):
+                w = series[i - t]
+                if w:
+                    row = [x - w * y for x, y in zip(row, turned[t])]
+            out.append(row)
+        return out
+
+    def mul(self, a: list, b: list) -> list:
+        """The general product, row by row, each row pair a cyclic
+        convolution of d slots."""
+        precision = self.precision
+        turned = [[self._rotated(row, s) for row in b] for s in range(self.d)]
+        out = self.zero()
+        for i, row in enumerate(a):
+            for s, v in enumerate(row):
+                if not v:
+                    continue
+                for j in range(precision - i):
+                    out[i + j] = [x + v * y for x, y in
+                                  zip(out[i + j], turned[s][j])]
+        return out
+
+    def shifted(self, a: list, k: int) -> list:
+        """a * x^k, k >= 0."""
+        if k >= self.precision:
+            return self.zero()
+        return [[0] * self.d for _ in range(k)] + a[:self.precision - k]
+
+    def add(self, a: list, b: list) -> list:
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    def sub(self, a: list, b: list) -> list:
+        return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+@dataclass
+class _Sum:
+    """What a sum's spec says at one d, before any row is built.
+
+    steps are the steps before the stop, gaps their terms' m_k - mu;
+    content is ord_d of the nominal denominator, cofactor included, and
+    degree its degree; low and high bound the exponents of the nominal
+    numerator (cofactor times numerator), the sum times that denominator.
+    """
+
+    steps: list
+    step: int
+    gaps: list[int]
+    sigma: int
+    content: int
+    degree: int
+    low: int
+    high: int
+
+
+def _read(spec: FamilySpec, d: int) -> _Sum:
+    """The x-orders, the stop and the exponent bounds of spec's sum.
+
+    Term k times the nominal denominator is prod_k (1 - q^top) q^shift /
+    (1 - q^step), times -q^|e| for each negative denominator exponent e
+    up to step k (1 - q^|e| over 1 - q^e) and times the binomials of the
+    later steps, so its exponents lie in the ranges added below.
+    """
+    steps, step = _steps(spec), _q_integer_step(spec)
+    stop = len(steps)
+    up_order = den_order = 0
+    up_low = up_high = turned = degree = 0
+    orders, lows, highs = [], [], []
+    for k, (ups, dens, top, shift) in enumerate(steps):
+        for e in dens:
+            if e == 0:
+                raise ZeroDivisionError("vanishing denominator factor")
+            den_order += e % d == 0
+            degree += abs(e)
+            turned += max(-e, 0)
+        if k < stop and 0 in ups:
+            stop = k
+        if k >= stop:
+            continue
+        for e in ups:
+            up_order += e % d == 0
+            up_low += min(e, 0)
+            up_high += max(e, 0)
+        top_order, top_low, top_high = (0, 0, 0) if top is None \
+            else (top % d == 0, min(top, 0), max(top, 0) - step)
+        orders.append(up_order + top_order - den_order)
+        lows.append(up_low + top_low + shift + turned)
+        highs.append(up_high + top_high + shift + turned - degree)
+    mu = min(orders)
+    return _Sum(steps[:stop], step, [m - mu for m in orders],
+                mu - (step != 0 and step % d == 0), den_order, degree,
+                min(lows), max(highs) + degree)
+
+
+def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
+    """(V, B) of the sum in ring: its value is x^sigma V / B."""
+    numerator, units, prod = ring.zero(), ring.one(), ring.one()
+    for (ups, dens, top, shift), gap in zip(series.steps, series.gaps):
+        for e in dens:
+            numerator = ring.times_unit(numerator, e)
+            units = ring.times_unit(units, e)
+        for e in ups:
+            prod = ring.times_unit(prod, e)
+        term = prod if top is None else ring.times_unit(prod, top)
+        if shift:
+            term = ring.times_power(term, shift)
+        numerator = ring.add(numerator, ring.shifted(term, gap))
+    if series.step:
+        units = ring.times_unit(units, series.step)
+    return numerator, units
+
+
+def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
+    """(V, B) of the product of the sums."""
+    numerator, units = _evaluate(ring, sums[0])
+    for series in sums[1:]:
+        v, b = _evaluate(ring, series)
+        numerator, units = ring.mul(numerator, v), ring.mul(units, b)
+    return numerator, units
+
+
+def _nonzero_mod(row: list, phi: tuple) -> bool:
+    """Whether the row, as a polynomial in g, is nonzero modulo the monic
+    phi; one step of long division per slot above phi's degree."""
+    rest, degree = list(row), len(phi) - 1
+    for top in range(len(rest) - 1, degree - 1, -1):
+        c = rest[top]
+        if c:
+            for k, p in enumerate(phi):
+                rest[top - degree + k] -= c * p
+    return any(rest[:degree])
+
+
+def certify_part(lhs: list[FamilySpec], rhs: list[FamilySpec], d: int,
+                 exponent: int) -> tuple[int, object]:
+    """(required, found) for prod(lhs) == prod(rhs) modulo Phi_d^exponent,
+    each side a product of the sums of its specs, d >= 2.
+
+    required is exponent plus the Phi_d content of both nominal
+    denominators; found is the Phi_d-adic valuation of the
+    cross-multiplied difference of the nominal numerators, INFINITE when
+    it is zero.  Both are the numbers check_congruence reports for the
+    expanded sums.
+    """
+    left = [_read(spec, d) for spec in lhs]
+    right = [_read(spec, d) for spec in rhs]
+    sigma_l = sum(s.sigma for s in left)
+    sigma_r = sum(s.sigma for s in right)
+    m = min(sigma_l, sigma_r)
+    content = sum(s.content for s in left + right)
+    # Exponent range of D_R C_L N_L - D_L C_R N_R.
+    low_l, low_r = (sum(s.low for s in side) for side in (left, right))
+    high_l = sum(s.high for s in left) + sum(s.degree for s in right)
+    high_r = sum(s.high for s in right) + sum(s.degree for s in left)
+    phi = cyclotomic(d).coeffs
+    # found <= span / phi(d) unless the difference is zero, so rows below
+    # this many all vanish only when it is
+    enough = (max(high_l, high_r) - min(low_l, low_r)) // (len(phi) - 1) \
+        - m - content + 1
+    precision = exponent - m + 1
+    while True:
+        precision = max(1, min(precision, enough))
+        ring = _Ring(d, precision)
+        v_l, b_l = _product(ring, left)
+        v_r, b_r = _product(ring, right)
+        bracket = ring.sub(ring.shifted(ring.mul(v_l, b_r), sigma_l - m),
+                           ring.shifted(ring.mul(v_r, b_l), sigma_r - m))
+        for i, row in enumerate(bracket):
+            if _nonzero_mod(row, phi):
+                return exponent + content, m + i + content
+        if precision >= enough:
+            return exponent + content, INFINITE
+        precision *= 2

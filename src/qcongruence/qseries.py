@@ -92,12 +92,6 @@ class FactoredProduct:
             if m < 1 or e < 1:
                 raise ValueError("factor bases and exponents must be >= 1")
 
-    def times(self, other: "FactoredProduct") -> "FactoredProduct":
-        merged = dict(self.factors)
-        for m, e in other.factors.items():
-            merged[m] = merged.get(m, 0) + e
-        return FactoredProduct(merged)
-
     def divided_by(self, other: "FactoredProduct") -> "FactoredProduct":
         """self / other, exactly; other's binomials must be among self's."""
         rest = dict(self.factors)
@@ -150,11 +144,6 @@ class SeriesSum:
     @staticmethod
     def zero() -> "SeriesSum":
         return SeriesSum(Poly.zero())
-
-    def times(self, other: "SeriesSum") -> "SeriesSum":
-        return SeriesSum(self.numerator * other.numerator,
-                         self.denominator.times(other.denominator),
-                         self.cofactor.times(other.cofactor))
 
 
 @dataclass

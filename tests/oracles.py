@@ -5,20 +5,26 @@ oracle for the Kronecker product and the binomial passes), monic long
 division (the oracle for the binomial-pass valuation and cyclotomic
 construction), the rewrite of 1 - q^m to a positive base, Euler's
 totient, the cyclotomic content of a binomial, the pole-free q = 1
-value of a plain-family term, and the sums built with one list pass per
-binomial (the oracle for the packed accumulator).
+value of a plain-family term, the sums built with one list pass per
+binomial (the oracle for the packed accumulator), and the product
+conjectures through the global path, their sums expanded and multiplied
+out (the oracle for the local path).
 """
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
+from qcongruence import congruence
 from qcongruence.polycore import Poly, eval_at, one_minus_q
 from qcongruence.qseries import (
     SEXTIC_FAMILIES,
     FactoredProduct,
+    FamilySpec,
     SeriesSum,
     _step_exponents,
+    sum_truncated,
 )
 
 
@@ -214,3 +220,39 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
             + term.scale(unit_sign).shift(-unit_power)
     return SeriesSum(numerator, FactoredProduct(factors),
                      FactoredProduct(tail or {}))
+
+
+def factored_times(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:
+    """The product of two multisets of binomials: exponents added."""
+    return FactoredProduct(dict(Counter(a.factors) + Counter(b.factors)))
+
+
+def series_times(a: SeriesSum, b: SeriesSum) -> SeriesSum:
+    """The product of two sums: the numerators multiplied out, the
+    denominators and the cofactors merged."""
+    return SeriesSum(a.numerator * b.numerator,
+                     factored_times(a.denominator, b.denominator),
+                     factored_times(a.cofactor, b.cofactor))
+
+
+#: kind -> (divisor of the ranges, None for the d axis; exponent of Phi_n;
+#: whether the inner base is n^2 rather than n)
+PRODUCT_CONJECTURES = {"conj41": (1, 3, True), "conj42": (2, 3, True),
+                       "conj43": (None, 2, False)}
+
+
+def product_conjecture_global(kind: str, n: int, r: int = 1, d: int = 2):
+    """The product conjecture's report through the global path: the
+    M-family sums to (n^{r+1} - 1) / div against (n - 1) / div times
+    (n^r - 1) / div in base n^2 or n, modulo Phi_n^exponent, built by
+    sum_truncated, the right side's two multiplied out, and certified by
+    congruence.check_congruence, looked up when called."""
+    div, exponent, squared = PRODUCT_CONJECTURES[kind]
+    div = div or d
+    lhs = sum_truncated(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
+    first = sum_truncated(FamilySpec("M", 1, (n - 1) // div))
+    second = sum_truncated(FamilySpec("M", n * n if squared else n,
+                                      (n ** r - 1) // div))
+    return congruence.check_congruence(
+        lhs, series_times(first, second),
+        congruence.ModulusSpec([(n, exponent)]), conjectural=True)
