@@ -5,7 +5,6 @@ Subcommands
     sweep      run the cartesian case grid of a JSON config file
     classical  one prime-power check from flags
     list       enumerate supported checks, as the check table holds them
-    bench      timing table for the polynomial kernels and the valuation
 
 Every check is one row of CHECKS: its name, description, parameter axes and
 runner.  A case is plain data, (name, params), so it can be pickled.
@@ -23,7 +22,6 @@ import csv
 import hashlib
 import io
 import json
-import random
 import sys
 import time
 from collections.abc import Callable
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .congruence import admissible_root_indices, verify_case
-from .cyclotomic import cyclotomic, valuation_at
 from .padic import (
     MIN_PRIME,
     dwork_quotient_check,
@@ -41,7 +38,6 @@ from .padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from .polycore import Poly, one_minus_q
 
 
 def _first_repeat(values: list):
@@ -51,7 +47,8 @@ def _first_repeat(values: list):
 
 @dataclass
 class RunConfig:
-    """Sweep configuration; JSON object with exactly these fields."""
+    """Sweep configuration; JSON object with exactly these fields, of
+    which only checks is required."""
 
     checks: list[str] = field(default_factory=list)
     n_values: list[int] = field(default_factory=list)
@@ -85,6 +82,8 @@ class RunConfig:
             repeat = _first_repeat(items)
             if repeat is not None:
                 raise ValueError(f"duplicate value {repeat!r} in {key}")
+        if "checks" not in data:
+            raise ValueError("checks is required")
         cfg = RunConfig(**data)
         for n in cfg.n_values:
             if n < 3 or n % 2 == 0:
@@ -113,6 +112,10 @@ class RunConfig:
         if cfg.dwork_degree_cap < 0:
             raise ValueError(f"dwork_degree_cap must be >= 0, "
                              f"got {cfg.dwork_degree_cap}")
+        # an empty axis (no n_values, say) would leave a named check unrun
+        for name in cfg.checks:
+            if not CHECKS[name].grid(cfg, {}):
+                raise ValueError(f"check {name!r} gets no case")
         return cfg
 
     def digest(self, pinned: dict = None) -> str:
@@ -464,52 +467,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    low = [size for size in args.sizes if size < 1]
-    if low:
-        return _usage_error(f"sizes must be >= 1, got {low[0]}")
-    rng = random.Random(7)
-    print(f"{'kernel':<28}{'size':>8}{'ms':>12}")
-    for size in args.sizes:
-        # +-99 coefficients, then ~256-bit ones (wide Kronecker slots)
-        for bound, tag in ((99, ""), (1 << 256, ", 256-bit")):
-            a, b = (Poly([rng.randrange(-bound, bound + 1)
-                          for _ in range(size)] + [1]) for _ in range(2))
-            t0 = time.perf_counter()
-            a * b
-            t1 = time.perf_counter()
-            multiple = a * cyclotomic(7) ** 8
-            t3 = time.perf_counter()
-            found = valuation_at(multiple, 7)
-            t4 = time.perf_counter()
-            if found != 8 + valuation_at(a, 7):
-                print("error: valuation mismatch", file=sys.stderr)
-                return 1
-            t5 = time.perf_counter()
-            passes = a.times_one_minus([7] * 8)
-            t6 = time.perf_counter()
-            if passes != a * one_minus_q(7) ** 8:
-                print("error: binomial mismatch", file=sys.stderr)
-                return 1
-            lb = b.shift(-(size // 2))
-            t7 = time.perf_counter()
-            difference = a - lb
-            t8 = time.perf_counter()
-            if difference != a + (-lb):
-                print("error: subtract mismatch", file=sys.stderr)
-                return 1
-            for label, seconds in ((f"mul{tag}", t1 - t0),
-                                   (f"valuation at Phi_7{tag}", t4 - t3),
-                                   (f"times (1-q^m)^k{tag}", t6 - t5),
-                                   (f"subtract{tag}", t8 - t7)):
-                print(f"{label:<28}{size:>8}{seconds * 1e3:>12.2f}")
-    t0 = time.perf_counter()
-    cyclotomic(105)
-    t1 = time.perf_counter()
-    print(f"{'cyclotomic(105)':<28}{'':>8}{(t1 - t0) * 1e3:>12.2f}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -548,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("", "json", "csv", "text"))
 
     sub.add_parser("list", help="enumerate supported checks")
-
-    p_bench = sub.add_parser("bench", help="time the polynomial kernels")
-    p_bench.add_argument("--sizes", type=int, nargs="+",
-                         default=[64, 256, 1024])
     return parser
 
 
@@ -560,7 +513,6 @@ _COMMANDS = {
     "classical": _cmd_single,
     "sweep": _cmd_sweep,
     "list": _cmd_list,
-    "bench": _cmd_bench,
 }
 
 

@@ -5,40 +5,35 @@ functions is certified through the valuation semantics: the Phi_d-adic
 valuation of LHS - RHS must be at least e for every part.  Each side is
 held as (C * N) / D, with N the expanded numerator and the cofactor C
 (1 unless the sum stopped at a vanishing term) and the denominator D
-factored, C dividing D.  A reduced denominator R = D / C is a product of
-binomials 1 - q^m, so its Phi_d content ord_d(R) is the sum of its
+factored, C dividing D.  A reduced denominator R = D / C is a multiset
+of binomials 1 - q^m, so its Phi_d content ord_d(R) is the sum of its
 exponents over the m divisible by d (1 - q standing in for Phi_1).  The
-single cross-multiplied difference is taken through the cyclotomic lcm L
-of the two, L_d = max(ord_d(lhsR), ord_d(rhsR)):
+single cross-multiplied difference is taken through the lcm L of the
+two multisets, at each base m the larger of the two exponents:
 
     delta = (L / lhsR) * lhsN - (L / rhsR) * rhsN = L * (LHS - RHS),
 
 and per part the comparison is
 
-    found = valuation(delta, Phi_d) + ord_d(lhsD) + ord_d(rhsD) - L_d
+    found = valuation(delta, Phi_d) + ord_d(lhsD) + ord_d(rhsD) - ord_d(L)
           >= e + ord_d(lhsD) + ord_d(rhsD).
 
 found is the Phi_d-adic valuation of the full difference of the nominal
 numerators, rhsD * lhsC * lhsN - lhsD * rhsC * rhsN = lhsD * rhsD *
 delta / L, because valuations add; every term but the first is read off
 the factored forms without any division.  Neither denominator is
-expanded: L / lhsR is written back as binomials through the Moebius
-factorisation of each Phi_d by which rhsR exceeds lhsR
-(cyclotomic.binomial_form), L / rhsR is that times lhsR / rhsR, and each
-numerator is multiplied by its lift through Poly.times_binomials: packed
-once into one integer, one shift-subtract per binomial of positive
-exponent, unpacked once, then one exact in-place division of the list
-per binomial of negative exponent.  A side whose reduced
-denominator holds the other's is left as it is, and the other is
-multiplied by exactly the binomials it lacks.  Phi_d content the two
-sides hold through different binomials (1 - q^{2j} against
-1 - q^{2n^2 k} in the base-n^2 product checks) enters L once, not once
-per side, so valuation_at makes no pass for the second copy.
+expanded: each numerator is multiplied by its lift, the binomials its
+reduced denominator lacks of L, through Poly.times_binomials: packed
+once into one integer, one shift-subtract per binomial, unpacked once.
+No lift divides.  A side whose reduced denominator holds the other's is
+left as it is, and the other is multiplied by exactly the binomials it
+lacks.  Only a sampled check whose sum stopped can be of another shape.
 
 The right side of the theorem, parametric and closed-form checks carries
-the q-integer [n] = (1 - q^n) / (1 - q), which enters the same way: one
-shift-subtract and one exact division, never a general product.  No
-check makes a general product of expanded polynomials.
+the q-integer [n] = (1 - q^n) / (1 - q), which enters through
+Poly.times_binomials as well: one shift-subtract and one exact division,
+never a general product.  No check makes a general product of expanded
+polynomials.
 
 The product conjectures (conj41, conj42, conj43), whose modulus is one
 power of Phi_n and whose right side is a product of two sums, take the
@@ -80,7 +75,6 @@ from functools import partial
 
 # cyclotomic is not called here: perfbench/tracing.py wraps it by this name.
 from .cyclotomic import (
-    binomial_form,
     cyclotomic,
     divisors,
     q_integer_cyclotomic_factors,
@@ -227,7 +221,7 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     denominator collides with the modulus.
     """
     t0 = time.perf_counter()
-    reduced, left, right = _lcm_cross_products(lhs, rhs)
+    lcm, left, right = _lcm_cross_products(lhs, rhs)
     delta = left - right
     del left, right     # not held through the valuation passes
     t1 = time.perf_counter()
@@ -237,8 +231,8 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
         dens = lhs.denominator.ord_cyclotomic(d) \
             + rhs.denominator.ord_cyclotomic(d)
         required = e + dens if count_denominators else e
-        found = INFINITE if identical else valuation_at(delta, d) + dens \
-            - max(r.ord_cyclotomic(d) for r in reduced)
+        found = INFINITE if identical \
+            else valuation_at(delta, d) + dens - lcm.ord_cyclotomic(d)
         parts.append(PartResult(d, required, found, found - required,
                                 component))
     t2 = time.perf_counter()
@@ -257,39 +251,21 @@ def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
 
 
 def _lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """((R_L, R_R), (L/R_L) * lhsN, (L/R_R) * rhsN) for the reduced
-    denominators R_L = D_L / C_L and R_R = D_R / C_R and their cyclotomic
-    lcm L.
+    """(L, (L / R_L) * lhsN, (L / R_R) * rhsN) for the reduced
+    denominators R_L = D_L / C_L and R_R = D_R / C_R and their lcm L as
+    multisets of binomials: at each base m, the larger exponent.
 
     Both products are L * (LHS - RHS) split in two, so they are equal
-    exactly when the two sides are.
+    exactly when the two sides are.  Each lift L / R is a multiset of
+    binomials, so it only multiplies.
     """
-    reduced = (lhs.denominator.divided_by(lhs.cofactor),
-               rhs.denominator.divided_by(rhs.cofactor))
-    over_left, over_right = _lcm_lifts(*reduced)
-    return (reduced, lhs.numerator.times_binomials(over_left),
-            rhs.numerator.times_binomials(over_right))
-
-
-def _lcm_lifts(left: FactoredProduct, right: FactoredProduct):
-    """(L / left, L / right) for the cyclotomic lcm L of two products of
-    binomials, L_d = max(ord_d(left), ord_d(right)), each as the net
-    exponents m -> g of its binomials 1 - q^m (g < 0 divides).
-
-    L / left is cyclotomic.binomial_form of the Phi_d content by which
-    right exceeds left, so only right's content is read; L / right is
-    that times left / right.  Both are 1 and left / right when left holds
-    right's binomials.
-    """
-    over_left = binomial_form({
-        d: more for d, e in right.cyclotomic_content().items()
-        if (more := e - left.ord_cyclotomic(d)) > 0})
-    over_right = dict(over_left)
-    for m, e in left.factors.items():
-        over_right[m] = over_right.get(m, 0) + e
-    for m, e in right.factors.items():
-        over_right[m] = over_right.get(m, 0) - e
-    return over_left, {m: g for m, g in over_right.items() if g}
+    left = lhs.denominator.divided_by(lhs.cofactor)
+    right = rhs.denominator.divided_by(rhs.cofactor)
+    lcm = FactoredProduct({m: max(left.factors.get(m, 0),
+                                  right.factors.get(m, 0))
+                           for m in left.factors | right.factors})
+    return (lcm, lhs.numerator.times_binomials(lcm.divided_by(left).factors),
+            rhs.numerator.times_binomials(lcm.divided_by(right).factors))
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,

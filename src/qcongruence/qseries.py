@@ -59,7 +59,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import divisors
 from .polycore import Poly, _divide_one_minus, _packed_one_minus, _unpack
 
 PLAIN_FAMILIES = ("C", "J", "M")
@@ -111,14 +110,6 @@ class FactoredProduct:
         if d < 1:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
-
-    def cyclotomic_content(self) -> dict[int, int]:
-        """d -> ord_cyclotomic(d) for every d at which it is positive."""
-        content: dict[int, int] = {}
-        for m, e in self.factors.items():
-            for d in divisors(m):
-                content[d] = content.get(d, 0) + e
-        return content
 
     def expand(self) -> Poly:
         """Multiply everything out, one shift-subtract per binomial."""
@@ -278,8 +269,7 @@ def _width(steps: list[tuple]) -> int:
     return (num_bits + terms.bit_length()) // 8 + 1
 
 
-def _accumulate(steps: list[tuple], step: int = 0,
-                only: Optional[int] = None) -> SeriesSum:
+def _accumulate(steps: list[tuple], step: int = 0) -> SeriesSum:
     """Sum the terms of steps over the common (last) denominator.
 
     Step k is (ups, dens, top, shift): the nested product prod_k is
@@ -301,7 +291,7 @@ def _accumulate(steps: list[tuple], step: int = 0,
     A zero exponent in ups makes prod and every later term zero: from
     that step on the new binomials of each step still enter F_k but go to
     the cofactor instead of the numerator, so the sum is cofactor *
-    numerator over F_upper.  With only = k, term k alone is added.
+    numerator over F_upper.
     """
     w = _width(steps)
     bits = 8 * w
@@ -310,7 +300,7 @@ def _accumulate(steps: list[tuple], step: int = 0,
     factors: dict[int, int] = {}
     unit_sign, unit_power = 1, 0
     tail: Optional[dict[int, int]] = None   # cofactor, once stopped
-    for k, (ups, dens, top, shift) in enumerate(steps):
+    for ups, dens, top, shift in steps:
         new = []
         for e in dens:
             if e == 0:
@@ -331,8 +321,6 @@ def _accumulate(steps: list[tuple], step: int = 0,
             continue
         for e in new:
             num -= num << bits * e
-        if only is not None and k != only:
-            continue
         term, move = (prod, 0) if top is None \
             else _packed_one_minus(prod, top, bits)
         term_off = prod_off + move + shift - unit_power
@@ -354,11 +342,15 @@ def _accumulate(steps: list[tuple], step: int = 0,
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
-    """The exact k-th term as (numerator, factored denominator)."""
+    """The exact k-th term as (numerator, factored denominator): one step
+    of _accumulate that holds the binomials of steps 0..k, with term k's
+    q-integer and shift."""
     if k < 0:
         raise ValueError("k must be >= 0")
     steps = _steps(replace(spec, upper=k))
-    term = _accumulate(steps, _q_integer_step(spec), only=k)
+    ups = [e for step in steps for e in step[0]]
+    dens = [e for step in steps for e in step[1]]
+    term = _accumulate([(ups, dens, *steps[k][2:])], _q_integer_step(spec))
     return term.numerator, term.denominator
 
 

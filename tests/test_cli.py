@@ -80,42 +80,9 @@ def test_list_and_bench(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "thm1-half" in out and "dwork" in out
-    assert main(["bench", "--sizes", "64"]) == 0
-    rows = capsys.readouterr().out
-    assert "subtract " in rows and "subtract, 256-bit" in rows
-    assert "mul " in rows and "mul, 256-bit" in rows
-    assert "schoolbook" not in rows
-
-
-@pytest.mark.parametrize("sizes", [["0"], ["-3"], ["16", "0"]])
-def test_bench_size_below_one_exit_two(capsys, sizes):
-    assert main(["bench", "--sizes", *sizes]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: sizes must be >= 1, got {sizes[-1]}\n"
-
-
-def test_bench_valuation_mismatch_exit_one(capsys, monkeypatch):
-    import qcongruence.cli as cli
-    monkeypatch.setattr(cli, "valuation_at", lambda a, d: 0)
-    assert main(["bench", "--sizes", "16"]) == 1
-    assert capsys.readouterr().err == "error: valuation mismatch\n"
-
-
-def test_bench_binomial_mismatch_exit_one(capsys, monkeypatch):
-    import qcongruence.cli as cli
-    monkeypatch.setattr(cli.Poly, "times_one_minus",
-                        lambda self, exps: self)
-    assert main(["bench", "--sizes", "16"]) == 1
-    assert capsys.readouterr().err == "error: binomial mismatch\n"
-
-
-def test_bench_subtract_mismatch_exit_one(capsys, monkeypatch):
-    import qcongruence.cli as cli
-    monkeypatch.setattr(cli.Poly, "__sub__",
-                        lambda self, other: self)
-    assert main(["bench", "--sizes", "16"]) == 1
-    assert capsys.readouterr().err == "error: subtract mismatch\n"
+    # the kernel timing table is gone: perfbench/run.py is the benchmark
+    assert main(["bench"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_asserted_failure_gives_exit_one(capsys, monkeypatch):
@@ -219,6 +186,29 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys):
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: bad config: duplicate value {values[-1]!r} in {key}\n")
+
+
+@pytest.mark.parametrize("config, check", [
+    ({"checks": ["thm1-half"]}, "thm1-half"),
+    ({"checks": ["c2"], "n_values": [3]}, "c2"),
+    ({"checks": ["lemma22", "conj43"], "n_values": [3], "d_values": []},
+     "conj43"),
+    ({"checks": ["param-sampled-c"], "n_values": [3], "t_values": []},
+     "param-sampled-c"),
+    ({"n_values": [3]}, None),
+], ids=["no-n", "no-primes", "no-d", "no-t", "no-checks"])
+def test_sweep_named_check_without_cases_exit_two(tmp_path, capsys, config,
+                                                  check):
+    # a check that gets no case, or no checks field at all, would run
+    # nothing and exit 0; both are config errors
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    message = f"check {check!r} gets no case" if check \
+        else "checks is required"
+    assert captured.out == ""
+    assert captured.err == f"error: bad config: {message}\n"
 
 
 @pytest.mark.parametrize("primes", [[3], [9]])

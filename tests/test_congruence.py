@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcongruence import congruence
+from qcongruence import congruence, polycore
 from qcongruence.congruence import (
     ModulusSpec,
     admissible_root_indices,
@@ -126,29 +126,29 @@ def _division_valuation(lp, d):
         count += 1
 
 
-def _lcm_content(fp_a, fp_b):
-    # d -> the larger of the two Phi_d multiplicities, for every d up to
-    # the largest binomial
-    top = max(set(fp_a.factors) | set(fp_b.factors), default=0)
-    return {d: max(fp_a.ord_cyclotomic(d), fp_b.ord_cyclotomic(d))
-            for d in range(1, top + 1)}
+def _lcm(fp_a, fp_b):
+    # the lcm of two multisets of binomials: each base at its larger
+    # exponent
+    return FactoredProduct({m: max(fp_a.factors.get(m, 0),
+                                   fp_b.factors.get(m, 0))
+                            for m in set(fp_a.factors) | set(fp_b.factors)})
 
 
-def _signed_cyclotomic_product(content):
-    # prod over d of B_d^content[d] in the binomials' basis, B_1 = 1 - q:
-    # the product of the cyclotomic(d)^content[d] times (-1)^content[1]
-    acc = Poly.one()
-    for d, e in sorted(content.items()):
-        for _ in range(e):
-            acc = mul_schoolbook(acc, cyclotomic(d))
-    return acc.scale((-1) ** content.get(1, 0))
+def _nests(big, small):
+    # big's binomials hold small's
+    return all(big.factors.get(m, 0) >= e for m, e in small.factors.items())
 
 
-def test_lcm_lifts_are_content_maxima_and_exact_quotients():
-    # The content is ord_cyclotomic at every d, (L / R) * R expands to +-L
-    # for L the larger of the two contents at each d, and a side whose
-    # binomials hold the other's is lifted by nothing while the other is
-    # lifted by exactly the binomials it lacks.
+def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
+    # Over the numerator 1, each cross product is the lift L / R expanded:
+    # it times R expands to L, the lcm of the two multisets of binomials,
+    # which holds each base at the larger of its two exponents; no lift
+    # divides; and a side whose binomials hold the other's is lifted by
+    # nothing while the other is lifted by exactly the binomials it lacks.
+    def no_division(cs, m):
+        raise AssertionError("a lift divides")
+
+    monkeypatch.setattr(polycore, "_divide_one_minus", no_division)
     rng = random.Random(2019)
     for _ in range(150):
         a, b = (FactoredProduct({rng.randint(1, 24): rng.randint(1, 3)
@@ -159,23 +159,18 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients():
             b = factored_times(b, a)     # a's binomials all in b
         elif draw < 0.6:
             a = factored_times(a, b)
-        over_a, over_b = congruence._lcm_lifts(a, b)
-        for fp in (a, b):
-            assert fp.cyclotomic_content() == {
-                d: fp.ord_cyclotomic(d) for d in range(1, 25)
-                if fp.ord_cyclotomic(d)}
-        signed_lcm = _signed_cyclotomic_product(_lcm_content(a, b))
+        lcm, over_a, over_b = congruence._lcm_cross_products(
+            SeriesSum(Poly.one(), a), SeriesSum(Poly.one(), b))
+        assert lcm == _lcm(a, b)
         for fp, over in ((a, over_a), (b, over_b)):
-            up = FactoredProduct({m: g for m, g in over.items() if g > 0})
-            down = FactoredProduct({m: -g for m, g in over.items() if g < 0})
-            assert _times_expanded(_times_expanded(Poly.one(), up), fp) \
-                == _times_expanded(signed_lcm, down)
+            assert _times_expanded(over, fp) \
+                == _times_expanded(Poly.one(), lcm)
         for small, big, over_small, over_big in ((a, b, over_a, over_b),
                                                  (b, a, over_b, over_a)):
-            if all(big.factors.get(m, 0) >= e
-                   for m, e in small.factors.items()):
-                assert over_big == {}
-                assert over_small == big.divided_by(small).factors
+            if _nests(big, small):
+                assert over_big == Poly.one()
+                assert over_small \
+                    == _times_expanded(Poly.one(), big.divided_by(small))
 
 
 @pytest.mark.parametrize("case", [
@@ -186,9 +181,9 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients():
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
-    # both denominators expanded) and L the cyclotomic lcm of the reduced
-    # denominators D_L / C_L and D_R / C_R, the delta handed to
-    # valuation_at times D_L D_R is +-L full, and every found valuation is
+    # both denominators expanded) and L the lcm of the reduced denominators
+    # D_L / C_L and D_R / C_R as multisets of binomials, the delta handed
+    # to valuation_at times D_L D_R is L full, and every found valuation is
     # full's, counted by repeated division.
     seen = []
     real_check = congruence.check_congruence
@@ -197,8 +192,7 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     def check(lhs, rhs, modulus, **kwargs):
         full = _times_expanded(_nominal(lhs), rhs.denominator) \
             - _times_expanded(_nominal(rhs), lhs.denominator)
-        lcm = _signed_cyclotomic_product(
-            _lcm_content(_reduced(lhs), _reduced(rhs)))
+        lcm = _lcm(_reduced(lhs), _reduced(rhs))
         deltas = []
         monkeypatch.setattr(
             congruence, "valuation_at",
@@ -212,7 +206,7 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
             assert deltas
             assert all(_times_expanded(_times_expanded(a, lhs.denominator),
                                        rhs.denominator)
-                       == mul_schoolbook(lcm, full) for a in deltas)
+                       == _times_expanded(full, lcm) for a in deltas)
             assert [p.found for p in report.parts] \
                 == [_division_valuation(full, d) for d, _ in modulus.parts]
         seen.append(len(deltas))
@@ -233,9 +227,9 @@ def _random_poly(rng):
 
 def test_found_matches_full_difference_on_random_pairs():
     # Denominators over 1 - q^{2j} against 1 - q^{2n^2 k}: they share
-    # Phi_d content through different binomials, so the lcm lift divides.
-    # Every found equals the repeated-division valuation of the schoolbook
-    # full difference of the nominal numerators.
+    # Phi_d content through different binomials, so neither need hold the
+    # other's.  Every found equals the repeated-division valuation of the
+    # schoolbook full difference of the nominal numerators.
     rng = random.Random(4142)
     shapes = set()
     for trial in range(60):
@@ -264,10 +258,10 @@ def test_found_matches_full_difference_on_random_pairs():
                     for d, _ in modulus.parts]
         assert [p.found for p in report.parts] == expected, trial
         assert check_identity_equal(lhs, rhs) == full.is_zero()
-        over_l, over_r = congruence._lcm_lifts(_reduced(lhs), _reduced(rhs))
-        shapes.add((full.is_zero(), any(g < 0 for g in over_l.values())
-                    or any(g < 0 for g in over_r.values())))
-    assert shapes == {(True, False), (False, True), (False, False)}
+        reduced = _reduced(lhs), _reduced(rhs)
+        shapes.add((full.is_zero(),
+                    _nests(*reduced) or _nests(*reduced[::-1])))
+    assert shapes == {(True, True), (False, False), (False, True)}
 
 
 def _full_accumulation(spec):

@@ -1,8 +1,8 @@
 """The local path (qcongruence.local) against the global one.
 
-The global path expands every sum, cross-multiplies through the
-cyclotomic lcm of the denominators and counts each power of Phi_d by
-division (check_congruence).  The local path reads the same part off P
+The global path expands every sum, cross-multiplies through the lcm
+of the denominators and counts each power of Phi_d by division
+(check_congruence).  The local path reads the same part off P
 rows at q = zeta_d (1 + x).  Every part must agree: on the product
 conjectures, on seeded random pairs of sums of all five families, and on
 pairs that are equal.
