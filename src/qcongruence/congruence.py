@@ -2,78 +2,63 @@
 
 A congruence LHS == RHS (mod prod over (d,e) of Phi_d^e) between rational
 functions is certified through the valuation semantics: the Phi_d-adic
-valuation of LHS - RHS must be at least e for every part.  Each side is
-held as (C * N) / D, with N the expanded numerator and the cofactor C
-(1 unless the sum stopped at a vanishing term) and the denominator D
-factored, C dividing D.  A reduced denominator R = D / C is a multiset
-of binomials 1 - q^m, so its Phi_d content ord_d(R) is the sum of its
-exponents over the m divisible by d (1 - q standing in for Phi_1).  The
-single cross-multiplied difference is taken through the lcm L of the
-two multisets, at each base m the larger of the two exponents:
+valuation of LHS - RHS must be at least e for every part.  A global check
+holds each side as a qseries.SeriesSum, (C * N) / D with the cofactor C
+and the denominator D multisets of binomials 1 - q^m, so ord_d of either
+is the sum of its exponents over the m divisible by d.  Before any
+arithmetic the check reads off each side its held denominator H, D / C
+times the binomials its packed numerator V still carries, and the lcm L
+of the two, at each base m the larger exponent (_lifts).  Then
 
-    delta = (L / lhsR) * lhsN - (L / rhsR) * rhsN = L * (LHS - RHS),
+    delta = (L / lhsH) * lhsV - (L / rhsH) * rhsV = L * (LHS - RHS),
 
-and per part the comparison is
+and per part
 
     found = valuation(delta, Phi_d) + ord_d(lhsD) + ord_d(rhsD) - ord_d(L)
-          >= e + ord_d(lhsD) + ord_d(rhsD).
+          >= e + ord_d(lhsD) + ord_d(rhsD),
 
-found is the Phi_d-adic valuation of the full difference of the nominal
-numerators, rhsD * lhsC * lhsN - lhsD * rhsC * rhsN = lhsD * rhsD *
-delta / L, because valuations add; every term but the first is read off
-the factored forms without any division.  Neither denominator is
-expanded: each numerator is multiplied by its lift, the binomials its
-reduced denominator lacks of L, through Poly.times_binomials: packed
-once into one integer, one shift-subtract per binomial, unpacked once.
-No lift divides.  A side whose reduced denominator holds the other's is
-left as it is, and the other is multiplied by exactly the binomials it
-lacks.  Only a sampled check whose sum stopped can be of another shape.
-
-The right side of the theorem, parametric and closed-form checks carries
-the q-integer [n] = (1 - q^n) / (1 - q), which enters through
-Poly.times_binomials as well: one shift-subtract and one exact division,
-never a general product.  No check makes a general product of expanded
-polynomials.
+the valuation of the full difference of the nominal numerators, lhsD *
+rhsD * delta / L, since valuations add (cyclotomic.valuation_at counts it
+one in-place pass per power of Phi_d).  Every value stays one packed
+integer from the sum's first step to delta: each lift is one
+shift-subtract per binomial and the difference one integer subtraction
+(_delta).  check_identity_equal is delta == 0; check_congruence unpacks
+delta once, for valuation_at.  One slot width serves a whole check
+(_plan), so each sum is built once: the sides' count bounds, one bit per
+binomial of a lift, one for the difference and one for the sign.  It is
+proven before the work, from counts alone, and it is loose (for the J
+sums by up to 1.8x); it is not to be tightened without a proof, since a
+coefficient that overflows its slot unpacks wrong without any error.
 
 The product conjectures (conj41, conj42, conj43), whose modulus is one
 power of Phi_n and whose right side is a product of two sums, take the
-local path instead (local.certify_part): no sum is expanded, and neither
-the lcm lifts, the delta nor valuation_at runs.  Each part is read off a
-few rows of integers at q = zeta_n (1 + x), from the three sums' specs,
-and gives the same required and found as the global path below; their
-reports time the one phase local_ms.  The check kind alone chooses the
-path: every other check goes through check_congruence.
-
-The valuation of delta is counted one power of Phi_d at a time, and
-Phi_d is never built: cyclotomic.valuation_at divides delta in place by
-1 - q^d, which holds Phi_d once, one linear pass per power for as long
-as the division is exact.  The pass that fails leaves delta's residue
-mod q^d - 1 in its last d coefficients, and Phi_d divides delta iff it
-divides that residue.  Only if it does is the pass undone and the rest
-counted through the Moebius factorisation of Phi_d: a product with each
-binomial 1 - q^m of exponent -1, then an in-place division by each of
-exponent +1.  Laurent offsets do not matter, since q is a unit modulo
-every Phi_d.
+local path instead (local.certify_part): each part is read off a few rows
+of integers at q = zeta_n (1 + x), from the three sums' specs, with the
+same required and found as the global path; their reports time the one
+phase local_ms.  The check kind alone chooses the path.
 
 verify_case looks up the runner of the named check in _RUNNERS, one row
 per check with the check's constants bound in; the runner validates its
 parameters, assembles both sides, picks the right modulus, and delegates
-here.  The theorem, closed-form identity, root and sampled checks share one
-shape, built by _sides: the base-1 sum to (n^r - 1) // div against its
-companion _target, the base-n sum to (n^{r-1} - 1) // div scaled by
-+-q^{(1-n)/2} [n].  The closed forms are its r = 1 root case, whose
-companion is the single term 1.  Reports carry the per-part margins;
-conjectural checks are flagged so that drivers can separate findings from
-failures.
+here.  The theorem, closed-form identity, root and sampled checks share
+one shape, built by _sides: the base-1 sum to (n^r - 1) // div against
+its companion _target, the base-n sum to (n^{r-1} - 1) // div scaled by
++-q^{(1-n)/2} [n], whose 1 - q^n cancels the companion's held 1 - q^n.
+The closed forms are its r = 1 root case, whose companion is the single
+term 1.  Conjectural checks are flagged so that drivers can separate
+findings from failures.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
-# cyclotomic is not called here: perfbench/tracing.py wraps it by this name.
+# cyclotomic and sum_truncated are not called here: perfbench/tracing.py
+# wraps them by these names.
 from .cyclotomic import (
     cyclotomic,
     divisors,
@@ -81,14 +66,14 @@ from .cyclotomic import (
     valuation_at,
 )
 from .local import certify_part
-from .polycore import INFINITE, Poly
+from .polycore import INFINITE, Poly, _slots
 from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _accumulate,
+    _planned,
+    plan_sum,
     q_integer,
-    q_integer_binomials,
     sum_truncated,
     target_sign,
 )
@@ -101,18 +86,13 @@ class ModulusSpec:
     parts: tuple[tuple[int, int], ...]
 
     def __init__(self, parts):
-        seen = set()
-        norm = []
-        for d, e in parts:
-            if d < 2:
-                raise ValueError("cyclotomic index must be >= 2")
-            if e < 1:
-                raise ValueError("exponent must be >= 1")
-            if d in seen:
-                raise ValueError("duplicate cyclotomic index")
-            seen.add(d)
-            norm.append((d, e))
-        self.parts = tuple(sorted(norm))
+        self.parts = tuple(sorted(parts))
+        if any(d < 2 for d, _ in self.parts):
+            raise ValueError("cyclotomic index must be >= 2")
+        if any(e < 1 for _, e in self.parts):
+            raise ValueError("exponent must be >= 1")
+        if len({d for d, _ in self.parts}) < len(self.parts):
+            raise ValueError("duplicate cyclotomic index")
 
 
 @dataclass
@@ -143,9 +123,6 @@ class CongruenceReport:
     note: str = ""
     extra: dict = field(default_factory=dict)
 
-    def elapsed_ms(self) -> float:
-        return sum(self.timings.values())
-
     def to_dict(self) -> dict:
         def enc(v):
             return None if v == INFINITE else v
@@ -158,20 +135,13 @@ class CongruenceReport:
             "conjectural": self.conjectural,
             "pass": self.passed,
             "identically_equal": self.identically_equal,
-            "parts": [
-                {
-                    "component": p.component,
-                    "d": p.d,
-                    "required": p.required,
-                    "found": enc(p.found),
-                    "margin": enc(p.margin),
-                    "expect": p.expect,
-                }
-                for p in self.parts
-            ],
+            "parts": [{"component": p.component, "d": p.d,
+                       "required": p.required, "found": enc(p.found),
+                       "margin": enc(p.margin), "expect": p.expect}
+                      for p in self.parts],
             "note": self.note,
             "extra": dict(self.extra),
-            "elapsed_ms": round(self.elapsed_ms(), 3),
+            "elapsed_ms": round(sum(self.timings.values()), 3),
         }
 
 
@@ -221,11 +191,12 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     denominator collides with the modulus.
     """
     t0 = time.perf_counter()
-    lcm, left, right = _lcm_cross_products(lhs, rhs)
-    delta = left - right
-    del left, right     # not held through the valuation passes
+    w, lifts = _built(lhs, rhs)
     t1 = time.perf_counter()
-    identical = delta.is_zero()
+    lcm, delta, offset = _delta(lhs, rhs, w, lifts)
+    identical = not delta
+    delta = Poly(_slots(delta, w), offset)      # the one unpack
+    t2 = time.perf_counter()
     parts = []
     for d, e in modulus.parts:
         dens = lhs.denominator.ord_cyclotomic(d) \
@@ -235,52 +206,75 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
             else valuation_at(delta, d) + dens - lcm.ord_cyclotomic(d)
         parts.append(PartResult(d, required, found, found - required,
                                 component))
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     return CongruenceReport(
         label=label, kind=kind, params=dict(params or {}), parts=parts,
         passed=all(p.met() for p in parts), identically_equal=identical,
         conjectural=conjectural,
-        timings={"delta_ms": (t1 - t0) * 1e3,
-                 "valuation_ms": (t2 - t1) * 1e3})
+        timings={"build_ms": (t1 - t0) * 1e3, "delta_ms": (t2 - t1) * 1e3,
+                 "valuation_ms": (t3 - t2) * 1e3})
 
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
-    """Exact equality of the two rational functions (cross-multiplied)."""
-    _, left, right = _lcm_cross_products(lhs, rhs)
-    return left == right
+    """Exact equality of the two rational functions: a packed delta of 0."""
+    return not _delta(lhs, rhs, *_built(lhs, rhs))[1]
 
 
-def _lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """(L, (L / R_L) * lhsN, (L / R_R) * rhsN) for the reduced
-    denominators R_L = D_L / C_L and R_R = D_R / C_R and their lcm L as
-    multisets of binomials: at each base m, the larger exponent.
+def _lifts(lhs: SeriesSum, rhs: SeriesSum):
+    """(L, L / lhs.held, L / rhs.held, w): L the lcm of the held
+    denominators, each base at the larger exponent, the lifts as base ->
+    exponent, and the slot width w in bytes that holds the delta: one bit
+    per binomial of a lift, one for the difference, one for the sign."""
+    left, right = Counter(lhs.held.factors), Counter(rhs.held.factors)
+    lcm = left | right
+    up_l, up_r = lcm - left, lcm - right
+    bits = max(lhs.bits + up_l.total(), rhs.bits + up_r.total()) + 1
+    return FactoredProduct(dict(lcm)), up_l, up_r, bits // 8 + 1
 
-    Both products are L * (LHS - RHS) split in two, so they are equal
-    exactly when the two sides are.  Each lift L / R is a multiset of
-    binomials, so it only multiplies.
-    """
-    left = lhs.denominator.divided_by(lhs.cofactor)
-    right = rhs.denominator.divided_by(rhs.cofactor)
-    lcm = FactoredProduct({m: max(left.factors.get(m, 0),
-                                  right.factors.get(m, 0))
-                           for m in left.factors | right.factors})
-    return (lcm, lhs.numerator.times_binomials(lcm.divided_by(left).factors),
-            rhs.numerator.times_binomials(lcm.divided_by(right).factors))
+
+def _plan(*pairs) -> None:
+    """Set one slot width for all the comparisons of a check on its sides."""
+    w = max(_lifts(lhs, rhs)[3] for lhs, rhs in pairs)
+    for side in chain(*pairs):
+        side.width = w
+
+
+def _built(lhs, rhs):
+    """(w, _lifts): both sides built at a width that holds their delta."""
+    lifts = _lifts(lhs, rhs)
+    w = max(lhs.width, rhs.width, lifts[3])
+    lhs.packed(w)
+    rhs.packed(w)
+    return w, lifts
+
+
+def _delta(lhs: SeriesSum, rhs: SeriesSum, w: int, lifts):
+    """(L, delta, its offset): delta = L * (LHS - RHS) = (L / lhs.held) *
+    lhsV - (L / rhs.held) * rhsV, packed in slots of w bytes, one
+    shift-subtract per binomial of each lift."""
+    lcm, up_l, up_r, _ = lifts
+    (x, x_off), (y, y_off) = (_lifted(*side.packed(w), up, 8 * w)
+                              for side, up in ((lhs, up_l), (rhs, up_r)))
+    off = min(x_off, y_off)
+    return lcm, ((x << 8 * w * (x_off - off))
+                 - (y << 8 * w * (y_off - off))), off
+
+
+def _lifted(x: int, offset: int, lift: dict, bits: int):
+    for m, e in sorted(lift.items()):
+        for _ in range(e):
+            x -= x << bits * m
+    return x, offset
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
                               n_upper: int, base: int = 1) -> bool:
-    """Verify the terminating very-well-poised 6phi5 summation exactly.
-
-    All parameters are monomials q^exp in base q^s.  The sum over
-    k = 0..N of
-
-      (1-q^{A+2sk})/(1-q^A) *
+    """Verify the terminating very-well-poised 6phi5 summation exactly:
+    with every parameter a monomial q^exp in base q^s, the sum over k =
+    0..N of (1-q^{A+2sk})/(1-q^A) q^{(A+s(N+1)-B-C)k} *
       (q^A;q^s)_k (q^B;q^s)_k (q^C;q^s)_k (q^{-sN};q^s)_k /
       ((q^s;q^s)_k (q^{A-B+s};q^s)_k (q^{A-C+s};q^s)_k (q^{A+s(N+1)};q^s)_k)
-      * q^{(A+s(N+1)-B-C)k}
-
-    must equal (q^{A+s};q^s)_N (q^{A-B-C+s};q^s)_N /
+    equals (q^{A+s};q^s)_N (q^{A-B-C+s};q^s)_N /
     ((q^{A-B+s};q^s)_N (q^{A-C+s};q^s)_N).
     """
     s, a, b, c, n = base, a_exp, b_exp, c_exp, n_upper
@@ -288,25 +282,20 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
         raise ValueError("base exponent must be >= 1")
     if n < 0:
         raise ValueError("upper index must be >= 0")
-    if a == 0:
-        raise ZeroDivisionError("vanishing denominator factor 1 - a")
-    for k in range(1, n + 1):
-        for e in (a - b + s * k, a - c + s * k, a + s * (n + k)):
-            if e == 0:
-                raise ZeroDivisionError("vanishing denominator factor")
     lam = a + s * (n + 1) - b - c
     # step 0 is the term 1 as (1 - q^a) / (1 - q^a); step k multiplies the
     # nested product by the k-th numerator factors of the four shifted
-    # factorials, and its term carries 1 - q^{A+2sk}
-    lhs = _accumulate([([], [a], a, 0)] + [
+    # factorials, and its term carries 1 - q^{A+2sk}.  A vanishing
+    # denominator factor raises ZeroDivisionError in the plan.
+    lhs = _planned([([], [a], a, 0)] + [
         ((a + s * (k - 1), b + s * (k - 1), c + s * (k - 1), s * (k - 1 - n)),
          [s * k, a - b + s * k, a - c + s * k, a + s * (n + k)],
          a + 2 * s * k, lam * k) for k in range(1, n + 1)])
 
-    # the closed form as one term: the accumulator turns its negative
+    # the closed form as one term: the plan turns its negative
     # denominator exponents around and moves their unit to the numerator
     ks = range(1, n + 1)
-    rhs = _accumulate([(
+    rhs = _planned([(
         [e for k in ks for e in (a + s * k, a - b - c + s * k)],
         [e for k in ks for e in (a - b + s * k, a - c + s * k)], None, 0)])
     return check_identity_equal(lhs, rhs)
@@ -316,23 +305,16 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
 # prefactors
 
 
-def _scaled(series: SeriesSum, family: str, n: int) -> SeriesSum:
-    # series * q^{(1-n)/2} [n], or * (-q)^{(1-n)/2} [n] for J; n is odd.
-    numerator = series.numerator.times_binomials(q_integer_binomials(n))
-    return replace(series, numerator=numerator.shift((1 - n) // 2)
-                   .scale(target_sign(family, n)))
-
-
 def _target(family: str, n: int, r: int, div: int, t: int = None,
             printed: bool = False) -> SeriesSum:
     """The companion: the base-n sum to (n^{r-1} - 1) // div, scaled."""
     inner = FamilySpec(family, n, (n ** (r - 1) - 1) // div, t, printed)
-    return _scaled(sum_truncated(inner), family, n)
+    return plan_sum(inner).scaled(n, target_sign(family, n))
 
 
 def _sides(family: str, n: int, r: int, div: int, t: int = None):
     """(the base-1 sum to (n^r - 1) // div, its companion _target)."""
-    return (sum_truncated(FamilySpec(family, 1, (n ** r - 1) // div, t)),
+    return (plan_sum(FamilySpec(family, 1, (n ** r - 1) // div, t)),
             _target(family, n, r, div, t))
 
 
@@ -370,26 +352,22 @@ def _roots_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
     _require_case(n, r, d)
     if j not in admissible_root_indices(n, r, d):
         raise ValueError("j out of the admissible range")
-    t0 = time.perf_counter()
     m = (2 * j + 1) * n
     lhs, rhs = _sides(family, n, r, d, -m)
-    equal = check_identity_equal(lhs, rhs)
+    other = SeriesSum(q_integer(m).shift((1 - m) // 2)) \
+        if family == "C_PARAM" else _target(family, n, r, d, -m, printed=True)
+    _plan((lhs, rhs), (lhs, other))
+    equal, second = (check_identity_equal(*pair)
+                     for pair in ((lhs, rhs), (lhs, other)))
     if family == "C_PARAM":
-        closed = SeriesSum(q_integer(m).shift((1 - m) // 2))
-        closed_ok = check_identity_equal(lhs, closed)
-        passed = equal and closed_ok
-        extra = {"closed_form": closed_ok}
+        passed, extra = equal and second, {"closed_form": second}
     else:
-        printed = check_identity_equal(
-            lhs, _target(family, n, r, d, -m, printed=True))
-        passed = equal or printed
-        extra = {"readings": {"scaled": equal, "printed": printed}}
-    ms = (time.perf_counter() - t0) * 1e3
+        passed = equal or second
+        extra = {"readings": {"scaled": equal, "printed": second}}
     return CongruenceReport(
         label=f"{kind} n={n} r={r} d={d} j={j}", kind=kind,
         params={"n": n, "r": r, "d": d, "j": j, "t": -m}, parts=[],
-        passed=passed, identically_equal=equal,
-        timings={"total_ms": ms}, extra=extra)
+        passed=passed, identically_equal=equal, extra=extra)
 
 
 def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
@@ -397,38 +375,39 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
     """At a sampled odd specialization t: LHS, RHS and their difference all
     vanish modulo the q-integer [n^r].
 
-    The congruences are certified in the generic-parameter sense (numerator
-    divisibility over the structured denominators): the parametric
+    The congruences are certified in the generic-parameter sense, as
+    divisibility of the cross-multiplied numerator: the parametric
     statement lives where every denominator is coprime to the modulus, and
-    divisibility of its cross-multiplied numerator is what the monomial
-    substitution preserves, even for t where a specialized denominator
-    factor collides with the modulus.  For family J the scaled reading is
-    asserted; the printed reading's outcome is recorded in extra.
+    the monomial substitution preserves that divisibility even where a
+    specialized denominator factor collides with the modulus.  For family
+    J the scaled reading is asserted and the printed one recorded.  One
+    width serves every comparison, so each sum is built once.
     """
     _require_case(n, r, d)
     if t is None or t % 2 == 0:
         raise ValueError("sampled checks need an odd specialization t")
-    t0 = time.perf_counter()
     check = partial(check_congruence, modulus=modulus_q_integer(n ** r),
                     count_denominators=False)
-    zero = SeriesSum.zero()
+    zero = SeriesSum(Poly.zero())
     lhs, rhs = _sides(family, n, r, d, t)
-    sub = [check(lhs, zero, component="lhs==0"),
-           check(rhs, zero, component="rhs==0"),
-           check(lhs, rhs, component="lhs==rhs")]
-    parts = [p for rep in sub for p in rep.parts]
-    extra = {}
+    pairs = {"lhs==0": (lhs, zero), "rhs==0": (rhs, zero),
+             "lhs==rhs": (lhs, rhs)}
+    readings = {}
     if family == "J_PARAM":
         printed = _target(family, n, r, d, t, printed=True)
-        extra = {"printed_reading": {"rhs==0": check(printed, zero).passed,
-                                     "lhs==rhs": check(lhs, printed).passed}}
-    ms = (time.perf_counter() - t0) * 1e3
+        readings = {"rhs==0": (printed, zero), "lhs==rhs": (lhs, printed)}
+    _plan(*pairs.values(), *readings.values())
+    sub = [check(*pair, component=name) for name, pair in pairs.items()]
+    parts = [p for rep in sub for p in rep.parts]
+    extra = {"printed_reading": {name: check(*pair).passed
+                                 for name, pair in readings.items()}} \
+        if readings else {}
     return CongruenceReport(
         label=f"{kind} n={n} r={r} d={d} t={t}", kind=kind,
         params={"n": n, "r": r, "d": d, "t": t}, parts=parts,
         passed=all(p.met() for p in parts),
         identically_equal=all(rep.identically_equal for rep in sub),
-        timings={"total_ms": ms}, extra=extra)
+        extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +417,29 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
 def _theorem_case(family: str, div: int, kind: str, n: int, r: int = 1
                   ) -> CongruenceReport:
     # div 2 sums the half range, div 1 the full range
-    modulus = build_modulus_theorem(n, r)
-    t0 = time.perf_counter()
-    lhs, rhs = _sides(family, n, r, div)
-    build_ms = (time.perf_counter() - t0) * 1e3
-    rep = check_congruence(
-        lhs, rhs, modulus,
+    return check_congruence(
+        *_sides(family, n, r, div), build_modulus_theorem(n, r),
         label=f"{kind} n={n} r={r}", kind=kind, params={"n": n, "r": r})
-    rep.timings["build_ms"] = build_ms
-    return rep
 
 
 def _correction_case(family: str, conjectural: bool, kind: str, n: int
                      ) -> CongruenceReport:
     # target q^{(1-n)/2}([n] + (n^2-1)(1-q)^2 [n]^3 / 24), sign -q for J,
     # modulo [n] Phi_n^3; both sides are multiplied by 24.  The correction
-    # is (1 - q)^2 [n]^3 = (1 - q^n)^2 [n], so the right side is
-    # (24 + (n^2-1)(1 - q^n)^2) scaled by [n].
+    # is (1 - q)^2 [n]^3 = (1 - q^n)^2 [n] (_corrected_target).
     _require_case(n)
-    t0 = time.perf_counter()
-    lhs = sum_truncated(FamilySpec(family, 1, (n - 1) // 2))
-    lhs = replace(lhs, numerator=lhs.numerator.scale(24))
-    correction = Poly.one().times_one_minus([n, n]).scale(n * n - 1)
-    rhs = _scaled(SeriesSum(Poly([24]) + correction), family, n)
-    build_ms = (time.perf_counter() - t0) * 1e3
-    rep = check_congruence(
-        lhs, rhs, _modulus_qint_times_cubed(n),
+    return check_congruence(
+        plan_sum(FamilySpec(family, 1, (n - 1) // 2)).scaled(1, 24),
+        _corrected_target(family, n), _modulus_qint_times_cubed(n),
         label=f"{kind} n={n}", kind=kind, params={"n": n},
         conjectural=conjectural)
-    rep.timings["build_ms"] = build_ms
-    return rep
+
+
+def _corrected_target(family: str, n: int) -> SeriesSum:
+    # 24 + c (1 - 2 q^n + q^{2n}), c = n^2 - 1, scaled by +-q^{(1-n)/2} [n]
+    c, gap = n * n - 1, [0] * (n - 1)
+    return SeriesSum(Poly([24 + c, *gap, -2 * c, *gap, c])) \
+        .scaled(n, target_sign(family, n))
 
 
 def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
@@ -501,11 +473,9 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     # The two truncations of the M family must separate modulo Phi_n but
     # agree modulo Phi_{n^{r+1}}^4.
     _require_case(n, r)
-    t0 = time.perf_counter()
     top = n ** (r + 1)
-    full = sum_truncated(FamilySpec("M", 1, top - 1))
-    half = sum_truncated(FamilySpec("M", 1, (top - 1) // 2))
-    build_ms = (time.perf_counter() - t0) * 1e3
+    full = plan_sum(FamilySpec("M", 1, top - 1))
+    half = plan_sum(FamilySpec("M", 1, (top - 1) // 2))
     rep = check_congruence(full, half, ModulusSpec([(n, 1), (top, 4)]),
                            label=f"{kind} n={n} r={r}",
                            kind=kind, params={"n": n, "r": r},
@@ -514,7 +484,6 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     separation.component, separation.expect = "separation", "lt"
     rep.passed = all(p.met() for p in rep.parts)
     rep.identically_equal = False
-    rep.timings["build_ms"] = build_ms
     rep.note = "separation part expects non-divisibility"
     return rep
 
@@ -522,13 +491,10 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
 def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
     # the r = 1 root case: the companion is the one-term sum 1
     _require_case(n, minimum=1)
-    t0 = time.perf_counter()
     equal = check_identity_equal(*_sides(family, n, 1, 2, -n))
-    ms = (time.perf_counter() - t0) * 1e3
     return CongruenceReport(
         label=f"{kind} n={n}", kind=kind, params={"n": n},
-        parts=[], passed=equal, identically_equal=equal,
-        timings={"total_ms": ms})
+        parts=[], passed=equal, identically_equal=equal)
 
 
 #: Check name -> runner(name, **params), with the check's own constants
@@ -556,11 +522,16 @@ _RUNNERS = {
 
 
 def verify_case(kind: str, **params) -> CongruenceReport:
-    """Assemble and certify a single named check.
+    """Assemble and certify a single named check; a report that times no
+    phase of its own gets its total_ms.
 
     params are the check's own parameters: n, plus r, d, j or t where the
     check takes them (r defaults to 1, d to 2, j to 0).
     """
     if kind not in _RUNNERS:
         raise ValueError(f"unknown check {kind!r}")
-    return _RUNNERS[kind](kind, **params)
+    t0 = time.perf_counter()
+    report = _RUNNERS[kind](kind, **params)
+    report.timings = report.timings \
+        or {"total_ms": (time.perf_counter() - t0) * 1e3}
+    return report

@@ -7,25 +7,18 @@ Neither ever touches roots of unity.  Both use the Moebius factorisation
 
 whose sign is + because the mu(e) sum to 0.  binomial_form writes a
 product of cyclotomic polynomials as these net binomial exponents, and
-Poly.times_binomials multiplies by them exactly: Phi_d itself is 1 times
-binomial_form({d: 1}), the binomials with mu(e) = +1 multiplied in and
-those with mu(e) = -1 divided out in place.  One exact division by Phi_d
-is the opposite: a product with each binomial of mu(e) = -1 followed by
-an in-place exact division by each binomial of mu(e) = +1.  Each step
-of the valuation is one linear pass over the coefficient list that runs
-in C, made in place where it divides.  Cyclotomic
-polynomials are memoized; Phi_1 = q - 1 is preset, since binomial_form
-stands 1 - q in for it.
+Poly.times_binomials multiplies by them exactly (Phi_d is 1 times
+binomial_form({d: 1})).  One exact division by Phi_d is the opposite: a
+product with each binomial of mu(e) = -1, then an in-place exact
+division by each of mu(e) = +1.  Cyclotomic polynomials are memoized;
+Phi_1 = q - 1 is preset, since binomial_form stands 1 - q in for it.
 
 The valuation makes that product only when it must.  1 - q^d, the
 product of Phi_e over e | d, holds exactly one Phi_d, so while it
 divides, each power of Phi_d costs one in-place pass.  The pass that
-fails leaves the class sums of the list, its residue R mod q^d - 1, in
-its last d slots; since Phi_d divides q^d - 1, Phi_d divides the list
-iff it divides R, which a Moebius check settles on d coefficients.  Only
-when it does (some proper divisor's Phi_e is used up, so 1 - q^d never
-divides again) is the list restored and the rest counted through the
-Moebius factorisation.
+fails leaves the residue R of the list mod q^d - 1 in its last d slots,
+and Phi_d divides the list iff it divides R.  Only when it does is the
+list restored and the rest counted through the Moebius factorisation.
 """
 
 from __future__ import annotations

@@ -2,29 +2,24 @@
 
 A Poly holds Python integer coefficients ascending by exponent from an
 integer offset, in one normal form: no zero at either end, and the zero
-polynomial is () at offset 0.  Big products and passes run on a packed
-value: _pack writes a coefficient list as one integer, its value at
-q = 2^W with W = 8w for slots of w bytes, and _unpack reads it back
-while every |c| < 2^(W - 1).  The packed arithmetic is exact whatever
+polynomial is () at offset 0.  Big work runs on a packed value: _pack
+writes a coefficient list as one integer, its value at q = 2^W with W =
+8w for slots of w bytes, and _unpack (or _slots, every slot) reads it
+back while every |c| < 2^(W - 1).  Packed arithmetic is exact whatever
 the coefficients; only the unpack needs that bound, so w always comes
-from a bound proven before the work.
-
-A general product is one Kronecker substitution: both operands packed,
-multiplied by CPython's C code, and unpacked.  A product with binomials
-1 - q^m never goes through it: at q = 2^W each is one shift-subtract
-x - (x << W m) of the packed value, and since each binomial at most
-doubles max|c|, Poly.times_one_minus and the positive part of
-Poly.times_binomials (the exact product with prod (1 - q^m)^g for integer
-g) pack once, make one shift-subtract per binomial, and unpack once.  An
+from a bound proven before the work.  A product with a binomial 1 - q^m
+is one shift-subtract x - (x << W m) of the packed value and at most
+doubles max|c|.  The q-series sums and the lifts and delta of a global
+check stay packed from their first step to the delta, which is unpacked
+once (qseries, congruence).  Here Poly.times_one_minus and the positive
+part of Poly.times_binomials pack once, shift-subtract per binomial and
+unpack once, and a general product is one Kronecker substitution.  An
 exact division by a binomial has no such bound on its quotient, so it
-stays a linear pass over the list, a running sum per residue class mod m,
-made in place; so do cyclotomic.valuation_at's passes and its undo step.
-The q-series sums, the q-integer scalings, the lifts of the
-cross-multiplied difference and cyclotomic.cyclotomic are all built from
-these kernels.  Products and passes of normal-form operands are in
-normal form already, so their lists are adopted as they are; only sums
-and differences, which can cancel at either end, are trimmed.  All values
-are immutable after construction.
+stays a linear pass over the list, a running sum per residue class mod
+m, made in place; so do cyclotomic.valuation_at's passes.  Products and
+passes of normal-form operands are in normal form already, so their
+lists are adopted as they are; only sums and differences are trimmed.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -97,6 +92,11 @@ def _unpack(x: int, w: int, n: int) -> list:
     slots = map(operator.itemgetter(0), iter_unpack(f"{w}s", data))
     return list(map(half.__rsub__, map(int.from_bytes, slots,
                                        repeat("little"))))
+
+
+def _slots(x: int, w: int) -> list:
+    # every slot of x = _pack(cs, w) up to its top one
+    return _unpack(x, w, abs(x).bit_length() // (8 * w) + 1)
 
 
 def _kronecker(a, b) -> list:

@@ -1,32 +1,29 @@
 """Truncated q-hypergeometric sums held as exact rational functions.
 
-A sum is a SeriesSum: a Laurent numerator over a *factored* denominator
-prod (1 - q^m)^e, m >= 1, a multiset of binomials.  A binomial with a
+A sum is (cofactor * numerator) / denominator with the denominator a
+*factored* product prod (1 - q^m)^e, m >= 1, a multiset of binomials
+whose cyclotomic valuations are read off the bases m.  A binomial with a
 negative exponent is rewritten 1 - q^{-m} = -q^{-m} (1 - q^m) as it
-enters, and its unit -q^{-m} goes into the numerator, so a denominator
-never carries a sign or a power of q.  Denominators are never expanded
-while a sum is accumulated; consecutive terms of every supported family
-share nested denominators, so each step multiplies the running numerator
-by the new binomials 1 - q^m and adds the next term's numerator.  The
-running numerator and the nested product of the numerator factors are
-packed integers (polycore._pack) of one width for the whole sum, fixed
-before the first step by a bound from the counts of binomials and sums
-alone, so each binomial is one shift-subtract of an integer.  A term's
-q-integer factor [N]_{q^s} = (1 - q^{sN}) / (1 - q^s) enters as one
-shift-subtract by 1 - q^{sN}; the factor 1 / (1 - q^s), common to every
-term, comes out once at the end, by one exact division in place of the
-unpacked numerator.  Building a sum never makes a general product.
-Keeping the denominator factored also makes its cyclotomic valuations
-analytic (count the bases m divisible by d) instead of requiring any
-division.
+enters, and its unit goes into the numerator.  Consecutive terms of every
+supported family share nested denominators, so each step multiplies the
+running numerator by the new binomials and adds the next term's
+numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) / (1 - q^s)
+enters as one binomial 1 - q^{sN}; the divisor 1 - q^s, common to every
+term, is held in the denominator.
 
-A specialized parametric sum stops at its first vanishing term: once a
-numerator factor 1 - q^0 enters the nested product at step k0, every
-later term is zero, so the numerator takes no more binomials.  The binomials
-of steps k0..upper still enter the denominator, and are carried
-unexpanded as the sum's cofactor: the sum is (cofactor * numerator) /
-denominator, with denominator the full last-term denominator F_upper and
-cofactor dividing it.  A sum that never vanishes has cofactor 1.
+A sum is planned from its steps alone (plan_sum): its denominator,
+cofactor, held divisor and a count bound on its numerator.  It is built
+at a slot width proven from that bound, its running numerator and nested
+product each one packed integer (polycore._pack), each binomial one
+shift-subtract.  A global check builds its sums at the width of its delta
+and never unpacks them (congruence); sum_truncated and term_of build at
+the sum's own width, unpack once and divide the held divisor out.
+
+A specialized parametric sum stops at its first vanishing term k0: every
+later term is zero, and the binomials of steps k0..upper enter the full
+last-term denominator F_upper but not the numerator; they are carried
+unexpanded as the sum's cofactor, which divides the denominator.  A sum
+that never vanishes has cofactor 1.
 
 Five term families are supported, named by the tags used throughout the
 check drivers:
@@ -55,11 +52,19 @@ target_sign is the sign of the sextic targets' (-q)^{(1-n)/2}, at q = 1 too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .polycore import Poly, _divide_one_minus, _packed_one_minus, _unpack
+from .polycore import (
+    Poly,
+    _divide_one_minus,
+    _pack,
+    _packed_one_minus,
+    _slots,
+)
 
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
@@ -93,17 +98,13 @@ class FactoredProduct:
 
     def divided_by(self, other: "FactoredProduct") -> "FactoredProduct":
         """self / other, exactly; other's binomials must be among self's."""
-        rest = dict(self.factors)
-        for m, e in other.factors.items():
-            left = rest.get(m, 0) - e
+        rest = Counter(self.factors)
+        rest.subtract(other.factors)
+        for m, left in rest.items():
             if left < 0:
-                raise ValueError(
-                    f"(1 - q^{m})^{e} does not divide the product")
-            if left:
-                rest[m] = left
-            else:
-                del rest[m]
-        return FactoredProduct(rest)
+                raise ValueError(f"(1 - q^{m})^{other.factors[m]} does not "
+                                 "divide the product")
+        return FactoredProduct(dict(+rest))
 
     def ord_cyclotomic(self, d: int) -> int:
         """Multiplicity of the d-th cyclotomic polynomial, analytically."""
@@ -119,22 +120,80 @@ class FactoredProduct:
 
 @dataclass
 class SeriesSum:
-    """A truncated sum as (cofactor * numerator) / denominator.
+    """A truncated sum as factor q^shift (cofactor * N) / denominator.
 
-    cofactor and denominator are factored products, and cofactor divides
-    denominator; only the numerator is ever expanded.
+    cofactor and denominator are factored products, cofactor dividing
+    denominator.  numerator is a Poly, or a run of _planned that is only
+    ever built packed; it is N times the binomials of extra (an undivided
+    1 - q^step, the 1 - q of a scale), so it is held over denominator /
+    cofactor times extra.  packed(w) builds it times the binomials of ups
+    as one integer (polycore._pack) in slots of w bytes, once per w; bits
+    is a count bound: every |c| of factor times that is below 2^bits.
+    width is the slot width a check's plan sets on all of its sides.
     """
 
-    numerator: Poly
+    numerator: object
     denominator: FactoredProduct = field(default_factory=FactoredProduct)
     cofactor: FactoredProduct = field(default_factory=FactoredProduct)
+    extra: FactoredProduct = field(default_factory=FactoredProduct)
+    bits: Optional[int] = None
+    ups: tuple = ()
+    factor: int = 1
+    shift: int = 0
+    width: int = field(default=0, init=False, compare=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.denominator.divided_by(self.cofactor)  # raises unless it divides
+        if self.bits is None:
+            self.bits = max(map(abs, self.numerator.coeffs),
+                            default=0).bit_length()
 
-    @staticmethod
-    def zero() -> "SeriesSum":
-        return SeriesSum(Poly.zero())
+    @cached_property
+    def held(self) -> FactoredProduct:
+        return FactoredProduct(dict(Counter(self.extra.factors) + Counter(
+            self.denominator.divided_by(self.cofactor).factors)))
+
+    def scaled(self, n: int, c: int) -> "SeriesSum":
+        """self * c q^{(1-n)/2} [n], n odd, c a nonzero integer: [n] = (1 -
+        q^n) / (1 - q) cancels a 1 - q^n of extra, or else is one more
+        binomial of ups; 1 - q joins extra."""
+        extra, ups = Counter(self.extra.factors), self.ups
+        if extra[n]:
+            extra[n] -= 1
+        else:
+            ups += (n,)
+        extra[1] += 1
+        return replace(self, extra=FactoredProduct(dict(+extra)), ups=ups,
+                       bits=self.bits + len(ups) - len(self.ups)
+                       + (abs(c) - 1).bit_length(), factor=c * self.factor,
+                       shift=self.shift + (1 - n) // 2)
+
+    def packed(self, w: int) -> tuple[int, int]:
+        """(the built value at q = 2^(8w), its offset), built once per w;
+        it unpacks exactly when bits <= 8w - 1."""
+        if w not in self._built:
+            if isinstance(self.numerator, Poly):
+                x, off = _pack(self.numerator.coeffs, w), self.numerator.offset
+            else:
+                x, off = _accumulate(self.numerator, w)
+            for e in self.ups:
+                x, move = _packed_one_minus(x, e, 8 * w)
+                off += move
+            self._built[w] = x * self.factor, off + self.shift
+        return self._built[w]
+
+    def series(self) -> "SeriesSum":
+        """The sum with a Poly numerator: built at its own width, unpacked
+        once and divided by extra in place, exactly."""
+        w = self.bits // 8 + 1
+        x, off = self.packed(w)
+        cs = _slots(x, w) if x else []
+        for m in Counter(self.extra.factors).elements() if x else ():
+            if not _divide_one_minus(cs, m):
+                raise AssertionError(f"inexact division by 1 - q^{m}")
+        return SeriesSum(Poly(cs, off), self.denominator, self.cofactor)
 
 
 @dataclass
@@ -190,18 +249,6 @@ def q_integer(n: int, base: int = 1) -> Poly:
     return Poly._adopt(cs)
 
 
-def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
-    """[count] in base q^step as the binomials of Poly.times_binomials:
-    (1 - q^{step*count}) / (1 - q^step), or none at all for count 1.
-
-    >>> q_integer_binomials(3, 2)
-    {6: 1, 2: -1}
-    """
-    if count == 1:
-        return {}
-    return {step * count: 1, step: -1}
-
-
 # ---------------------------------------------------------------------------
 # term generation
 
@@ -252,54 +299,25 @@ def _steps(spec: FamilySpec) -> list[tuple]:
              *_term_binomial(spec, k)) for k in range(spec.upper + 1)]
 
 
-def _width(steps: list[tuple]) -> int:
-    # Bytes per slot that hold every coefficient of the final numerator
-    # with its sign, from the counts of operations alone: each binomial
-    # at most doubles max|c| (one bit), so term j times the binomials of
-    # the later steps stays below 2^num_bits, and a sum of terms many
-    # such values below 2^(num_bits + bits(terms)).  prod starts at 1; a
-    # zero exponent stops the sum.
-    prod_bits, num_bits, terms = 1, 0, 0
-    for ups, dens, top, _ in steps:
-        if 0 in ups:
-            break
-        prod_bits += len(ups)
-        num_bits = max(num_bits + len(dens), prod_bits + (top is not None))
-        terms += 1
-    return (num_bits + terms.bit_length()) // 8 + 1
+def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
+    """The sum of steps over the common (last) denominator, planned.
 
-
-def _accumulate(steps: list[tuple], step: int = 0) -> SeriesSum:
-    """Sum the terms of steps over the common (last) denominator.
-
-    Step k is (ups, dens, top, shift): the nested product prod_k is
-    prod_{k-1} times the binomials 1 - q^e, e in ups; term k is prod_k
-    (1 - q^top) q^shift / (1 - q^step) (no binomial for top None, no
-    divisor for step 0) over the raw denominator binomials of dens and of
-    every earlier step.
-
-    The raw denominator after step k factors as unit * F_k with F_k a
-    product of binomials of positive base and F_{k-1} dividing F_k.  The
-    running numerator is kept over F_k (1 - q^step), so each step
-    multiplies it by the binomials of F_k / F_{k-1} and adds the
-    unit-adjusted term times 1 - q^step: prod_k (1 - q^top) q^shift, with
-    no division.  No rational reduction is ever performed.  The numerator
-    and prod are packed integers of one width (_width) for the whole run,
-    so each binomial is one shift-subtract; the numerator is unpacked once
-    at the end and divided by 1 - q^step in place, exactly.
-
-    A zero exponent in ups makes prod and every later term zero: from
-    that step on the new binomials of each step still enter F_k but go to
-    the cofactor instead of the numerator, so the sum is cofactor *
-    numerator over F_upper.
+    Step k is (ups, dens, top, shift): prod_k is prod_{k-1} times 1 - q^e,
+    e in ups; term k is prod_k (1 - q^top) q^shift / (1 - q^step) (no
+    binomial for top None, no divisor for step 0) over the binomials of
+    dens of steps 0..k, unit * F_k with F_{k-1} dividing F_k.  The run
+    keeps each step's binomials of F_k / F_{k-1} and its term's sign and
+    offset.  From a zero in ups on, every term is zero and each step's
+    binomials go to the cofactor.  bits counts: each binomial at most
+    doubles max|c|, so term j times the binomials of later steps stays
+    below 2^num_bits, and the sum of the terms below 2^(num_bits +
+    bits(terms)).
     """
-    w = _width(steps)
-    bits = 8 * w
-    prod, prod_off = 1, 0
-    num, num_off = 0, 0
     factors: dict[int, int] = {}
-    unit_sign, unit_power = 1, 0
     tail: Optional[dict[int, int]] = None   # cofactor, once stopped
+    run = []
+    unit_sign, unit_power = 1, 0
+    prod_bits, num_bits = 1, 0
     for ups, dens, top, shift in steps:
         new = []
         for e in dens:
@@ -309,48 +327,60 @@ def _accumulate(steps: list[tuple], step: int = 0) -> SeriesSum:
                 unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
             factors[e] = factors.get(e, 0) + 1
             new.append(e)
-        if tail is None:
-            for e in ups:
-                prod, move = _packed_one_minus(prod, e, bits)
-                prod_off += move
-            if not prod:
-                tail = {}
+        if tail is None and 0 in ups:
+            tail = {}
         if tail is not None:
             for e in new:
                 tail[e] = tail.get(e, 0) + 1
             continue
+        prod_bits += len(ups)
+        num_bits = max(num_bits + len(new), prod_bits + (top is not None))
+        run.append((ups, new, top, shift - unit_power, unit_sign))
+    return SeriesSum(run, FactoredProduct(factors),
+                     FactoredProduct(tail or {}),
+                     FactoredProduct({step: 1} if step else {}),
+                     num_bits + len(run).bit_length())
+
+
+def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
+    """The held numerator of a run of _planned in slots of w bytes, and its
+    offset: kept over F_k (1 - q^step), it is multiplied by each step's
+    binomials and takes the term times 1 - q^step, prod_k (1 - q^top)
+    q^shift, with no division.  The numerator and prod are packed
+    integers, so each binomial is one shift-subtract."""
+    bits = 8 * w
+    prod, prod_off = 1, 0
+    num, num_off = 0, 0
+    for ups, new, top, shift, sign in run:
+        for e in ups:
+            prod, move = _packed_one_minus(prod, e, bits)
+            prod_off += move
         for e in new:
             num -= num << bits * e
         term, move = (prod, 0) if top is None \
             else _packed_one_minus(prod, top, bits)
-        term_off = prod_off + move + shift - unit_power
-        if unit_sign < 0:
+        term_off = prod_off + move + shift
+        if sign < 0:
             term = -term
         if term_off >= num_off:
             num += term << bits * (term_off - num_off)
         else:
             num = (num << bits * (num_off - term_off)) + term
             num_off = term_off
-    numerator = Poly.zero()
-    if num:
-        cs = _unpack(num, w, abs(num).bit_length() // bits + 1)
-        if step and not _divide_one_minus(cs, step):
-            raise AssertionError(f"inexact division by 1 - q^{step}")
-        numerator = Poly(cs, num_off)
-    return SeriesSum(numerator, FactoredProduct(factors),
-                     FactoredProduct(tail or {}))
+    return num, num_off
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
     """The exact k-th term as (numerator, factored denominator): one step
-    of _accumulate that holds the binomials of steps 0..k, with term k's
+    of _planned that holds the binomials of steps 0..k, with term k's
     q-integer and shift."""
     if k < 0:
         raise ValueError("k must be >= 0")
     steps = _steps(replace(spec, upper=k))
     ups = [e for step in steps for e in step[0]]
     dens = [e for step in steps for e in step[1]]
-    term = _accumulate([(ups, dens, *steps[k][2:])], _q_integer_step(spec))
+    term = _planned([(ups, dens, *steps[k][2:])],
+                    _q_integer_step(spec)).series()
     return term.numerator, term.denominator
 
 
@@ -360,9 +390,15 @@ def sum_truncated(spec: FamilySpec) -> SeriesSum:
     The first zero term (k0 >= 1, as term 0 is 1; only a vanishing
     numerator factor makes one) stops the sum: the binomials of steps
     k0..upper become the cofactor, and the numerator is the sum of the
-    terms k < k0 over F_{k0-1}.
+    terms k < k0 over F_{k0-1}.  The sum is built at its own width,
+    unpacked once and divided by its q-integers' 1 - q^step in place.
     """
-    return _accumulate(_steps(spec), _q_integer_step(spec))
+    return plan_sum(spec).series()
+
+
+def plan_sum(spec: FamilySpec) -> SeriesSum:
+    """The sum of the terms k = 0..upper, planned from its steps alone."""
+    return _planned(_steps(spec), _q_integer_step(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ division (the oracle for the binomial-pass valuation and cyclotomic
 construction), the rewrite of 1 - q^m to a positive base, Euler's
 totient, the cyclotomic content of a binomial, the pole-free q = 1
 value of a plain-family term, the sums built with one list pass per
-binomial (the oracle for the packed accumulator), and the product
-conjectures through the global path, their sums expanded and multiplied
-out (the oracle for the local path).
+binomial (the oracle for the packed accumulator), [n] as binomials, the
+cross-multiplied sides as polynomials (the oracle for the packed lifts
+and delta), and the product conjectures through the global path, their
+sums expanded and multiplied out (the oracle for the local path).
 """
 
 import functools
@@ -220,6 +221,36 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
             + term.scale(unit_sign).shift(-unit_power)
     return SeriesSum(numerator, FactoredProduct(factors),
                      FactoredProduct(tail or {}))
+
+
+def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
+    """[count] in base q^step as the binomials of Poly.times_binomials:
+    (1 - q^{step*count}) / (1 - q^step), or none at all for count 1.
+
+    >>> q_integer_binomials(3, 2)
+    {6: 1, 2: -1}
+    """
+    if count == 1:
+        return {}
+    return {step * count: 1, step: -1}
+
+
+def lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
+    """(L, (L / R_L) * lhsN, (L / R_R) * rhsN) as polynomials, for the
+    reduced denominators R_L = D_L / C_L and R_R = D_R / C_R and their lcm
+    L as multisets of binomials: at each base m, the larger exponent.
+
+    Both products are L * (LHS - RHS) split in two, so they are equal
+    exactly when the two sides are.  Each lift L / R is a multiset of
+    binomials, multiplied in by Poly.times_binomials.
+    """
+    left = lhs.denominator.divided_by(lhs.cofactor)
+    right = rhs.denominator.divided_by(rhs.cofactor)
+    lcm = FactoredProduct({m: max(left.factors.get(m, 0),
+                                  right.factors.get(m, 0))
+                           for m in left.factors | right.factors})
+    return (lcm, lhs.numerator.times_binomials(lcm.divided_by(left).factors),
+            rhs.numerator.times_binomials(lcm.divided_by(right).factors))
 
 
 def factored_times(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:

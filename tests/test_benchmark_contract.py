@@ -44,3 +44,26 @@ def test_every_traced_name_resolves():
 def test_cyclotomic_memo_keeps_its_preset_entry():
     memo = _engine().cyclotomic._CACHE
     assert memo[1].coeffs == (-1, 1)
+
+
+def test_traced_cases_run_with_every_observer():
+    # The tracer installed as perfbench/run.py --trace 1 installs it: one
+    # theorem, one sampled, one root and one lemma case and a sum run with
+    # every name wrapped, and no observer raises on what it reads (the
+    # sides' .denominator.ord_cyclotomic, the .coeffs of valuation_at's
+    # argument, sum_truncated(...).numerator).
+    tracing, engine = _tracing(), _engine()
+    cong = engine.congruence
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, engine):
+        reports = [cong.verify_case("thm1-full", n=3, r=2),
+                   cong.verify_case("param-sampled-j", n=3, r=1, d=2, t=7),
+                   cong.verify_case("param-roots-c", n=3, r=2, d=1, j=1),
+                   cong.verify_case("lemma31", n=5)]
+        cong.sum_truncated(engine.qseries.FamilySpec("J", 1, 3))
+    assert all(report.passed for report in reports)
+    calls = {span[0] for span in tracer.spans}
+    assert {"congruence.check_congruence", "congruence.check_identity",
+            "polycore.valuation", "qseries.sum_truncated"} <= calls
+    assert tracer.peaks["congruence.delta_len_max"] > 0
+    assert tracer.totals["congruence.required"] > 0

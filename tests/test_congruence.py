@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcongruence import congruence, polycore
+from qcongruence import congruence, polycore, qseries
 from qcongruence.congruence import (
     ModulusSpec,
     admissible_root_indices,
@@ -28,6 +28,7 @@ from oracles import (
     PRODUCT_CONJECTURES,
     div_rem_by_monic,
     factored_times,
+    lcm_cross_products,
     mul_schoolbook,
     product_conjecture_global,
     sum_by_passes,
@@ -139,16 +140,27 @@ def _nests(big, small):
     return all(big.factors.get(m, 0) >= e for m, e in small.factors.items())
 
 
+def _lifted_sides(lhs, rhs):
+    # the engine's two lifted sides, unpacked: (L, lifted lhs, lifted rhs)
+    w, lifts = congruence._built(lhs, rhs)
+    return (lifts[0], *(Poly(polycore._slots(x, w), offset) for x, offset
+                        in (congruence._lifted(*side.packed(w), up, 8 * w)
+                            for side, up in ((lhs, lifts[1]),
+                                             (rhs, lifts[2])))))
+
+
 def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
-    # Over the numerator 1, each cross product is the lift L / R expanded:
+    # Over the numerator 1, each lifted side is the lift L / R expanded:
     # it times R expands to L, the lcm of the two multisets of binomials,
     # which holds each base at the larger of its two exponents; no lift
     # divides; and a side whose binomials hold the other's is lifted by
     # nothing while the other is lifted by exactly the binomials it lacks.
+    # The packed lifts equal the polynomial cross products of the oracle.
     def no_division(cs, m):
         raise AssertionError("a lift divides")
 
     monkeypatch.setattr(polycore, "_divide_one_minus", no_division)
+    monkeypatch.setattr(qseries, "_divide_one_minus", no_division)
     rng = random.Random(2019)
     for _ in range(150):
         a, b = (FactoredProduct({rng.randint(1, 24): rng.randint(1, 3)
@@ -159,8 +171,9 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
             b = factored_times(b, a)     # a's binomials all in b
         elif draw < 0.6:
             a = factored_times(a, b)
-        lcm, over_a, over_b = congruence._lcm_cross_products(
-            SeriesSum(Poly.one(), a), SeriesSum(Poly.one(), b))
+        sides = SeriesSum(Poly.one(), a), SeriesSum(Poly.one(), b)
+        lcm, over_a, over_b = _lifted_sides(*sides)
+        assert (lcm, over_a, over_b) == lcm_cross_products(*sides)
         assert lcm == _lcm(a, b)
         for fp, over in ((a, over_a), (b, over_b)):
             assert _times_expanded(over, fp) \
@@ -181,18 +194,20 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
-    # both denominators expanded) and L the lcm of the reduced denominators
-    # D_L / C_L and D_R / C_R as multisets of binomials, the delta handed
-    # to valuation_at times D_L D_R is L full, and every found valuation is
-    # full's, counted by repeated division.
+    # both denominators expanded) and L the lcm of the held denominators
+    # (the reduced denominators D_L / C_L and D_R / C_R times the binomials
+    # each packed numerator still carries) as multisets of binomials, the
+    # delta handed to valuation_at times D_L D_R is L full, and every found
+    # valuation is full's, counted by repeated division.
     seen = []
     real_check = congruence.check_congruence
     real_valuation = congruence.valuation_at
 
     def check(lhs, rhs, modulus, **kwargs):
-        full = _times_expanded(_nominal(lhs), rhs.denominator) \
-            - _times_expanded(_nominal(rhs), lhs.denominator)
-        lcm = _lcm(_reduced(lhs), _reduced(rhs))
+        a, b = lhs.series(), rhs.series()
+        full = _times_expanded(_nominal(a), b.denominator) \
+            - _times_expanded(_nominal(b), a.denominator)
+        lcm = _lcm(lhs.held, rhs.held)
         deltas = []
         monkeypatch.setattr(
             congruence, "valuation_at",
@@ -204,9 +219,9 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
             assert all(p.found == INFINITE for p in report.parts)
         else:
             assert deltas
-            assert all(_times_expanded(_times_expanded(a, lhs.denominator),
+            assert all(_times_expanded(_times_expanded(x, lhs.denominator),
                                        rhs.denominator)
-                       == _times_expanded(full, lcm) for a in deltas)
+                       == _times_expanded(full, lcm) for x in deltas)
             assert [p.found for p in report.parts] \
                 == [_division_valuation(full, d) for d, _ in modulus.parts]
         seen.append(len(deltas))
@@ -277,16 +292,16 @@ def test_sampled_parts_match_full_accumulation(monkeypatch, family):
              for n in (3, 5) for r in (1, 2) for d in (1, 2)
              for t in (3, 5, 7, 9)]
     stopped = []
-    engine_sum = congruence.sum_truncated
+    engine_plan = congruence.plan_sum
 
-    def recording_sum(spec):
-        series = engine_sum(spec)
-        stopped.append(series.cofactor != FactoredProduct())
-        return series
+    def recording_plan(spec):
+        side = engine_plan(spec)
+        stopped.append(side.cofactor != FactoredProduct())
+        return side
 
-    monkeypatch.setattr(congruence, "sum_truncated", recording_sum)
+    monkeypatch.setattr(congruence, "plan_sum", recording_plan)
     fast = [verify_case(**case).to_dict() for case in cases]
-    monkeypatch.setattr(congruence, "sum_truncated", _full_accumulation)
+    monkeypatch.setattr(congruence, "plan_sum", _full_accumulation)
     slow = [verify_case(**case).to_dict() for case in cases]
     for a, b in zip(fast, slow):
         a.pop("elapsed_ms")

@@ -17,9 +17,14 @@ from qcongruence.polycore import (
     one_minus_q,
 )
 from qcongruence.cyclotomic import cyclotomic, valuation_at
-from qcongruence.qseries import q_integer, q_integer_binomials
+from qcongruence.qseries import q_integer
 
-from oracles import div_rem_by_monic, mul_schoolbook, normalize_one_minus_pow
+from oracles import (
+    div_rem_by_monic,
+    mul_schoolbook,
+    normalize_one_minus_pow,
+    q_integer_binomials,
+)
 
 
 def rand_poly(rng, degree, bound=9):

@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from qcongruence.congruence import _scaled
 from qcongruence.cyclotomic import valuation_at
 from qcongruence.polycore import Poly, one_minus_q
 from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _accumulate,
+    _planned,
     classical_term_value,
     eta_product_coefficients,
     q_integer,
-    q_integer_binomials,
     sum_truncated,
     term_of,
 )
@@ -22,6 +20,7 @@ from qcongruence.qseries import (
 from oracles import (
     central_q_binomial,
     factored_times,
+    q_integer_binomials,
     series_times,
     sum_by_passes,
     term_value_at_one,
@@ -231,7 +230,7 @@ def test_denominator_vanishing_is_an_error():
         FamilySpec("C_PARAM", 1, 3, 2)
     # a zero factor reaching a denominator position is an error
     with pytest.raises(ZeroDivisionError):
-        _accumulate([([], [2, 0], None, 0)])
+        _planned([([], [2, 0], None, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def test_series_sum_carries_its_cofactor():
     a = sum_truncated(FamilySpec("C_PARAM", 1, 4, -3))
     b = sum_truncated(FamilySpec("J_PARAM", 3, 3, 3))
     assert a.cofactor.factors and b.cofactor.factors
-    scaled = _scaled(a, "C", 3)     # times q^-1 [3]
+    scaled = a.scaled(3, 1).series()     # times q^-1 [3]
     assert scaled.cofactor == a.cofactor
     assert_same_rational(scaled, a.numerator * a.cofactor.expand()
                          * q_integer(3).shift(-1), a.denominator.expand())
@@ -329,11 +328,11 @@ def test_vanishing_denominator_after_the_stop_still_raises():
     # step 2 go to the cofactor; a zero exponent among them still raises
     steps = [([], [], None, 0), ([0], [3, -1], None, 0),
              ([], [5, 0], None, 0)]
-    stopped = _accumulate(steps[:2])
+    stopped = _planned(steps[:2]).series()
     assert stopped.numerator == Poly.one()
     assert stopped.cofactor.factors == {3: 1, 1: 1}
     with pytest.raises(ZeroDivisionError):
-        _accumulate(steps)
+        _planned(steps)
 
 
 # The sums of the checks: base 1 to 48 (the theorems at n = 7, r = 2),
