@@ -33,9 +33,11 @@ coefficient that overflows its slot unpacks wrong without any error.
 The product conjectures (conj41, conj42, conj43), whose modulus is one
 power of Phi_n and whose right side is a product of two sums, take the
 local path instead (local.certify_part): each part is read off a few rows
-of integers at q = zeta_n (1 + x), from the three sums' specs, with the
+of integers at q = zeta_n (1 + x), from the three sums' plans, with the
 same required and found as the global path; their reports time the one
-phase local_ms.  The check kind alone chooses the path.
+phase local_ms.  The check kind alone chooses the path.  half-vs-full-m
+builds only the full sum's tail past the half, against 0 over the half
+sum's denominator.
 
 verify_case looks up the runner of the named check in _RUNNERS, one row
 per check with the check's constants bound in; the runner validates its
@@ -416,9 +418,10 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
 
 def _theorem_case(family: str, div: int, kind: str, n: int, r: int = 1
                   ) -> CongruenceReport:
-    # div 2 sums the half range, div 1 the full range
+    # div 2 sums the half range, div 1 the full; the modulus validates
+    modulus = build_modulus_theorem(n, r)
     return check_congruence(
-        *_sides(family, n, r, div), build_modulus_theorem(n, r),
+        *_sides(family, n, r, div), modulus,
         label=f"{kind} n={n} r={r}", kind=kind, params={"n": n, "r": r})
 
 
@@ -448,7 +451,7 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
                              ) -> CongruenceReport:
     # div None takes the divisor from the d axis (default 2), which only
     # that row has; squared makes the inner base n^2 instead of n.  The
-    # one part is certified locally, from the three sums' specs.
+    # one part is certified locally, from the three sums' plans.
     if div is not None and d is not None:
         raise TypeError(f"check {kind!r} takes no d")
     label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
@@ -457,9 +460,10 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
         label += f" d={div}"
     _require_case(n, r, div)
     t0 = time.perf_counter()
-    lhs = FamilySpec("M", 1, (n ** (r + 1) - 1) // div)
-    rhs = [FamilySpec("M", 1, (n - 1) // div),
-           FamilySpec("M", n * n if squared else n, (n ** r - 1) // div)]
+    lhs = plan_sum(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
+    rhs = [plan_sum(FamilySpec("M", 1, (n - 1) // div)),
+           plan_sum(FamilySpec("M", n * n if squared else n,
+                               (n ** r - 1) // div))]
     required, found = certify_part([lhs], rhs, n, exponent)
     part = PartResult(n, required, found, found - required)
     ms = (time.perf_counter() - t0) * 1e3
@@ -471,12 +475,15 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
 
 def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     # The two truncations of the M family must separate modulo Phi_n but
-    # agree modulo Phi_{n^{r+1}}^4.
+    # agree modulo Phi_{n^{r+1}}^4: the full sum's tail past the half,
+    # over F_{top-1}, against 0 over the half sum's denominator.
     _require_case(n, r)
     top = n ** (r + 1)
-    full = plan_sum(FamilySpec("M", 1, top - 1))
-    half = plan_sum(FamilySpec("M", 1, (top - 1) // 2))
-    rep = check_congruence(full, half, ModulusSpec([(n, 1), (top, 4)]),
+    half = (top - 1) // 2
+    tail = plan_sum(FamilySpec("M", 1, top - 1), half + 1)
+    zero = SeriesSum(Poly.zero(), plan_sum(FamilySpec("M", 1, half))
+                     .denominator)
+    rep = check_congruence(tail, zero, ModulusSpec([(n, 1), (top, 4)]),
                            label=f"{kind} n={n} r={r}",
                            kind=kind, params={"n": n, "r": r},
                            component="agreement")

@@ -10,9 +10,10 @@ f(zeta (1 + x)).  (This is the expansion at a root of unity behind the
 
 an element being P rows, one per power of x below P, of d exact integers,
 the coefficients of g^0 .. g^(d-1).  Z[g]/(g^d - 1) maps onto Z[zeta], so
-nothing is reduced until a row is tested for zero modulo Phi_d(g).  No
-sum is ever expanded in q: each is read off its spec, step by step
-(qseries._steps), and each binomial costs P (P + 1) / 2 row operations.
+nothing is reduced until a row is tested for zero modulo Phi_d(g), by
+valuation_at's residue test (cyclotomic._count_phi).  No sum is ever
+expanded in q: each is read off the run of its plan (qseries.plan_sum),
+and each binomial costs P (P + 1) / 2 row operations.
 
 A monomial and a binomial go over as
 
@@ -34,12 +35,13 @@ any row is built, and mu is the least of them.  The numerator runs
     V_k = V_{k-1} u(dens_k) + x^(m_k - mu) X_k,
 
 u(dens_k) the product of the units of step k's denominator binomials and
-X_k the unit part of term k's numerator; B is the product of every
-denominator unit and of the unit of the q-integer's divisor 1 - q^step,
-and sigma = mu - [d divides step].  A sum that stops at a vanishing term
-has the same value as its terms before the stop, so its later steps
-enter V and B not at all (their binomials, the cofactor, stay in the
-nominal denominator and its content).  A product of sums multiplies
+X_k the unit part of term k's numerator, with its sign and shift (which
+hold the units -q^|e| of the turned negative exponents); B is the
+product of every denominator unit and of those of the held divisor
+(extra), and sigma is mu less the x-order of extra.  The run of a sum
+that stops at a vanishing term ends before it, so the later steps enter
+V and B not at all (their binomials, the cofactor, stay in the nominal
+denominator and its content).  A product of sums multiplies
 (sigma, V, B) componentwise; that and the final cross-multiplication
 are the only general products.
 
@@ -64,9 +66,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import cyclotomic
+from .cyclotomic import _count_phi, cyclotomic
 from .polycore import INFINITE
-from .qseries import FamilySpec, _q_integer_step, _steps
+from .qseries import SeriesSum
 
 
 def _binomials(e: int, count: int) -> list[int]:
@@ -174,16 +176,17 @@ class _Ring:
 
 @dataclass
 class _Sum:
-    """What a sum's spec says at one d, before any row is built.
+    """What a sum's plan says at one d, before any row is built.
 
-    steps are the steps before the stop, gaps their terms' m_k - mu;
+    run is the plan's run, the steps before the stop, and gaps their
+    terms' m_k - mu; extra lists the binomials of the held divisor;
     content is ord_d of the nominal denominator, cofactor included, and
     degree its degree; low and high bound the exponents of the nominal
     numerator (cofactor times numerator), the sum times that denominator.
     """
 
-    steps: list
-    step: int
+    run: list
+    extra: list[int]
     gaps: list[int]
     sigma: int
     content: int
@@ -192,49 +195,41 @@ class _Sum:
     high: int
 
 
-def _read(spec: FamilySpec, d: int) -> _Sum:
-    """The x-orders, the stop and the exponent bounds of spec's sum.
+def _read(plan: SeriesSum, d: int) -> _Sum:
+    """The x-orders and the exponent bounds of a plan's sum.
 
-    Term k times the nominal denominator is prod_k (1 - q^top) q^shift /
-    (1 - q^step), times -q^|e| for each negative denominator exponent e
-    up to step k (1 - q^|e| over 1 - q^e) and times the binomials of the
-    later steps, so its exponents lie in the ranges added below.
+    Term k times the nominal denominator is its sign times prod_k (1 -
+    q^top) q^shift / extra (the shift holds the units of the turned
+    denominator exponents up to step k), times the binomials of the later
+    steps, so its exponents lie in the ranges added below.
     """
-    steps, step = _steps(spec), _q_integer_step(spec)
-    stop = len(steps)
-    up_order = den_order = 0
-    up_low = up_high = turned = degree = 0
+    extra = [m for m, e in plan.extra.factors.items() for _ in range(e)]
+    up_order = den_order = up_low = up_high = degree = 0
     orders, lows, highs = [], [], []
-    for k, (ups, dens, top, shift) in enumerate(steps):
-        for e in dens:
-            if e == 0:
-                raise ZeroDivisionError("vanishing denominator factor")
-            den_order += e % d == 0
-            degree += abs(e)
-            turned += max(-e, 0)
-        if k < stop and 0 in ups:
-            stop = k
-        if k >= stop:
-            continue
+    for ups, dens, top, shift, _ in plan.numerator:
+        den_order += sum(e % d == 0 for e in dens)
+        degree += sum(dens)
         for e in ups:
             up_order += e % d == 0
             up_low += min(e, 0)
             up_high += max(e, 0)
         top_order, top_low, top_high = (0, 0, 0) if top is None \
-            else (top % d == 0, min(top, 0), max(top, 0) - step)
+            else (top % d == 0, min(top, 0), max(top, 0) - sum(extra))
         orders.append(up_order + top_order - den_order)
-        lows.append(up_low + top_low + shift + turned)
-        highs.append(up_high + top_high + shift + turned - degree)
-    mu = min(orders)
-    return _Sum(steps[:stop], step, [m - mu for m in orders],
-                mu - (step != 0 and step % d == 0), den_order, degree,
-                min(lows), max(highs) + degree)
+        lows.append(up_low + top_low + shift)
+        highs.append(up_high + top_high + shift - degree)
+    mu, total = min(orders), sum(m * e for m, e in
+                                 plan.denominator.factors.items())
+    return _Sum(plan.numerator, extra, [m - mu for m in orders],
+                mu - sum(e % d == 0 for e in extra),
+                plan.denominator.ord_cyclotomic(d), total, min(lows),
+                max(highs) + total)
 
 
 def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
     """(V, B) of the sum in ring: its value is x^sigma V / B."""
     numerator, units, prod = ring.zero(), ring.one(), ring.one()
-    for (ups, dens, top, shift), gap in zip(series.steps, series.gaps):
+    for (ups, dens, top, shift, sign), gap in zip(series.run, series.gaps):
         for e in dens:
             numerator = ring.times_unit(numerator, e)
             units = ring.times_unit(units, e)
@@ -243,9 +238,11 @@ def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
         term = prod if top is None else ring.times_unit(prod, top)
         if shift:
             term = ring.times_power(term, shift)
-        numerator = ring.add(numerator, ring.shifted(term, gap))
-    if series.step:
-        units = ring.times_unit(units, series.step)
+        term = ring.shifted(term, gap)
+        numerator = ring.add(numerator, term) if sign > 0 \
+            else ring.sub(numerator, term)
+    for e in series.extra:
+        units = ring.times_unit(units, e)
     return numerator, units
 
 
@@ -258,22 +255,11 @@ def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
     return numerator, units
 
 
-def _nonzero_mod(row: list, phi: tuple) -> bool:
-    """Whether the row, as a polynomial in g, is nonzero modulo the monic
-    phi; one step of long division per slot above phi's degree."""
-    rest, degree = list(row), len(phi) - 1
-    for top in range(len(rest) - 1, degree - 1, -1):
-        c = rest[top]
-        if c:
-            for k, p in enumerate(phi):
-                rest[top - degree + k] -= c * p
-    return any(rest[:degree])
-
-
-def certify_part(lhs: list[FamilySpec], rhs: list[FamilySpec], d: int,
+def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
                  exponent: int) -> tuple[int, object]:
     """(required, found) for prod(lhs) == prod(rhs) modulo Phi_d^exponent,
-    each side a product of the sums of its specs, d >= 2.
+    each side a product of sums, each sum read off its plan (plan_sum),
+    d >= 2.
 
     required is exponent plus the Phi_d content of both nominal
     denominators; found is the Phi_d-adic valuation of the
@@ -281,8 +267,8 @@ def certify_part(lhs: list[FamilySpec], rhs: list[FamilySpec], d: int,
     it is zero.  Both are the numbers check_congruence reports for the
     expanded sums.
     """
-    left = [_read(spec, d) for spec in lhs]
-    right = [_read(spec, d) for spec in rhs]
+    left = [_read(plan, d) for plan in lhs]
+    right = [_read(plan, d) for plan in rhs]
     sigma_l = sum(s.sigma for s in left)
     sigma_r = sum(s.sigma for s in right)
     m = min(sigma_l, sigma_r)
@@ -291,11 +277,10 @@ def certify_part(lhs: list[FamilySpec], rhs: list[FamilySpec], d: int,
     low_l, low_r = (sum(s.low for s in side) for side in (left, right))
     high_l = sum(s.high for s in left) + sum(s.degree for s in right)
     high_r = sum(s.high for s in right) + sum(s.degree for s in left)
-    phi = cyclotomic(d).coeffs
     # found <= span / phi(d) unless the difference is zero, so rows below
     # this many all vanish only when it is
-    enough = (max(high_l, high_r) - min(low_l, low_r)) // (len(phi) - 1) \
-        - m - content + 1
+    span = max(high_l, high_r) - min(low_l, low_r)
+    enough = span // (len(cyclotomic(d).coeffs) - 1) - m - content + 1
     precision = exponent - m + 1
     while True:
         precision = max(1, min(precision, enough))
@@ -305,7 +290,7 @@ def certify_part(lhs: list[FamilySpec], rhs: list[FamilySpec], d: int,
         bracket = ring.sub(ring.shifted(ring.mul(v_l, b_r), sigma_l - m),
                            ring.shifted(ring.mul(v_r, b_l), sigma_r - m))
         for i, row in enumerate(bracket):
-            if _nonzero_mod(row, phi):
+            if any(row) and not _count_phi(row, d):
                 return exponent + content, m + i + content
         if precision >= enough:
             return exponent + content, INFINITE

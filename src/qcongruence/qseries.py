@@ -11,13 +11,14 @@ numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) / (1 - q^s)
 enters as one binomial 1 - q^{sN}; the divisor 1 - q^s, common to every
 term, is held in the denominator.
 
-A sum is planned from its steps alone (plan_sum): its denominator,
-cofactor, held divisor and a count bound on its numerator.  It is built
-at a slot width proven from that bound, its running numerator and nested
-product each one packed integer (polycore._pack), each binomial one
-shift-subtract.  A global check builds its sums at the width of its delta
-and never unpacks them (congruence); sum_truncated and term_of build at
-the sum's own width, unpack once and divide the held divisor out.
+A sum is described once, by its plan (plan_sum): its run of steps,
+denominator, cofactor, held divisor and a count bound on its numerator;
+the local path reads the run (local), the global path builds it at a
+slot width proven from that bound, numerator and nested product each one
+packed integer (polycore._pack), each binomial one shift-subtract.  A
+global check never unpacks its sums (congruence); sum_truncated and
+term_of (the plan of term k alone: plan_sum(spec, start) plans the terms
+start..upper over F_upper) unpack once and divide the held divisor out.
 
 A specialized parametric sum stops at its first vanishing term k0: every
 later term is zero, and the binomials of steps k0..upper enter the full
@@ -294,7 +295,7 @@ def _term_binomial(spec: FamilySpec, k: int) -> tuple[Optional[int], int]:
 
 
 def _steps(spec: FamilySpec) -> list[tuple]:
-    """The steps k = 0..upper of spec for _accumulate."""
+    """The steps k = 0..upper of spec for _planned."""
     return [(*(_step_exponents(spec, k) if k else ([], [])),
              *_term_binomial(spec, k)) for k in range(spec.upper + 1)]
 
@@ -371,16 +372,11 @@ def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
 
 
 def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
-    """The exact k-th term as (numerator, factored denominator): one step
-    of _planned that holds the binomials of steps 0..k, with term k's
-    q-integer and shift."""
+    """The exact k-th term as (numerator, factored denominator): the sum
+    of the terms k..k, planned by plan_sum."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    steps = _steps(replace(spec, upper=k))
-    ups = [e for step in steps for e in step[0]]
-    dens = [e for step in steps for e in step[1]]
-    term = _planned([(ups, dens, *steps[k][2:])],
-                    _q_integer_step(spec)).series()
+    term = plan_sum(replace(spec, upper=k), k).series()
     return term.numerator, term.denominator
 
 
@@ -396,9 +392,17 @@ def sum_truncated(spec: FamilySpec) -> SeriesSum:
     return plan_sum(spec).series()
 
 
-def plan_sum(spec: FamilySpec) -> SeriesSum:
-    """The sum of the terms k = 0..upper, planned from its steps alone."""
-    return _planned(_steps(spec), _q_integer_step(spec))
+def plan_sum(spec: FamilySpec, start: int = 0) -> SeriesSum:
+    """The sum of the terms k = start..upper over the whole denominator
+    F_upper, planned from its steps alone: steps 0..start enter as one
+    step that carries term start's q-integer and shift."""
+    if not 0 <= start <= spec.upper:
+        raise ValueError("start must be in 0..upper")
+    steps = _steps(spec)
+    first = ([e for step in steps[:start + 1] for e in step[0]],
+             [e for step in steps[:start + 1] for e in step[1]],
+             *steps[start][2:])
+    return _planned([first, *steps[start + 1:]], _q_integer_step(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,11 @@ def test_cyclotomic_memo_keeps_its_preset_entry():
 
 def test_traced_cases_run_with_every_observer():
     # The tracer installed as perfbench/run.py --trace 1 installs it: one
-    # theorem, one sampled, one root and one lemma case and a sum run with
-    # every name wrapped, and no observer raises on what it reads (the
-    # sides' .denominator.ord_cyclotomic, the .coeffs of valuation_at's
-    # argument, sum_truncated(...).numerator).
+    # theorem, one sampled, one root, one lemma, one product conjecture
+    # (the local path) and one half-vs-full-m case (a tail against 0) and
+    # a sum run with every name wrapped, and no observer raises on what it
+    # reads (the sides' .denominator.ord_cyclotomic, the .coeffs of
+    # valuation_at's argument, sum_truncated(...).numerator).
     tracing, engine = _tracing(), _engine()
     cong = engine.congruence
     tracer = tracing.Tracer()
@@ -59,7 +60,9 @@ def test_traced_cases_run_with_every_observer():
         reports = [cong.verify_case("thm1-full", n=3, r=2),
                    cong.verify_case("param-sampled-j", n=3, r=1, d=2, t=7),
                    cong.verify_case("param-roots-c", n=3, r=2, d=1, j=1),
-                   cong.verify_case("lemma31", n=5)]
+                   cong.verify_case("lemma31", n=5),
+                   cong.verify_case("conj43", n=3, r=1, d=1),
+                   cong.verify_case("half-vs-full-m", n=3, r=1)]
         cong.sum_truncated(engine.qseries.FamilySpec("J", 1, 3))
     assert all(report.passed for report in reports)
     calls = {span[0] for span in tracer.spans}

@@ -57,6 +57,13 @@ def test_verify_exit_codes(capsys):
     assert main([]) == 2
 
 
+def test_verify_rejects_r_below_one(capsys):
+    # r is validated before the range (n^r - 1) // div is formed
+    assert main(["verify", "--check", "thm1-full", "--n", "3",
+                 "--r", "0"]) == 2
+    assert capsys.readouterr().err == "error: r must be >= 1\n"
+
+
 def test_classical_exit_codes(capsys):
     assert main(["classical", "--check", "c3", "--p", "5", "--r", "1",
                  "--exp", "3"]) == 0

@@ -26,10 +26,10 @@ from qcongruence.qseries import (
 
 from oracles import (
     PRODUCT_CONJECTURES,
+    _times_one_minus_by_passes,
     div_rem_by_monic,
     factored_times,
     lcm_cross_products,
-    mul_schoolbook,
     product_conjecture_global,
     sum_by_passes,
 )
@@ -89,13 +89,10 @@ def test_theorem_spot_case_n3():
 
 
 def _times_expanded(lp, fp):
-    # lp * expand(fp), the denominator expanded binomial by binomial and
-    # every product done by the schoolbook reference
-    acc = Poly.one()
-    for m, e in sorted(fp.factors.items()):
-        for _ in range(e):
-            acc = mul_schoolbook(acc, Poly([1] + [0] * (m - 1) + [-1]))
-    return mul_schoolbook(lp, acc)
+    # lp * expand(fp), one list pass of the oracles per binomial, none of
+    # the engine's kernels
+    return _times_one_minus_by_passes(
+        lp, [m for m, e in sorted(fp.factors.items()) for _ in range(e)])
 
 
 def _shared(fp_a, fp_b):
@@ -191,6 +188,8 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
     dict(kind="conj43", n=3, r=1, d=2),
     dict(kind="param-sampled-j", n=3, r=2, d=1, t=7),
     dict(kind="conj41", n=3, r=1),
+    dict(kind="half-vs-full-m", n=3, r=1),   # the full sum's tail
+    dict(kind="half-vs-full-m", n=3, r=2),   # against 0 over F_half
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
@@ -569,11 +568,43 @@ def test_half_vs_full_separation():
     assert by_component["agreement"].margin >= 0
 
 
+def test_half_vs_full_compares_the_tail_past_the_half(monkeypatch):
+    # The sides are the full sum's terms half+1..top-1 over F_{top-1}
+    # and 0 over F_half: their difference is M(top - 1) - M(half), both
+    # accumulated by the list oracle.  The reports alone do not pin the
+    # start, since the terms past the half each carry (1 - q^top)^4.
+    sides = []
+    real_check = congruence.check_congruence
+
+    def check(lhs, rhs, *args, **kwargs):
+        sides.append((lhs, rhs))
+        return real_check(lhs, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(congruence, "check_congruence", check)
+    for n, r in ((3, 1), (5, 1)):
+        sides.clear()
+        verify_case("half-vs-full-m", n=n, r=r)
+        (tail, zero), = sides
+        top = n ** (r + 1)
+        full = sum_by_passes(FamilySpec("M", 1, top - 1))
+        half = sum_by_passes(FamilySpec("M", 1, (top - 1) // 2))
+        assert zero.numerator.is_zero()
+        assert zero.denominator == half.denominator
+        tail = tail.series()
+        assert tail.denominator == full.denominator
+        assert tail.numerator == full.numerator - _times_expanded(
+            half.numerator, full.denominator.divided_by(half.denominator))
+
+
 def test_verify_case_rejects_bad_parameters():
     with pytest.raises(ValueError):
         verify_case("thm1-half", n=4, r=1)
     with pytest.raises(ValueError):
         verify_case("thm1-half", n=3, r=0)
+    # the modulus validates r before the sides' ranges are formed
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            verify_case("thm1-full", n=3, r=r)
     with pytest.raises(ValueError):
         verify_case("param-sampled-c", n=3, r=1, d=2)  # t missing
     with pytest.raises(ValueError, match="unknown check 'nope'"):

@@ -3,9 +3,9 @@
 The global path expands every sum, cross-multiplies through the lcm
 of the denominators and counts each power of Phi_d by division
 (check_congruence).  The local path reads the same part off P
-rows at q = zeta_d (1 + x).  Every part must agree: on the product
-conjectures, on seeded random pairs of sums of all five families, and on
-pairs that are equal.
+rows at q = zeta_d (1 + x), from the same plans (plan_sum).  Every part
+must agree: on the product conjectures, on seeded random pairs of sums
+of all five families, and on pairs that are equal.
 """
 
 import json
@@ -18,7 +18,7 @@ from qcongruence.cli import RunConfig, sweep
 from qcongruence.congruence import ModulusSpec, check_congruence, verify_case
 from qcongruence.local import certify_part
 from qcongruence.polycore import INFINITE
-from qcongruence.qseries import FAMILIES, FamilySpec, sum_truncated
+from qcongruence.qseries import FAMILIES, FamilySpec, _steps, plan_sum
 
 from oracles import product_conjecture_global, series_times
 
@@ -73,9 +73,10 @@ def test_random_pairs_match_the_global_path():
     # stopped parametric sums carry a cofactor.  Every fourth pair is a
     # plain sum against its truncation at (d - 1) / 2 for an odd d: the
     # terms between vanish to order 3 or more, so the margin is positive
-    # and shows only after the precision doubles.
+    # and shows only after the precision doubles.  The plans turn negative
+    # denominator exponents around, which some pairs must hold.
     rng = random.Random(1803)
-    stopped = doubled = 0
+    stopped = doubled = turned = 0
     for trial in range(40):
         d, exponent = rng.randint(2, 27), rng.randint(1, 3)
         if trial % 4 == 0:
@@ -87,15 +88,18 @@ def test_random_pairs_match_the_global_path():
             lhs = [_random_spec(rng, 6)]
             rhs = [_random_spec(rng, 6) for _ in range(2 if trial % 4 == 1
                                                        else 1)]
-        sums = [sum_truncated(spec) for spec in lhs + rhs]
+        plans = [plan_sum(spec) for spec in lhs + rhs]
+        sums = [plan.series() for plan in plans]
         right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
         part = check_congruence(sums[0], right,
                                 ModulusSpec([(d, exponent)])).parts[0]
-        assert certify_part(lhs, rhs, d, exponent) \
+        assert certify_part(plans[:1], plans[1:], d, exponent) \
             == (part.required, part.found), (lhs, rhs, d)
         stopped += any(series.cofactor.factors for series in sums)
         doubled += part.margin > 0
-    assert stopped >= 5 and doubled >= 5
+        turned += any(e < 0 for spec in lhs + rhs
+                      for step in _steps(spec) for e in step[1])
+    assert stopped >= 5 and doubled >= 5 and turned >= 5
 
 
 @pytest.mark.parametrize("lhs, rhs", [
@@ -106,9 +110,10 @@ def test_random_pairs_match_the_global_path():
     ([FamilySpec("C_PARAM", 1, 3, 3)], [FamilySpec("C_PARAM", 1, 1, 3)]),
 ])
 def test_equal_sides_are_infinite(lhs, rhs):
-    sums = [sum_truncated(spec) for spec in lhs + rhs]
+    plans = [plan_sum(spec) for spec in lhs + rhs]
+    sums = [plan.series() for plan in plans]
     right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
     report = check_congruence(sums[0], right, ModulusSpec([(3, 1)]))
     assert report.identically_equal and report.parts[0].found == INFINITE
-    assert certify_part(lhs, rhs, 3, 1) == (report.parts[0].required,
-                                            INFINITE)
+    assert certify_part(plans[:1], plans[1:], 3, 1) \
+        == (report.parts[0].required, INFINITE)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from qcongruence.cyclotomic import valuation_at
 from qcongruence.polycore import Poly, one_minus_q
 from qcongruence.qseries import (
+    FAMILIES,
+    SEXTIC_FAMILIES,
     FactoredProduct,
     FamilySpec,
     SeriesSum,
     _planned,
     classical_term_value,
     eta_product_coefficients,
+    plan_sum,
     q_integer,
     sum_truncated,
     term_of,
@@ -354,6 +358,48 @@ def test_sums_match_list_pass_accumulation():
     # numerator, denominator and cofactor
     for spec in ORACLE_SPECS:
         assert sum_truncated(spec) == sum_by_passes(spec), spec
+
+
+def _random_specs(rng, count):
+    specs = []
+    for family in FAMILIES:
+        for _ in range(count):
+            t = rng.randrange(-9, 10, 2) if family.endswith("_PARAM") \
+                else None
+            specs.append(FamilySpec(family, rng.randint(1, 3),
+                                    rng.randint(0, 8), t,
+                                    family in SEXTIC_FAMILIES
+                                    and rng.random() < 0.3))
+    return specs
+
+
+def test_tail_plans_match_list_pass_accumulation():
+    # plan_sum(spec, start) is the sum of the terms start..upper over
+    # F_upper: times F_upper, the list oracle's sum to upper less its sum
+    # to start - 1 lifted to F_upper.  Seeded specs of all five families
+    # and the stopped sums, at every start, some past the stop.
+    past = 0
+    for spec in _random_specs(random.Random(1919), 3) \
+            + [spec for spec, _ in EARLY_STOP_SPECS]:
+        full = sum_by_passes(spec)
+        for start in range(spec.upper + 1):
+            tail = plan_sum(spec, start).series()
+            assert tail.denominator == full.denominator, (spec, start)
+            expected = full.numerator * full.cofactor.expand()
+            if start:
+                head = sum_by_passes(replace(spec, upper=start - 1))
+                expected -= head.numerator * head.cofactor.expand() \
+                    * full.denominator.divided_by(head.denominator).expand()
+            assert tail.numerator * tail.cofactor.expand() == expected, \
+                (spec, start)
+            past += start and tail.cofactor == tail.denominator
+    assert past >= 5
+
+
+def test_plan_sum_rejects_a_start_outside_the_range():
+    for start in (-1, 4):
+        with pytest.raises(ValueError, match="start must be in 0..upper"):
+            plan_sum(FamilySpec("C", 1, 3), start)
 
 
 def test_sum_denominator_is_last_term_denominator():
