@@ -7,7 +7,8 @@ Subcommands
     list       enumerate supported checks, as the check table holds them
 
 Every check is one row of CHECKS: its name, description, parameter axes and
-runner.  A case is plain data, (name, params), so it can be pickled.
+runner, the q-side rows built from congruence.CHECKS.  A case is plain
+data, (name, params), so it can be pickled.
 
 Exit codes: 0 all asserted (non-conjectural) cases pass; 1 some asserted
 case failed; 2 usage or config error; 3 report write error; 4 some sweep
@@ -28,6 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
+from .congruence import CHECKS as Q_CHECKS
 from .congruence import admissible_root_indices, verify_case
 from .padic import (
     MIN_PRIME,
@@ -196,42 +198,11 @@ def _by_policy(cfg: RunConfig, params: dict) -> list[int]:
             if cfg.exponent_policy in (tag, "both")]
 
 
-_N_R = ("n", "r")
 _P_R_EXP = ("p", "r", "exponent")
 
 CHECKS = {check.name: check for check in (
-    Check("thm1-half", "quartic family, half range vs base-raised target",
-          _N_R, _run_q),
-    Check("thm1-full", "quartic family, full range vs base-raised target",
-          _N_R, _run_q),
-    Check("thm2-half", "sextic family, half range vs base-raised target",
-          _N_R, _run_q),
-    Check("thm2-full", "sextic family, full range vs base-raised target",
-          _N_R, _run_q),
-    Check("gw", "quartic family vs cubic-corrected closed form (asserted)",
-          ("n",), _run_q),
-    Check("qj2", "sextic family vs cubic-corrected closed form "
-          "(conjectural)", ("n",), _run_q),
-    Check("conj41", "full-range product splitting mod Phi_n^3 "
-          "(conjectural)", _N_R, _run_q),
-    Check("conj42", "half-range product splitting mod Phi_n^3 "
-          "(conjectural)", _N_R, _run_q),
-    Check("conj43", "product splitting at divisor d mod Phi_n^2 "
-          "(conjectural)", ("n", "r", "d"), _run_q),
-    Check("lemma22", "quartic root-specialization closed form "
-          "(exact identity)", ("n",), _run_q),
-    Check("lemma31", "sextic root-specialization closed form "
-          "(exact identity)", ("n",), _run_q),
-    Check("param-roots-c", "quartic parametric sides equal at root "
-          "specializations", ("n", "r", "d", "j"), _run_q),
-    Check("param-roots-j", "sextic parametric sides equal at root "
-          "specializations", ("n", "r", "d", "j"), _run_q),
-    Check("param-sampled-c", "quartic parametric sides vanish mod [n^r] at "
-          "odd t", ("n", "r", "d", "t"), _run_q),
-    Check("param-sampled-j", "sextic parametric sides vanish mod [n^r] at "
-          "odd t", ("n", "r", "d", "t"), _run_q),
-    Check("half-vs-full-m", "truncation separation mod Phi_n, agreement "
-          "mod Phi_{n^{r+1}}^4", _N_R, _run_q),
+    *(Check(name, description, axes, _run_q)
+      for name, (_, axes, description) in Q_CHECKS.items()),
     Check("c2", "half-range quartic sum == p mod p^exp (proven to exp 4)",
           ("p", "exponent"), lambda name, **kw: verify_van_hamme(name, **kw),
           lambda cfg, params: [4]),

@@ -35,20 +35,21 @@ power of Phi_n and whose right side is a product of two sums, take the
 local path instead (local.certify_part): each part is read off a few rows
 of integers at q = zeta_n (1 + x), from the three sums' plans, with the
 same required and found as the global path; their reports time the one
-phase local_ms.  The check kind alone chooses the path.  half-vs-full-m
-builds only the full sum's tail past the half, against 0 over the half
+phase local_ms.  The check kind alone chooses the path.  A zero side is
+an empty plan: the sampled checks compare each side with 0, and
+half-vs-full-m the full sum's tail past the half with 0 over the half
 sum's denominator.
 
-verify_case looks up the runner of the named check in _RUNNERS, one row
-per check with the check's constants bound in; the runner validates its
-parameters, assembles both sides, picks the right modulus, and delegates
-here.  The theorem, closed-form identity, root and sampled checks share
-one shape, built by _sides: the base-1 sum to (n^r - 1) // div against
-its companion _target, the base-n sum to (n^{r-1} - 1) // div scaled by
-+-q^{(1-n)/2} [n], whose 1 - q^n cancels the companion's held 1 - q^n.
-The closed forms are its r = 1 root case, whose companion is the single
-term 1.  Conjectural checks are flagged so that drivers can separate
-findings from failures.
+CHECKS is the one table of the q-side checks (the cli's q-side rows come
+from it).  verify_case rejects a param outside the row's axes; the
+runner validates the values, assembles both sides, picks the right
+modulus, and delegates here.  The theorem, closed-form identity, root
+and sampled checks share one shape, built by _sides: the base-1 sum to
+(n^r - 1) // div against its companion _target, the base-n sum to
+(n^{r-1} - 1) // div scaled in its plan by +-q^{(1-n)/2} [n], whose 1 -
+q^n cancels the companion's held 1 - q^n.  The closed forms are its r =
+1 root case, whose companion is the single term 1.  Conjectural checks
+are flagged so that drivers can separate findings from failures.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
         raise ValueError("sampled checks need an odd specialization t")
     check = partial(check_congruence, modulus=modulus_q_integer(n ** r),
                     count_denominators=False)
-    zero = SeriesSum(Poly.zero())
+    zero = SeriesSum([], bits=0)
     lhs, rhs = _sides(family, n, r, d, t)
     pairs = {"lhs==0": (lhs, zero), "rhs==0": (rhs, zero),
              "lhs==rhs": (lhs, rhs)}
@@ -452,8 +453,6 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
     # div None takes the divisor from the d axis (default 2), which only
     # that row has; squared makes the inner base n^2 instead of n.  The
     # one part is certified locally, from the three sums' plans.
-    if div is not None and d is not None:
-        raise TypeError(f"check {kind!r} takes no d")
     label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
     if div is None:
         div = params["d"] = 2 if d is None else d
@@ -481,8 +480,8 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     top = n ** (r + 1)
     half = (top - 1) // 2
     tail = plan_sum(FamilySpec("M", 1, top - 1), half + 1)
-    zero = SeriesSum(Poly.zero(), plan_sum(FamilySpec("M", 1, half))
-                     .denominator)
+    zero = SeriesSum([], plan_sum(FamilySpec("M", 1, half)).denominator,
+                     bits=0)
     rep = check_congruence(tail, zero, ModulusSpec([(n, 1), (top, 4)]),
                            label=f"{kind} n={n} r={r}",
                            kind=kind, params={"n": n, "r": r},
@@ -504,27 +503,50 @@ def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
         parts=[], passed=equal, identically_equal=equal)
 
 
-#: Check name -> runner(name, **params), with the check's own constants
-#: bound in front; each runner validates its own params.  qj2 and the
-#: product checks are conjectural: a failed report is a finding, not an
-#: implementation bug.
-_RUNNERS = {
-    "thm1-half": partial(_theorem_case, "C", 2),
-    "thm1-full": partial(_theorem_case, "C", 1),
-    "thm2-half": partial(_theorem_case, "J", 2),
-    "thm2-full": partial(_theorem_case, "J", 1),
-    "gw": partial(_correction_case, "C", False),
-    "qj2": partial(_correction_case, "J", True),
-    "conj41": partial(_product_conjecture_case, 1, 3, True),
-    "conj42": partial(_product_conjecture_case, 2, 3, True),
-    "conj43": partial(_product_conjecture_case, None, 2, False),
-    "lemma22": partial(_identity_case, "C_PARAM"),
-    "lemma31": partial(_identity_case, "J_PARAM"),
-    "param-roots-c": partial(_roots_case, "C_PARAM"),
-    "param-roots-j": partial(_roots_case, "J_PARAM"),
-    "param-sampled-c": partial(_sampled_case, "C_PARAM"),
-    "param-sampled-j": partial(_sampled_case, "J_PARAM"),
-    "half-vs-full-m": _half_vs_full_case,
+_N_R = ("n", "r")
+
+#: Check name -> (runner(name, **params) with the check's constants bound
+#: in front, its param axes, its description).  qj2 and the product checks
+#: are conjectural: a failed report is a finding, not an implementation bug.
+CHECKS = {
+    "thm1-half": (partial(_theorem_case, "C", 2), _N_R,
+                  "quartic family, half range vs base-raised target"),
+    "thm1-full": (partial(_theorem_case, "C", 1), _N_R,
+                  "quartic family, full range vs base-raised target"),
+    "thm2-half": (partial(_theorem_case, "J", 2), _N_R,
+                  "sextic family, half range vs base-raised target"),
+    "thm2-full": (partial(_theorem_case, "J", 1), _N_R,
+                  "sextic family, full range vs base-raised target"),
+    "gw": (partial(_correction_case, "C", False), ("n",),
+           "quartic family vs cubic-corrected closed form (asserted)"),
+    "qj2": (partial(_correction_case, "J", True), ("n",),
+            "sextic family vs cubic-corrected closed form (conjectural)"),
+    "conj41": (partial(_product_conjecture_case, 1, 3, True), _N_R,
+               "full-range product splitting mod Phi_n^3 (conjectural)"),
+    "conj42": (partial(_product_conjecture_case, 2, 3, True), _N_R,
+               "half-range product splitting mod Phi_n^3 (conjectural)"),
+    "conj43": (partial(_product_conjecture_case, None, 2, False),
+               ("n", "r", "d"),
+               "product splitting at divisor d mod Phi_n^2 (conjectural)"),
+    "lemma22": (partial(_identity_case, "C_PARAM"), ("n",),
+                "quartic root-specialization closed form (exact identity)"),
+    "lemma31": (partial(_identity_case, "J_PARAM"), ("n",),
+                "sextic root-specialization closed form (exact identity)"),
+    "param-roots-c": (partial(_roots_case, "C_PARAM"), ("n", "r", "d", "j"),
+                      "quartic parametric sides equal at root "
+                      "specializations"),
+    "param-roots-j": (partial(_roots_case, "J_PARAM"), ("n", "r", "d", "j"),
+                      "sextic parametric sides equal at root "
+                      "specializations"),
+    "param-sampled-c": (partial(_sampled_case, "C_PARAM"),
+                        ("n", "r", "d", "t"),
+                        "quartic parametric sides vanish mod [n^r] at odd t"),
+    "param-sampled-j": (partial(_sampled_case, "J_PARAM"),
+                        ("n", "r", "d", "t"),
+                        "sextic parametric sides vanish mod [n^r] at odd t"),
+    "half-vs-full-m": (_half_vs_full_case, _N_R,
+                       "truncation separation mod Phi_n, agreement mod "
+                       "Phi_{n^{r+1}}^4"),
 }
 
 
@@ -535,10 +557,14 @@ def verify_case(kind: str, **params) -> CongruenceReport:
     params are the check's own parameters: n, plus r, d, j or t where the
     check takes them (r defaults to 1, d to 2, j to 0).
     """
-    if kind not in _RUNNERS:
+    if kind not in CHECKS:
         raise ValueError(f"unknown check {kind!r}")
+    run, axes, _ = CHECKS[kind]
+    for axis in params:
+        if axis not in axes:
+            raise TypeError(f"check {kind!r} takes no {axis}")
     t0 = time.perf_counter()
-    report = _RUNNERS[kind](kind, **params)
+    report = run(kind, **params)
     report.timings = report.timings \
         or {"total_ms": (time.perf_counter() - t0) * 1e3}
     return report

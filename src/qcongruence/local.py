@@ -35,15 +35,17 @@ any row is built, and mu is the least of them.  The numerator runs
     V_k = V_{k-1} u(dens_k) + x^(m_k - mu) X_k,
 
 u(dens_k) the product of the units of step k's denominator binomials and
-X_k the unit part of term k's numerator, with its sign and shift (which
-hold the units -q^|e| of the turned negative exponents); B is the
-product of every denominator unit and of those of the held divisor
-(extra), and sigma is mu less the x-order of extra.  The run of a sum
-that stops at a vanishing term ends before it, so the later steps enter
-V and B not at all (their binomials, the cofactor, stay in the nominal
-denominator and its content).  A product of sums multiplies
-(sigma, V, B) componentwise; that and the final cross-multiplication
-are the only general products.
+X_k the unit part of term k's numerator, with its coefficient and shift
+(which hold the sign, the units -q^|e| of the turned negative exponents
+and a scale's c q^{(1-n)/2}; the scale's 1 - q^n, unless it cancels one
+of extra, is a binomial of step 0); B is the product of every
+denominator unit and of those of the held divisor (extra), and sigma is
+mu less the x-order of extra.  The run of a sum that stops at a
+vanishing term ends before it, so the later steps enter V and B not at
+all (their binomials, the cofactor, stay in the nominal denominator and
+its content); the empty run is 0.  A product of sums multiplies (sigma,
+V, B) componentwise; that and the final cross-multiplication are the
+only general products.
 
 The difference of two sides, with m the lesser sigma, is
 
@@ -167,11 +169,9 @@ class _Ring:
             return self.zero()
         return [[0] * self.d for _ in range(k)] + a[:self.precision - k]
 
-    def add(self, a: list, b: list) -> list:
-        return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-    def sub(self, a: list, b: list) -> list:
-        return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    def add(self, a: list, b: list, c: int) -> list:
+        """a + c b."""
+        return [[x + c * y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 @dataclass
@@ -198,8 +198,8 @@ class _Sum:
 def _read(plan: SeriesSum, d: int) -> _Sum:
     """The x-orders and the exponent bounds of a plan's sum.
 
-    Term k times the nominal denominator is its sign times prod_k (1 -
-    q^top) q^shift / extra (the shift holds the units of the turned
+    Term k times the nominal denominator is its coefficient times prod_k
+    (1 - q^top) q^shift / extra (the shift holds the units of the turned
     denominator exponents up to step k), times the binomials of the later
     steps, so its exponents lie in the ranges added below.
     """
@@ -218,18 +218,18 @@ def _read(plan: SeriesSum, d: int) -> _Sum:
         orders.append(up_order + top_order - den_order)
         lows.append(up_low + top_low + shift)
         highs.append(up_high + top_high + shift - degree)
-    mu, total = min(orders), sum(m * e for m, e in
-                                 plan.denominator.factors.items())
+    mu, total = min(orders, default=0), sum(
+        m * e for m, e in plan.denominator.factors.items())
     return _Sum(plan.numerator, extra, [m - mu for m in orders],
                 mu - sum(e % d == 0 for e in extra),
-                plan.denominator.ord_cyclotomic(d), total, min(lows),
-                max(highs) + total)
+                plan.denominator.ord_cyclotomic(d), total,
+                min(lows, default=0), max(highs, default=0) + total)
 
 
 def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
     """(V, B) of the sum in ring: its value is x^sigma V / B."""
     numerator, units, prod = ring.zero(), ring.one(), ring.one()
-    for (ups, dens, top, shift, sign), gap in zip(series.run, series.gaps):
+    for (ups, dens, top, shift, coeff), gap in zip(series.run, series.gaps):
         for e in dens:
             numerator = ring.times_unit(numerator, e)
             units = ring.times_unit(units, e)
@@ -238,9 +238,7 @@ def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
         term = prod if top is None else ring.times_unit(prod, top)
         if shift:
             term = ring.times_power(term, shift)
-        term = ring.shifted(term, gap)
-        numerator = ring.add(numerator, term) if sign > 0 \
-            else ring.sub(numerator, term)
+        numerator = ring.add(numerator, ring.shifted(term, gap), coeff)
     for e in series.extra:
         units = ring.times_unit(units, e)
     return numerator, units
@@ -287,8 +285,8 @@ def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
         ring = _Ring(d, precision)
         v_l, b_l = _product(ring, left)
         v_r, b_r = _product(ring, right)
-        bracket = ring.sub(ring.shifted(ring.mul(v_l, b_r), sigma_l - m),
-                           ring.shifted(ring.mul(v_r, b_l), sigma_r - m))
+        bracket = ring.add(ring.shifted(ring.mul(v_l, b_r), sigma_l - m),
+                           ring.shifted(ring.mul(v_r, b_l), sigma_r - m), -1)
         for i, row in enumerate(bracket):
             if any(row) and not _count_phi(row, d):
                 return exponent + content, m + i + content

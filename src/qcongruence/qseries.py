@@ -11,14 +11,16 @@ numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) / (1 - q^s)
 enters as one binomial 1 - q^{sN}; the divisor 1 - q^s, common to every
 term, is held in the denominator.
 
-A sum is described once, by its plan (plan_sum): its run of steps,
-denominator, cofactor, held divisor and a count bound on its numerator;
-the local path reads the run (local), the global path builds it at a
-slot width proven from that bound, numerator and nested product each one
-packed integer (polycore._pack), each binomial one shift-subtract.  A
-global check never unpacks its sums (congruence); sum_truncated and
-term_of (the plan of term k alone: plan_sum(spec, start) plans the terms
-start..upper over F_upper) unpack once and divide the held divisor out.
+A sum is described once, by its plan (plan_sum): its run of steps (the
+whole value, a scale included, each term with an integer coefficient;
+the empty run is 0), denominator, cofactor, held divisor and a count
+bound on its numerator.  The local path reads the run (local), the
+global path builds it at a slot width proven from that bound, numerator
+and nested product each one packed integer (polycore._pack), each
+binomial one shift-subtract.  A global check never unpacks its sums
+(congruence); sum_truncated and term_of (the plan of term k alone:
+plan_sum(spec, start) plans the terms start..upper over F_upper) unpack
+once and divide the held divisor out.
 
 A specialized parametric sum stops at its first vanishing term k0: every
 later term is zero, and the binomials of steps k0..upper enter the full
@@ -121,16 +123,16 @@ class FactoredProduct:
 
 @dataclass
 class SeriesSum:
-    """A truncated sum as factor q^shift (cofactor * N) / denominator.
+    """A truncated sum as (cofactor * N) / denominator.
 
     cofactor and denominator are factored products, cofactor dividing
     denominator.  numerator is a Poly, or a run of _planned that is only
     ever built packed; it is N times the binomials of extra (an undivided
     1 - q^step, the 1 - q of a scale), so it is held over denominator /
-    cofactor times extra.  packed(w) builds it times the binomials of ups
-    as one integer (polycore._pack) in slots of w bytes, once per w; bits
-    is a count bound: every |c| of factor times that is below 2^bits.
-    width is the slot width a check's plan sets on all of its sides.
+    cofactor times extra.  packed(w) builds it as one integer
+    (polycore._pack) in slots of w bytes, once per w; bits is a count
+    bound: every |c| of it is below 2^bits.  width is the slot width a
+    check's plan sets on all of its sides.
     """
 
     numerator: object
@@ -138,9 +140,6 @@ class SeriesSum:
     cofactor: FactoredProduct = field(default_factory=FactoredProduct)
     extra: FactoredProduct = field(default_factory=FactoredProduct)
     bits: Optional[int] = None
-    ups: tuple = ()
-    factor: int = 1
-    shift: int = 0
     width: int = field(default=0, init=False, compare=False)
     _built: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -158,31 +157,32 @@ class SeriesSum:
 
     def scaled(self, n: int, c: int) -> "SeriesSum":
         """self * c q^{(1-n)/2} [n], n odd, c a nonzero integer: [n] = (1 -
-        q^n) / (1 - q) cancels a 1 - q^n of extra, or else is one more
-        binomial of ups; 1 - q joins extra."""
-        extra, ups = Counter(self.extra.factors), self.ups
+        q^n) / (1 - q) cancels a 1 - q^n of extra or else multiplies the
+        numerator (a run: joins step 0's binomials), 1 - q joins extra, and
+        a run's shifts gain (1 - n)/2 and its coefficients the factor c."""
+        extra, up = Counter(self.extra.factors), [n]
         if extra[n]:
-            extra[n] -= 1
-        else:
-            ups += (n,)
+            extra[n], up = extra[n] - 1, []
         extra[1] += 1
-        return replace(self, extra=FactoredProduct(dict(+extra)), ups=ups,
-                       bits=self.bits + len(ups) - len(self.ups)
-                       + (abs(c) - 1).bit_length(), factor=c * self.factor,
-                       shift=self.shift + (1 - n) // 2)
+        if isinstance(self.numerator, Poly):
+            numerator = self.numerator.times_one_minus(up) \
+                .shift((1 - n) // 2).scale(c)
+        else:
+            numerator = [([*ups, *up] if k == 0 else ups, dens, top,
+                          shift + (1 - n) // 2, coeff * c)
+                         for k, (ups, dens, top, shift, coeff)
+                         in enumerate(self.numerator)]
+        return replace(self, numerator=numerator,
+                       extra=FactoredProduct(dict(+extra)),
+                       bits=self.bits + len(up) + (abs(c) - 1).bit_length())
 
     def packed(self, w: int) -> tuple[int, int]:
         """(the built value at q = 2^(8w), its offset), built once per w;
         it unpacks exactly when bits <= 8w - 1."""
         if w not in self._built:
-            if isinstance(self.numerator, Poly):
-                x, off = _pack(self.numerator.coeffs, w), self.numerator.offset
-            else:
-                x, off = _accumulate(self.numerator, w)
-            for e in self.ups:
-                x, move = _packed_one_minus(x, e, 8 * w)
-                off += move
-            self._built[w] = x * self.factor, off + self.shift
+            num = self.numerator
+            self._built[w] = (_pack(num.coeffs, w), num.offset) \
+                if isinstance(num, Poly) else _accumulate(num, w)
         return self._built[w]
 
     def series(self) -> "SeriesSum":
@@ -307,12 +307,12 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
     e in ups; term k is prod_k (1 - q^top) q^shift / (1 - q^step) (no
     binomial for top None, no divisor for step 0) over the binomials of
     dens of steps 0..k, unit * F_k with F_{k-1} dividing F_k.  The run
-    keeps each step's binomials of F_k / F_{k-1} and its term's sign and
-    offset.  From a zero in ups on, every term is zero and each step's
-    binomials go to the cofactor.  bits counts: each binomial at most
-    doubles max|c|, so term j times the binomials of later steps stays
-    below 2^num_bits, and the sum of the terms below 2^(num_bits +
-    bits(terms)).
+    keeps each step's binomials of F_k / F_{k-1} and its term's offset
+    and integer coefficient, the unit's sign.  From a zero in ups on,
+    every term is zero and each step's binomials go to the cofactor.  bits
+    counts: each binomial at most doubles max|c|, so term j times the
+    binomials of later steps stays below 2^num_bits, and the sum of the
+    terms below 2^(num_bits + bits(terms)).
     """
     factors: dict[int, int] = {}
     tail: Optional[dict[int, int]] = None   # cofactor, once stopped
@@ -345,14 +345,16 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
 
 def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
     """The held numerator of a run of _planned in slots of w bytes, and its
-    offset: kept over F_k (1 - q^step), it is multiplied by each step's
-    binomials and takes the term times 1 - q^step, prod_k (1 - q^top)
-    q^shift, with no division.  The numerator and prod are packed
-    integers, so each binomial is one shift-subtract."""
+    offset (0 for the empty run): kept over F_k (1 - q^step), it is
+    multiplied by each step's binomials and takes the term times 1 -
+    q^step, coeff prod_k (1 - q^top) q^shift, with no division.  The
+    numerator and prod are packed integers, so each binomial is one
+    shift-subtract, and a coefficient -1 a negation (on a long int, ten
+    times cheaper than a product)."""
     bits = 8 * w
     prod, prod_off = 1, 0
     num, num_off = 0, 0
-    for ups, new, top, shift, sign in run:
+    for ups, new, top, shift, coeff in run:
         for e in ups:
             prod, move = _packed_one_minus(prod, e, bits)
             prod_off += move
@@ -361,8 +363,10 @@ def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
         term, move = (prod, 0) if top is None \
             else _packed_one_minus(prod, top, bits)
         term_off = prod_off + move + shift
-        if sign < 0:
+        if coeff == -1:
             term = -term
+        elif coeff != 1:
+            term *= coeff
         if term_off >= num_off:
             num += term << bits * (term_off - num_off)
         else:

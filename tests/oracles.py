@@ -9,15 +9,20 @@ value of a plain-family term, the sums built with one list pass per
 binomial (the oracle for the packed accumulator), [n] as binomials, the
 cross-multiplied sides as polynomials (the oracle for the packed lifts
 and delta), and the product conjectures through the global path, their
-sums expanded and multiplied out (the oracle for the local path).
+sums expanded and multiplied out (the oracle for the local path).  Also
+here: the global cases of the two fingerprint sweeps, which the width
+and cross-path tests run.
 """
 
 import functools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from qcongruence import congruence
+from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
 from qcongruence.polycore import Poly, eval_at, one_minus_q
 from qcongruence.qseries import (
     SEXTIC_FAMILIES,
@@ -287,3 +292,17 @@ def product_conjecture_global(kind: str, n: int, r: int = 1, d: int = 2):
     return congruence.check_congruence(
         lhs, series_times(first, second),
         congruence.ModulusSpec([(n, exponent)]), conjectural=True)
+
+
+def sweep_cases() -> dict:
+    """(kind, params items) -> params for the global cases of both
+    fingerprint sweeps, each once: every q-side case but the product
+    conjectures, which go the local path."""
+    cases = {}
+    for name in ("reference.json", "all-checks.json"):
+        path = Path(__file__).resolve().parent.parent / "sweeps" / name
+        cfg = RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        for kind, params in enumerate_cases(cfg):
+            if not CHECKS[kind].classical and kind not in PRODUCT_CONJECTURES:
+                cases[kind, tuple(params.items())] = params
+    return cases

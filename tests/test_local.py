@@ -5,22 +5,33 @@ of the denominators and counts each power of Phi_d by division
 (check_congruence).  The local path reads the same part off P
 rows at q = zeta_d (1 + x), from the same plans (plan_sum).  Every part
 must agree: on the product conjectures, on seeded random pairs of sums
-of all five families, and on pairs that are equal.
+of all five families, scaled or not and against zero, on pairs that
+are equal, and on every comparison of the global checks of the two
+fingerprint sweeps whose sides are both plans.
 """
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qcongruence import congruence
 from qcongruence.cli import RunConfig, sweep
 from qcongruence.congruence import ModulusSpec, check_congruence, verify_case
 from qcongruence.local import certify_part
-from qcongruence.polycore import INFINITE
-from qcongruence.qseries import FAMILIES, FamilySpec, _steps, plan_sum
+from qcongruence.polycore import INFINITE, Poly
+from qcongruence.qseries import (
+    FAMILIES,
+    FamilySpec,
+    SeriesSum,
+    _steps,
+    plan_sum,
+    target_sign,
+)
 
-from oracles import product_conjecture_global, series_times
+from oracles import product_conjecture_global, series_times, sweep_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,12 +71,85 @@ def test_product_conjecture_reports_time_one_phase():
     assert list(verify_case("conj43", n=3, r=1, d=1).timings) == ["local_ms"]
 
 
+def test_sweep_comparisons_match_the_global_path(monkeypatch):
+    # Every part of every comparison the global checks of both
+    # fingerprint sweeps make between two plans: the theorem sides against
+    # their scaled companions, the sampled sides against each other and
+    # against zero (an empty plan), half-vs-full-m's tail against zero.
+    # found only: the sampled checks do not count the denominators into
+    # required.  Left out: half-vs-full-m (5, 2), which takes seconds, and
+    # the 8 parts whose sides are equal (param-sampled at n = 3, r = 2,
+    # t = 9), which take up to 1.5 s each before the rows prove them
+    # INFINITE; gw and qj2 compare with a Poly target.
+    a = plan_sum(FamilySpec("C", 1, 4))
+    b = plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1)
+    assert certify_part([a], [b], 3, 3) == (11, 11)
+    seen = []
+    real = congruence.check_congruence
+
+    def recorded(lhs, rhs, modulus, **kwargs):
+        report = real(lhs, rhs, modulus, **kwargs)
+        seen.append((kind, lhs, rhs, modulus, report))
+        return report
+
+    monkeypatch.setattr(congruence, "check_congruence", recorded)
+    for (kind, items), params in sweep_cases().items():
+        if (kind, items) != ("half-vs-full-m", (("n", 5), ("r", 2))):
+            verify_case(kind, **params)
+    kinds, equal = Counter(), 0
+    for kind, lhs, rhs, modulus, report in seen:
+        if not all(isinstance(side.numerator, list) for side in (lhs, rhs)):
+            continue
+        for (d, exponent), part in zip(modulus.parts, report.parts):
+            if part.found == INFINITE:
+                equal += 1
+                continue
+            assert certify_part([lhs], [rhs], d, exponent)[1] == part.found, \
+                (report.label, part.component, d)
+            kinds[kind] += 1
+    assert equal == 8 and sum(kinds.values()) == 310 and len(kinds) == 7
+
+
 def _random_spec(rng, top):
     family = rng.choice(FAMILIES)
     t = rng.randrange(-9, 10, 2) if family.endswith("_PARAM") else None
     printed = family in ("J", "J_PARAM") and rng.random() < 0.3
     return FamilySpec(family, rng.randint(1, 5), rng.randint(0, top), t,
                       printed)
+
+
+def _scale(rng, spec, kinds):
+    # a scale (n, c) drawn as tests/test_width.py draws a side's, or None
+    draw = rng.random()
+    if draw < 0.4:
+        n = rng.choice((1, 3, 5, spec.base)) | 1
+        kinds["cancelled" if n in plan_sum(spec).extra.factors
+              else "kept"] += 1
+        return n, target_sign(spec.family, n)
+    if draw < 0.5:
+        kinds["factor"] += 1
+        return 1, rng.choice((-24, 24, 7))
+    return None
+
+
+def _side(plan, scale):
+    # (plan, sum): the plan scaled, and the same value built apart, the
+    # unscaled sum scaled as a Poly
+    series = plan.series()
+    if scale is None:
+        return plan, series
+    return plan.scaled(*scale), series.scaled(*scale).series()
+
+
+def _compare(plans, sums, d, exponent):
+    # the local part of plans[0] against the product of plans[1:] equals
+    # the global part of the same sums
+    right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
+    part = check_congruence(sums[0], right,
+                            ModulusSpec([(d, exponent)])).parts[0]
+    assert certify_part(plans[:1], plans[1:], d, exponent) \
+        == (part.required, part.found), (plans, d)
+    return part
 
 
 def test_random_pairs_match_the_global_path():
@@ -90,16 +174,40 @@ def test_random_pairs_match_the_global_path():
                                                        else 1)]
         plans = [plan_sum(spec) for spec in lhs + rhs]
         sums = [plan.series() for plan in plans]
-        right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
-        part = check_congruence(sums[0], right,
-                                ModulusSpec([(d, exponent)])).parts[0]
-        assert certify_part(plans[:1], plans[1:], d, exponent) \
-            == (part.required, part.found), (lhs, rhs, d)
+        part = _compare(plans, sums, d, exponent)
         stopped += any(series.cofactor.factors for series in sums)
         doubled += part.margin > 0
         turned += any(e < 0 for spec in lhs + rhs
                       for step in _steps(spec) for e in step[1])
     assert stopped >= 5 and doubled >= 5 and turned >= 5
+    # Scaled sides: 1 - q^n cancels the held one, or joins step 0 (a
+    # printed J, or base != n), or the scale is the factor of gw; and
+    # an empty plan, 0 over a denominator, on the right.  Every third
+    # pair is a scaled plain sum against its truncation times the scale
+    # alone, so that the margin shows a term scaled wrongly.
+    kinds, one = Counter(), plan_sum(FamilySpec("M", 1, 0))
+    for trial in range(36):
+        d, exponent = rng.randint(2, 27), rng.randint(1, 3)
+        if trial % 3 == 0:
+            d = rng.randrange(3, 12, 2)
+            half, family = (d - 1) // 2, rng.choice(("C", "J", "M"))
+            full = FamilySpec(family, 1, rng.randint(half + 1, d - 1))
+            scale = _scale(rng, full, kinds)
+            sides = [_side(plan_sum(full), scale),
+                     _side(plan_sum(FamilySpec(family, 1, half)), None)]
+            sides += [_side(one, scale)] if scale else []
+        else:
+            specs = [_random_spec(rng, 6) for _ in range(2 + trial % 2)]
+            sides = [_side(plan_sum(spec), _scale(rng, spec, kinds))
+                     for spec in specs]
+        if trial % 4 == 3:
+            kinds["empty"] += 1
+            den = sides[1][1].denominator
+            sides[1:] = [(SeriesSum([], den, bits=0),
+                          SeriesSum(Poly.zero(), den))]
+        _compare(*zip(*sides), d, exponent)
+    assert min(kinds[kind] for kind in ("cancelled", "kept", "factor",
+                                        "empty")) >= 3, kinds
 
 
 @pytest.mark.parametrize("lhs, rhs", [

@@ -11,14 +11,12 @@ repack to the same integer; on the random pairs check_identity_equal must
 also agree with the polynomial cross products of tests/oracles.py.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
 from qcongruence import congruence
-from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
+from qcongruence.cli import CHECKS
 from qcongruence.congruence import (
     _corrected_target,
     check_identity_equal,
@@ -35,9 +33,7 @@ from qcongruence.qseries import (
     target_sign,
 )
 
-from oracles import PRODUCT_CONJECTURES, lcm_cross_products
-
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import PRODUCT_CONJECTURES, lcm_cross_products, sweep_cases
 
 
 @pytest.fixture
@@ -58,23 +54,10 @@ def deltas(monkeypatch):
     return seen
 
 
-def _sweep_cases():
-    # the global cases of both fingerprint sweeps, each once
-    cases = {}
-    for name in ("reference.json", "all-checks.json"):
-        with open(ROOT / "sweeps" / name, encoding="utf-8") as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
-        for kind, params in enumerate_cases(cfg):
-            # the product conjectures go the local path, with no delta
-            if not CHECKS[kind].classical and kind not in PRODUCT_CONJECTURES:
-                cases[kind, tuple(params.items())] = params
-    return cases
-
-
 def test_every_sweep_comparison_fits_its_width(monkeypatch, deltas):
     # Only the deltas are checked here, so their valuations are skipped.
     monkeypatch.setattr(congruence, "valuation_at", lambda delta, d: 0)
-    cases = _sweep_cases()
+    cases = sweep_cases()
     kinds = {kind for kind, _ in cases}
     assert kinds == set(CHECKS) - set(PRODUCT_CONJECTURES) - {
         name for name, check in CHECKS.items() if check.classical}
