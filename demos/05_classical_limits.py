@@ -1,8 +1,9 @@
 # Classical prime-power congruences (the q -> 1 limits)
 #
-# All classical terms have power-of-2 denominators, so exact rational sums
-# reduce modulo odd prime powers by inverting 2 alone.  Valuations are
-# computed on exact differences; nothing is sampled or approximated.
+# Every classical term is an integer over 256^k, so a truncation to K is
+# one integer numerator over 256^K, a p-adic unit for odd p.  Valuations
+# are read off the exact numerator of each difference, and the vanishing
+# windows off Kummer's carries; nothing is sampled or approximated.
 
 from qcongruence import (
     dwork_quotient_check,

@@ -29,7 +29,6 @@ from .cyclotomic import (
 from .padic import (
     ResidueReport,
     dwork_quotient_check,
-    truncation,
     verify_lucas,
     verify_m2,
     verify_swisher,

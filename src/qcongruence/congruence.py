@@ -55,7 +55,6 @@ are flagged so that drivers can separate findings from failures.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -227,12 +226,23 @@ def _lifts(lhs: SeriesSum, rhs: SeriesSum):
     """(L, L / lhs.held, L / rhs.held, w): L the lcm of the held
     denominators, each base at the larger exponent, the lifts as base ->
     exponent, and the slot width w in bytes that holds the delta: one bit
-    per binomial of a lift, one for the difference, one for the sign."""
-    left, right = Counter(lhs.held.factors), Counter(rhs.held.factors)
-    lcm = left | right
-    up_l, up_r = lcm - left, lcm - right
-    bits = max(lhs.bits + up_l.total(), rhs.bits + up_r.total()) + 1
-    return FactoredProduct(dict(lcm)), up_l, up_r, bits // 8 + 1
+    per binomial of a lift, one for the difference, one for the sign.
+    Kept on lhs per rhs, so a planned comparison computes them once."""
+    seen, lifts = lhs.lifts.get(id(rhs), (None, None))
+    if seen is rhs:
+        return lifts
+    left, right = lhs.held.factors, rhs.held.factors
+    lcm, up_l = dict(left), {}
+    for m, e in right.items():
+        if e > left.get(m, 0):
+            lcm[m], up_l[m] = e, e - left.get(m, 0)
+    up_r = {m: e - right.get(m, 0) for m, e in left.items()
+            if e > right.get(m, 0)}
+    bits = max(lhs.bits + sum(up_l.values()),
+               rhs.bits + sum(up_r.values())) + 1
+    lifts = FactoredProduct(lcm), up_l, up_r, bits // 8 + 1
+    lhs.lifts[id(rhs)] = rhs, lifts     # rhs held, so its id stays its own
+    return lifts
 
 
 def _plan(*pairs) -> None:

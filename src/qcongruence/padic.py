@@ -1,10 +1,25 @@
 """Classical prime-power congruences for the q = 1 limits.
 
-Every term here is a rational with a power-of-2 denominator (the central
-binomial ratio C(2k,k)/4^k and its powers), so modular reduction at an odd
-prime power only ever inverts 2.  Sums are computed exactly as fractions;
-a reported residue or valuation is therefore a statement about the exact
-value, not about any modular shortcut.
+The k-th term of a plain family is w_k C(2k,k)^e / 256^k: the quartic
+family C has w_k = 4k + 1 and e = 4, the sextic family J has w_k = 6k + 1
+and e = 3 (its C(2k,k)^3 / 64^k times a further 4^-k), and M has w_k = 1
+and e = 4.  So the truncation S_K of a sum is one integer numerator over
+256^K,
+
+    N_K = sum over k <= K of w_k C(2k,k)^e 256^(K-k),
+
+built by Horner's rule, with C(2k,k)^e carried from k - 1 by an exact
+product and quotient of small integers (_numerators).  p is odd, so 256
+is a p-adic unit: a residue of S_K mod p^E is that of N_K times
+256^-K, and the companion difference S_K1 - +-p S_K2 is (N_K1 - +-p N_K2
+256^(K1-K2)) / 256^K1, whose v_p is that of its integer numerator,
+exactly, and INFINITE only when the difference is 0.  The vanishing
+windows need only v_p(A_k) = 4 v_p(C(2k,k)), which by Kummer's theorem
+is four times the number of carries when k + k is added in base p; no
+term is formed.  So a reported residue or valuation is a statement about
+the exact value, with no modulus or height bound to trust.  Only
+dwork_quotient_check works with residues mod p^exponent, and its
+valuation is capped there.
 """
 
 from __future__ import annotations
@@ -12,14 +27,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .polycore import INFINITE
-from .qseries import (
-    classical_term_value,
-    eta_product_coefficients,
-    target_sign,
-)
+from .qseries import eta_product_coefficients, target_sign
 
 #: Smallest prime each classical check accepts.
 MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
@@ -89,42 +99,39 @@ def padic_valuation(n: int, p: int):
     return count
 
 
-def fraction_valuation(x: Fraction, p: int):
-    if x == 0:
-        return INFINITE
-    return padic_valuation(x.numerator, p) - padic_valuation(x.denominator, p)
-
-
 def _require_odd_prime(p: int, minimum: int = 3) -> None:
     if not is_prime(p) or p < minimum or p == 2:
         raise ValueError(f"p must be an odd prime >= {minimum}")
 
 
-def truncation(p: int, r: int, cap: int = None) -> list[Fraction]:
-    """Coefficients A_0..A_{p^r-1} of the quartic central-binomial series,
-    optionally capped at index cap."""
-    _require_odd_prime(p)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    count = p ** r
-    if cap is not None:
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        count = min(count, cap + 1)
-    return [classical_term_value("M", k) for k in range(count)]
+#: family -> (a, e): the k-th term is (a k + 1) C(2k,k)^e / 256^k.
+_TERMS = {"C": (4, 4), "J": (6, 3), "M": (0, 4)}
 
 
-def _classical_sum(family: str, upper: int) -> Fraction:
-    return sum((classical_term_value(family, k) for k in range(upper + 1)),
-               Fraction(0))
+def _numerators(family: str, *uppers: int) -> list[int]:
+    """N_K = S_K 256^K for each K of uppers, from one Horner pass to the
+    largest: C(2k,k) = C(2k-2,k-1) 2(2k-1) / k, so its e-th power is one
+    exact multiplication and one exact division by small integers."""
+    a, e = _TERMS[family]
+    found = {}
+    n, power = 0, 1                         # power = C(2k,k)^e
+    for k in range(max(uppers) + 1):
+        if k:
+            power = power * (4 * k - 2) ** e // k ** e
+        n = (n << 8) + (a * k + 1) * power
+        if k in uppers:
+            found[k] = n
+    return [found[k] for k in uppers]
 
 
-def _companion_difference(family: str, p: int, r: int, div: int) -> Fraction:
-    # the q -> 1 limit of the theorem-shaped comparison: the sum to
-    # (p^r - 1) // div minus +-p times the sum to (p^{r-1} - 1) // div
-    inner = _classical_sum(family, (p ** (r - 1) - 1) // div)
-    return _classical_sum(family, (p ** r - 1) // div) \
-        - target_sign(family, p) * p * inner
+def _companion_valuation(family: str, p: int, r: int, div: int):
+    # the q -> 1 limit of the theorem-shaped comparison: v_p of the sum to
+    # K1 = (p^r - 1) // div minus +-p times the sum to K2 = (p^{r-1} - 1)
+    # // div, read off the numerator of the difference over 256^K1
+    k1, k2 = (p ** r - 1) // div, (p ** (r - 1) - 1) // div
+    n1, n2 = _numerators(family, k1, k2)
+    return padic_valuation(
+        n1 - target_sign(family, p) * p * (n2 << 8 * (k1 - k2)), p)
 
 
 def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
@@ -141,8 +148,7 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
     if not 1 <= exponent <= 4:
         raise ValueError("exponent must be between 1 and 4")
     t0 = time.perf_counter()
-    family = "C" if kind == "c2" else "J"
-    val = fraction_valuation(_companion_difference(family, p, 1, 2), p)
+    val = _companion_valuation("C" if kind == "c2" else "J", p, 1, 2)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} exp={exponent}", kind=kind,
@@ -167,7 +173,7 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
     t0 = time.perf_counter()
     family = "C" if kind in ("c3", "cc") else "J"
     div = 2 if kind in ("c3", "j3") else 1
-    val = fraction_valuation(_companion_difference(family, p, r, div), p)
+    val = _companion_valuation(family, p, r, div)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} r={r} exp={exponent}", kind=kind,
@@ -176,23 +182,21 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
         timings={"total_ms": ms})
 
 
-def _reduce_mod(x: Fraction, modulus: int) -> int:
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
 def verify_m2(p: int) -> ResidueReport:
     """Half and full sums of the quartic series match the eta-product
-    coefficient gamma_p modulo p^3."""
+    coefficient gamma_p modulo p^3; the valuation is v_p(full - gamma_p).
+    Both sums are read off their numerators over 256^K."""
     _require_odd_prime(p)
     t0 = time.perf_counter()
     modulus = p ** 3
     gamma_p = eta_product_coefficients(p)[p - 1]
-    full_sum = _classical_sum("M", p - 1)
+    k_half, k_full = (p - 1) // 2, p - 1
+    n_half, n_full = _numerators("M", k_half, k_full)
     gamma = gamma_p % modulus
-    half = _reduce_mod(_classical_sum("M", (p - 1) // 2), modulus)
-    full = _reduce_mod(full_sum, modulus)
+    half = n_half * pow(256, -k_half, modulus) % modulus
+    full = n_full * pow(256, -k_full, modulus) % modulus
     passed = half == full == gamma
-    diff_val = fraction_valuation(full_sum - gamma_p, p)
+    diff_val = padic_valuation(n_full - (gamma_p << 8 * k_full), p)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"m2 p={p}", kind="m2", params={"p": p}, exponent=3,
@@ -262,19 +266,25 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
         extra={"mismatched_degrees": mismatches[:10]})
 
 
-def lucas_min_valuation(p: int, r: int):
-    """Smallest p-adic valuation of A_k over the vanishing windows
-    (p^s+1)/2 <= k <= p^s-1 for s = 1..r."""
+def _carries(k: int, p: int) -> int:
+    """v_p(C(2k, k)) by Kummer's theorem: the number of carries when k + k
+    is added in base p."""
+    carries = carry = 0
+    while k:
+        carry = 2 * (k % p) + carry >= p
+        carries += carry
+        k //= p
+    return carries
+
+
+def lucas_min_valuation(p: int, r: int) -> int:
+    """Smallest p-adic valuation of A_k = C(2k,k)^4 / 256^k, 4 v_p(C(2k,k)),
+    over the vanishing windows (p^s+1)/2 <= k <= p^s-1 for s = 1..r."""
     _require_odd_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
-    best = INFINITE
-    for s in range(1, r + 1):
-        for k in range((p ** s + 1) // 2, p ** s):
-            val = fraction_valuation(classical_term_value("M", k), p)
-            if val < best:
-                best = val
-    return best
+    return 4 * min(_carries(k, p) for s in range(1, r + 1)
+                   for k in range((p ** s + 1) // 2, p ** s))
 
 
 def verify_lucas(p: int, r: int) -> ResidueReport:

@@ -132,7 +132,8 @@ class SeriesSum:
     cofactor times extra.  packed(w) builds it as one integer
     (polycore._pack) in slots of w bytes, once per w; bits is a count
     bound: every |c| of it is below 2^bits.  width is the slot width a
-    check's plan sets on all of its sides.
+    check's plan sets on all of its sides, and lifts keeps congruence._lifts
+    of each comparison with this sum on the left, by the right side's id.
     """
 
     numerator: object
@@ -141,6 +142,8 @@ class SeriesSum:
     extra: FactoredProduct = field(default_factory=FactoredProduct)
     bits: Optional[int] = None
     width: int = field(default=0, init=False, compare=False)
+    lifts: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
     _built: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

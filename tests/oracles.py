@@ -11,7 +11,11 @@ cross-multiplied sides as polynomials (the oracle for the packed lifts
 and delta), and the product conjectures through the global path, their
 sums expanded and multiplied out (the oracle for the local path).  Also
 here: the global cases of the two fingerprint sweeps, which the width
-and cross-path tests run.
+and cross-path tests run.  And the classical side as exact rationals:
+each plain-family truncation at q = 1 summed as Fractions term by term,
+its valuations and residues read off the reduced rational, and each
+term's valuation taken whole (the oracle for padic's integer numerators
+and Kummer's carries).
 """
 
 import functools
@@ -23,14 +27,18 @@ from pathlib import Path
 
 from qcongruence import congruence
 from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
-from qcongruence.polycore import Poly, eval_at, one_minus_q
+from qcongruence.padic import _require_odd_prime, padic_valuation
+from qcongruence.polycore import INFINITE, Poly, eval_at, one_minus_q
 from qcongruence.qseries import (
     SEXTIC_FAMILIES,
     FactoredProduct,
     FamilySpec,
     SeriesSum,
     _step_exponents,
+    classical_term_value,
+    eta_product_coefficients,
     sum_truncated,
+    target_sign,
 )
 
 
@@ -306,3 +314,63 @@ def sweep_cases() -> dict:
             if not CHECKS[kind].classical and kind not in PRODUCT_CONJECTURES:
                 cases[kind, tuple(params.items())] = params
     return cases
+
+
+def fraction_valuation(x: Fraction, p: int):
+    """v_p of a rational; INFINITE for 0."""
+    if x == 0:
+        return INFINITE
+    return padic_valuation(x.numerator, p) - padic_valuation(x.denominator, p)
+
+
+def truncation(p: int, r: int, cap: int = None) -> list[Fraction]:
+    """Coefficients A_0..A_{p^r-1} of the quartic central-binomial series,
+    optionally capped at index cap."""
+    _require_odd_prime(p)
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    count = p ** r
+    if cap is not None:
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        count = min(count, cap + 1)
+    return [classical_term_value("M", k) for k in range(count)]
+
+
+def classical_sum(family: str, upper: int) -> Fraction:
+    """The plain family's truncation to upper at q = 1, as Fractions."""
+    return sum((classical_term_value(family, k) for k in range(upper + 1)),
+               Fraction(0))
+
+
+#: classical quotient check -> (family, divisor of the ranges)
+CLASSICAL_COMPANIONS = {"c2": ("C", 2), "j2": ("J", 2), "c3": ("C", 2),
+                        "j3": ("J", 2), "cc": ("C", 1), "jj": ("J", 1)}
+
+
+def companion_valuation(kind: str, p: int, r: int = 1):
+    """v_p of the sum to (p^r - 1) // div minus +-p times the sum to
+    (p^{r-1} - 1) // div, both as Fractions: the valuation verify_van_hamme
+    (kind c2 or j2, at r = 1) and verify_swisher report."""
+    family, div = CLASSICAL_COMPANIONS[kind]
+    inner = classical_sum(family, (p ** (r - 1) - 1) // div)
+    return fraction_valuation(classical_sum(family, (p ** r - 1) // div)
+                              - target_sign(family, p) * p * inner, p)
+
+
+def m2_values(p: int) -> tuple:
+    """(half residue, full residue, v_p(full - gamma_p)) of the quartic sums
+    to (p - 1) / 2 and p - 1, reduced mod p^3 as Fractions."""
+    modulus = p ** 3
+    half, full = (classical_sum("M", k) for k in ((p - 1) // 2, p - 1))
+    gamma_p = eta_product_coefficients(p)[p - 1]
+    return (*(x.numerator * pow(x.denominator, -1, modulus) % modulus
+              for x in (half, full)), fraction_valuation(full - gamma_p, p))
+
+
+def lucas_min_valuation(p: int, r: int):
+    """The smallest v_p(A_k) over the vanishing windows (p^s+1)/2 <= k <=
+    p^s-1, s = 1..r, each term's valuation taken of the whole rational."""
+    return min(fraction_valuation(classical_term_value("M", k), p)
+               for s in range(1, r + 1)
+               for k in range((p ** s + 1) // 2, p ** s))

@@ -183,6 +183,19 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
                     == _times_expanded(Poly.one(), big.divided_by(small))
 
 
+def test_lifts_are_kept_per_right_side():
+    # a planned comparison computes its lifts once, so the build reads the
+    # plan's tuple; another right side gets its own lifts, and an entry
+    # whose side is not the one asked about (its id reused) is recomputed
+    lhs, rhs = congruence._sides("C", 3, 2, 1)
+    zero = SeriesSum([], bits=0)
+    lifts = congruence._lifts(lhs, rhs)
+    assert congruence._built(lhs, rhs)[1] is lifts
+    assert congruence._lifts(lhs, zero)[0] == lhs.held
+    lhs.lifts[id(zero)] = rhs, lifts
+    assert congruence._lifts(lhs, zero)[0] == lhs.held
+
+
 @pytest.mark.parametrize("case", [
     dict(kind="thm1-full", n=3, r=2),
     dict(kind="conj43", n=3, r=1, d=2),

@@ -1,20 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qcongruence.padic import (
     INFINITE,
+    MIN_PRIME,
     dwork_quotient_check,
-    fraction_valuation,
+    is_prime,
     lucas_min_valuation,
     padic_valuation,
-    truncation,
     verify_lucas,
     verify_m2,
     verify_swisher,
     verify_van_hamme,
 )
 from qcongruence.qseries import classical_term_value
+
+import oracles
+from oracles import fraction_valuation, truncation
 
 
 def test_padic_valuation():
@@ -167,3 +171,43 @@ def test_lucas_vanishing():
         assert verify_lucas(p, 2).passed, p
         assert lucas_min_valuation(p, 2) >= 4
     assert verify_lucas(5, 1).passed
+
+
+def _domain(kind: str) -> list:
+    # (p, r) with p <= 31, r <= 3 and p^r <= 2500; c2 and j2 take r = 1
+    rs = (1,) if kind in ("c2", "j2") else (1, 2, 3)
+    return [(p, r) for p in range(MIN_PRIME[kind], 32) if is_prime(p)
+            for r in rs if p ** r <= 2500]
+
+
+def test_valuations_match_the_fraction_oracle():
+    # three seeded cases of each quotient kind, so that every draw holds
+    # sextic (J) cases, whose terms carry 256^k and not 64^k, and four of
+    # lucas, each against the sums and terms taken whole as Fractions
+    rng = random.Random(2500)
+    for kind in oracles.CLASSICAL_COMPANIONS:
+        for p, r in rng.sample(_domain(kind), 3):
+            rep = verify_van_hamme(kind, p, 4) if kind in ("c2", "j2") \
+                else verify_swisher(kind, p, r, 3 * r)
+            assert rep.valuation == oracles.companion_valuation(kind, p, r), \
+                (kind, p, r)
+    for p, r in rng.sample(_domain("lucas"), 4):
+        assert lucas_min_valuation(p, r) \
+            == oracles.lucas_min_valuation(p, r), (p, r)
+
+
+def test_m2_matches_the_fraction_oracle():
+    for p, _ in _domain("m2"):
+        rep = verify_m2(p)
+        assert (rep.extra["half_residue"], rep.extra["full_residue"],
+                rep.valuation) == oracles.m2_values(p), p
+
+
+def test_frontier_cases():
+    # c3 (101, 2): the Fraction sums confirm 8, in about 15 s.  lucas: each
+    # k of a window s has 2k >= p^s + 1, so k + k carries out of its top
+    # digit, and at s = 1 only there: the minimum is 4 at every (p, r)
+    rep = verify_swisher("c3", 101, 2, 8)
+    assert rep.valuation == 8 and rep.passed and rep.conjectural
+    assert lucas_min_valuation(31, 3) == 4
+    assert verify_lucas(31, 3).passed
