@@ -199,6 +199,7 @@ def _by_policy(cfg: RunConfig, params: dict) -> list[int]:
 
 
 _P_R_EXP = ("p", "r", "exponent")
+_QUOTIENTS = ("c3", "j3", "cc", "jj")
 
 CHECKS = {check.name: check for check in (
     *(Check(name, description, axes, _run_q)
@@ -238,17 +239,25 @@ def enumerate_cases(cfg: RunConfig) -> list[tuple]:
             for spec in CHECKS[name].grid(cfg, {})]
 
 
-def run_case(spec: tuple) -> dict:
-    """The report entry of one (name, params) case."""
+def run_case(spec: tuple, previous: dict = None) -> dict:
+    """The report entry of one (name, params) case.  previous is the entry
+    of the case run just before it: a quotient check reads its valuation
+    off that entry when it is the same check, p and r at the other
+    exponent, as exponent_policy both puts them."""
     name, params = spec
+    if previous and name in _QUOTIENTS and previous["kind"] == name \
+            and previous["params"] == {"p": params["p"], "r": params["r"]} \
+            and previous["valuation"] is not None:
+        return verify_swisher(name, **params,
+                              valuation=previous["valuation"]).to_dict()
     return CHECKS[name].run(name, **params).to_dict()
 
 
-def _run_recorded(spec: tuple) -> dict:
+def _run_recorded(spec: tuple, previous: dict = None) -> dict:
     # a raising case becomes an error entry, never an asserted failure
     start = time.perf_counter()
     try:
-        return run_case(spec)
+        return run_case(spec, previous)
     except Exception as exc:
         name, params = spec
         label = " ".join([name] + [f"{k}={v}" for k, v in params.items()])
@@ -265,8 +274,10 @@ def sweep(cfg: RunConfig) -> ReportSet:
     deterministic for a fixed config.  A case that raises is recorded as
     an error entry and never aborts a sweep.
     """
-    return _report_set([_run_recorded(spec) for spec in enumerate_cases(cfg)],
-                       cfg.digest())
+    entries = []
+    for spec in enumerate_cases(cfg):
+        entries.append(_run_recorded(spec, entries[-1] if entries else None))
+    return _report_set(entries, cfg.digest())
 
 
 def _report_set(entries: list[dict], digest: str) -> ReportSet:

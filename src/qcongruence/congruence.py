@@ -30,15 +30,27 @@ proven before the work, from counts alone, and it is loose (for the J
 sums by up to 1.8x); it is not to be tightened without a proof, since a
 coefficient that overflows its slot unpacks wrong without any error.
 
-The product conjectures (conj41, conj42, conj43), whose modulus is one
-power of Phi_n and whose right side is a product of two sums, take the
-local path instead (local.certify_part): each part is read off a few rows
-of integers at q = zeta_n (1 + x), from the three sums' plans, with the
-same required and found as the global path; their reports time the one
-phase local_ms.  The check kind alone chooses the path.  A zero side is
-an empty plan: the sampled checks compare each side with 0, and
-half-vs-full-m the full sum's tail past the half with 0 over the half
-sum's denominator.
+The local path (local.certify_part) reads each part off a few rows of
+integers at q = zeta_d (1 + x), from the sums' plans, with the same
+required and found as the global path; its reports time the one phase
+local_ms.  The product conjectures (conj41, conj42, conj43), whose right
+side is a product of two sums, always take it.  check_congruence sends a
+comparison of two plans there, part by part, when the longer run has at
+least LOCAL_RUN steps, and keeps every other comparison global: shorter
+runs, and gw's and qj2's Poly targets.  The global cost grows faster
+with the run, its delta being the sums expanded, while the local cost
+follows the rows.  Measured on one 2-core host, global against local in
+ms, the crossover lies near 40 steps for a theorem-shaped comparison
+(a C sum against the (7, 2) companion: 34 against 42 at 39 steps, 47
+against 46 at 43, 73 against 51 at 49) and near 31 for a sampled side
+against 0; every grid-sweep comparison runs at most 25 steps.  Where
+count_denominators is False, required is the exponent.  A routed part
+whose bracket is still all zero after one doubling is settled by
+check_identity_equal, computed at most once per comparison, instead of
+doubling the rows up to the span bound.  A
+zero side is an empty plan: the sampled checks compare each side with 0,
+and half-vs-full-m the full sum's tail past the half with 0 over the
+half sum's denominator.
 
 CHECKS is the one table of the q-side checks (the cli's q-side rows come
 from it).  verify_case rejects a param outside the row's axes; the
@@ -56,7 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 # cyclotomic and sum_truncated are not called here: perfbench/tracing.py
@@ -177,6 +189,12 @@ def _modulus_qint_times_cubed(n: int) -> ModulusSpec:
 # core checks
 
 
+#: A comparison of two plans whose longer run has at least this many
+#: steps is certified on the local path; see the module docstring for
+#: the measured crossover.
+LOCAL_RUN = 40
+
+
 def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
                      label: str = "", kind: str = "", params: dict = None,
                      conjectural: bool = False, component: str = "",
@@ -192,6 +210,24 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     statement that survives the specialization when a specialized
     denominator collides with the modulus.
     """
+    runs = [side.numerator for side in (lhs, rhs)]
+    local = all(isinstance(run, list) for run in runs) \
+        and max(map(len, runs)) >= LOCAL_RUN
+    parts, identical, timings = (_local if local else _global)(
+        lhs, rhs, modulus, count_denominators)
+    for part in parts:
+        part.component = component
+    return CongruenceReport(
+        label=label, kind=kind, params=dict(params or {}), parts=parts,
+        passed=all(p.met() for p in parts), identically_equal=identical,
+        conjectural=conjectural, timings=timings)
+
+
+def _global(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
+            count_denominators: bool = True):
+    """(parts, identically equal, timings) of check_congruence on the
+    global path: the sums built, their delta unpacked once and each part
+    counted by valuation_at."""
     t0 = time.perf_counter()
     w, lifts = _built(lhs, rhs)
     t1 = time.perf_counter()
@@ -206,15 +242,27 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
         required = e + dens if count_denominators else e
         found = INFINITE if identical \
             else valuation_at(delta, d) + dens - lcm.ord_cyclotomic(d)
-        parts.append(PartResult(d, required, found, found - required,
-                                component))
+        parts.append(PartResult(d, required, found, found - required))
     t3 = time.perf_counter()
-    return CongruenceReport(
-        label=label, kind=kind, params=dict(params or {}), parts=parts,
-        passed=all(p.met() for p in parts), identically_equal=identical,
-        conjectural=conjectural,
-        timings={"build_ms": (t1 - t0) * 1e3, "delta_ms": (t2 - t1) * 1e3,
-                 "valuation_ms": (t3 - t2) * 1e3})
+    return parts, identical, {"build_ms": (t1 - t0) * 1e3,
+                              "delta_ms": (t2 - t1) * 1e3,
+                              "valuation_ms": (t3 - t2) * 1e3}
+
+
+def _local(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
+           count_denominators: bool = True):
+    """(parts, identically equal, timings) of check_congruence on the
+    local path: each part from local.certify_part.  A part whose rows
+    all vanish is settled by check_identity_equal, computed once."""
+    t0 = time.perf_counter()
+    equal = cache(partial(check_identity_equal, lhs, rhs))
+    parts = []
+    for d, e in modulus.parts:
+        required, found = certify_part([lhs], [rhs], d, e, equal)
+        required = required if count_denominators else e
+        parts.append(PartResult(d, required, found, found - required))
+    identical = any(part.found == INFINITE for part in parts)
+    return parts, identical, {"local_ms": (time.perf_counter() - t0) * 1e3}
 
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:

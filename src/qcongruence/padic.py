@@ -156,12 +156,14 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
         passed=val >= exponent, timings={"total_ms": ms})
 
 
-def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
+def verify_swisher(kind: str, p: int, r: int, exponent: int,
+                   valuation=None) -> ResidueReport:
     """Dwork-type quotient congruences between consecutive truncations.
 
     Half ranges for c3/j3, full ranges for cc/jj.  Proven modulo p^{3r};
     runs at higher exponents are flagged conjectural, their failure is a
-    finding.
+    finding.  The valuation does not depend on the exponent: valuation,
+    if given, is the one an earlier report of this kind, p and r read.
     """
     if kind not in ("c3", "j3", "cc", "jj"):
         raise ValueError("kind must be one of c3, j3, cc, jj")
@@ -173,7 +175,8 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
     t0 = time.perf_counter()
     family = "C" if kind in ("c3", "cc") else "J"
     div = 2 if kind in ("c3", "j3") else 1
-    val = _companion_valuation(family, p, r, div)
+    val = _companion_valuation(family, p, r, div) if valuation is None \
+        else valuation
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} r={r} exp={exponent}", kind=kind,

@@ -14,6 +14,7 @@ from qcongruence.cli import (
     emit_report,
     enumerate_cases,
     main,
+    run_case,
     sweep,
 )
 
@@ -287,6 +288,30 @@ def test_config_validation():
     cfg = RunConfig.from_dict({"checks": ["c3"], "primes": [5],
                                "exponent_policy": "both", "r_max": 1})
     assert len(enumerate_cases(cfg)) == 2  # one proven + one conjectural
+
+
+def test_both_policy_computes_one_valuation_per_quotient(monkeypatch):
+    # exponent_policy both runs each quotient check at 3r and at 4r, next
+    # to each other, and the second case reads the first's valuation.
+    # The entries are those each case gives alone, and the next sweep
+    # computes every valuation again.
+    from qcongruence import padic
+
+    calls = []
+    real = padic._companion_valuation
+    monkeypatch.setattr(padic, "_companion_valuation",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = RunConfig.from_dict({"checks": ["c3", "j3", "cc", "jj"],
+                               "primes": [5, 7], "r_max": 2,
+                               "exponent_policy": "both"})
+    entries = canonical_entries(sweep(cfg))
+    assert len(entries) == 32 and len(calls) == len(set(calls)) == 16
+    alone = [run_case(spec) for spec in enumerate_cases(cfg)]
+    assert entries == canonical_entries(ReportSet({}, sorted(
+        alone, key=lambda e: e["label"])))
+    assert {e["conjectural"] for e in entries} == {False, True}
+    sweep(cfg)
+    assert len(calls) == 16 + 32 + 16
 
 
 def test_mixed_results_serialize_and_count_asserted_only():

@@ -19,7 +19,16 @@ import pytest
 
 from qcongruence import congruence
 from qcongruence.cli import RunConfig, sweep
-from qcongruence.congruence import ModulusSpec, check_congruence, verify_case
+from qcongruence.congruence import (
+    LOCAL_RUN,
+    ModulusSpec,
+    _global,
+    _local,
+    _sides,
+    build_modulus_theorem,
+    check_congruence,
+    verify_case,
+)
 from qcongruence.local import certify_part
 from qcongruence.polycore import INFINITE, Poly
 from qcongruence.qseries import (
@@ -77,10 +86,12 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
     # their scaled companions, the sampled sides against each other and
     # against zero (an empty plan), half-vs-full-m's tail against zero.
     # found only: the sampled checks do not count the denominators into
-    # required.  Left out: half-vs-full-m (5, 2), which takes seconds, and
-    # the 8 parts whose sides are equal (param-sampled at n = 3, r = 2,
-    # t = 9), which take up to 1.5 s each before the rows prove them
-    # INFINITE; gw and qj2 compare with a Poly target.
+    # required.  Left out: half-vs-full-m (5, 2), whose 62-step run
+    # check_congruence already sends local, while the global path takes
+    # seconds on it, and the 8 parts whose sides are equal (param-sampled
+    # at n = 3, r = 2, t = 9), which take up to 1.5 s each before the
+    # rows alone prove them INFINITE; gw and qj2 compare with a Poly
+    # target.
     a = plan_sum(FamilySpec("C", 1, 4))
     b = plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1)
     assert certify_part([a], [b], 3, 3) == (11, 11)
@@ -225,3 +236,104 @@ def test_equal_sides_are_infinite(lhs, rhs):
     assert report.identically_equal and report.parts[0].found == INFINITE
     assert certify_part(plans[:1], plans[1:], 3, 1) \
         == (report.parts[0].required, INFINITE)
+
+
+def _branches_agree(lhs, rhs, modulus, count_denominators=True):
+    # check_congruence's report against the global branch called directly
+    report = check_congruence(lhs, rhs, modulus,
+                              count_denominators=count_denominators)
+    parts, identical, _ = _global(lhs, rhs, modulus, count_denominators)
+    assert [(p.d, p.required, p.found, p.margin) for p in report.parts] \
+        == [(p.d, p.required, p.found, p.margin) for p in parts]
+    assert report.identically_equal == identical
+    return report
+
+
+@pytest.mark.parametrize("kind, family", [("thm1-full", "C"),
+                                          ("thm2-full", "J")])
+def test_long_theorem_cases_go_local_and_match(kind, family):
+    # thm1-full and thm2-full at (7, 2): a 49-step sum against its scaled
+    # companion.  Their base-1 sums hold 1 - q, so the accumulator's seed
+    # carries a unit the global path divides out.
+    report = verify_case(kind, n=7, r=2)
+    assert list(report.timings) == ["local_ms"]
+    lhs, rhs = _sides(family, 7, 2, 1)
+    assert len(lhs.numerator) == 49
+    parts, identical, _ = _global(lhs, rhs, build_modulus_theorem(7, 2))
+    assert [(p.d, p.required, p.found) for p in report.parts] \
+        == [(p.d, p.required, p.found) for p in parts]
+    assert report.passed and not identical
+    assert all(p.margin == 0 for p in report.parts)
+
+
+@pytest.mark.parametrize("upper, routed", [(LOCAL_RUN - 2, False),
+                                           (LOCAL_RUN - 1, True)])
+def test_the_rule_at_its_threshold(upper, routed):
+    # A C sum to upper (a run of upper + 1 steps) against the (5, 2)
+    # companion, modulo the (5, 2) theorem modulus: either branch gives
+    # the other's parts.
+    lhs, rhs = plan_sum(FamilySpec("C", 1, upper)), _sides("C", 5, 2, 1)[1]
+    modulus = build_modulus_theorem(5, 2)
+    report = _branches_agree(lhs, rhs, modulus)
+    assert ("local_ms" in report.timings) == routed
+    parts, identical, timings = _local(lhs, rhs, modulus)
+    assert list(timings) == ["local_ms"] and not identical
+    assert [(p.required, p.found) for p in parts] \
+        == [(p.required, p.found) for p in report.parts]
+
+
+def test_scaled_and_empty_long_sides_match():
+    # A 42-step J sum scaled by -q^-1 [3] (its 1 - q^3 joins step 0)
+    # against the (5, 2) C companion, and the same sum against an empty
+    # plan over a denominator that shares Phi_3 and Phi_9 content.
+    long = plan_sum(FamilySpec("J", 1, 41)).scaled(3, -1)
+    modulus = ModulusSpec([(3, 2), (5, 1), (9, 3), (25, 1)])
+    zero = SeriesSum([], plan_sum(FamilySpec("C", 1, 4)).denominator, bits=0)
+    for rhs in (_sides("C", 5, 2, 1)[1], zero):
+        report = _branches_agree(long, rhs, modulus)
+        assert list(report.timings) == ["local_ms"]
+        assert all(p.found != INFINITE for p in report.parts)
+
+
+@pytest.mark.parametrize("kind", ["param-sampled-c", "param-sampled-j"])
+def test_equal_long_sides_are_settled_once(monkeypatch, kind):
+    # At (9, 2, t = 81) the sampled sides are equal over 41 steps: their
+    # parts read INFINITE after one packed-delta equality per comparison,
+    # asked when a doubled bracket is all zero too, and the whole report
+    # is the one every comparison on the global branch gives.
+    calls = Counter()
+    real_equal = congruence.check_identity_equal
+
+    def counted(lhs, rhs):
+        calls[id(lhs), id(rhs)] += 1
+        return real_equal(lhs, rhs)
+
+    monkeypatch.setattr(congruence, "check_identity_equal", counted)
+    report = verify_case(kind, n=9, r=2, t=81)
+    assert [p.found for p in report.parts if p.component == "lhs==rhs"] \
+        == [INFINITE] * 4
+    assert list(calls.values()) == [1]
+    monkeypatch.setattr(congruence, "LOCAL_RUN", float("inf"))
+    expected = verify_case(kind, n=9, r=2, t=81).to_dict()
+    assert {**report.to_dict(), "elapsed_ms": 0} \
+        == {**expected, "elapsed_ms": 0}
+
+
+def test_a_positive_margin_doubles_before_any_equality(monkeypatch):
+    # thm1-full (9, 2): the d = 27 part finds 19 against 17, as on the
+    # global branch.  Its first bracket is all zero and one doubling shows
+    # the row, so no sum is built for check_identity_equal.
+    def unexpected(lhs, rhs):
+        raise AssertionError("equality asked for a part that differs")
+
+    monkeypatch.setattr(congruence, "check_identity_equal", unexpected)
+    report = verify_case("thm1-full", n=9, r=2)
+    assert [(p.d, p.required, p.found) for p in report.parts] \
+        == [(3, 137, 137), (9, 67, 67), (27, 17, 19), (81, 3, 3)]
+
+
+def test_the_largest_grid_sweep_shape_stays_global():
+    # thm1-full (5, 2) runs 25 steps, the longest run of grid-sweep.
+    assert LOCAL_RUN > 25
+    assert list(verify_case("thm1-full", n=5, r=2).timings) \
+        == ["build_ms", "delta_ms", "valuation_ms"]
