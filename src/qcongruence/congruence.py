@@ -23,12 +23,13 @@ one in-place pass per power of Phi_d).  Every value stays one packed
 integer from the sum's first step to delta: each lift is one
 shift-subtract per binomial and the difference one integer subtraction
 (_delta).  check_identity_equal is delta == 0; check_congruence unpacks
-delta once, for valuation_at.  One slot width serves a whole check
-(_plan), so each sum is built once: the sides' count bounds, one bit per
-binomial of a lift, one for the difference and one for the sign.  It is
-proven before the work, from counts alone, and it is loose (for the J
-sums by up to 1.8x); it is not to be tightened without a proof, since a
-coefficient that overflows its slot unpacks wrong without any error.
+delta once, for valuation_at.  Each comparison builds its sums at its
+own slot width (_lifts), each sum once per width: the sides' count
+bounds, one bit per binomial of a lift, one for the difference and one
+for the sign.  It is proven before the work, from counts alone, and it
+is loose (for the J sums by up to 1.8x); it is not to be tightened
+without a proof, since a coefficient that overflows its slot unpacks
+wrong without any error.
 
 The local path (local.certify_part) reads each part off a few rows of
 integers at q = zeta_d (1 + x), from the sums' plans, with the same
@@ -37,7 +38,7 @@ local_ms.  The product conjectures (conj41, conj42, conj43), whose right
 side is a product of two sums, always take it.  check_congruence sends a
 comparison of two plans there, part by part, when the longer run has at
 least LOCAL_RUN steps, and keeps every other comparison global: shorter
-runs, and gw's and qj2's Poly targets.  The global cost grows faster
+runs, and a side held as a Poly.  The global cost grows faster
 with the run, its delta being the sums expanded, while the local cost
 follows the rows.  Measured on one 2-core host, global against local in
 ms, the crossover lies near 40 steps for a theorem-shaped comparison
@@ -47,10 +48,12 @@ against 0; every grid-sweep comparison runs at most 25 steps.  Where
 count_denominators is False, required is the exponent.  A routed part
 whose bracket is still all zero after one doubling is settled by
 check_identity_equal, computed at most once per comparison, instead of
-doubling the rows up to the span bound.  A
-zero side is an empty plan: the sampled checks compare each side with 0,
-and half-vs-full-m the full sum's tail past the half with 0 over the
-half sum's denominator.
+doubling the rows up to the span bound; once a part reads INFINITE the
+sides are equal, and every later part is INFINITE with no row built.
+Every side the engine builds is a plan, its closed forms and targets
+included.  A zero side is an empty plan: the sampled checks compare each
+side with 0, and half-vs-full-m the full sum's tail past the half with 0
+over the half sum's denominator.
 
 CHECKS is the one table of the q-side checks (the cli's q-side rows come
 from it).  verify_case rejects a param outside the row's axes; the
@@ -69,7 +72,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain
 
 # cyclotomic and sum_truncated are not called here: perfbench/tracing.py
 # wraps them by these names.
@@ -87,7 +89,6 @@ from .qseries import (
     SeriesSum,
     _planned,
     plan_sum,
-    q_integer,
     sum_truncated,
     target_sign,
 )
@@ -213,8 +214,9 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     runs = [side.numerator for side in (lhs, rhs)]
     local = all(isinstance(run, list) for run in runs) \
         and max(map(len, runs)) >= LOCAL_RUN
-    parts, identical, timings = (_local if local else _global)(
-        lhs, rhs, modulus, count_denominators)
+    parts, identical, timings = \
+        _local([lhs], [rhs], modulus, count_denominators) if local \
+        else _global(lhs, rhs, modulus, count_denominators)
     for part in parts:
         part.component = component
     return CongruenceReport(
@@ -249,19 +251,27 @@ def _global(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
                               "valuation_ms": (t3 - t2) * 1e3}
 
 
-def _local(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
+def _local(lhs: list[SeriesSum], rhs: list[SeriesSum], modulus: ModulusSpec,
            count_denominators: bool = True):
-    """(parts, identically equal, timings) of check_congruence on the
-    local path: each part from local.certify_part.  A part whose rows
-    all vanish is settled by check_identity_equal, computed once."""
+    """(parts, identically equal, timings) of prod(lhs) == prod(rhs) on
+    the local path, each side a list of plans: each part from
+    local.certify_part.  Between two single sums, a part whose rows all
+    vanish is settled by check_identity_equal, computed once.  Once a
+    part reads INFINITE the sides are equal, and every later part is
+    INFINITE, its required read off the plans' denominators."""
     t0 = time.perf_counter()
-    equal = cache(partial(check_identity_equal, lhs, rhs))
-    parts = []
+    equal = cache(partial(check_identity_equal, *lhs, *rhs)) \
+        if len(lhs) == len(rhs) == 1 else None
+    parts, identical = [], False
     for d, e in modulus.parts:
-        required, found = certify_part([lhs], [rhs], d, e, equal)
+        if identical:       # found stays INFINITE
+            required = e + sum(plan.denominator.ord_cyclotomic(d)
+                               for plan in lhs + rhs)
+        else:
+            required, found = certify_part(lhs, rhs, d, e, equal)
+            identical = found == INFINITE
         required = required if count_denominators else e
         parts.append(PartResult(d, required, found, found - required))
-    identical = any(part.found == INFINITE for part in parts)
     return parts, identical, {"local_ms": (time.perf_counter() - t0) * 1e3}
 
 
@@ -274,11 +284,7 @@ def _lifts(lhs: SeriesSum, rhs: SeriesSum):
     """(L, L / lhs.held, L / rhs.held, w): L the lcm of the held
     denominators, each base at the larger exponent, the lifts as base ->
     exponent, and the slot width w in bytes that holds the delta: one bit
-    per binomial of a lift, one for the difference, one for the sign.
-    Kept on lhs per rhs, so a planned comparison computes them once."""
-    seen, lifts = lhs.lifts.get(id(rhs), (None, None))
-    if seen is rhs:
-        return lifts
+    per binomial of a lift, one for the difference, one for the sign."""
     left, right = lhs.held.factors, rhs.held.factors
     lcm, up_l = dict(left), {}
     for m, e in right.items():
@@ -288,22 +294,14 @@ def _lifts(lhs: SeriesSum, rhs: SeriesSum):
             if e > right.get(m, 0)}
     bits = max(lhs.bits + sum(up_l.values()),
                rhs.bits + sum(up_r.values())) + 1
-    lifts = FactoredProduct(lcm), up_l, up_r, bits // 8 + 1
-    lhs.lifts[id(rhs)] = rhs, lifts     # rhs held, so its id stays its own
-    return lifts
-
-
-def _plan(*pairs) -> None:
-    """Set one slot width for all the comparisons of a check on its sides."""
-    w = max(_lifts(lhs, rhs)[3] for lhs, rhs in pairs)
-    for side in chain(*pairs):
-        side.width = w
+    return FactoredProduct(lcm), up_l, up_r, bits // 8 + 1
 
 
 def _built(lhs, rhs):
-    """(w, _lifts): both sides built at a width that holds their delta."""
+    """(w, _lifts): both sides built at the width w of their delta, each
+    sum once per width."""
     lifts = _lifts(lhs, rhs)
-    w = max(lhs.width, rhs.width, lifts[3])
+    w = lifts[3]
     lhs.packed(w)
     rhs.packed(w)
     return w, lifts
@@ -415,9 +413,8 @@ def _roots_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
         raise ValueError("j out of the admissible range")
     m = (2 * j + 1) * n
     lhs, rhs = _sides(family, n, r, d, -m)
-    other = SeriesSum(q_integer(m).shift((1 - m) // 2)) \
+    other = SeriesSum([([], [], None, 0, 1)], bits=1).scaled(m, 1) \
         if family == "C_PARAM" else _target(family, n, r, d, -m, printed=True)
-    _plan((lhs, rhs), (lhs, other))
     equal, second = (check_identity_equal(*pair)
                      for pair in ((lhs, rhs), (lhs, other)))
     if family == "C_PARAM":
@@ -441,8 +438,7 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
     statement lives where every denominator is coprime to the modulus, and
     the monomial substitution preserves that divisibility even where a
     specialized denominator factor collides with the modulus.  For family
-    J the scaled reading is asserted and the printed one recorded.  One
-    width serves every comparison, so each sum is built once.
+    J the scaled reading is asserted and the printed one recorded.
     """
     _require_case(n, r, d)
     if t is None or t % 2 == 0:
@@ -457,7 +453,6 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
     if family == "J_PARAM":
         printed = _target(family, n, r, d, t, printed=True)
         readings = {"rhs==0": (printed, zero), "lhs==rhs": (lhs, printed)}
-    _plan(*pairs.values(), *readings.values())
     sub = [check(*pair, component=name) for name, pair in pairs.items()]
     parts = [p for rep in sub for p in rep.parts]
     extra = {"printed_reading": {name: check(*pair).passed
@@ -498,9 +493,11 @@ def _correction_case(family: str, conjectural: bool, kind: str, n: int
 
 
 def _corrected_target(family: str, n: int) -> SeriesSum:
-    # 24 + c (1 - 2 q^n + q^{2n}), c = n^2 - 1, scaled by +-q^{(1-n)/2} [n]
-    c, gap = n * n - 1, [0] * (n - 1)
-    return SeriesSum(Poly([24 + c, *gap, -2 * c, *gap, c])) \
+    # 24 + c (1 - q^n)^2, c = n^2 - 1, as a two-term run, scaled by
+    # +-q^{(1-n)/2} [n]
+    c = n * n - 1
+    return SeriesSum([([], [], None, 0, 24), ([n, n], [], None, 0, c)],
+                     bits=(24 + 2 * c).bit_length()) \
         .scaled(n, target_sign(family, n))
 
 
@@ -516,18 +513,16 @@ def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
         div = params["d"] = 2 if d is None else d
         label += f" d={div}"
     _require_case(n, r, div)
-    t0 = time.perf_counter()
     lhs = plan_sum(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
     rhs = [plan_sum(FamilySpec("M", 1, (n - 1) // div)),
            plan_sum(FamilySpec("M", n * n if squared else n,
                                (n ** r - 1) // div))]
-    required, found = certify_part([lhs], rhs, n, exponent)
-    part = PartResult(n, required, found, found - required)
-    ms = (time.perf_counter() - t0) * 1e3
+    parts, identical, timings = _local([lhs], rhs,
+                                       ModulusSpec([(n, exponent)]))
     return CongruenceReport(
-        label=label, kind=kind, params=params, parts=[part],
-        passed=part.met(), identically_equal=found == INFINITE,
-        conjectural=True, timings={"local_ms": ms})
+        label=label, kind=kind, params=params, parts=parts,
+        passed=parts[0].met(), identically_equal=identical,
+        conjectural=True, timings=timings)
 
 
 def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:

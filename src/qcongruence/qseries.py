@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -128,12 +127,10 @@ class SeriesSum:
     cofactor and denominator are factored products, cofactor dividing
     denominator.  numerator is a Poly, or a run of _planned that is only
     ever built packed; it is N times the binomials of extra (an undivided
-    1 - q^step, the 1 - q of a scale), so it is held over denominator /
-    cofactor times extra.  packed(w) builds it as one integer
-    (polycore._pack) in slots of w bytes, once per w; bits is a count
-    bound: every |c| of it is below 2^bits.  width is the slot width a
-    check's plan sets on all of its sides, and lifts keeps congruence._lifts
-    of each comparison with this sum on the left, by the right side's id.
+    1 - q^step, the 1 - q of a scale), so it is held over held,
+    denominator / cofactor times extra, set as the sum is made.  packed(w)
+    builds it as one integer (polycore._pack) in slots of w bytes, once
+    per w; bits is a count bound: every |c| of it is below 2^bits.
     """
 
     numerator: object
@@ -141,22 +138,18 @@ class SeriesSum:
     cofactor: FactoredProduct = field(default_factory=FactoredProduct)
     extra: FactoredProduct = field(default_factory=FactoredProduct)
     bits: Optional[int] = None
-    width: int = field(default=0, init=False, compare=False)
-    lifts: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    held: FactoredProduct = field(init=False, repr=False, compare=False)
     _built: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        self.denominator.divided_by(self.cofactor)  # raises unless it divides
+        # raises unless the cofactor divides the denominator
+        reduced = self.denominator.divided_by(self.cofactor)
+        self.held = FactoredProduct(dict(Counter(self.extra.factors)
+                                         + Counter(reduced.factors)))
         if self.bits is None:
             self.bits = max(map(abs, self.numerator.coeffs),
                             default=0).bit_length()
-
-    @cached_property
-    def held(self) -> FactoredProduct:
-        return FactoredProduct(dict(Counter(self.extra.factors) + Counter(
-            self.denominator.divided_by(self.cofactor).factors)))
 
     def scaled(self, n: int, c: int) -> "SeriesSum":
         """self * c q^{(1-n)/2} [n], n odd, c a nonzero integer: [n] = (1 -

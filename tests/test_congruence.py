@@ -20,6 +20,7 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    plan_sum,
     q_integer,
     sum_truncated,
 )
@@ -183,17 +184,31 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
                     == _times_expanded(Poly.one(), big.divided_by(small))
 
 
-def test_lifts_are_kept_per_right_side():
-    # a planned comparison computes its lifts once, so the build reads the
-    # plan's tuple; another right side gets its own lifts, and an entry
-    # whose side is not the one asked about (its id reused) is recomputed
-    lhs, rhs = congruence._sides("C", 3, 2, 1)
-    zero = SeriesSum([], bits=0)
-    lifts = congruence._lifts(lhs, rhs)
-    assert congruence._built(lhs, rhs)[1] is lifts
-    assert congruence._lifts(lhs, zero)[0] == lhs.held
-    lhs.lifts[id(zero)] = rhs, lifts
-    assert congruence._lifts(lhs, zero)[0] == lhs.held
+def test_held_is_the_reduced_denominator_times_extra():
+    # held, set as the sum is made, is D / C times extra: expanded, it
+    # times the cofactor C is the denominator D times extra.  A planned
+    # sum holds its q-integers' 1 - q^step in extra; a stopped sum has a
+    # cofactor; a scale's 1 - q^n cancels one of extra or joins the
+    # numerator, and its 1 - q joins extra; a Poly sum has no extra.
+    planned = plan_sum(FamilySpec("C", 1, 3))
+    stopped = plan_sum(FamilySpec("C_PARAM", 1, 4, 3))
+    sides = {"planned": planned, "stopped": stopped,
+             "cancelled": plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1),
+             "kept": planned.scaled(5, -1),
+             "poly": SeriesSum(q_integer(3), FactoredProduct({2: 1, 4: 2}),
+                               FactoredProduct({4: 1}))}
+    assert stopped.cofactor.factors
+    for name, side in sides.items():
+        assert _times_expanded(_times_expanded(Poly.one(), side.held),
+                               side.cofactor) \
+            == _times_expanded(_times_expanded(Poly.one(), side.denominator),
+                               side.extra), name
+    assert planned.held == FactoredProduct({1: 1, 2: 4, 4: 4, 6: 4})
+    assert sides["cancelled"].held == FactoredProduct({1: 1, 6: 4})
+    assert sides["kept"].held == FactoredProduct({1: 2, 2: 4, 4: 4, 6: 4})
+    assert sides["poly"].held == FactoredProduct({2: 1, 4: 1})
+    with pytest.raises(ValueError, match="does not divide"):
+        SeriesSum(Poly.one(), FactoredProduct({2: 1}), FactoredProduct({4: 1}))
 
 
 @pytest.mark.parametrize("case", [

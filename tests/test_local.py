@@ -7,7 +7,7 @@ rows at q = zeta_d (1 + x), from the same plans (plan_sum).  Every part
 must agree: on the product conjectures, on seeded random pairs of sums
 of all five families, scaled or not and against zero, on pairs that
 are equal, and on every comparison of the global checks of the two
-fingerprint sweeps whose sides are both plans.
+fingerprint sweeps, each between two plans.
 """
 
 import json
@@ -82,16 +82,16 @@ def test_product_conjecture_reports_time_one_phase():
 
 def test_sweep_comparisons_match_the_global_path(monkeypatch):
     # Every part of every comparison the global checks of both
-    # fingerprint sweeps make between two plans: the theorem sides against
-    # their scaled companions, the sampled sides against each other and
-    # against zero (an empty plan), half-vs-full-m's tail against zero.
-    # found only: the sampled checks do not count the denominators into
+    # fingerprint sweeps make, each between two plans: the theorem sides
+    # against their scaled companions, gw's and qj2's against their
+    # corrected targets, the sampled sides against each other and against
+    # zero (an empty plan), half-vs-full-m's tail against zero.  found
+    # only: the sampled checks do not count the denominators into
     # required.  Left out: half-vs-full-m (5, 2), whose 62-step run
     # check_congruence already sends local, while the global path takes
     # seconds on it, and the 8 parts whose sides are equal (param-sampled
     # at n = 3, r = 2, t = 9), which take up to 1.5 s each before the
-    # rows alone prove them INFINITE; gw and qj2 compare with a Poly
-    # target.
+    # rows alone prove them INFINITE.
     a = plan_sum(FamilySpec("C", 1, 4))
     b = plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1)
     assert certify_part([a], [b], 3, 3) == (11, 11)
@@ -109,8 +109,7 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
             verify_case(kind, **params)
     kinds, equal = Counter(), 0
     for kind, lhs, rhs, modulus, report in seen:
-        if not all(isinstance(side.numerator, list) for side in (lhs, rhs)):
-            continue
+        assert all(isinstance(side.numerator, list) for side in (lhs, rhs))
         for (d, exponent), part in zip(modulus.parts, report.parts):
             if part.found == INFINITE:
                 equal += 1
@@ -118,7 +117,7 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
             assert certify_part([lhs], [rhs], d, exponent)[1] == part.found, \
                 (report.label, part.component, d)
             kinds[kind] += 1
-    assert equal == 8 and sum(kinds.values()) == 310 and len(kinds) == 7
+    assert equal == 8 and sum(kinds.values()) == 314 and len(kinds) == 9
 
 
 def _random_spec(rng, top):
@@ -276,7 +275,7 @@ def test_the_rule_at_its_threshold(upper, routed):
     modulus = build_modulus_theorem(5, 2)
     report = _branches_agree(lhs, rhs, modulus)
     assert ("local_ms" in report.timings) == routed
-    parts, identical, timings = _local(lhs, rhs, modulus)
+    parts, identical, timings = _local([lhs], [rhs], modulus)
     assert list(timings) == ["local_ms"] and not identical
     assert [(p.required, p.found) for p in parts] \
         == [(p.required, p.found) for p in report.parts]
@@ -299,20 +298,32 @@ def test_scaled_and_empty_long_sides_match():
 def test_equal_long_sides_are_settled_once(monkeypatch, kind):
     # At (9, 2, t = 81) the sampled sides are equal over 41 steps: their
     # parts read INFINITE after one packed-delta equality per comparison,
-    # asked when a doubled bracket is all zero too, and the whole report
-    # is the one every comparison on the global branch gives.
-    calls = Counter()
+    # asked when a doubled bracket is all zero too.  The first INFINITE
+    # part settles the comparison, so certify_part runs once for it, and
+    # the whole report is the one every comparison on the global branch
+    # gives.
+    calls, parts, settled = Counter(), Counter(), set()
     real_equal = congruence.check_identity_equal
 
     def counted(lhs, rhs):
         calls[id(lhs), id(rhs)] += 1
         return real_equal(lhs, rhs)
 
+    def certified(lhs, rhs, d, exponent, equal=None):
+        required, found = certify_part(lhs, rhs, d, exponent, equal)
+        key = tuple(map(id, lhs + rhs))
+        parts[key] += 1
+        if found == INFINITE:
+            settled.add(key)
+        return required, found
+
     monkeypatch.setattr(congruence, "check_identity_equal", counted)
+    monkeypatch.setattr(congruence, "certify_part", certified)
     report = verify_case(kind, n=9, r=2, t=81)
     assert [p.found for p in report.parts if p.component == "lhs==rhs"] \
         == [INFINITE] * 4
     assert list(calls.values()) == [1]
+    assert [parts[key] for key in settled] == [1]
     monkeypatch.setattr(congruence, "LOCAL_RUN", float("inf"))
     expected = verify_case(kind, n=9, r=2, t=81).to_dict()
     assert {**report.to_dict(), "elapsed_ms": 0} \

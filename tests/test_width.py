@@ -1,14 +1,15 @@
 """The slot width of the packed delta holds every comparison it is used for.
 
-A global check plans one slot width before any arithmetic, from counts
-alone (congruence._lifts): a side's count bound, one bit per binomial of
-its lift, one bit for the difference and a sign bit.  The delta is
-unpacked once, and a packed zero reads as a zero polynomial, only while
-every coefficient fits its slot with its sign.  Every delta made here,
-by every global comparison of the two fingerprint sweeps and by seeded
-random side pairs, is unpacked and must have max |c| < 2^(8w - 1) and
-repack to the same integer; on the random pairs check_identity_equal must
-also agree with the polynomial cross products of tests/oracles.py.
+A global comparison sets its slot width before any arithmetic, from
+counts alone (congruence._lifts): a side's count bound, one bit per
+binomial of its lift, one bit for the difference and a sign bit.  The
+delta is unpacked once, and a packed zero reads as a zero polynomial,
+only while every coefficient fits its slot with its sign.  Every delta
+made here, by every global comparison of the two fingerprint sweeps and
+by seeded random side pairs, is unpacked and must have max |c| <
+2^(8w - 1) and repack to the same integer; on the random pairs
+check_identity_equal must also agree with the polynomial cross products
+of tests/oracles.py.
 """
 
 import random
