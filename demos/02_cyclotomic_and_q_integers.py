@@ -3,8 +3,8 @@
 # Phi_n is the product of the binomials 1 - q^{n/e} over the divisors e of
 # n with Moebius value +1, divided exactly by those with value -1: never
 # through roots of unity.  The q-integer [n] factors as the product of
-# Phi_d over the divisors d > 1 of n.  That factorization is what turns "modulo [n^r]"
-# statements into per-cyclotomic valuation checks.
+# Phi_d over the divisors d > 1 of n.  That factorization is what turns
+# "modulo [n^r]" statements into per-cyclotomic valuation checks.
 
 from math import gcd
 
@@ -12,9 +12,14 @@ from qcongruence import (
     Poly,
     cyclotomic,
     divisors,
-    q_integer,
     q_integer_cyclotomic_factors,
 )
+
+
+def q_integer(n, base=1):
+    # [n] in base q^s: 1 + q^s + ... + q^{s(n-1)}
+    return Poly([1 if i % base == 0 else 0 for i in range(base * (n - 1) + 1)])
+
 
 # %% the first few cyclotomic polynomials
 for n in (1, 2, 3, 6, 9, 15):

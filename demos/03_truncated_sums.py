@@ -6,19 +6,16 @@
 # fractions; cyclotomic valuations of the denominator are read off
 # analytically.
 
-from qcongruence import (
-    FamilySpec,
-    classical_term_value,
-    eta_product_coefficients,
-    sum_truncated,
-    term_of,
-)
+from dataclasses import replace
+
+from qcongruence import FamilySpec, eta_product_coefficients, sum_truncated
+from qcongruence.qseries import plan_sum
 
 # %% the quartic family: [4k+1] (q;q^2)_k^4 / (q^2;q^2)_k^4
 spec = FamilySpec("C", base=1, upper=3)
-num, den = term_of(spec, 1)
-print("k=1 term numerator:", num)
-print("k=1 term denominator factors (1-q^m)^e:", den.factors)
+term = plan_sum(replace(spec, upper=1), 1).series()    # the terms 1..1
+print("k=1 term numerator:", term.numerator)
+print("k=1 term denominator factors (1-q^m)^e:", term.denominator.factors)
 
 s = sum_truncated(spec)
 print("sum to k=3: numerator degree", s.numerator.high_degree,
@@ -33,12 +30,6 @@ p = sum_truncated(FamilySpec("C_PARAM", base=1, upper=2, t=-3))
 print("specialized sum at t=-3: numerator", p.numerator)
 print("  cofactor factors", p.cofactor.factors,
       "| denominator factors", p.denominator.factors)
-
-# %% every family's terms reduce to central-binomial ratios at q = 1
-for family in ("C", "J", "M"):
-    k = 4
-    print(f"family {family}, k={k}: q->1 value =",
-          classical_term_value(family, k))
 
 # %% the eta-style product q (q^2;q^2)^4 (q^4;q^4)^4 expands exactly
 print("gamma_1..gamma_13:", eta_product_coefficients(13))

@@ -34,16 +34,13 @@ from .padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from .polycore import INFINITE, Poly, eval_at
+from .polycore import INFINITE, Poly
 from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    classical_term_value,
     eta_product_coefficients,
-    q_integer,
     sum_truncated,
-    term_of,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

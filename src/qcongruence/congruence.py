@@ -38,13 +38,14 @@ local_ms.  The product conjectures (conj41, conj42, conj43), whose right
 side is a product of two sums, always take it.  check_congruence sends a
 comparison of two plans there, part by part, when the longer run has at
 least LOCAL_RUN steps, and keeps every other comparison global: shorter
-runs, and a side held as a Poly.  The global cost grows faster
-with the run, its delta being the sums expanded, while the local cost
-follows the rows.  Measured on one 2-core host, global against local in
-ms, the crossover lies near 40 steps for a theorem-shaped comparison
-(a C sum against the (7, 2) companion: 34 against 42 at 39 steps, 47
-against 46 at 43, 73 against 51 at 49) and near 31 for a sampled side
-against 0; every grid-sweep comparison runs at most 25 steps.  Where
+runs, and a side held as a Poly (only the tests make one).  The global
+cost grows faster with the run, its delta being the sums expanded, while
+the local cost follows the rows.  Measured on one 2-core host, global
+against local in ms, the crossover lies near 40 steps for a
+theorem-shaped comparison (a C sum against the (7, 2) companion: 34
+against 42 at 39 steps, 47 against 46 at 43, 73 against 51 at 49) and
+near 31 for a sampled side against 0; every grid-sweep comparison runs
+at most 25 steps.  Where
 count_denominators is False, required is the exponent.  A routed part
 whose bracket is still all zero after one doubling is settled by
 check_identity_equal, computed at most once per comparison, instead of
@@ -212,6 +213,7 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     denominator collides with the modulus.
     """
     runs = [side.numerator for side in (lhs, rhs)]
+    # a side held as a Poly comes only from the tests, and stays global
     local = all(isinstance(run, list) for run in runs) \
         and max(map(len, runs)) >= LOCAL_RUN
     parts, identical, timings = \

@@ -5,13 +5,13 @@ Neither ever touches roots of unity.  Both use the Moebius factorisation
 
     Phi_d = prod over e | d of (1 - q^{d/e})^{mu(e)}     (d >= 2),
 
-whose sign is + because the mu(e) sum to 0.  binomial_form writes a
-product of cyclotomic polynomials as these net binomial exponents, and
-Poly.times_binomials multiplies by them exactly (Phi_d is 1 times
-binomial_form({d: 1})).  One exact division by Phi_d is the opposite: a
-product with each binomial of mu(e) = -1, then an in-place exact
-division by each of mu(e) = +1.  Cyclotomic polynomials are memoized;
-Phi_1 = q - 1 is preset, since binomial_form stands 1 - q in for it.
+whose sign is + because the mu(e) sum to 0 (_binomial_exponents).
+cyclotomic(d) is 1 times each binomial of mu(e) = +1, one list pass
+each, then divided in place by each of mu(e) = -1.  One exact division
+by Phi_d is the opposite: a product with each binomial of mu(e) = -1,
+then an in-place exact division by each of mu(e) = +1.  Cyclotomic
+polynomials are memoized; Phi_1 = q - 1 is preset, since the
+factorisation gives 1 - q for it.
 
 The valuation makes that product only when it must.  1 - q^d, the
 product of Phi_e over e | d, holds exactly one Phi_d, so while it
@@ -62,9 +62,10 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
+# kept only for perfbench/tracing.py, which wraps it and resets _CACHE
 def cyclotomic(n: int) -> Poly:
     """The monic integer polynomial with the primitive n-th roots of unity
-    as roots, built as 1 times the binomials of binomial_form({n: 1}).
+    as roots, built from the binomials of _binomial_exponents(n).
 
     >>> cyclotomic(1).coeffs
     (-1, 1)
@@ -73,11 +74,16 @@ def cyclotomic(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cached = _CACHE.get(n)
-    if cached is not None:
-        return cached
-    pol = _CACHE[n] = Poly.one().times_binomials(binomial_form({n: 1}))
-    return pol
+    if n not in _CACHE:
+        up, down = _binomial_exponents(n)
+        cs = [1]
+        for m in down:
+            cs = _times_one_minus(cs, m)
+        for m in up:
+            if not _divide_one_minus(cs, m):
+                raise AssertionError(f"inexact division by 1 - q^{m}")
+        _CACHE[n] = Poly(cs)
+    return _CACHE[n]
 
 
 def q_integer_cyclotomic_factors(n: int) -> list[int]:
@@ -105,25 +111,6 @@ def _binomial_exponents(d: int) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def binomial_form(content: dict[int, int]) -> dict[int, int]:
-    """The net exponents m -> g != 0 of prod over d of B_d^content[d]
-    written as prod over m of (1 - q^m)^g, with B_d = Phi_d for d >= 2
-    and B_1 = 1 - q; g < 0 divides.  The form is unique, since
-    1 - q^m is the product of B_d over the divisors d of m.
-
-    >>> binomial_form({3: 1, 6: 1})     # Phi_3 Phi_6 = (1 - q^6) / (1 - q^2)
-    {6: 1, 2: -1}
-    """
-    net: dict[int, int] = {}
-    for d, e in content.items():
-        up, down = _binomial_exponents(d)
-        for m in down:
-            net[m] = net.get(m, 0) + e
-        for m in up:
-            net[m] = net.get(m, 0) - e
-    return {m: g for m, g in net.items() if g}
-
-
 def valuation_at(a: Poly, d: int):
     """Largest e with Phi_d^e dividing a; INFINITE for a = 0.
 
@@ -133,7 +120,7 @@ def valuation_at(a: Poly, d: int):
     divides it at all, and only then are the remaining powers counted one
     exact division by Phi_d at a time (module docstring).
 
-    >>> valuation_at(Poly([1, 0, 0, 0, 0, 0, -1]) ** 2, 3)
+    >>> valuation_at(Poly([1, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 1]), 3)
     2
     """
     if d < 1:

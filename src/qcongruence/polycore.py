@@ -1,25 +1,25 @@
-"""Dense arbitrary-precision Laurent-polynomial arithmetic in q.
+"""Dense arbitrary-precision Laurent polynomials in q: the packed format,
+three list passes and a coefficient holder.
 
-A Poly holds Python integer coefficients ascending by exponent from an
-integer offset, in one normal form: no zero at either end, and the zero
-polynomial is () at offset 0.  Big work runs on a packed value: _pack
-writes a coefficient list as one integer, its value at q = 2^W with W =
-8w for slots of w bytes, and _unpack (or _slots, every slot) reads it
-back while every |c| < 2^(W - 1).  Packed arithmetic is exact whatever
-the coefficients; only the unpack needs that bound, so w always comes
-from a bound proven before the work.  A product with a binomial 1 - q^m
-is one shift-subtract x - (x << W m) of the packed value and at most
-doubles max|c|.  The q-series sums and the lifts and delta of a global
-check stay packed from their first step to the delta, which is unpacked
-once (qseries, congruence).  Here Poly.times_one_minus and the positive
-part of Poly.times_binomials pack once, shift-subtract per binomial and
-unpack once, and a general product is one Kronecker substitution.  An
-exact division by a binomial has no such bound on its quotient, so it
-stays a linear pass over the list, a running sum per residue class mod
-m, made in place; so do cyclotomic.valuation_at's passes.  Products and
-passes of normal-form operands are in normal form already, so their
-lists are adopted as they are; only sums and differences are trimmed.
-All values are immutable after construction.
+Big work runs on a packed value: _pack writes a coefficient list as one
+integer, its value at q = 2^W with W = 8w for slots of w bytes, and
+_unpack (or _slots, every slot) reads it back while every
+|c| < 2^(W - 1).  Packed arithmetic is exact whatever the coefficients;
+only the unpack needs that bound, so w always comes from a bound proven
+before the work.  A product with a binomial 1 - q^m is one
+shift-subtract x - (x << W m) of the packed value (_packed_one_minus)
+and at most doubles max|c|.  The q-series sums and the lifts and delta
+of a global check stay packed from their first step to the delta, which
+is unpacked once (qseries, congruence).  On a list, a product with a
+binomial is one C-level pass (_times_one_minus), and an exact division
+by one has no such bound on its quotient, so it is a linear pass, a
+running sum per residue class mod m, made in place (_divide_one_minus);
+the cyclotomic polynomials and cyclotomic.valuation_at are built from
+these two.
+
+A Poly holds the integer coefficients of a list ascending by exponent
+from an integer offset, in one normal form: no zero at either end, and
+the zero polynomial is () at offset 0.  It is immutable.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from struct import iter_unpack
-from typing import Iterable, Union
+from typing import Iterable
 
 #: Valuation of the zero polynomial (divisible by every power).
 INFINITE = math.inf
@@ -38,26 +37,6 @@ INFINITE = math.inf
 
 # ---------------------------------------------------------------------------
 # low-level list arithmetic
-
-
-def _add_lists(a, b) -> list:
-    # a + b as one C-level pass over the common length, then the tail of
-    # the longer operand copied as it is.
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(map(operator.add, a, b))
-    out += a[len(b):]
-    return out
-
-
-def _sub_lists(a, b) -> list:
-    # a - b the same way; a tail of b is negated in a second C-level pass.
-    out = list(map(operator.sub, a, b))
-    if len(a) >= len(b):
-        out += a[len(b):]
-    else:
-        out += map(operator.neg, b[len(a):])
-    return out
 
 
 def _bias(w: int, n: int) -> int:
@@ -99,6 +78,7 @@ def _slots(x: int, w: int) -> list:
     return _unpack(x, w, abs(x).bit_length() // (8 * w) + 1)
 
 
+# kept only for Poly.__mul__, which perfbench/tracing.py wraps
 def _kronecker(a, b) -> list:
     # |product coefficient| <= min(la, lb) * max|a| * max|b|, which a slot
     # of w bytes holds with its sign.
@@ -115,19 +95,6 @@ def _packed_one_minus(x: int, e: int, bits: int) -> tuple[int, int]:
     if e >= 0:
         return x - (x << bits * e), 0
     return (x << -bits * e) - x, e
-
-
-def _times_binomials_packed(cs, exps: list) -> tuple[list, int]:
-    # cs * prod over e in exps of (1 - q^e), every e != 0, and the move of
-    # the offset, on the packed value: one shift-subtract per binomial.
-    # Each binomial at most doubles max|c|, so slots of bits(max|c|) +
-    # len(exps) bits and a sign bit hold the product.
-    w = (max(map(abs, cs)).bit_length() + len(exps)) // 8 + 1
-    x, move = _pack(cs, w), 0
-    for e in exps:
-        x, shift = _packed_one_minus(x, e, 8 * w)
-        move += shift
-    return _unpack(x, w, len(cs) + sum(map(abs, exps))), move
 
 
 def _times_one_minus(cs, m: int) -> list:
@@ -191,139 +158,33 @@ class Poly:
         self.coeffs = cs[lo:hi]
         self.offset = offset + lo if hi else 0
 
-    @classmethod
-    def _adopt(cls, cs: Iterable[int], offset: int = 0) -> "Poly":
-        # cs is already nonzero at both ends (or empty), as every product
-        # and binomial pass of normal-form operands is: one tuple
-        # conversion, no scan.
-        p = object.__new__(cls)
-        p.coeffs = tuple(cs)
-        p.offset = offset if p.coeffs else 0
-        return p
-
     @staticmethod
     def zero() -> "Poly":
-        return Poly._adopt(())
+        return Poly()
 
     @staticmethod
     def one() -> "Poly":
-        return Poly._adopt((1,))
+        return Poly((1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    # kept only for perfbench/tracing.py's observer of FactoredProduct.expand
     @property
     def high_degree(self) -> int:
         """The highest exponent; -1 for the zero polynomial."""
         return self.offset + len(self.coeffs) - 1
 
-    def shift(self, e: int) -> "Poly":
-        """Multiply by q^e."""
-        if not self.coeffs:
-            return self
-        return Poly._adopt(self.coeffs, self.offset + e)
-
-    def scale(self, c: int) -> "Poly":
-        if c == 1:
-            return self
-        if c == 0:
-            return Poly.zero()
-        return Poly._adopt(map(c.__mul__, self.coeffs), self.offset)
-
-    def times_one_minus(self, exps: Iterable[int]) -> "Poly":
-        """self * prod over e in exps of (1 - q^e), one shift-subtract each
-        on the packed coefficients.
-
-        A negative e is folded as -q^e (1 - q^-e); e == 0 gives zero, as
-        one_minus_q(0) does.
-
-        >>> p = Poly.one().times_one_minus([2, -1])
-        >>> p.coeffs, p.offset
-        ((-1, 1, 1, -1), -1)
-        """
-        exps = list(exps)
-        if not self.coeffs or not exps:
-            return self
-        if 0 in exps:
-            return Poly.zero()
-        cs, move = _times_binomials_packed(self.coeffs, exps)
-        return Poly._adopt(cs, self.offset + move)
-
-    def times_binomials(self, net: dict[int, int]) -> "Poly":
-        """self * prod over m of (1 - q^m)^net[m], m >= 1, exactly.
-
-        One shift-subtract per binomial of positive exponent on the packed
-        coefficients, then one exact in-place division per binomial of
-        negative exponent, the longest first; an inexact division raises
-        AssertionError.
-
-        >>> Poly([1, 1]).times_binomials({4: 1, 2: -1}).coeffs
-        (1, 1, 1, 1)
-        """
-        if not net or not self.coeffs:
-            return self
-        up = [m for m, g in sorted(net.items()) for _ in range(g)]
-        down = [m for m, g in sorted(net.items(), reverse=True)
-                for _ in range(-g)]
-        cs = _times_binomials_packed(self.coeffs, up)[0] if up \
-            else list(self.coeffs)
-        for m in down:
-            if not _divide_one_minus(cs, m):
-                raise AssertionError(f"inexact division by 1 - q^{m}")
-        return Poly._adopt(cs, self.offset)
-
-    def _aligned(self, other: "Poly") -> tuple[tuple, tuple, int]:
-        # both coefficient tuples written from the lower of the two offsets
-        off = min(self.offset, other.offset)
-        a, b = self.coeffs, other.coeffs
-        if self.offset > off:
-            a = (0,) * (self.offset - off) + a
-        if other.offset > off:
-            b = (0,) * (other.offset - off) + b
-        return a, b, off
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        a, b, off = self._aligned(other)
-        return Poly(_add_lists(a, b), off)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return -other
-        a, b, off = self._aligned(other)
-        return Poly(_sub_lists(a, b), off)
-
-    def __neg__(self) -> "Poly":
-        return Poly._adopt(map(operator.neg, self.coeffs), self.offset)
-
-    def __mul__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
-            return self.scale(other)
+    # kept only for perfbench/tracing.py, which wraps __mul__ and __rmul__
+    def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly.zero()
-        return Poly._adopt(_kronecker(self.coeffs, other.coeffs),
-                           self.offset + other.offset)
+        return Poly(_kronecker(self.coeffs, other.coeffs),
+                    self.offset + other.offset)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __str__(self) -> str:
         parts = []
@@ -334,27 +195,3 @@ class Poly:
             var = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
             parts.append(("- " if c < 0 else "+ " if parts else "") + mag + var)
         return " ".join(parts) or "0"
-
-
-# ---------------------------------------------------------------------------
-# spec operations
-
-
-def eval_at(a: Poly, x) -> Fraction:
-    """Exact rational value by Horner evaluation."""
-    x = Fraction(x)
-    if a.offset < 0 and x == 0:
-        raise ZeroDivisionError("evaluation at 0 with negative offset")
-    acc = Fraction(0)
-    for c in reversed(a.coeffs):
-        acc = acc * x + c
-    return acc * x ** a.offset
-
-
-def one_minus_q(e: int) -> Poly:
-    """The binomial 1 - q^e (zero when e == 0)."""
-    if e == 0:
-        return Poly.zero()
-    if e > 0:
-        return Poly([1] + [0] * (e - 1) + [-1])
-    return Poly([-1] + [0] * (-e - 1) + [1], e)

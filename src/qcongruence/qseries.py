@@ -18,9 +18,8 @@ bound on its numerator.  The local path reads the run (local), the
 global path builds it at a slot width proven from that bound, numerator
 and nested product each one packed integer (polycore._pack), each
 binomial one shift-subtract.  A global check never unpacks its sums
-(congruence); sum_truncated and term_of (the plan of term k alone:
-plan_sum(spec, start) plans the terms start..upper over F_upper) unpack
-once and divide the held divisor out.
+(congruence); only SeriesSum.series, which no check calls, unpacks a sum
+and divides its held divisor out.
 
 A specialized parametric sum stops at its first vanishing term k0: every
 later term is zero, and the binomials of steps k0..upper enter the full
@@ -54,10 +53,8 @@ target_sign is the sign of the sextic targets' (-q)^{(1-n)/2}, at q = 1 too.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 from .polycore import (
@@ -66,6 +63,7 @@ from .polycore import (
     _pack,
     _packed_one_minus,
     _slots,
+    _times_one_minus,
 )
 
 PLAIN_FAMILIES = ("C", "J", "M")
@@ -114,10 +112,13 @@ class FactoredProduct:
             raise ValueError("cyclotomic index must be >= 1")
         return sum(e for m, e in self.factors.items() if m % d == 0)
 
+    # kept only for perfbench/tracing.py, which wraps it
     def expand(self) -> Poly:
-        """Multiply everything out, one shift-subtract per binomial."""
-        return Poly.one().times_one_minus(
-            [m for m in sorted(self.factors) for _ in range(self.factors[m])])
+        """Multiply everything out, one list pass per binomial."""
+        cs = [1]
+        for m in Counter(self.factors).elements():
+            cs = _times_one_minus(cs, m)
+        return Poly(cs)
 
 
 @dataclass
@@ -152,22 +153,18 @@ class SeriesSum:
                             default=0).bit_length()
 
     def scaled(self, n: int, c: int) -> "SeriesSum":
-        """self * c q^{(1-n)/2} [n], n odd, c a nonzero integer: [n] = (1 -
-        q^n) / (1 - q) cancels a 1 - q^n of extra or else multiplies the
-        numerator (a run: joins step 0's binomials), 1 - q joins extra, and
-        a run's shifts gain (1 - n)/2 and its coefficients the factor c."""
+        """self * c q^{(1-n)/2} [n], n odd, c a nonzero integer, self a
+        plan: [n] = (1 - q^n) / (1 - q) cancels a 1 - q^n of extra or else
+        joins step 0's binomials, 1 - q joins extra, and the run's shifts
+        gain (1 - n)/2 and its coefficients the factor c."""
         extra, up = Counter(self.extra.factors), [n]
         if extra[n]:
             extra[n], up = extra[n] - 1, []
         extra[1] += 1
-        if isinstance(self.numerator, Poly):
-            numerator = self.numerator.times_one_minus(up) \
-                .shift((1 - n) // 2).scale(c)
-        else:
-            numerator = [([*ups, *up] if k == 0 else ups, dens, top,
-                          shift + (1 - n) // 2, coeff * c)
-                         for k, (ups, dens, top, shift, coeff)
-                         in enumerate(self.numerator)]
+        numerator = [([*ups, *up] if k == 0 else ups, dens, top,
+                      shift + (1 - n) // 2, coeff * c)
+                     for k, (ups, dens, top, shift, coeff)
+                     in enumerate(self.numerator)]
         return replace(self, numerator=numerator,
                        extra=FactoredProduct(dict(+extra)),
                        bits=self.bits + len(up) + (abs(c) - 1).bit_length())
@@ -177,10 +174,12 @@ class SeriesSum:
         it unpacks exactly when bits <= 8w - 1."""
         if w not in self._built:
             num = self.numerator
+            # a Poly numerator comes only from the tests' sides
             self._built[w] = (_pack(num.coeffs, w), num.offset) \
                 if isinstance(num, Poly) else _accumulate(num, w)
         return self._built[w]
 
+    # kept only for sum_truncated, which perfbench/tracing.py wraps
     def series(self) -> "SeriesSum":
         """The sum with a Poly numerator: built at its own width, unpacked
         once and divided by extra in place, exactly."""
@@ -224,26 +223,6 @@ class FamilySpec:
             raise ValueError("plain families take no specialization")
         if self.printed and self.family not in SEXTIC_FAMILIES:
             raise ValueError("the printed reading is J-family only")
-
-
-# ---------------------------------------------------------------------------
-# elementary builders
-
-
-def q_integer(n: int, base: int = 1) -> Poly:
-    """1 + q^s + ... + q^{s(n-1)}; the q-analogue of n in base q^s.
-
-    >>> q_integer(3).coeffs
-    (1, 1, 1)
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if base < 1:
-        raise ValueError("base exponent must be >= 1")
-    cs = [0] * (base * (n - 1) + 1)
-    for i in range(n):
-        cs[base * i] = 1
-    return Poly._adopt(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +350,7 @@ def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
     return num, num_off
 
 
-def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
-    """The exact k-th term as (numerator, factored denominator): the sum
-    of the terms k..k, planned by plan_sum."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    term = plan_sum(replace(spec, upper=k), k).series()
-    return term.numerator, term.denominator
-
-
+# kept only for perfbench/tracing.py, which wraps it by congruence's name
 def sum_truncated(spec: FamilySpec) -> SeriesSum:
     """Sum of the terms k = 0..upper over the common (last) denominator.
 
@@ -403,28 +374,6 @@ def plan_sum(spec: FamilySpec, start: int = 0) -> SeriesSum:
              [e for step in steps[:start + 1] for e in step[1]],
              *steps[start][2:])
     return _planned([first, *steps[start + 1:]], _q_integer_step(spec))
-
-
-# ---------------------------------------------------------------------------
-# classical (q -> 1) values
-
-
-def classical_term_value(family: str, k: int) -> Fraction:
-    """Exact rational limit of the k-th term at q = 1 for plain families.
-
-    All three reduce to central binomial coefficients over powers of 4:
-    C(2k,k)/4^k is the classical normalized half-integer ratio.
-    """
-    if family not in PLAIN_FAMILIES:
-        raise ValueError("classical values exist for plain families only")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    central = math.comb(2 * k, k)
-    if family == "C":
-        return Fraction((4 * k + 1) * central ** 4, 256 ** k)
-    if family == "J":
-        return Fraction((6 * k + 1) * central ** 3, 256 ** k)
-    return Fraction(central ** 4, 256 ** k)
 
 
 # ---------------------------------------------------------------------------

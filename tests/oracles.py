@@ -1,45 +1,168 @@
 """Slow reference implementations the tests compare the engine against.
 
-None of them is used by the engine: the quadratic schoolbook product (the
-oracle for the Kronecker product and the binomial passes), monic long
-division (the oracle for the binomial-pass valuation and cyclotomic
-construction), the rewrite of 1 - q^m to a positive base, Euler's
-totient, the cyclotomic content of a binomial, the pole-free q = 1
-value of a plain-family term, the sums built with one list pass per
-binomial (the oracle for the packed accumulator), [n] as binomials, the
-cross-multiplied sides as polynomials (the oracle for the packed lifts
-and delta), and the product conjectures through the global path, their
-sums expanded and multiplied out (the oracle for the local path).  Also
-here: the global cases of the two fingerprint sweeps, which the width
-and cross-path tests run.  And the classical side as exact rationals:
-each plain-family truncation at q = 1 summed as Fractions term by term,
-its valuations and residues read off the reduced rational, and each
-term's valuation taken whole (the oracle for padic's integer numerators
-and Kummer's carries).
+None of them is used by the engine.  First the polynomial arithmetic
+that only the tests need, one coefficient or one list pass at a time:
+shift, scale, sum, power, exact evaluation, 1 - q^e, the q-integer, and
+products and exact quotients by binomials (the oracle for the packed
+sums and lifts).  Then the quadratic schoolbook product (the oracle for
+the Kronecker product), monic long division (the oracle for the
+binomial-pass valuation and cyclotomic construction), the rewrite of
+1 - q^m to a positive base, Euler's totient, the cyclotomic content of
+a binomial, a family term, the scale of a sum held as a Poly, the
+pole-free q = 1 value of a plain-family term, the sums built with one
+list pass per binomial (the oracle for the packed accumulator), [n] as
+binomials, the cross-multiplied sides as polynomials (the oracle for
+the packed lifts and delta), and the product conjectures through the
+global path, their sums expanded and multiplied out (the oracle for the
+local path).  Also here: the global cases of the two fingerprint
+sweeps, which the width and cross-path tests run.  And the classical
+side as exact rationals: each plain-family term at q = 1, each
+truncation summed as Fractions term by term, its valuations and
+residues read off the reduced rational, and each term's valuation taken
+whole (the oracle for padic's integer numerators and Kummer's carries).
 """
 
 import functools
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from qcongruence import congruence
 from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
 from qcongruence.padic import _require_odd_prime, padic_valuation
-from qcongruence.polycore import INFINITE, Poly, eval_at, one_minus_q
+from qcongruence.polycore import INFINITE, Poly
 from qcongruence.qseries import (
+    PLAIN_FAMILIES,
     SEXTIC_FAMILIES,
     FactoredProduct,
     FamilySpec,
     SeriesSum,
     _step_exponents,
-    classical_term_value,
     eta_product_coefficients,
+    plan_sum,
     sum_truncated,
     target_sign,
 )
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic, one coefficient at a time
+
+
+def shift(p: Poly, e: int) -> Poly:
+    """p * q^e."""
+    return Poly(p.coeffs, p.offset + e)
+
+
+def scale(p: Poly, c: int) -> Poly:
+    """p * c."""
+    return Poly([c * x for x in p.coeffs], p.offset)
+
+
+def add(a: Poly, b: Poly, sign: int = 1) -> Poly:
+    """a + sign * b, each coefficient added at its exponent."""
+    low = min(a.offset, b.offset)
+    out = [0] * (max(a.high_degree, b.high_degree) + 1 - low)
+    for p, s in ((a, 1), (b, sign)):
+        for i, c in enumerate(p.coeffs, p.offset - low):
+            out[i] += s * c
+    return Poly(out, low)
+
+
+def sub(a: Poly, b: Poly) -> Poly:
+    """a - b."""
+    return add(a, b, -1)
+
+
+def power(p: Poly, n: int) -> Poly:
+    """p^n, n >= 0, by n general products."""
+    out = Poly.one()
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def eval_at(p: Poly, x) -> Fraction:
+    """The exact rational value of p at x, by Horner's rule."""
+    x = Fraction(x)
+    if p.offset < 0 and x == 0:
+        raise ZeroDivisionError("evaluation at 0 with negative offset")
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc * x ** p.offset
+
+
+def one_minus_q(e: int) -> Poly:
+    """The binomial 1 - q^e (zero when e == 0)."""
+    if e == 0:
+        return Poly.zero()
+    if e > 0:
+        return Poly([1] + [0] * (e - 1) + [-1])
+    return Poly([-1] + [0] * (-e - 1) + [1], e)
+
+
+def q_integer(n: int, base: int = 1) -> Poly:
+    """1 + q^s + ... + q^{s(n-1)}; the q-analogue of n in base q^s.
+
+    >>> q_integer(3).coeffs
+    (1, 1, 1)
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if base < 1:
+        raise ValueError("base exponent must be >= 1")
+    return Poly([1 if i % base == 0 else 0 for i in range(base * (n - 1) + 1)])
+
+
+def times_one_minus(p: Poly, exps) -> Poly:
+    """p * prod over exps of (1 - q^e), one list pass per binomial: out[i]
+    = cs[i] - cs[i - m]; a negative e as q^e (q^-e - 1), and e == 0 gives
+    zero.
+
+    >>> p = times_one_minus(Poly.one(), [2, -1])
+    >>> p.coeffs, p.offset
+    ((-1, 1, 1, -1), -1)
+    """
+    cs, offset = list(p.coeffs), p.offset
+    for e in exps:
+        if e == 0:
+            return Poly.zero()
+        m = abs(e)
+        lo, hi = cs + [0] * m, [0] * m + cs
+        cs = [y - x for x, y in zip(lo, hi)] if e < 0 \
+            else [x - y for x, y in zip(lo, hi)]
+        offset += min(e, 0)
+    return Poly(cs, offset)
+
+
+def _divided_by_one_minus(p: Poly, m: int) -> Poly:
+    # the exact quotient by 1 - q^m: running sums along each class mod m
+    if p.is_zero():
+        return p
+    y = list(p.coeffs)
+    for i in range(m, len(y)):
+        y[i] += y[i - m]
+    assert len(y) > m and not any(y[-m:]), f"inexact division by 1 - q^{m}"
+    return Poly(y[:-m], p.offset)
+
+
+def times_binomials(p: Poly, net: dict[int, int]) -> Poly:
+    """p * prod over m of (1 - q^m)^net[m], m >= 1: one pass per binomial
+    of positive exponent, then one exact division per binomial of negative
+    exponent; an inexact one raises AssertionError.
+
+    >>> times_binomials(Poly([1, 1]), {4: 1, 2: -1}).coeffs
+    (1, 1, 1, 1)
+    """
+    p = times_one_minus(p, [m for m, g in net.items() for _ in range(g)])
+    for m, g in net.items():
+        for _ in range(-g):
+            p = _divided_by_one_minus(p, m)
+    return p
 
 
 def _schoolbook(a: list, b: list) -> list:
@@ -131,6 +254,30 @@ def ord_cyclotomic_in_one_minus_pow(d: int, m: int) -> int:
     return 1 if m % d == 0 else 0
 
 
+def term_of(spec: FamilySpec, k: int) -> tuple[Poly, FactoredProduct]:
+    """The exact k-th term as (numerator, factored denominator): the sum
+    of the terms k..k, planned by plan_sum."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    term = plan_sum(replace(spec, upper=k), k).series()
+    return term.numerator, term.denominator
+
+
+def scaled(series: SeriesSum, n: int, c: int) -> SeriesSum:
+    """series * c q^{(1-n)/2} [n] for a sum held as a Poly, n odd: the
+    oracle of SeriesSum.scaled on a plan.  [n] = (1 - q^n) / (1 - q)
+    cancels a 1 - q^n of extra or else multiplies the numerator, and
+    1 - q joins extra."""
+    extra, up = Counter(series.extra.factors), [n]
+    if extra[n]:
+        extra[n], up = extra[n] - 1, []
+    extra[1] += 1
+    numerator = scale(shift(times_one_minus(series.numerator, up),
+                            (1 - n) // 2), c)
+    return SeriesSum(numerator, series.denominator, series.cofactor,
+                     FactoredProduct(dict(+extra)))
+
+
 @functools.cache
 def central_q_binomial(k: int, base: int = 1) -> Poly:
     """(q^s;q^s)_{2k} / (q^s;q^s)_k^2, an integer polynomial: the product
@@ -139,9 +286,9 @@ def central_q_binomial(k: int, base: int = 1) -> Poly:
     """
     num = Poly.one()
     for i in range(k + 1, 2 * k + 1):
-        num = num * -one_minus_q(base * i)
+        num = num * scale(one_minus_q(base * i), -1)
     for i in range(1, k + 1):
-        num, rem = div_rem_by_monic(num, -one_minus_q(base * i))
+        num, rem = div_rem_by_monic(num, scale(one_minus_q(base * i), -1))
         assert rem.is_zero()
     return num
 
@@ -165,32 +312,6 @@ def term_value_at_one(family: str, k: int) -> Fraction:
     return (6 * k + 1) * ratio_a ** 2 * ratio_b
 
 
-def _times_one_minus_by_passes(p: Poly, exps) -> Poly:
-    # p * prod over exps of (1 - q^e), one list pass per binomial: out[i] =
-    # cs[i] - cs[i - m]; a negative e as q^e (q^-e - 1)
-    cs, offset = list(p.coeffs), p.offset
-    for e in exps:
-        if e == 0:
-            return Poly.zero()
-        m = abs(e)
-        lo, hi = cs + [0] * m, [0] * m + cs
-        cs = [y - x for x, y in zip(lo, hi)] if e < 0 \
-            else [x - y for x, y in zip(lo, hi)]
-        offset += min(e, 0)
-    return Poly(cs, offset)
-
-
-def _divided_by_one_minus(p: Poly, m: int) -> Poly:
-    # the exact quotient by 1 - q^m: running sums along each class mod m
-    if p.is_zero():
-        return p
-    y = list(p.coeffs)
-    for i in range(m, len(y)):
-        y[i] += y[i - m]
-    assert len(y) > m and not any(y[-m:]), f"inexact division by 1 - q^{m}"
-    return Poly(y[:-m], p.offset)
-
-
 def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
     """sum_truncated(spec) on coefficient lists, one pass per binomial.
 
@@ -208,16 +329,16 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
     unit_sign, unit_power = 1, 0
     for k in range(1, spec.upper + 1):
         ups, dens = _step_exponents(spec, k)
-        prod = _times_one_minus_by_passes(prod, ups)
+        prod = times_one_minus(prod, ups)
         if spec.family in ("C", "C_PARAM"):
             term = _divided_by_one_minus(
-                _times_one_minus_by_passes(prod, [s * (4 * k + 1)]), s)
+                times_one_minus(prod, [s * (4 * k + 1)]), s)
         elif spec.family in SEXTIC_FAMILIES:
             prefix, step = (1, 2) if spec.printed else (s, s)
-            term = _divided_by_one_minus(_times_one_minus_by_passes(
-                prod, [step * (6 * k + 1)]), step).shift(prefix * k * k)
+            term = shift(_divided_by_one_minus(times_one_minus(
+                prod, [step * (6 * k + 1)]), step), prefix * k * k)
         else:
-            term = prod.shift(2 * s * k)
+            term = shift(prod, 2 * s * k)
         if stop and term.is_zero() and tail is None:
             tail = {}
         new = []
@@ -230,14 +351,14 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
             for e in new:
                 tail[e] = tail.get(e, 0) + 1
             continue
-        numerator = _times_one_minus_by_passes(numerator, new) \
-            + term.scale(unit_sign).shift(-unit_power)
+        numerator = add(times_one_minus(numerator, new),
+                        shift(scale(term, unit_sign), -unit_power))
     return SeriesSum(numerator, FactoredProduct(factors),
                      FactoredProduct(tail or {}))
 
 
 def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
-    """[count] in base q^step as the binomials of Poly.times_binomials:
+    """[count] in base q^step as the binomials of times_binomials:
     (1 - q^{step*count}) / (1 - q^step), or none at all for count 1.
 
     >>> q_integer_binomials(3, 2)
@@ -255,15 +376,15 @@ def lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
 
     Both products are L * (LHS - RHS) split in two, so they are equal
     exactly when the two sides are.  Each lift L / R is a multiset of
-    binomials, multiplied in by Poly.times_binomials.
+    binomials, multiplied in by times_binomials.
     """
     left = lhs.denominator.divided_by(lhs.cofactor)
     right = rhs.denominator.divided_by(rhs.cofactor)
     lcm = FactoredProduct({m: max(left.factors.get(m, 0),
                                   right.factors.get(m, 0))
                            for m in left.factors | right.factors})
-    return (lcm, lhs.numerator.times_binomials(lcm.divided_by(left).factors),
-            rhs.numerator.times_binomials(lcm.divided_by(right).factors))
+    return (lcm, times_binomials(lhs.numerator, lcm.divided_by(left).factors),
+            times_binomials(rhs.numerator, lcm.divided_by(right).factors))
 
 
 def factored_times(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:
@@ -314,6 +435,24 @@ def sweep_cases() -> dict:
             if not CHECKS[kind].classical and kind not in PRODUCT_CONJECTURES:
                 cases[kind, tuple(params.items())] = params
     return cases
+
+
+def classical_term_value(family: str, k: int) -> Fraction:
+    """Exact rational limit of the k-th term at q = 1 for plain families.
+
+    All three reduce to central binomial coefficients over powers of 4:
+    C(2k,k)/4^k is the classical normalized half-integer ratio.
+    """
+    if family not in PLAIN_FAMILIES:
+        raise ValueError("classical values exist for plain families only")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    central = math.comb(2 * k, k)
+    if family == "C":
+        return Fraction((4 * k + 1) * central ** 4, 256 ** k)
+    if family == "J":
+        return Fraction((6 * k + 1) * central ** 3, 256 ** k)
+    return Fraction(central ** 4, 256 ** k)
 
 
 def fraction_valuation(x: Fraction, p: int):

@@ -21,18 +21,22 @@ from qcongruence.qseries import (
     FamilySpec,
     SeriesSum,
     plan_sum,
-    q_integer,
     sum_truncated,
 )
 
 from oracles import (
     PRODUCT_CONJECTURES,
-    _times_one_minus_by_passes,
     div_rem_by_monic,
     factored_times,
     lcm_cross_products,
     product_conjecture_global,
+    q_integer,
+    scale,
+    scaled,
+    shift,
+    sub,
     sum_by_passes,
+    times_one_minus,
 )
 
 
@@ -84,7 +88,7 @@ def test_one_vs_q_fails_mod_phi3():
 def test_theorem_spot_case_n3():
     # quartic family, n=3, r=1: sum of two terms vs q^-1 [3] mod Phi_3^3
     lhs = sum_truncated(FamilySpec("C", 1, 1))
-    rhs = SeriesSum(q_integer(3).shift(-1))
+    rhs = SeriesSum(shift(q_integer(3), -1))
     rep = check_congruence(lhs, rhs, ModulusSpec([(3, 3)]))
     assert rep.passed and not rep.identically_equal
 
@@ -92,7 +96,7 @@ def test_theorem_spot_case_n3():
 def _times_expanded(lp, fp):
     # lp * expand(fp), one list pass of the oracles per binomial, none of
     # the engine's kernels
-    return _times_one_minus_by_passes(
+    return times_one_minus(
         lp, [m for m, e in sorted(fp.factors.items()) for _ in range(e)])
 
 
@@ -232,8 +236,8 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
 
     def check(lhs, rhs, modulus, **kwargs):
         a, b = lhs.series(), rhs.series()
-        full = _times_expanded(_nominal(a), b.denominator) \
-            - _times_expanded(_nominal(b), a.denominator)
+        full = sub(_times_expanded(_nominal(a), b.denominator),
+                   _times_expanded(_nominal(b), a.denominator))
         lcm = _lcm(lhs.held, rhs.held)
         deltas = []
         monkeypatch.setattr(
@@ -292,8 +296,8 @@ def test_found_matches_full_difference_on_random_pairs():
             lhs, rhs = rhs, lhs
         modulus = ModulusSpec([(d, 1) for d in sorted(
             {2, n, 2 * n, n * n, 2 * n * n, rng.randint(3, 40)})])
-        full = _times_expanded(_nominal(lhs), rhs.denominator) \
-            - _times_expanded(_nominal(rhs), lhs.denominator)
+        full = sub(_times_expanded(_nominal(lhs), rhs.denominator),
+                   _times_expanded(_nominal(rhs), lhs.denominator))
         report = check_congruence(lhs, rhs, modulus)
         assert report.identically_equal == full.is_zero()
         expected = [INFINITE if full.is_zero() else _division_valuation(full, d)
@@ -328,7 +332,9 @@ def test_sampled_parts_match_full_accumulation(monkeypatch, family):
 
     monkeypatch.setattr(congruence, "plan_sum", recording_plan)
     fast = [verify_case(**case).to_dict() for case in cases]
+    # the full accumulations are Poly sums, so the oracle scales them
     monkeypatch.setattr(congruence, "plan_sum", _full_accumulation)
+    monkeypatch.setattr(SeriesSum, "scaled", scaled)
     slow = [verify_case(**case).to_dict() for case in cases]
     for a, b in zip(fast, slow):
         a.pop("elapsed_ms")
@@ -385,7 +391,7 @@ def test_identity_equal_matches_full_cross_multiplication():
 
 def test_multiplying_by_cyclotomic_raises_found_by_one():
     lhs = sum_truncated(FamilySpec("C", 1, 2))
-    rhs = SeriesSum(q_integer(5).shift(-2))
+    rhs = SeriesSum(shift(q_integer(5), -2))
     modulus = ModulusSpec([(5, 1)])
     base = check_congruence(lhs, rhs, modulus)
     phi = cyclotomic(5)
@@ -400,13 +406,13 @@ def test_common_integer_factors_do_not_change_verdicts():
     # a nonzero integer is a unit modulo every Phi_d, so multiplying both
     # sides by it (as gw and qj2 do by 24) moves no valuation
     lhs = sum_truncated(FamilySpec("C", 1, 1))
-    rhs = SeriesSum(q_integer(3).shift(-1))
+    rhs = SeriesSum(shift(q_integer(3), -1))
     modulus = ModulusSpec([(3, 3)])
     plain = check_congruence(lhs, rhs, modulus)
     for factor in (24, -7, 168):
         scaled = check_congruence(
-            SeriesSum(lhs.numerator.scale(factor), lhs.denominator),
-            SeriesSum(rhs.numerator.scale(factor), rhs.denominator), modulus)
+            SeriesSum(scale(lhs.numerator, factor), lhs.denominator),
+            SeriesSum(scale(rhs.numerator, factor), rhs.denominator), modulus)
         assert [(p.required, p.found) for p in plain.parts] \
             == [(p.required, p.found) for p in scaled.parts]
 
@@ -418,7 +424,7 @@ def test_common_integer_factors_do_not_change_verdicts():
 def test_quartic_root_identity_small():
     # n=3: parametric sum at t=-3 equals q^-1 [3] exactly
     lhs = sum_truncated(FamilySpec("C_PARAM", 1, 1, -3))
-    rhs = SeriesSum(q_integer(3).shift(-1))
+    rhs = SeriesSum(shift(q_integer(3), -1))
     assert check_identity_equal(lhs, rhs)
 
 
@@ -432,10 +438,10 @@ def test_identity_cases_via_driver():
 def test_sextic_root_identity_sign():
     # second closed form evaluates to -q^-1 [3] at n=3
     lhs = sum_truncated(FamilySpec("J_PARAM", 1, 1, -3))
-    rhs = SeriesSum(q_integer(3).shift(-1).scale(-1))
+    rhs = SeriesSum(scale(shift(q_integer(3), -1), -1))
     assert check_identity_equal(lhs, rhs)
     assert not check_identity_equal(
-        lhs, SeriesSum(q_integer(3).shift(-1)))
+        lhs, SeriesSum(shift(q_integer(3), -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +626,8 @@ def test_half_vs_full_compares_the_tail_past_the_half(monkeypatch):
         assert zero.denominator == half.denominator
         tail = tail.series()
         assert tail.denominator == full.denominator
-        assert tail.numerator == full.numerator - _times_expanded(
-            half.numerator, full.denominator.divided_by(half.denominator))
+        assert tail.numerator == sub(full.numerator, _times_expanded(
+            half.numerator, full.denominator.divided_by(half.denominator)))
 
 
 def test_verify_case_rejects_bad_parameters():

@@ -40,7 +40,12 @@ from qcongruence.qseries import (
     target_sign,
 )
 
-from oracles import product_conjecture_global, series_times, sweep_cases
+from oracles import (
+    product_conjecture_global,
+    scaled,
+    series_times,
+    sweep_cases,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,11 +149,11 @@ def _scale(rng, spec, kinds):
 
 def _side(plan, scale):
     # (plan, sum): the plan scaled, and the same value built apart, the
-    # unscaled sum scaled as a Poly
+    # unscaled sum scaled as a Poly by the oracle
     series = plan.series()
     if scale is None:
         return plan, series
-    return plan.scaled(*scale), series.scaled(*scale).series()
+    return plan.scaled(*scale), scaled(series, *scale).series()
 
 
 def _compare(plans, sums, d, exponent):

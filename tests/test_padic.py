@@ -15,10 +15,9 @@ from qcongruence.padic import (
     verify_swisher,
     verify_van_hamme,
 )
-from qcongruence.qseries import classical_term_value
 
 import oracles
-from oracles import fraction_valuation, truncation
+from oracles import classical_term_value, fraction_valuation, truncation
 
 
 def test_padic_valuation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcongruence.cyclotomic import valuation_at
-from qcongruence.polycore import Poly, one_minus_q
+from qcongruence.polycore import Poly
 from qcongruence.qseries import (
     FAMILIES,
     SEXTIC_FAMILIES,
@@ -13,21 +13,29 @@ from qcongruence.qseries import (
     FamilySpec,
     SeriesSum,
     _planned,
-    classical_term_value,
     eta_product_coefficients,
     plan_sum,
-    q_integer,
     sum_truncated,
-    term_of,
 )
 
 from oracles import (
+    add,
     central_q_binomial,
+    classical_term_value,
     factored_times,
+    one_minus_q,
+    power,
+    q_integer,
     q_integer_binomials,
+    scaled,
     series_times,
+    shift,
+    sub,
     sum_by_passes,
+    term_of,
     term_value_at_one,
+    times_binomials,
+    times_one_minus,
 )
 
 # ---------------------------------------------------------------------------
@@ -46,29 +54,30 @@ def naive_term(spec, k):
     s, t = spec.base, spec.t
     fam = spec.family
     if fam == "C":
-        num = q_integer(4 * k + 1, s) * poch_laurent(s, 2 * s, k) ** 4
-        den = poch_laurent(2 * s, 2 * s, k) ** 4
+        num = q_integer(4 * k + 1, s) * power(poch_laurent(s, 2 * s, k), 4)
+        den = power(poch_laurent(2 * s, 2 * s, k), 4)
     elif fam == "M":
-        num = poch_laurent(s, 2 * s, k) ** 4 * Poly.one().shift(2 * s * k)
-        den = poch_laurent(2 * s, 2 * s, k) ** 4
+        num = shift(power(poch_laurent(s, 2 * s, k), 4), 2 * s * k)
+        den = power(poch_laurent(2 * s, 2 * s, k), 4)
     elif fam == "J":
         pb, qb = (1, 2) if spec.printed else (s, s)
-        num = (q_integer(6 * k + 1, qb)
-               * poch_laurent(s, 2 * s, k) ** 2
-               * poch_laurent(2 * s, 4 * s, k)).shift(pb * k * k)
-        den = poch_laurent(4 * s, 4 * s, k) ** 3
+        num = shift(q_integer(6 * k + 1, qb)
+                    * power(poch_laurent(s, 2 * s, k), 2)
+                    * poch_laurent(2 * s, 4 * s, k), pb * k * k)
+        den = power(poch_laurent(4 * s, 4 * s, k), 3)
     elif fam == "C_PARAM":
         num = (q_integer(4 * k + 1, s)
                * poch_laurent(s + t, 2 * s, k) * poch_laurent(s - t, 2 * s, k)
-               * poch_laurent(s, 2 * s, k) ** 2)
+               * power(poch_laurent(s, 2 * s, k), 2))
         den = (poch_laurent(2 * s + t, 2 * s, k)
                * poch_laurent(2 * s - t, 2 * s, k)
-               * poch_laurent(2 * s, 2 * s, k) ** 2)
+               * power(poch_laurent(2 * s, 2 * s, k), 2))
     else:  # J_PARAM
         pb, qb = (1, 2) if spec.printed else (s, s)
-        num = (q_integer(6 * k + 1, qb)
-               * poch_laurent(s + t, 2 * s, k) * poch_laurent(s - t, 2 * s, k)
-               * poch_laurent(2 * s, 4 * s, k)).shift(pb * k * k)
+        num = shift(q_integer(6 * k + 1, qb)
+                    * poch_laurent(s + t, 2 * s, k)
+                    * poch_laurent(s - t, 2 * s, k)
+                    * poch_laurent(2 * s, 4 * s, k), pb * k * k)
         den = (poch_laurent(4 * s + t, 4 * s, k)
                * poch_laurent(4 * s - t, 4 * s, k)
                * poch_laurent(4 * s, 4 * s, k))
@@ -79,7 +88,7 @@ def naive_sum(spec):
     num, den = Poly.zero(), Poly.one()
     for k in range(spec.upper + 1):
         nk, dk = naive_term(spec, k)
-        num = num * dk + nk * den
+        num = add(num * dk, nk * den)
         den = den * dk
     return num, den
 
@@ -103,7 +112,7 @@ ALL_SPECS = [
 
 
 # ---------------------------------------------------------------------------
-# q_integer and factored products
+# factored products
 
 
 def test_q_integer():
@@ -135,8 +144,8 @@ def test_factored_product_multiply_matches_expanded_product(bits):
         expanded = expand_by_fold(fp)
         exps = [m for m, e in fp.factors.items() for _ in range(e)]
         assert fp.expand() == expanded
-        assert lp.times_one_minus(exps) == lp * expanded
-    assert Poly.zero().times_one_minus([2]) == Poly.zero()
+        assert times_one_minus(lp, exps) == lp * expanded
+    assert times_one_minus(Poly.zero(), [2]) == Poly.zero()
 
 
 def test_q_integer_product_matches_general_product():
@@ -145,7 +154,7 @@ def test_q_integer_product_matches_general_product():
         lp = Poly([rng.randint(-(1 << 80), 1 << 80)
                    for _ in range(rng.randint(1, 40))], rng.randint(-9, 9))
         count, step = rng.randint(1, 30), rng.randint(1, 8)
-        assert lp.times_binomials(q_integer_binomials(count, step)) \
+        assert times_binomials(lp, q_integer_binomials(count, step)) \
             == lp * q_integer(count, step)
 
 
@@ -185,15 +194,15 @@ def test_term_c_k0_and_k1():
     num, den = term_of(FamilySpec("C", 1, 1), 0)
     assert num == Poly.one() and den == FactoredProduct()
     num, den = term_of(FamilySpec("C", 1, 1), 1)
-    expected = q_integer(5) * one_minus_q(1) ** 4
+    expected = q_integer(5) * power(one_minus_q(1), 4)
     assert num == expected
     assert den.factors == {2: 4}
 
 
 def test_term_j_k1():
     num, den = term_of(FamilySpec("J", 1, 1), 1)
-    expected = (q_integer(7) * one_minus_q(1) ** 2
-                * one_minus_q(2)).shift(1)
+    expected = shift(q_integer(7) * power(one_minus_q(1), 2)
+                     * one_minus_q(2), 1)
     assert num == expected
     assert den.factors == {4: 3}
 
@@ -250,8 +259,8 @@ def test_sum_k0_is_one():
 
 def test_sum_c_one_step():
     s = sum_truncated(FamilySpec("C", 1, 1))
-    expected_num = (one_minus_q(2) ** 4
-                    + q_integer(5) * one_minus_q(1) ** 4)
+    expected_num = add(power(one_minus_q(2), 4),
+                       q_integer(5) * power(one_minus_q(1), 4))
     assert s.numerator == expected_num
     assert s.denominator.factors == {2: 4}
 
@@ -312,10 +321,14 @@ def test_series_sum_carries_its_cofactor():
     a = sum_truncated(FamilySpec("C_PARAM", 1, 4, -3))
     b = sum_truncated(FamilySpec("J_PARAM", 3, 3, 3))
     assert a.cofactor.factors and b.cofactor.factors
-    scaled = a.scaled(3, 1).series()     # times q^-1 [3]
-    assert scaled.cofactor == a.cofactor
-    assert_same_rational(scaled, a.numerator * a.cofactor.expand()
-                         * q_integer(3).shift(-1), a.denominator.expand())
+    # times q^-1 [3], as a Poly and as a plan
+    expected = (a.numerator * a.cofactor.expand() * shift(q_integer(3), -1),
+                a.denominator.expand())
+    for tripled in (scaled(a, 3, 1).series(),
+                    plan_sum(FamilySpec("C_PARAM", 1, 4, -3)).scaled(3, 1)
+                    .series()):
+        assert tripled.cofactor == a.cofactor
+        assert_same_rational(tripled, *expected)
     product = series_times(a, b)
     assert product.cofactor == factored_times(a.cofactor, b.cofactor)
     assert_same_rational(
@@ -388,8 +401,10 @@ def test_tail_plans_match_list_pass_accumulation():
             expected = full.numerator * full.cofactor.expand()
             if start:
                 head = sum_by_passes(replace(spec, upper=start - 1))
-                expected -= head.numerator * head.cofactor.expand() \
-                    * full.denominator.divided_by(head.denominator).expand()
+                expected = sub(expected, head.numerator
+                               * head.cofactor.expand()
+                               * full.denominator.divided_by(
+                                   head.denominator).expand())
             assert tail.numerator * tail.cofactor.expand() == expected, \
                 (spec, start)
             past += start and tail.cofactor == tail.denominator
@@ -449,7 +464,7 @@ def test_central_q_binomial():
     for base in (1, 2, 3):
         for k in range(9):
             assert central_q_binomial(k, base) \
-                * poch_laurent(base, base, k) ** 2 \
+                * power(poch_laurent(base, base, k), 2) \
                 == poch_laurent(base, base, 2 * k), (base, k)
 
 
