@@ -434,9 +434,9 @@ def _cmd_sweep(args) -> int:
         return _usage_error(f"cannot read config: {exc}")
     except (ValueError, TypeError) as exc:
         return _usage_error(f"bad config: {exc}")
-    cfg.format = args.format or cfg.format
-    cfg.output_path = args.output or cfg.output_path
-    return _finish(sweep(cfg), cfg.format, cfg.output_path)
+    # the flags choose where the report goes, not what the digest hashes
+    return _finish(sweep(cfg), args.format or cfg.format,
+                   args.output or cfg.output_path)
 
 
 def _cmd_list(_args) -> int:

@@ -22,7 +22,7 @@ rhsD * delta / L, since valuations add (cyclotomic.valuation_at counts it
 one in-place pass per power of Phi_d).  Every value stays one packed
 integer from the sum's first step to delta: each lift is one
 shift-subtract per binomial and the difference one integer subtraction
-(_delta).  check_identity_equal is delta == 0; check_congruence unpacks
+(_delta).  check_identity_equal is delta == 0; the global path unpacks
 delta once, for valuation_at.  Each comparison builds its sums at its
 own slot width (_lifts), each sum once per width: the sides' count
 bounds, one bit per binomial of a lift, one for the difference and one
@@ -32,22 +32,24 @@ without a proof, since a coefficient that overflows its slot unpacks
 wrong without any error.
 
 The local path (local.certify_part) reads each part off a few rows of
-integers at q = zeta_d (1 + x), from the sums' plans, with the same
-required and found as the global path; its reports time the one phase
-local_ms.  The product conjectures (conj41, conj42, conj43), whose right
-side is a product of two sums, always take it.  check_congruence sends a
-comparison of two plans there, part by part, when the longer run has at
-least LOCAL_RUN steps, and keeps every other comparison global: shorter
-runs, and a side held as a Poly (only the tests make one).  The global
-cost grows faster with the run, its delta being the sums expanded, while
-the local cost follows the rows.  Measured on one 2-core host, global
-against local in ms, the crossover lies near 40 steps for a
-theorem-shaped comparison (a C sum against the (7, 2) companion: 34
-against 42 at 39 steps, 47 against 46 at 43, 73 against 51 at 49) and
-near 31 for a sampled side against 0; every grid-sweep comparison runs
-at most 25 steps.  Where
-count_denominators is False, required is the exponent.  A routed part
-whose bracket is still all zero after one doubling is settled by
+integers at q = zeta_d (1 + x), from the sums' plans, with the same found
+as the global path; its reports time the one phase local_ms.  The two
+paths answer alike: each gives every part's found, whether the sides are
+equal, and its timings, and _compare alone picks the path, computes each
+part's required (the exponent, plus the Phi_d content of every nominal
+denominator unless count_denominators is False) and builds the report.
+A product of sums always goes local: the product conjectures (conj41,
+conj42, conj43), whose right side is a product of two sums.  So does a
+comparison of two plans whose longer run has at least LOCAL_RUN steps;
+every other comparison stays global: shorter runs, and a side held as a
+Poly (only the tests make one).  The global cost grows faster with the
+run, its delta being the sums expanded, while the local cost follows the
+rows.  Measured on one 2-core host, global against local in ms, the
+crossover lies near 40 steps for a theorem-shaped comparison (a C sum
+against the (7, 2) companion: 34 against 42 at 39 steps, 47 against 46
+at 43, 73 against 51 at 49) and near 31 for a sampled side against 0;
+every grid-sweep comparison runs at most 25 steps.  A routed part whose
+bracket is still all zero after one doubling is settled by
 check_identity_equal, computed at most once per comparison, instead of
 doubling the rows up to the span bound; once a part reads INFINITE the
 sides are equal, and every later part is INFINITE with no row built.
@@ -57,15 +59,16 @@ side with 0, and half-vs-full-m the full sum's tail past the half with 0
 over the half sum's denominator.
 
 CHECKS is the one table of the q-side checks (the cli's q-side rows come
-from it).  verify_case rejects a param outside the row's axes; the
-runner validates the values, assembles both sides, picks the right
-modulus, and delegates here.  The theorem, closed-form identity, root
-and sampled checks share one shape, built by _sides: the base-1 sum to
-(n^r - 1) // div against its companion _target, the base-n sum to
-(n^{r-1} - 1) // div scaled in its plan by +-q^{(1-n)/2} [n], whose 1 -
-q^n cancels the companion's held 1 - q^n.  The closed forms are its r =
-1 root case, whose companion is the single term 1.  Conjectural checks
-are flagged so that drivers can separate findings from failures.
+from it).  verify_case rejects a param outside the row's axes and names
+the report; the runner validates the values, assembles both sides,
+picks the right modulus, and delegates here.  The theorem, closed-form
+identity, root and sampled checks share one shape, built by _sides: the
+base-1 sum to (n^r - 1) // div against its companion _target, the
+base-n sum to (n^{r-1} - 1) // div scaled in its plan by +-q^{(1-n)/2}
+[n], whose 1 - q^n cancels the companion's held 1 - q^n.  The closed
+forms are its r = 1 root case, whose companion is the single term 1.
+Conjectural checks are flagged so that drivers can separate findings
+from failures.
 """
 
 from __future__ import annotations
@@ -128,12 +131,12 @@ class PartResult:
 
 @dataclass
 class CongruenceReport:
-    label: str
-    kind: str
     params: dict
     parts: list[PartResult]
     passed: bool
     identically_equal: bool
+    label: str = ""        # set by verify_case
+    kind: str = ""
     conjectural: bool = False
     timings: dict = field(default_factory=dict)
     note: str = ""
@@ -198,9 +201,9 @@ LOCAL_RUN = 40
 
 
 def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
-                     label: str = "", kind: str = "", params: dict = None,
-                     conjectural: bool = False, component: str = "",
-                     count_denominators: bool = True) -> CongruenceReport:
+                     params: dict = None, conjectural: bool = False,
+                     component: str = "", count_denominators: bool = True
+                     ) -> CongruenceReport:
     """Certify lhs == rhs modulo the given cyclotomic parts.
 
     With count_denominators (the default) the certified statement is about
@@ -212,26 +215,41 @@ def check_congruence(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec, *,
     statement that survives the specialization when a specialized
     denominator collides with the modulus.
     """
-    runs = [side.numerator for side in (lhs, rhs)]
+    return _compare([lhs], [rhs], modulus, count_denominators, component,
+                    params=dict(params or {}), conjectural=conjectural)
+
+
+def _compare(lhs: list[SeriesSum], rhs: list[SeriesSum],
+             modulus: ModulusSpec, count_denominators: bool, component: str,
+             **report) -> CongruenceReport:
+    """The report on prod(lhs) == prod(rhs): each part's found from the
+    path the rule picks, its required the exponent plus the Phi_d content
+    of every nominal denominator (the exponent alone without
+    count_denominators)."""
+    sides = lhs + rhs
+    runs = [side.numerator for side in sides]
     # a side held as a Poly comes only from the tests, and stays global
-    local = all(isinstance(run, list) for run in runs) \
+    local = len(sides) > 2 or all(isinstance(run, list) for run in runs) \
         and max(map(len, runs)) >= LOCAL_RUN
-    parts, identical, timings = \
-        _local([lhs], [rhs], modulus, count_denominators) if local \
-        else _global(lhs, rhs, modulus, count_denominators)
-    for part in parts:
-        part.component = component
+    founds, identical, timings = (_local if local else _global)(
+        lhs, rhs, modulus)
+    parts = []
+    for (d, e), found in zip(modulus.parts, founds):
+        required = e + sum(side.denominator.ord_cyclotomic(d)
+                           for side in sides) if count_denominators else e
+        parts.append(PartResult(d, required, found, found - required,
+                                component))
     return CongruenceReport(
-        label=label, kind=kind, params=dict(params or {}), parts=parts,
-        passed=all(p.met() for p in parts), identically_equal=identical,
-        conjectural=conjectural, timings=timings)
+        parts=parts, passed=all(p.met() for p in parts),
+        identically_equal=identical, timings=timings, **report)
 
 
-def _global(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
-            count_denominators: bool = True):
-    """(parts, identically equal, timings) of check_congruence on the
+def _global(lhs: list[SeriesSum], rhs: list[SeriesSum],
+            modulus: ModulusSpec):
+    """(founds, identically equal, timings) of one sum a side on the
     global path: the sums built, their delta unpacked once and each part
     counted by valuation_at."""
+    (lhs,), (rhs,) = lhs, rhs
     t0 = time.perf_counter()
     w, lifts = _built(lhs, rhs)
     t1 = time.perf_counter()
@@ -239,42 +257,32 @@ def _global(lhs: SeriesSum, rhs: SeriesSum, modulus: ModulusSpec,
     identical = not delta
     delta = Poly(_slots(delta, w), offset)      # the one unpack
     t2 = time.perf_counter()
-    parts = []
-    for d, e in modulus.parts:
-        dens = lhs.denominator.ord_cyclotomic(d) \
-            + rhs.denominator.ord_cyclotomic(d)
-        required = e + dens if count_denominators else e
-        found = INFINITE if identical \
-            else valuation_at(delta, d) + dens - lcm.ord_cyclotomic(d)
-        parts.append(PartResult(d, required, found, found - required))
+    founds = [INFINITE if identical else valuation_at(delta, d)
+              + lhs.denominator.ord_cyclotomic(d)
+              + rhs.denominator.ord_cyclotomic(d) - lcm.ord_cyclotomic(d)
+              for d, _ in modulus.parts]
     t3 = time.perf_counter()
-    return parts, identical, {"build_ms": (t1 - t0) * 1e3,
-                              "delta_ms": (t2 - t1) * 1e3,
-                              "valuation_ms": (t3 - t2) * 1e3}
+    return founds, identical, {"build_ms": (t1 - t0) * 1e3,
+                               "delta_ms": (t2 - t1) * 1e3,
+                               "valuation_ms": (t3 - t2) * 1e3}
 
 
-def _local(lhs: list[SeriesSum], rhs: list[SeriesSum], modulus: ModulusSpec,
-           count_denominators: bool = True):
-    """(parts, identically equal, timings) of prod(lhs) == prod(rhs) on
+def _local(lhs: list[SeriesSum], rhs: list[SeriesSum], modulus: ModulusSpec):
+    """(founds, identically equal, timings) of prod(lhs) == prod(rhs) on
     the local path, each side a list of plans: each part from
     local.certify_part.  Between two single sums, a part whose rows all
     vanish is settled by check_identity_equal, computed once.  Once a
     part reads INFINITE the sides are equal, and every later part is
-    INFINITE, its required read off the plans' denominators."""
+    INFINITE with no row built."""
     t0 = time.perf_counter()
     equal = cache(partial(check_identity_equal, *lhs, *rhs)) \
         if len(lhs) == len(rhs) == 1 else None
-    parts, identical = [], False
+    founds = []
     for d, e in modulus.parts:
-        if identical:       # found stays INFINITE
-            required = e + sum(plan.denominator.ord_cyclotomic(d)
-                               for plan in lhs + rhs)
-        else:
-            required, found = certify_part(lhs, rhs, d, e, equal)
-            identical = found == INFINITE
-        required = required if count_denominators else e
-        parts.append(PartResult(d, required, found, found - required))
-    return parts, identical, {"local_ms": (time.perf_counter() - t0) * 1e3}
+        founds.append(INFINITE if INFINITE in founds
+                      else certify_part(lhs, rhs, d, e, equal))
+    return founds, INFINITE in founds, \
+        {"local_ms": (time.perf_counter() - t0) * 1e3}
 
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
@@ -399,8 +407,8 @@ def admissible_root_indices(n: int, r: int, d: int) -> range:
     return range((n ** (r - 1) - 1) // d + 1)
 
 
-def _roots_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
-                j: int = 0) -> CongruenceReport:
+def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
+                ) -> CongruenceReport:
     """Exact equality of both sides at the root specialization t = -(2j+1)n.
 
     The +(2j+1)n specialization gives the same rational function by the
@@ -425,12 +433,11 @@ def _roots_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
         passed = equal or second
         extra = {"readings": {"scaled": equal, "printed": second}}
     return CongruenceReport(
-        label=f"{kind} n={n} r={r} d={d} j={j}", kind=kind,
         params={"n": n, "r": r, "d": d, "j": j, "t": -m}, parts=[],
         passed=passed, identically_equal=equal, extra=extra)
 
 
-def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
+def _sampled_case(family: str, n: int, r: int = 1, d: int = 2,
                   t: int = None) -> CongruenceReport:
     """At a sampled odd specialization t: LHS, RHS and their difference all
     vanish modulo the q-integer [n^r].
@@ -461,7 +468,6 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
                                  for name, pair in readings.items()}} \
         if readings else {}
     return CongruenceReport(
-        label=f"{kind} n={n} r={r} d={d} t={t}", kind=kind,
         params={"n": n, "r": r, "d": d, "t": t}, parts=parts,
         passed=all(p.met() for p in parts),
         identically_equal=all(rep.identically_equal for rep in sub),
@@ -472,16 +478,15 @@ def _sampled_case(family: str, kind: str, n: int, r: int = 1, d: int = 2,
 # case driver
 
 
-def _theorem_case(family: str, div: int, kind: str, n: int, r: int = 1
+def _theorem_case(family: str, div: int, n: int, r: int = 1
                   ) -> CongruenceReport:
     # div 2 sums the half range, div 1 the full; the modulus validates
     modulus = build_modulus_theorem(n, r)
-    return check_congruence(
-        *_sides(family, n, r, div), modulus,
-        label=f"{kind} n={n} r={r}", kind=kind, params={"n": n, "r": r})
+    return check_congruence(*_sides(family, n, r, div), modulus,
+                            params={"n": n, "r": r})
 
 
-def _correction_case(family: str, conjectural: bool, kind: str, n: int
+def _correction_case(family: str, conjectural: bool, n: int
                      ) -> CongruenceReport:
     # target q^{(1-n)/2}([n] + (n^2-1)(1-q)^2 [n]^3 / 24), sign -q for J,
     # modulo [n] Phi_n^3; both sides are multiplied by 24.  The correction
@@ -490,8 +495,7 @@ def _correction_case(family: str, conjectural: bool, kind: str, n: int
     return check_congruence(
         plan_sum(FamilySpec(family, 1, (n - 1) // 2)).scaled(1, 24),
         _corrected_target(family, n), _modulus_qint_times_cubed(n),
-        label=f"{kind} n={n}", kind=kind, params={"n": n},
-        conjectural=conjectural)
+        params={"n": n}, conjectural=conjectural)
 
 
 def _corrected_target(family: str, n: int) -> SeriesSum:
@@ -504,30 +508,25 @@ def _corrected_target(family: str, n: int) -> SeriesSum:
 
 
 def _product_conjecture_case(div: int | None, exponent: int, squared: bool,
-                             kind: str, n: int, r: int = 1,
-                             d: int | None = None,
+                             n: int, r: int = 1, d: int | None = None,
                              ) -> CongruenceReport:
     # div None takes the divisor from the d axis (default 2), which only
-    # that row has; squared makes the inner base n^2 instead of n.  The
-    # one part is certified locally, from the three sums' plans.
-    label, params = f"{kind} n={n} r={r}", {"n": n, "r": r}
+    # that row has; squared makes the inner base n^2 instead of n.  A
+    # product of sums, so the one part is certified locally, from the
+    # three sums' plans.
+    params = {"n": n, "r": r}
     if div is None:
         div = params["d"] = 2 if d is None else d
-        label += f" d={div}"
     _require_case(n, r, div)
     lhs = plan_sum(FamilySpec("M", 1, (n ** (r + 1) - 1) // div))
     rhs = [plan_sum(FamilySpec("M", 1, (n - 1) // div)),
            plan_sum(FamilySpec("M", n * n if squared else n,
                                (n ** r - 1) // div))]
-    parts, identical, timings = _local([lhs], rhs,
-                                       ModulusSpec([(n, exponent)]))
-    return CongruenceReport(
-        label=label, kind=kind, params=params, parts=parts,
-        passed=parts[0].met(), identically_equal=identical,
-        conjectural=True, timings=timings)
+    return _compare([lhs], rhs, ModulusSpec([(n, exponent)]), True, "",
+                    params=params, conjectural=True)
 
 
-def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
+def _half_vs_full_case(n: int, r: int = 1) -> CongruenceReport:
     # The two truncations of the M family must separate modulo Phi_n but
     # agree modulo Phi_{n^{r+1}}^4: the full sum's tail past the half,
     # over F_{top-1}, against 0 over the half sum's denominator.
@@ -538,30 +537,26 @@ def _half_vs_full_case(kind: str, n: int, r: int = 1) -> CongruenceReport:
     zero = SeriesSum([], plan_sum(FamilySpec("M", 1, half)).denominator,
                      bits=0)
     rep = check_congruence(tail, zero, ModulusSpec([(n, 1), (top, 4)]),
-                           label=f"{kind} n={n} r={r}",
-                           kind=kind, params={"n": n, "r": r},
-                           component="agreement")
+                           params={"n": n, "r": r}, component="agreement")
     separation = rep.parts[0]       # parts ascend by d, and n < n^{r+1}
     separation.component, separation.expect = "separation", "lt"
     rep.passed = all(p.met() for p in rep.parts)
-    rep.identically_equal = False
     rep.note = "separation part expects non-divisibility"
     return rep
 
 
-def _identity_case(family: str, kind: str, n: int) -> CongruenceReport:
+def _identity_case(family: str, n: int) -> CongruenceReport:
     # the r = 1 root case: the companion is the one-term sum 1
     _require_case(n, minimum=1)
     equal = check_identity_equal(*_sides(family, n, 1, 2, -n))
-    return CongruenceReport(
-        label=f"{kind} n={n}", kind=kind, params={"n": n},
-        parts=[], passed=equal, identically_equal=equal)
+    return CongruenceReport(params={"n": n}, parts=[], passed=equal,
+                            identically_equal=equal)
 
 
 _N_R = ("n", "r")
 
-#: Check name -> (runner(name, **params) with the check's constants bound
-#: in front, its param axes, its description).  qj2 and the product checks
+#: Check name -> (runner(**params) with the check's constants bound in
+#: front, its param axes, its description).  qj2 and the product checks
 #: are conjectural: a failed report is a finding, not an implementation bug.
 CHECKS = {
     "thm1-half": (partial(_theorem_case, "C", 2), _N_R,
@@ -607,7 +602,9 @@ CHECKS = {
 
 def verify_case(kind: str, **params) -> CongruenceReport:
     """Assemble and certify a single named check; a report that times no
-    phase of its own gets its total_ms.
+    phase of its own gets its total_ms.  The report is named here: its
+    kind, and its label the kind and axis=value for each of the check's
+    axes.
 
     params are the check's own parameters: n, plus r, d, j or t where the
     check takes them (r defaults to 1, d to 2, j to 0).
@@ -619,7 +616,10 @@ def verify_case(kind: str, **params) -> CongruenceReport:
         if axis not in axes:
             raise TypeError(f"check {kind!r} takes no {axis}")
     t0 = time.perf_counter()
-    report = run(kind, **params)
+    report = run(**params)
     report.timings = report.timings \
         or {"total_ms": (time.perf_counter() - t0) * 1e3}
+    report.kind = kind
+    report.label = " ".join(
+        [kind] + [f"{axis}={report.params[axis]}" for axis in axes])
     return report

@@ -68,19 +68,19 @@ formed, and a term at x^P or beyond is skipped.  A product of sums
 its bracket takes the two cross products.
 
 P starts at exponent - m + 1, the fewest rows that show found whenever
-the margin is at most 0, and doubles while every row vanishes.  A
-nonzero f has v_{Phi_d}(f) <= span(f) / phi(d), with the span of the
-Laurent difference bounded from the specs' exponents, so once the rows
-reach that bound less m and the content, an all-zero bracket proves the
-two sides equal and found is INFINITE.  For two long sides that are
-equal, the bound can be thousands of rows; a caller that can test the
-equality exactly (check_congruence, by its packed delta) passes that
-test.  It is asked once the doubled bracket is all zero too, and P
-doubles on only when it says the sides differ.  Asked at the first
-all-zero bracket, it would build both sums in q for every part with a
-positive margin, which one doubling shows: thm1-full (15, 2), whose
-d = 45 and d = 75 parts find 2 above their exponents, took 28 s and
-202 MB that way against 1.1 s and 17 MB.
+it is at most the exponent plus the content, and doubles while every row
+vanishes.  A nonzero f has v_{Phi_d}(f) <= span(f) / phi(d), with the
+span of the Laurent difference bounded from the specs' exponents, so
+once the rows reach that bound less m and the content, an all-zero
+bracket proves the two sides equal and found is INFINITE.  For two long
+sides that are equal, the bound can be thousands of rows; a caller that
+can test the equality exactly (check_identity_equal, by its packed
+delta) passes that test.  It is asked once the doubled bracket is all
+zero too, and P doubles on only when it says the sides differ.  Asked at
+the first all-zero bracket, it would build both sums in q for every part
+with a positive margin, which one doubling shows: thm1-full (15, 2),
+whose d = 45 and d = 75 parts find 2 above their exponents, took 28 s
+and 202 MB that way against 1.1 s and 17 MB.
 """
 
 from __future__ import annotations
@@ -302,19 +302,18 @@ def _bracket(ring: _Ring, left: list[_Sum], right: list[_Sum], lift_l: int,
 
 
 def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
-                 exponent: int, equal=None) -> tuple[int, object]:
-    """(required, found) for prod(lhs) == prod(rhs) modulo Phi_d^exponent,
-    each side a product of sums, each sum read off its plan (plan_sum),
-    d >= 2.
+                 exponent: int, equal=None) -> object:
+    """found for prod(lhs) == prod(rhs) modulo Phi_d^exponent, each side a
+    product of sums, each sum read off its plan (plan_sum), d >= 2.
 
-    required is exponent plus the Phi_d content of both nominal
-    denominators; found is the Phi_d-adic valuation of the
-    cross-multiplied difference of the nominal numerators, INFINITE when
-    it is zero.  Both are the numbers check_congruence reports for the
-    expanded sums.  equal, if given, is called with no arguments when a
-    bracket below the span bound is all zero after P has doubled once: it
-    says whether the two sides are equal, and only if they differ does P
-    double again.
+    found is the Phi_d-adic valuation of the cross-multiplied difference
+    of the nominal numerators, INFINITE when it is zero: the number the
+    global path reports for the expanded sums.  The exponent sets only the
+    first precision, enough rows to show found up to the exponent plus the
+    Phi_d content of both nominal denominators.  equal, if given, is
+    called with no arguments when a bracket below the span bound is all
+    zero after P has doubled once: it says whether the two sides are
+    equal, and only if they differ does P double again.
     """
     left = [_read(plan, d) for plan in lhs]
     right = [_read(plan, d) for plan in rhs]
@@ -338,7 +337,7 @@ def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
         bracket = _bracket(ring, left, right, sigma_l - m, sigma_r - m)
         for i, row in enumerate(bracket):
             if any(row) and not _count_phi(row, d):
-                return exponent + content, m + i + content
+                return m + i + content
         if precision >= enough or doubled and equal is not None and equal():
-            return exponent + content, INFINITE
+            return INFINITE
         precision, doubled = 2 * precision, True

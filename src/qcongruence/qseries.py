@@ -391,13 +391,9 @@ def eta_product_coefficients(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [0] * (n + 1)
-    coeffs[1] = 1
+    coeffs = [0, 1] + [0] * (n - 1)
     for step in (2, 4):
-        m = step
-        while m <= n:
+        for m in range(step, n + 1, step):
             for _ in range(4):
-                for i in range(n, m - 1, -1):
-                    coeffs[i] -= coeffs[i - m]
-            m += step
+                coeffs = _times_one_minus(coeffs, m)[:n + 1]
     return coeffs[1:]

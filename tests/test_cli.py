@@ -531,3 +531,8 @@ def test_sweep_digest_is_unchanged(tmp_path, capsys):
     assert digest == "2b513d1a8a2659eb"
     with open(path, encoding="utf-8") as fh:
         assert digest == RunConfig.from_dict(json.load(fh)).digest()
+    # where the report goes is not part of the grid
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", path, "--output", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["meta"]["config_digest"] == digest

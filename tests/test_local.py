@@ -91,15 +91,14 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
     # against their scaled companions, gw's and qj2's against their
     # corrected targets, the sampled sides against each other and against
     # zero (an empty plan), half-vs-full-m's tail against zero.  found
-    # only: the sampled checks do not count the denominators into
-    # required.  Left out: half-vs-full-m (5, 2), whose 62-step run
-    # check_congruence already sends local, while the global path takes
-    # seconds on it, and the 8 parts whose sides are equal (param-sampled
-    # at n = 3, r = 2, t = 9), which take up to 1.5 s each before the
-    # rows alone prove them INFINITE.
+    # only: neither path computes required.  Left out: half-vs-full-m
+    # (5, 2), whose 62-step run check_congruence already sends local,
+    # while the global path takes seconds on it, and the 8 parts whose
+    # sides are equal (param-sampled at n = 3, r = 2, t = 9), which take
+    # up to 1.5 s each before the rows alone prove them INFINITE.
     a = plan_sum(FamilySpec("C", 1, 4))
     b = plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1)
-    assert certify_part([a], [b], 3, 3) == (11, 11)
+    assert certify_part([a], [b], 3, 3) == 11
     seen = []
     real = congruence.check_congruence
 
@@ -119,7 +118,7 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
             if part.found == INFINITE:
                 equal += 1
                 continue
-            assert certify_part([lhs], [rhs], d, exponent)[1] == part.found, \
+            assert certify_part([lhs], [rhs], d, exponent) == part.found, \
                 (report.label, part.component, d)
             kinds[kind] += 1
     assert equal == 8 and sum(kinds.values()) == 314 and len(kinds) == 9
@@ -162,8 +161,8 @@ def _compare(plans, sums, d, exponent):
     right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
     part = check_congruence(sums[0], right,
                             ModulusSpec([(d, exponent)])).parts[0]
-    assert certify_part(plans[:1], plans[1:], d, exponent) \
-        == (part.required, part.found), (plans, d)
+    assert certify_part(plans[:1], plans[1:], d, exponent) == part.found, \
+        (plans, d)
     return part
 
 
@@ -238,17 +237,14 @@ def test_equal_sides_are_infinite(lhs, rhs):
     right = sums[1] if len(sums) == 2 else series_times(*sums[1:])
     report = check_congruence(sums[0], right, ModulusSpec([(3, 1)]))
     assert report.identically_equal and report.parts[0].found == INFINITE
-    assert certify_part(plans[:1], plans[1:], 3, 1) \
-        == (report.parts[0].required, INFINITE)
+    assert certify_part(plans[:1], plans[1:], 3, 1) == INFINITE
 
 
-def _branches_agree(lhs, rhs, modulus, count_denominators=True):
+def _branches_agree(lhs, rhs, modulus):
     # check_congruence's report against the global branch called directly
-    report = check_congruence(lhs, rhs, modulus,
-                              count_denominators=count_denominators)
-    parts, identical, _ = _global(lhs, rhs, modulus, count_denominators)
-    assert [(p.d, p.required, p.found, p.margin) for p in report.parts] \
-        == [(p.d, p.required, p.found, p.margin) for p in parts]
+    report = check_congruence(lhs, rhs, modulus)
+    founds, identical, _ = _global([lhs], [rhs], modulus)
+    assert [p.found for p in report.parts] == founds
     assert report.identically_equal == identical
     return report
 
@@ -263,9 +259,8 @@ def test_long_theorem_cases_go_local_and_match(kind, family):
     assert list(report.timings) == ["local_ms"]
     lhs, rhs = _sides(family, 7, 2, 1)
     assert len(lhs.numerator) == 49
-    parts, identical, _ = _global(lhs, rhs, build_modulus_theorem(7, 2))
-    assert [(p.d, p.required, p.found) for p in report.parts] \
-        == [(p.d, p.required, p.found) for p in parts]
+    founds, identical, _ = _global([lhs], [rhs], build_modulus_theorem(7, 2))
+    assert [p.found for p in report.parts] == founds
     assert report.passed and not identical
     assert all(p.margin == 0 for p in report.parts)
 
@@ -280,10 +275,9 @@ def test_the_rule_at_its_threshold(upper, routed):
     modulus = build_modulus_theorem(5, 2)
     report = _branches_agree(lhs, rhs, modulus)
     assert ("local_ms" in report.timings) == routed
-    parts, identical, timings = _local([lhs], [rhs], modulus)
+    founds, identical, timings = _local([lhs], [rhs], modulus)
     assert list(timings) == ["local_ms"] and not identical
-    assert [(p.required, p.found) for p in parts] \
-        == [(p.required, p.found) for p in report.parts]
+    assert founds == [p.found for p in report.parts]
 
 
 def test_scaled_and_empty_long_sides_match():
@@ -315,12 +309,12 @@ def test_equal_long_sides_are_settled_once(monkeypatch, kind):
         return real_equal(lhs, rhs)
 
     def certified(lhs, rhs, d, exponent, equal=None):
-        required, found = certify_part(lhs, rhs, d, exponent, equal)
+        found = certify_part(lhs, rhs, d, exponent, equal)
         key = tuple(map(id, lhs + rhs))
         parts[key] += 1
         if found == INFINITE:
             settled.add(key)
-        return required, found
+        return found
 
     monkeypatch.setattr(congruence, "check_identity_equal", counted)
     monkeypatch.setattr(congruence, "certify_part", certified)
