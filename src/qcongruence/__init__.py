@@ -16,7 +16,6 @@ from .congruence import (
     build_modulus_theorem,
     check_congruence,
     check_identity_equal,
-    jackson_6phi5_terminating,
     modulus_q_integer,
     verify_case,
 )

@@ -122,8 +122,10 @@ class RunConfig:
 
     def digest(self, pinned: dict = None) -> str:
         """Hash of the fields and of the axes a single-case command pins
-        beyond them (none for a sweep)."""
-        blob = json.dumps(self.__dict__, sort_keys=True)
+        beyond them (none for a sweep).  Where the report goes is not
+        part of the grid: output_path and format hash at their defaults."""
+        blob = json.dumps(dict(self.__dict__, output_path="", format="json"),
+                          sort_keys=True)
         if pinned:
             blob += json.dumps(pinned, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -199,7 +201,6 @@ def _by_policy(cfg: RunConfig, params: dict) -> list[int]:
 
 
 _P_R_EXP = ("p", "r", "exponent")
-_QUOTIENTS = ("c3", "j3", "cc", "jj")
 
 CHECKS = {check.name: check for check in (
     *(Check(name, description, axes, _run_q)
@@ -239,28 +240,25 @@ def enumerate_cases(cfg: RunConfig) -> list[tuple]:
             for spec in CHECKS[name].grid(cfg, {})]
 
 
-def run_case(spec: tuple, previous: dict = None) -> dict:
-    """The report entry of one (name, params) case.  previous is the entry
-    of the case run just before it: a quotient check reads its valuation
-    off that entry when it is the same check, p and r at the other
-    exponent, as exponent_policy both puts them."""
+def run_case(spec: tuple) -> dict:
+    """The report entry of one (name, params) case."""
     name, params = spec
-    if previous and name in _QUOTIENTS and previous["kind"] == name \
-            and previous["params"] == {"p": params["p"], "r": params["r"]} \
-            and previous["valuation"] is not None:
-        return verify_swisher(name, **params,
-                              valuation=previous["valuation"]).to_dict()
     return CHECKS[name].run(name, **params).to_dict()
 
 
-def _run_recorded(spec: tuple, previous: dict = None) -> dict:
+#: An axis -> the name the classical reports give it in their labels.
+_LABEL_AXES = {"exponent": "exp", "kcap": "K"}
+
+
+def _run_recorded(spec: tuple) -> dict:
     # a raising case becomes an error entry, never an asserted failure
     start = time.perf_counter()
     try:
-        return run_case(spec, previous)
+        return run_case(spec)
     except Exception as exc:
         name, params = spec
-        label = " ".join([name] + [f"{k}={v}" for k, v in params.items()])
+        label = " ".join([name] + [f"{_LABEL_AXES.get(k, k)}={v}"
+                                   for k, v in params.items()])
         return {"type": "error", "label": label, "kind": name,
                 "params": dict(params), "conjectural": False, "pass": False,
                 "error": " ".join(f"{type(exc).__name__}: {exc}".split()),
@@ -274,10 +272,8 @@ def sweep(cfg: RunConfig) -> ReportSet:
     deterministic for a fixed config.  A case that raises is recorded as
     an error entry and never aborts a sweep.
     """
-    entries = []
-    for spec in enumerate_cases(cfg):
-        entries.append(_run_recorded(spec, entries[-1] if entries else None))
-    return _report_set(entries, cfg.digest())
+    return _report_set([_run_recorded(spec) for spec in enumerate_cases(cfg)],
+                       cfg.digest())
 
 
 def _report_set(entries: list[dict], digest: str) -> ReportSet:

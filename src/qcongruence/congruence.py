@@ -91,7 +91,6 @@ from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
-    _planned,
     plan_sum,
     sum_truncated,
     target_sign,
@@ -334,40 +333,6 @@ def _lifted(x: int, offset: int, lift: dict, bits: int):
         for _ in range(e):
             x -= x << bits * m
     return x, offset
-
-
-def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
-                              n_upper: int, base: int = 1) -> bool:
-    """Verify the terminating very-well-poised 6phi5 summation exactly:
-    with every parameter a monomial q^exp in base q^s, the sum over k =
-    0..N of (1-q^{A+2sk})/(1-q^A) q^{(A+s(N+1)-B-C)k} *
-      (q^A;q^s)_k (q^B;q^s)_k (q^C;q^s)_k (q^{-sN};q^s)_k /
-      ((q^s;q^s)_k (q^{A-B+s};q^s)_k (q^{A-C+s};q^s)_k (q^{A+s(N+1)};q^s)_k)
-    equals (q^{A+s};q^s)_N (q^{A-B-C+s};q^s)_N /
-    ((q^{A-B+s};q^s)_N (q^{A-C+s};q^s)_N).
-    """
-    s, a, b, c, n = base, a_exp, b_exp, c_exp, n_upper
-    if s < 1:
-        raise ValueError("base exponent must be >= 1")
-    if n < 0:
-        raise ValueError("upper index must be >= 0")
-    lam = a + s * (n + 1) - b - c
-    # step 0 is the term 1 as (1 - q^a) / (1 - q^a); step k multiplies the
-    # nested product by the k-th numerator factors of the four shifted
-    # factorials, and its term carries 1 - q^{A+2sk}.  A vanishing
-    # denominator factor raises ZeroDivisionError in the plan.
-    lhs = _planned([([], [a], a, 0)] + [
-        ((a + s * (k - 1), b + s * (k - 1), c + s * (k - 1), s * (k - 1 - n)),
-         [s * k, a - b + s * k, a - c + s * k, a + s * (n + k)],
-         a + 2 * s * k, lam * k) for k in range(1, n + 1)])
-
-    # the closed form as one term: the plan turns its negative
-    # denominator exponents around and moves their unit to the numerator
-    ks = range(1, n + 1)
-    rhs = _planned([(
-        [e for k in ks for e in (a + s * k, a - b - c + s * k)],
-        [e for k in ks for e in (a - b + s * k, a - c + s * k)], None, 0)])
-    return check_identity_equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

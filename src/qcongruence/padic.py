@@ -24,6 +24,7 @@ valuation is capped there.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -124,6 +125,8 @@ def _numerators(family: str, *uppers: int) -> list[int]:
     return [found[k] for k in uppers]
 
 
+# one entry: a sweep runs a quotient's two exponents back to back
+@functools.lru_cache(maxsize=1)
 def _companion_valuation(family: str, p: int, r: int, div: int):
     # the q -> 1 limit of the theorem-shaped comparison: v_p of the sum to
     # K1 = (p^r - 1) // div minus +-p times the sum to K2 = (p^{r-1} - 1)
@@ -156,14 +159,12 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
         passed=val >= exponent, timings={"total_ms": ms})
 
 
-def verify_swisher(kind: str, p: int, r: int, exponent: int,
-                   valuation=None) -> ResidueReport:
+def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
     """Dwork-type quotient congruences between consecutive truncations.
 
     Half ranges for c3/j3, full ranges for cc/jj.  Proven modulo p^{3r};
     runs at higher exponents are flagged conjectural, their failure is a
-    finding.  The valuation does not depend on the exponent: valuation,
-    if given, is the one an earlier report of this kind, p and r read.
+    finding.
     """
     if kind not in ("c3", "j3", "cc", "jj"):
         raise ValueError("kind must be one of c3, j3, cc, jj")
@@ -175,8 +176,7 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int,
     t0 = time.perf_counter()
     family = "C" if kind in ("c3", "cc") else "J"
     div = 2 if kind in ("c3", "j3") else 1
-    val = _companion_valuation(family, p, r, div) if valuation is None \
-        else valuation
+    val = _companion_valuation(family, p, r, div)
     ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
         label=f"{kind} p={p} r={r} exp={exponent}", kind=kind,

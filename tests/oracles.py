@@ -14,9 +14,10 @@ list pass per binomial (the oracle for the packed accumulator), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
 the packed lifts and delta), and the product conjectures through the
 global path, their sums expanded and multiplied out (the oracle for the
-local path).  Also here: the global cases of the two fingerprint
-sweeps, which the width and cross-path tests run.  And the classical
-side as exact rationals: each plain-family term at q = 1, each
+local path).  Also here: Jackson's terminating 6phi5 summation, its
+two sides as plans compared exactly, and the global cases of the two
+fingerprint sweeps, which the width and cross-path tests run.  And the
+classical side as exact rationals: each plain-family term at q = 1, each
 truncation summed as Fractions term by term, its valuations and
 residues read off the reduced rational, and each term's valuation taken
 whole (the oracle for padic's integer numerators and Kummer's carries).
@@ -40,6 +41,7 @@ from qcongruence.qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    _planned,
     _step_exponents,
     eta_product_coefficients,
     plan_sum,
@@ -421,6 +423,40 @@ def product_conjecture_global(kind: str, n: int, r: int = 1, d: int = 2):
     return congruence.check_congruence(
         lhs, series_times(first, second),
         congruence.ModulusSpec([(n, exponent)]), conjectural=True)
+
+
+def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
+                              n_upper: int, base: int = 1) -> bool:
+    """Verify the terminating very-well-poised 6phi5 summation exactly:
+    with every parameter a monomial q^exp in base q^s, the sum over k =
+    0..N of (1-q^{A+2sk})/(1-q^A) q^{(A+s(N+1)-B-C)k} *
+      (q^A;q^s)_k (q^B;q^s)_k (q^C;q^s)_k (q^{-sN};q^s)_k /
+      ((q^s;q^s)_k (q^{A-B+s};q^s)_k (q^{A-C+s};q^s)_k (q^{A+s(N+1)};q^s)_k)
+    equals (q^{A+s};q^s)_N (q^{A-B-C+s};q^s)_N /
+    ((q^{A-B+s};q^s)_N (q^{A-C+s};q^s)_N).
+    """
+    s, a, b, c, n = base, a_exp, b_exp, c_exp, n_upper
+    if s < 1:
+        raise ValueError("base exponent must be >= 1")
+    if n < 0:
+        raise ValueError("upper index must be >= 0")
+    lam = a + s * (n + 1) - b - c
+    # step 0 is the term 1 as (1 - q^a) / (1 - q^a); step k multiplies the
+    # nested product by the k-th numerator factors of the four shifted
+    # factorials, and its term carries 1 - q^{A+2sk}.  A vanishing
+    # denominator factor raises ZeroDivisionError in the plan.
+    lhs = _planned([([], [a], a, 0)] + [
+        ((a + s * (k - 1), b + s * (k - 1), c + s * (k - 1), s * (k - 1 - n)),
+         [s * k, a - b + s * k, a - c + s * k, a + s * (n + k)],
+         a + 2 * s * k, lam * k) for k in range(1, n + 1)])
+
+    # the closed form as one term: the plan turns its negative
+    # denominator exponents around and moves their unit to the numerator
+    ks = range(1, n + 1)
+    rhs = _planned([(
+        [e for k in ks for e in (a + s * k, a - b - c + s * k)],
+        [e for k in ks for e in (a - b + s * k, a - c + s * k)], None, 0)])
+    return congruence.check_identity_equal(lhs, rhs)
 
 
 def sweep_cases() -> dict:

@@ -13,7 +13,6 @@ import time
 from qcongruence.cli import RunConfig, canonical_entries, emit_report, sweep
 from qcongruence.congruence import (
     admissible_root_indices,
-    jackson_6phi5_terminating,
     verify_case,
 )
 from qcongruence.cyclotomic import cyclotomic, divisors, valuation_at
@@ -27,7 +26,7 @@ from qcongruence.padic import (
 from qcongruence.polycore import Poly
 from qcongruence.qseries import FactoredProduct, FamilySpec, sum_truncated
 
-from oracles import add, div_rem_by_monic
+from oracles import add, div_rem_by_monic, jackson_6phi5_terminating
 
 THEOREM_GRID = [(3, 1), (5, 1), (7, 1), (9, 1), (15, 1),
                 (3, 2), (5, 2), (7, 2), (3, 3)]

@@ -292,26 +292,46 @@ def test_config_validation():
 
 def test_both_policy_computes_one_valuation_per_quotient(monkeypatch):
     # exponent_policy both runs each quotient check at 3r and at 4r, next
-    # to each other, and the second case reads the first's valuation.
-    # The entries are those each case gives alone, and the next sweep
-    # computes every valuation again.
+    # to each other, and padic computes the valuation once for the two:
+    # one Horner pass of _numerators each.  The entries are those each
+    # case gives alone, from an empty memo, and the next sweep computes
+    # every valuation again.
     from qcongruence import padic
 
     calls = []
-    real = padic._companion_valuation
-    monkeypatch.setattr(padic, "_companion_valuation",
+    real = padic._numerators
+    monkeypatch.setattr(padic, "_numerators",
                         lambda *args: calls.append(args) or real(*args))
+    padic._companion_valuation.cache_clear()
     cfg = RunConfig.from_dict({"checks": ["c3", "j3", "cc", "jj"],
                                "primes": [5, 7], "r_max": 2,
                                "exponent_policy": "both"})
     entries = canonical_entries(sweep(cfg))
     assert len(entries) == 32 and len(calls) == len(set(calls)) == 16
-    alone = [run_case(spec) for spec in enumerate_cases(cfg)]
+    alone = [padic._companion_valuation.cache_clear() or run_case(spec)
+             for spec in enumerate_cases(cfg)]
     assert entries == canonical_entries(ReportSet({}, sorted(
         alone, key=lambda e: e["label"])))
     assert {e["conjectural"] for e in entries} == {False, True}
     sweep(cfg)
     assert len(calls) == 16 + 32 + 16
+
+
+@pytest.mark.parametrize("name", [name for name, check in CHECKS.items()
+                                  if check.classical])
+def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
+    # a classical report names the exponent exp= and the degree cap K=
+    cfg = RunConfig.from_dict({"checks": [name], "primes": [5],
+                               "exponent_policy": "both"})
+    labels = [e["label"] for e in sweep(cfg).entries]
+
+    def raising(name, **params):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(CHECKS[name], "run", raising)
+    entries = sweep(cfg).entries
+    assert {e["type"] for e in entries} == {"error"}
+    assert [e["label"] for e in entries] == labels
 
 
 def test_mixed_results_serialize_and_count_asserted_only():
@@ -536,3 +556,14 @@ def test_sweep_digest_is_unchanged(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--output", str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["meta"]["config_digest"] == digest
+    # nor where the config file itself sends it
+    path = write_config(tmp_path, checks=["lemma22"], n_values=[3],
+                        output_path=str(out))
+    assert main(["sweep", "--config", path]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["meta"]["config_digest"] == digest
+    path = write_config(tmp_path, checks=["lemma22"], n_values=[3],
+                        format="csv")
+    assert main(["sweep", "--config", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["meta"]["config_digest"] == digest

@@ -10,7 +10,6 @@ from qcongruence.congruence import (
     build_modulus_theorem,
     check_congruence,
     check_identity_equal,
-    jackson_6phi5_terminating,
     modulus_q_integer,
     verify_case,
 )
@@ -28,6 +27,7 @@ from oracles import (
     PRODUCT_CONJECTURES,
     div_rem_by_monic,
     factored_times,
+    jackson_6phi5_terminating,
     lcm_cross_products,
     product_conjecture_global,
     q_integer,

@@ -27,7 +27,6 @@ UNENTERED = {
     ("qseries", "FactoredProduct.expand"): TRACER,
     ("qseries", "sum_truncated"): TRACER,
     ("qseries", "SeriesSum.series"): "sum_truncated's build",
-    ("congruence", "jackson_6phi5_terminating"): "an identity, not a check",
     ("cli", "canonical_entries"): "README.md's sweep fingerprint",
     ("polycore", "Poly.zero"): BASIC,
     ("polycore", "Poly.one"): BASIC,

@@ -21,7 +21,6 @@ from qcongruence.cli import CHECKS
 from qcongruence.congruence import (
     _corrected_target,
     check_identity_equal,
-    jackson_6phi5_terminating,
     verify_case,
 )
 from qcongruence.polycore import Poly, _pack, _slots
@@ -34,7 +33,12 @@ from qcongruence.qseries import (
     target_sign,
 )
 
-from oracles import PRODUCT_CONJECTURES, lcm_cross_products, sweep_cases
+from oracles import (
+    PRODUCT_CONJECTURES,
+    jackson_6phi5_terminating,
+    lcm_cross_products,
+    sweep_cases,
+)
 
 
 @pytest.fixture
