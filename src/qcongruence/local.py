@@ -45,6 +45,18 @@ vanishing term ends before it, so the later steps enter V and B not at
 all (their binomials, the cofactor, stay in the nominal denominator and
 its content); the empty run is 0.
 
+A sum entered at x^lift runs only to its last live step, the last k
+with lift + gap_k below P: each later step only multiplies V and B by
+its units and adds a term at x^P or beyond.  So the V and B of the
+stopped run both lack the same unit U, the product of those steps'
+units, and x^lift V B_full = x^lift V_full B exactly in A_P.  A bracket
+built from such pairs is the full one divided by a product of such
+units, whose row 0 is nonzero in Z[zeta], a domain; so the first row
+nonzero modulo Phi_d(g), and so found, is the same.  At the top part
+d = n^r of a quartic sum, every term from k = (n^r + 1) / 2 on holds
+(1 - q^(n^r))^4, so with the P = 4 rows of an exponent of 3, half the
+run goes.
+
 The difference of two sides, with m the lesser sigma, is
 
     x^m (x^(sigma_L - m) V_L B_R - x^(sigma_R - m) V_R B_L) / (B_L B_R),
@@ -57,15 +69,19 @@ Rows below P are exact, since no factor carries a negative power of x.
 
 When each side is one sum, the bracket comes from one run of the longer
 sum S's recurrence, with O the other sum.  B_S is E_S, the units of S's
-held divisor, times the units of every step of S's run, and V_S is the
-sum over k of x^(gap_k) X_k times the units of the steps after k.  So
-the accumulator started at -x^(sigma_O - m) V_O E_S, with S's nested
-product started at B_O and term k entered at x^(sigma_S - m + gap_k),
-ends at x^(sigma_S - m) V_S B_O - x^(sigma_O - m) V_O B_S, the bracket
-up to sign.  Each unit of S is applied once, no general product is
-formed, and a term at x^P or beyond is skipped.  A product of sums
-(the product conjectures) multiplies (sigma, V, B) componentwise, and
-its bracket takes the two cross products.
+held divisor, times the units of every live step of S's run, and V_S is
+the sum over k of x^(gap_k) X_k times the units of the live steps after
+k.  So the accumulator started at -x^(sigma_O - m) V_O E_S, with S's
+nested product started at B_O and term k entered at
+x^(sigma_S - m + gap_k), ends at
+
+    x^(sigma_S - m) V_S B_O - x^(sigma_O - m) V_O B_S,
+
+the bracket up to sign.  Each unit of S's live steps is applied once, no
+general product is formed, and a term at x^P or beyond is skipped.  A
+product of sums (the product conjectures) multiplies (sigma, V, B)
+componentwise, each factor's run stopped at x^0, and its bracket takes
+the two cross products.
 
 P starts at exponent - m + 1, the fewest rows that show found whenever
 it is at most the exponent plus the content, and doubles while every row
@@ -246,12 +262,23 @@ def _read(plan: SeriesSum, d: int) -> _Sum:
                 min(lows, default=0), max(highs, default=0) + total)
 
 
-def _run(ring: _Ring, series: _Sum, numerator: list, prod: list,
+def _live(series: _Sum, lift: int, precision: int) -> list:
+    """series' steps, each with its gap, up to the last whose term,
+    entered at x^(lift + gap), lies below x^P: the steps after it only
+    multiply by units, which leave the bracket's x-order alone."""
+    steps = list(zip(series.run, series.gaps))
+    while steps and lift + steps[-1][1] >= precision:
+        steps.pop()
+    return steps
+
+
+def _run(ring: _Ring, steps: list, numerator: list, prod: list,
          lift: int = 0) -> list:
-    """series' numerator recurrence, from numerator and the nested product
-    prod: each step multiplies numerator by its denominator units and adds
-    x^(lift + gap) times its term, skipped when that is x^P or beyond."""
-    for (ups, dens, top, shift, coeff), gap in zip(series.run, series.gaps):
+    """The numerator recurrence over steps (_live), from numerator and the
+    nested product prod: each step multiplies numerator by its denominator
+    units and adds x^(lift + gap) times its term, skipped when that is x^P
+    or beyond."""
+    for (ups, dens, top, shift, coeff), gap in steps:
         for e in dens:
             numerator = ring.times_unit(numerator, e)
         for e in ups:
@@ -265,12 +292,15 @@ def _run(ring: _Ring, series: _Sum, numerator: list, prod: list,
     return numerator
 
 
-def _evaluate(ring: _Ring, series: _Sum) -> tuple[list, list]:
-    """(V, B) of the sum in ring: its value is x^sigma V / B."""
+def _evaluate(ring: _Ring, series: _Sum, lift: int = 0) -> tuple[list, list]:
+    """(x^lift V, B) of the sum in ring, its value x^sigma V / B, from the
+    steps up to the last live one at lift (_live): both lack the units of
+    the later steps."""
+    steps = _live(series, lift, ring.precision)
     units = ring.one()
-    for e in [e for step in series.run for e in step[1]] + series.extra:
+    for e in [e for step, _ in steps for e in step[1]] + series.extra:
         units = ring.times_unit(units, e)
-    return _run(ring, series, ring.zero(), ring.one()), units
+    return _run(ring, steps, ring.zero(), ring.one(), lift), units
 
 
 def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
@@ -284,17 +314,18 @@ def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
 
 def _bracket(ring: _Ring, left: list[_Sum], right: list[_Sum], lift_l: int,
              lift_r: int) -> list:
-    """x^lift_l V_L B_R - x^lift_r V_R B_L, up to sign.  Two single sums
-    run the longer one's recurrence once, from the other's V and B."""
+    """x^lift_l V_L B_R - x^lift_r V_R B_L, up to sign and a unit, each
+    run stopped after its last live step.  Two single sums run the longer
+    one's recurrence once, from the other's V and B."""
     if len(left) == len(right) == 1:
         (long, up), (short, low) = (left[0], lift_l), (right[0], lift_r)
         if len(short.run) > len(long.run):
             (long, up), (short, low) = (short, low), (long, up)
-        v, b = _evaluate(ring, short)
-        seed = ring.shifted(v, low)
+        seed, b = _evaluate(ring, short, low)
         for e in long.extra:
             seed = ring.times_unit(seed, e)
-        return _run(ring, long, ring.add(ring.zero(), seed, -1), b, up)
+        return _run(ring, _live(long, up, ring.precision),
+                    ring.add(ring.zero(), seed, -1), b, up)
     v_l, b_l = _product(ring, left)
     v_r, b_r = _product(ring, right)
     return ring.add(ring.shifted(ring.mul(v_l, b_r), lift_l),

@@ -14,13 +14,15 @@ list pass per binomial (the oracle for the packed accumulator), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
 the packed lifts and delta), and the product conjectures through the
 global path, their sums expanded and multiplied out (the oracle for the
-local path).  Also here: Jackson's terminating 6phi5 summation, its
-two sides as plans compared exactly, and the global cases of the two
-fingerprint sweeps, which the width and cross-path tests run.  And the
-classical side as exact rationals: each plain-family term at q = 1, each
-truncation summed as Fractions term by term, its valuations and
-residues read off the reduced rational, and each term's valuation taken
-whole (the oracle for padic's integer numerators and Kummer's carries).
+local path), and the local path's runs to their last step, every unit
+applied (the oracle for its stopped runs).  Also here: Jackson's
+terminating 6phi5 summation, its two sides as plans compared exactly,
+and the global cases of the two fingerprint sweeps, which the width and
+cross-path tests run.  And the classical side as exact rationals: each
+plain-family term at q = 1, each truncation summed as Fractions term by
+term, its valuations and residues read off the reduced rational, and
+each term's valuation taken whole (the oracle for padic's integer
+numerators and Kummer's carries).
 """
 
 import functools
@@ -423,6 +425,47 @@ def product_conjecture_global(kind: str, n: int, r: int = 1, d: int = 2):
     return congruence.check_congruence(
         lhs, series_times(first, second),
         congruence.ModulusSpec([(n, exponent)]), conjectural=True)
+
+
+def local_run_full(ring, series, numerator: list, prod: list,
+                   lift: int = 0) -> list:
+    """local._run over the whole of series' run, the steps after its last
+    live term included: the oracle for the stopped run."""
+    for (ups, dens, top, shift, coeff), gap in zip(series.run, series.gaps):
+        for e in dens:
+            numerator = ring.times_unit(numerator, e)
+        for e in ups:
+            prod = ring.times_unit(prod, e)
+        if lift + gap >= ring.precision:
+            continue
+        term = prod if top is None else ring.times_unit(prod, top)
+        if shift:
+            term = ring.times_power(term, shift)
+        numerator = ring.add(numerator, ring.shifted(term, lift + gap), coeff)
+    return numerator
+
+
+def local_evaluate_full(ring, series) -> tuple[list, list]:
+    """(V, B) of the sum from its whole run, B the units of every step's
+    denominator and of the held divisor."""
+    units = ring.one()
+    for e in [e for step in series.run for e in step[1]] + series.extra:
+        units = ring.times_unit(units, e)
+    return local_run_full(ring, series, ring.zero(), ring.one()), units
+
+
+def local_bracket_full(ring, a, b, lift_a: int, lift_b: int) -> list:
+    """local._bracket of two single sums from their whole runs: the longer
+    run, seeded with the other sum's V and B."""
+    (long, up), (short, low) = (a, lift_a), (b, lift_b)
+    if len(short.run) > len(long.run):
+        (long, up), (short, low) = (short, low), (long, up)
+    v, units = local_evaluate_full(ring, short)
+    seed = ring.shifted(v, low)
+    for e in long.extra:
+        seed = ring.times_unit(seed, e)
+    return local_run_full(ring, long, ring.add(ring.zero(), seed, -1), units,
+                          up)
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,

@@ -7,7 +7,9 @@ rows at q = zeta_d (1 + x), from the same plans (plan_sum).  Every part
 must agree: on the product conjectures, on seeded random pairs of sums
 of all five families, scaled or not and against zero, on pairs that
 are equal, and on every comparison of the global checks of the two
-fingerprint sweeps, each between two plans.
+fingerprint sweeps, each between two plans.  A run stopped after its
+last live term must differ from the full run (tests/oracles.py) by a
+unit alone, and must stop where it can.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qcongruence import congruence
+from qcongruence import congruence, local
 from qcongruence.cli import RunConfig, sweep
 from qcongruence.congruence import (
     LOCAL_RUN,
@@ -41,6 +43,8 @@ from qcongruence.qseries import (
 )
 
 from oracles import (
+    local_bracket_full,
+    local_evaluate_full,
     product_conjecture_global,
     scaled,
     series_times,
@@ -222,6 +226,59 @@ def test_random_pairs_match_the_global_path():
         _compare(*zip(*sides), d, exponent)
     assert min(kinds[kind] for kind in ("cancelled", "kept", "factor",
                                         "empty")) >= 3, kinds
+
+
+def test_stopped_runs_lack_one_unit_of_the_full_ones():
+    # A run stops after its last term below x^P, entered at
+    # x^(lift + gap).  The full run's V and B both hold the units of the
+    # steps after it, U, that the stopped ones lack, so V_full B_stop and
+    # V_stop B_full agree exactly in A_P, not only modulo Phi_d, and a
+    # bracket of two single sums is the full one over the two sides' U.
+    rng = random.Random(2703)
+    stopped = 0
+    for _ in range(30):
+        d, precision = rng.randint(2, 27), rng.randint(1, 6)
+        ring = local._Ring(d, precision)
+        sums = [local._read(plan_sum(_random_spec(rng, 9)), d)
+                for _ in range(2)]
+        lifts = [rng.randint(0, 2) for _ in sums]
+        full, stop = [], []
+        for series, lift in zip(sums, lifts):
+            v_full, b_full = local_evaluate_full(ring, series)
+            v_stop, b_stop = local._evaluate(ring, series, lift)
+            assert ring.mul(ring.shifted(v_full, lift), b_stop) \
+                == ring.mul(v_stop, b_full), (series, d, precision, lift)
+            full.append(b_full)
+            stop.append(b_stop)
+            stopped += len(local._live(series, lift, precision)) \
+                < len(series.run)
+        assert ring.mul(local_bracket_full(ring, *sums, *lifts),
+                        ring.mul(*stop)) \
+            == ring.mul(local._bracket(ring, sums[:1], sums[1:], *lifts),
+                        ring.mul(*full))
+    assert stopped >= 5, stopped
+
+
+def test_a_run_stops_after_its_last_live_term(monkeypatch):
+    # thm1-full (7, 2): at d = 49 (P = 4) every C term from k = 25 on
+    # holds (1 - q^49)^4, so the 49-step run stops after 25 steps and the
+    # 7-step companion after 4; run to their ends they took 487 unit
+    # multiplies at d = 49 and 493 at d = 7.  No J gap of thm2-full
+    # reaches P, so its runs go to the end.
+    calls = Counter()
+    real = local._Ring.times_unit
+
+    def counted(ring, a, e):
+        calls[kind, ring.d] += 1
+        return real(ring, a, e)
+
+    lhs, rhs = (local._read(plan, 49) for plan in _sides("C", 7, 2, 1))
+    assert [len(local._live(s, 0, 4)) for s in (lhs, rhs)] == [25, 4]
+    monkeypatch.setattr(local._Ring, "times_unit", counted)
+    for kind in ("thm1-full", "thm2-full"):
+        verify_case(kind, n=7, r=2)
+    assert calls == {("thm1-full", 7): 469, ("thm1-full", 49): 259,
+                     ("thm2-full", 7): 400, ("thm2-full", 49): 400}
 
 
 @pytest.mark.parametrize("lhs, rhs", [
