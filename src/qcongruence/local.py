@@ -8,12 +8,31 @@ f(zeta (1 + x)).  (This is the expansion at a root of unity behind the
 
     A_P = (Z[g]/(g^d - 1))[x]/(x^P),   q -> g (1 + x),
 
-an element being P rows, one per power of x below P, of d exact integers,
-the coefficients of g^0 .. g^(d-1).  Z[g]/(g^d - 1) maps onto Z[zeta], so
-nothing is reduced until a row is tested for zero modulo Phi_d(g), by
-valuation_at's residue test (cyclotomic._count_phi).  No sum is ever
-expanded in q: each is read off the run of its plan (qseries.plan_sum),
-and each binomial costs P (P + 1) / 2 row operations.
+an element being P rows, one per power of x below P, each standing for d
+exact integers, the coefficients of g^0 .. g^(d-1).  Z[g]/(g^d - 1) maps
+onto Z[zeta], so nothing is reduced until a row is tested for zero
+modulo Phi_d(g), by valuation_at's residue test (cyclotomic._count_phi).
+No sum is ever expanded in q: each is read off the run of its plan
+(qseries.plan_sum), and each binomial costs P (P + 1) / 2 row operations.
+
+A row is held packed, as one integer: its value at g = 2^W modulo M =
+2^(dW) - 1, for slots of W = 8w bits.  2^(dW) is 1 modulo M, so g ->
+2^W is a ring map from Z[g]/(g^d - 1): a rotation by g^j is a shift by
+jW bits and a fold (x & M) + (x >> dW), a row operation one integer
+multiply-subtract, and the cyclic convolution of two rows one integer
+product.  That arithmetic is exact modulo M whatever size the rows
+reach on the way; the d coefficients read back (the slots of the
+balanced residue, polycore._unpack) only while each is below 2^(W - 1)
+in absolute value, and only the rows of the final bracket are read.  So
+only those need the width, and it is proven before the work: _bracket
+runs first over _Norms, whose rows are l1 bounds (the sum of |c|) that
+follow every operation by the triangle inequality, and w is the fewest
+bytes that hold the largest bound with its sign.  Where that width would
+pass PACK_BITS, the pass stops and the rows are lists of d integers
+instead.  The l1 bound sees no cancellation: it is tight at small d but
+overshoots by ten times at the top parts of the frontier cases (836
+against 66 bits at thm1-full (7, 3), d = 343), where the lists are the
+cheaper form.
 
 A monomial and a binomial go over as
 
@@ -103,9 +122,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .cyclotomic import _count_phi
-from .polycore import INFINITE
+from .polycore import INFINITE, _unpack
 from .qseries import SeriesSum
 
 
@@ -117,14 +137,45 @@ def _binomials(e: int, count: int) -> list[int]:
     return out
 
 
-class _Ring:
-    """A_P for one d and one precision P: elements are lists of P rows,
-    row i the coefficient of x^i, each a list of d ints.  Every operation
-    returns new rows and never changes its arguments."""
+#: The widest slot, in bits, that a packed row may take: a part whose
+#: proven width is wider takes the list ring.  Measured part by part,
+#: packing with its bound pass is the cheaper up to about 650 bits at
+#: d = 289 and about 1000 bits at d = 11; no part measured at 640 bits or
+#: less was slower packed.
+PACK_BITS = 640
+
+
+class _Rows:
+    """What the three forms of A_P share for one d and one precision P:
+    an element is a list of P rows, row i the coefficient of x^i.  Every
+    operation returns new rows and never changes its arguments."""
 
     def __init__(self, d: int, precision: int):
         self.d, self.precision = d, precision
         self._series: dict[int, list[int]] = {}
+
+    def zero(self) -> list:
+        return [0] * self.precision
+
+    def one(self) -> list:
+        return [1] + [0] * (self.precision - 1)
+
+    def _binomial_series(self, e: int) -> list[int]:
+        # C(e, i) for i <= P, computed once per exponent and precision
+        if e not in self._series:
+            self._series[e] = _binomials(e, self.precision + 1)
+        return self._series[e]
+
+    def shifted(self, a: list, k: int) -> list:
+        """a * x^k, k >= 0."""
+        if k >= self.precision:
+            return self.zero()
+        return self.zero()[:k] + a[:self.precision - k]
+
+
+class _Ring(_Rows):
+    """A_P with each row a list of d ints, the coefficients of g^0 ..
+    g^(d-1): the form of the parts wider than PACK_BITS."""
 
     def zero(self) -> list:
         return [[0] * self.d for _ in range(self.precision)]
@@ -134,11 +185,9 @@ class _Ring:
         rows[0][0] = 1
         return rows
 
-    def _binomial_series(self, e: int) -> list[int]:
-        # C(e, i) for i <= P, computed once per exponent and precision
-        if e not in self._series:
-            self._series[e] = _binomials(e, self.precision + 1)
-        return self._series[e]
+    def read(self, row: list) -> list:
+        """row's coefficients of g^0 .. g^(d-1)."""
+        return row
 
     def _rotated(self, row: list, j: int) -> list:
         # row * g^j in Z[g]/(g^d - 1)
@@ -199,15 +248,115 @@ class _Ring:
                                   zip(out[i + j], turned[s][j])]
         return out
 
-    def shifted(self, a: list, k: int) -> list:
-        """a * x^k, k >= 0."""
-        if k >= self.precision:
-            return self.zero()
-        return [[0] * self.d for _ in range(k)] + a[:self.precision - k]
-
     def add(self, a: list, b: list, c: int) -> list:
         """a + c b."""
         return [[x + c * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+class _TooWide(Exception):
+    """A row bound of _Norms reached PACK_BITS."""
+
+
+class _Norms(_Rows):
+    """Bounds on A_P: each row an int at least the l1 norm, the sum of the
+    |coefficients|, of that row of the element it stands for.  Every
+    operation mirrors _Ring's by the triangle inequality: a rotation keeps
+    a row's norm, a weight counts as its absolute value, and the norm of a
+    cyclic convolution is at most the product of the norms.  It raises
+    _TooWide once a bound needs a slot wider than PACK_BITS."""
+
+    def _bounded(self, rows: list) -> list:
+        if max(rows) >> (PACK_BITS - 1):
+            raise _TooWide
+        return rows
+
+    def _times_series(self, a: list, weights: list) -> list:
+        out = []
+        for i in range(self.precision):
+            bound = 0
+            for t in range(i + 1):
+                bound += abs(weights[i - t]) * a[t]
+            out.append(bound)
+        return out
+
+    def times_power(self, a: list, s: int) -> list:
+        return self._bounded(
+            self._times_series(a, self._binomial_series(s)))
+
+    def times_unit(self, a: list, e: int) -> list:
+        series = self._binomial_series(e)
+        if e % self.d == 0:
+            return self._bounded(self._times_series(a, series[1:]))
+        # a - a q^e: a's bound plus a q^e's
+        return self._bounded([x + y for x, y in
+                              zip(a, self._times_series(a, series))])
+
+    def mul(self, a: list, b: list) -> list:
+        return self._bounded(self._times_series(a, b))
+
+    def add(self, a: list, b: list, c: int) -> list:
+        return self._bounded([x + abs(c) * y for x, y in zip(a, b)])
+
+
+class _Packed(_Rows):
+    """A_P with each row one int, its value at g = 2^W modulo M = 2^(dW)
+    - 1, W = 8 width, kept in [0, M]: g^d is 1 there, so g -> 2^W is a
+    ring map from Z[g]/(g^d - 1), exact whatever the coefficients.  read
+    gives a row's coefficients back only while each is below 2^(W - 1)
+    in absolute value, so the width comes from a bound that _Norms
+    proves before the work."""
+
+    def __init__(self, d: int, precision: int, bound: int):
+        # slots of w bytes hold every coefficient of absolute value at
+        # most bound with its sign
+        super().__init__(d, precision)
+        self.width = (bound.bit_length() + 8) // 8
+        self._bits = 8 * self.width
+        self._span = d * self._bits
+        self._modulus = (1 << self._span) - 1
+
+    def _fold(self, x: int) -> int:
+        # x modulo M, in [0, M]: x = high 2^(dW) + low, and 2^(dW) is 1
+        modulus, span = self._modulus, self._span
+        while not 0 <= x <= modulus:
+            x = (x & modulus) + (x >> span)
+        return x
+
+    def read(self, row: int) -> list:
+        """row's coefficients of g^0 .. g^(d-1): the slots of its balanced
+        residue modulo M."""
+        if row > self._modulus >> 1:
+            row -= self._modulus
+        return _unpack(row, self.width, self.d)
+
+    def _times_series(self, a: list, weights: list, j: int = 0) -> list:
+        # a * g^j sum_i weights[i] x^i mod x^P; g^j is a shift by jW bits
+        shift = self._bits * (j % self.d)
+        return [self._fold(sum(map(mul, weights[i::-1], a)) << shift)
+                for i in range(self.precision)]
+
+    def times_power(self, a: list, s: int) -> list:
+        """a * q^s."""
+        return self._times_series(a, self._binomial_series(s), s)
+
+    def times_unit(self, a: list, e: int) -> list:
+        """a * u for 1 - q^e = x^v u; v is 1 if d divides e, else 0."""
+        series = self._binomial_series(e)
+        if e % self.d == 0:
+            return self._times_series(a, [-c for c in series[1:]])
+        # a - a q^e, each row folded once
+        shift = self._bits * (e % self.d)
+        return [self._fold(row - (sum(map(mul, series[i::-1], a)) << shift))
+                for i, row in enumerate(a)]
+
+    def mul(self, a: list, b: list) -> list:
+        """The general product: each row pair's cyclic convolution is one
+        integer product."""
+        return self._times_series(b, a)
+
+    def add(self, a: list, b: list, c: int) -> list:
+        """a + c b."""
+        return [self._fold(x + c * y) for x, y in zip(a, b)]
 
 
 @dataclass
@@ -272,7 +421,7 @@ def _live(series: _Sum, lift: int, precision: int) -> list:
     return steps
 
 
-def _run(ring: _Ring, steps: list, numerator: list, prod: list,
+def _run(ring: _Rows, steps: list, numerator: list, prod: list,
          lift: int = 0) -> list:
     """The numerator recurrence over steps (_live), from numerator and the
     nested product prod: each step multiplies numerator by its denominator
@@ -292,7 +441,7 @@ def _run(ring: _Ring, steps: list, numerator: list, prod: list,
     return numerator
 
 
-def _evaluate(ring: _Ring, series: _Sum, lift: int = 0) -> tuple[list, list]:
+def _evaluate(ring: _Rows, series: _Sum, lift: int = 0) -> tuple[list, list]:
     """(x^lift V, B) of the sum in ring, its value x^sigma V / B, from the
     steps up to the last live one at lift (_live): both lack the units of
     the later steps."""
@@ -303,7 +452,7 @@ def _evaluate(ring: _Ring, series: _Sum, lift: int = 0) -> tuple[list, list]:
     return _run(ring, steps, ring.zero(), ring.one(), lift), units
 
 
-def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
+def _product(ring: _Rows, sums: list[_Sum]) -> tuple[list, list]:
     """(V, B) of the product of the sums."""
     numerator, units = _evaluate(ring, sums[0])
     for series in sums[1:]:
@@ -312,7 +461,7 @@ def _product(ring: _Ring, sums: list[_Sum]) -> tuple[list, list]:
     return numerator, units
 
 
-def _bracket(ring: _Ring, left: list[_Sum], right: list[_Sum], lift_l: int,
+def _bracket(ring: _Rows, left: list[_Sum], right: list[_Sum], lift_l: int,
              lift_r: int) -> list:
     """x^lift_l V_L B_R - x^lift_r V_R B_L, up to sign and a unit, each
     run stopped after its last live step.  Two single sums run the longer
@@ -330,6 +479,17 @@ def _bracket(ring: _Ring, left: list[_Sum], right: list[_Sum], lift_l: int,
     v_r, b_r = _product(ring, right)
     return ring.add(ring.shifted(ring.mul(v_l, b_r), lift_l),
                     ring.shifted(ring.mul(v_r, b_l), lift_r), -1)
+
+
+def _ring(d: int, precision: int, left: list[_Sum], right: list[_Sum],
+          lift_l: int, lift_r: int) -> _Rows:
+    """The form of A_P for this bracket: packed at the width its _Norms
+    pass proves, if that is at most PACK_BITS, else lists."""
+    try:
+        bounds = _bracket(_Norms(d, precision), left, right, lift_l, lift_r)
+    except _TooWide:
+        return _Ring(d, precision)
+    return _Packed(d, precision, max(bounds))
 
 
 def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
@@ -364,9 +524,9 @@ def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,
     precision, doubled = exponent - m + 1, False
     while True:
         precision = max(1, min(precision, enough))
-        ring = _Ring(d, precision)
+        ring = _ring(d, precision, left, right, sigma_l - m, sigma_r - m)
         bracket = _bracket(ring, left, right, sigma_l - m, sigma_r - m)
-        for i, row in enumerate(bracket):
+        for i, row in enumerate(map(ring.read, bracket)):
             if any(row) and not _count_phi(row, d):
                 return m + i + content
         if precision >= enough or doubled and equal is not None and equal():

@@ -264,21 +264,151 @@ def test_a_run_stops_after_its_last_live_term(monkeypatch):
     # holds (1 - q^49)^4, so the 49-step run stops after 25 steps and the
     # 7-step companion after 4; run to their ends they took 487 unit
     # multiplies at d = 49 and 493 at d = 7.  No J gap of thm2-full
-    # reaches P, so its runs go to the end.
+    # reaches P, so its runs go to the end.  Counted on whichever ring a
+    # part takes, not on its _Norms pass.
     calls = Counter()
-    real = local._Ring.times_unit
 
-    def counted(ring, a, e):
-        calls[kind, ring.d] += 1
-        return real(ring, a, e)
+    def counting(real):
+        def counted(ring, a, e):
+            calls[kind, ring.d] += 1
+            return real(ring, a, e)
+        return counted
 
     lhs, rhs = (local._read(plan, 49) for plan in _sides("C", 7, 2, 1))
     assert [len(local._live(s, 0, 4)) for s in (lhs, rhs)] == [25, 4]
-    monkeypatch.setattr(local._Ring, "times_unit", counted)
+    for ring in (local._Ring, local._Packed):
+        monkeypatch.setattr(ring, "times_unit", counting(ring.times_unit))
     for kind in ("thm1-full", "thm2-full"):
         verify_case(kind, n=7, r=2)
     assert calls == {("thm1-full", 7): 469, ("thm1-full", 49): 259,
                      ("thm2-full", 7): 400, ("thm2-full", 49): 400}
+
+
+def _program(rng, d, length):
+    # a random run of A_P operations, each on two earlier results of the
+    # pool [1, 0, ...]: units with negative exponents and exponents d
+    # divides, powers with negative shifts, products, sums and shifts
+    program = []
+    for k in range(length):
+        i, j = rng.randrange(k + 2), rng.randrange(k + 2)
+        op = rng.choice(("unit", "unit", "power", "mul", "add", "shift"))
+        if op == "unit":
+            e = rng.choice((rng.randint(1, 3 * d), -rng.randint(1, 3 * d),
+                            d * rng.choice((-2, -1, 1, 3))))
+            program.append(("times_unit", (i,), e))
+        elif op == "power":
+            program.append(("times_power", (i,), rng.randint(-3 * d, 3 * d)))
+        elif op == "mul":
+            program.append(("mul", (i, j), None))
+        elif op == "add":
+            program.append(("add", (i, j), rng.choice((-7, -1, 1, 2, 24))))
+        else:
+            program.append(("shifted", (i,), rng.randint(0, 3)))
+    return program
+
+
+def _apply(ring, program):
+    # every element the program makes in ring, the pool's two first
+    pool = [ring.one(), ring.zero()]
+    for name, args, value in program:
+        args = [pool[k] for k in args] + ([] if value is None else [value])
+        pool.append(getattr(ring, name)(*args))
+    return pool
+
+
+def _within(rows, bounds):
+    # every row's l1 norm is at most its bound
+    return all(sum(map(abs, row)) <= bound
+               for row, bound in zip(rows, bounds, strict=True))
+
+
+def test_packed_rows_and_norm_bounds_match_the_list_ring():
+    # Random runs of every operation, d from 2 to 60 and P from 1 to 6:
+    # each _Norms row bounds the l1 norm of the list ring's row, and the
+    # packed ring, built at the width those bounds prove, reads back the
+    # list ring's rows exactly.
+    rng = random.Random(2804)
+    seen = Counter()
+    for _ in range(120):
+        d, precision = rng.randint(2, 60), rng.randint(1, 6)
+        program = _program(rng, d, rng.randint(4, 10))
+        bounds = _apply(local._Norms(d, precision), program)
+        rows = _apply(local._Ring(d, precision), program)
+        assert all(map(_within, rows, bounds)), (d, precision, program)
+        packed = local._Packed(d, precision, max(map(max, bounds)))
+        assert [list(map(packed.read, element))
+                for element in _apply(packed, program)] == rows, \
+            (d, precision, program)
+        seen.update(name for name, _, _ in program)
+        seen["negative"] += any(name == "times_unit" and e < 0
+                                for name, _, e in program)
+        seen["divisible"] += any(name == "times_unit" and e % d == 0
+                                 for name, _, e in program)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_plan_brackets_pack_at_their_proven_width(monkeypatch):
+    # The brackets of random plans, one sum against one or against a
+    # product of two (through mul), d from 2 to 60 and P from 1 to 6:
+    # the _Norms bracket, run with no limit, bounds the list ring's rows,
+    # and where the width it proves is at most PACK_BITS, _ring packs and
+    # its rows read back as the list ring's.
+    rng = random.Random(2805)
+    kinds = Counter()
+    for trial in range(60):
+        d, precision = rng.randint(2, 60), rng.randint(1, 6)
+        sides = [[local._read(plan_sum(_random_spec(rng, 9)), d)]
+                 for _ in range(2)]
+        sides[1] += [local._read(plan_sum(_random_spec(rng, 4)), d)
+                     for _ in range(trial % 2)]
+        lifts = [rng.randint(0, 2) for _ in sides]
+        rows = local._bracket(local._Ring(d, precision), *sides, *lifts)
+        with monkeypatch.context() as unlimited:
+            unlimited.setattr(local, "PACK_BITS", 1 << 16)
+            bounds = local._bracket(local._Norms(d, precision), *sides,
+                                    *lifts)
+        assert _within(rows, bounds), (sides, d, precision, lifts)
+        ring = local._ring(d, precision, *sides, *lifts)
+        kinds[type(ring).__name__, len(sides[1])] += 1
+        if isinstance(ring, local._Packed):
+            assert list(map(ring.read, local._bracket(ring, *sides, *lifts))) \
+                == rows, (sides, d, precision, lifts)
+    assert min(kinds[("_Packed", n)] for n in (1, 2)) >= 10, kinds
+
+
+def test_the_proven_width_chooses_the_ring(monkeypatch):
+    # The benchmark's (7, 2) parts and conj41 (7, 1) pack: their bracket
+    # rows are proven to fit slots of 152 to 536 bits (thm1-full's rows
+    # hold 41 bits at d = 49).  thm1-full (7, 3)'s d = 7 part would need
+    # 4312 bits by the same bound, so its _Norms pass stops at PACK_BITS
+    # and it takes the list ring.
+    chosen, calls = Counter(), []
+    real = local._ring
+
+    def recorded(*args):
+        ring = real(*args)
+        calls.append(args)
+        chosen[kind, args[0], type(ring).__name__,
+               getattr(ring, "width", 0)] += 1
+        return ring
+
+    monkeypatch.setattr(local, "_ring", recorded)
+    for kind, params in (("thm1-full", {"n": 7, "r": 2}),
+                         ("thm2-full", {"n": 7, "r": 2}),
+                         ("conj41", {"n": 7, "r": 1})):
+        verify_case(kind, **params)
+    kind = "wide"
+    lhs, rhs = _sides("C", 7, 3, 1)
+    certify_part([lhs], [rhs], 7, dict(build_modulus_theorem(7, 3).parts)[7])
+    assert chosen == {("thm1-full", 7, "_Packed", 57): 1,
+                      ("thm1-full", 49, "_Packed", 19): 1,
+                      ("thm2-full", 7, "_Packed", 50): 1,
+                      ("thm2-full", 49, "_Packed", 26): 1,
+                      ("conj41", 7, "_Packed", 67): 1,
+                      ("wide", 7, "_Ring", 0): 1}
+    assert 8 * max(width for *_, width in chosen) <= local.PACK_BITS
+    monkeypatch.setattr(local, "PACK_BITS", 8192)
+    assert 8 * real(*calls[-1]).width == 4312
 
 
 @pytest.mark.parametrize("lhs, rhs", [

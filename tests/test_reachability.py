@@ -16,6 +16,7 @@ from qcongruence import cli
 SRC = Path(cli.__file__).resolve().parent
 TRACER = "wrapped by perfbench/tracing.py"
 BASIC = "a value-type basic"
+WIDE = "taken only by parts wider than local.PACK_BITS"
 
 #: (module, qualified name) -> why no check enters it.
 UNENTERED = {
@@ -31,6 +32,9 @@ UNENTERED = {
     ("polycore", "Poly.zero"): BASIC,
     ("polycore", "Poly.one"): BASIC,
     ("polycore", "Poly.__str__"): BASIC,
+    **{("local", f"_Ring.{name}"): WIDE
+       for name in ("zero", "one", "read", "_rotated", "_times_series",
+                    "times_power", "times_unit", "mul", "add")},
 }
 
 
