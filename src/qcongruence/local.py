@@ -25,14 +25,15 @@ reach on the way; the d coefficients read back (the slots of the
 balanced residue, polycore._unpack) only while each is below 2^(W - 1)
 in absolute value, and only the rows of the final bracket are read.  So
 only those need the width, and it is proven before the work: _bracket
-runs first over _Norms, whose rows are l1 bounds (the sum of |c|) that
-follow every operation by the triangle inequality, and w is the fewest
-bytes that hold the largest bound with its sign.  Where that width would
-pass PACK_BITS, the pass stops and the rows are lists of d integers
-instead.  The l1 bound sees no cancellation: it is tight at small d but
-overshoots by ten times at the top parts of the frontier cases (836
-against 66 bits at thm1-full (7, 3), d = 343), where the lists are the
-cheaper form.
+runs first over _Norms, whose elements are majorants, two integers (b,
+l) that say row i has l1 norm (the sum of |c|) at most b l^i / i!, and
+that each operation moves in O(1).  The largest row bound is
+b l^(P - 1) / (P - 1)!, and w is the fewest bytes that hold it with its
+sign.  Where that width would pass PACK_BITS, the rows are lists of d
+integers instead.  The bound sees no cancellation: it is close at small
+d (458 against 349 bits at thm1-full (7, 2), d = 7) but overshoots by
+ten times at the top parts of the frontier cases (840 against 66 bits
+at thm1-full (7, 3), d = 343), where the lists are the cheaper form.
 
 A monomial and a binomial go over as
 
@@ -121,7 +122,7 @@ and 202 MB that way against 1.1 s and 17 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 from .cyclotomic import _count_phi
@@ -139,16 +140,17 @@ def _binomials(e: int, count: int) -> list[int]:
 
 #: The widest slot, in bits, that a packed row may take: a part whose
 #: proven width is wider takes the list ring.  Measured part by part,
-#: packing with its bound pass is the cheaper up to about 650 bits at
-#: d = 289 and about 1000 bits at d = 11; no part measured at 640 bits or
-#: less was slower packed.
+#: CPU time with its majorant pass, packing is the cheaper at 666 bits at
+#: d = 289 (0.35 against 0.40 s) and about even at 1003 bits at d = 11;
+#: no part measured at 640 bits or less was slower packed.
 PACK_BITS = 640
 
 
 class _Rows:
-    """What the three forms of A_P share for one d and one precision P:
-    an element is a list of P rows, row i the coefficient of x^i.  Every
-    operation returns new rows and never changes its arguments."""
+    """What the list and packed forms of A_P share for one d and one
+    precision P: an element is a list of P rows, row i the coefficient of
+    x^i.  Every operation returns new rows and never changes its
+    arguments."""
 
     def __init__(self, d: int, precision: int):
         self.d, self.precision = d, precision
@@ -253,49 +255,56 @@ class _Ring(_Rows):
         return [[x + c * y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
-class _TooWide(Exception):
-    """A row bound of _Norms reached PACK_BITS."""
+class _Norms:
+    """Majorants on A_P: an element is a pair (b, l) of ints, l >= P - 1,
+    standing for every element whose row i has l1 norm (the sum of the
+    |coefficients|) at most b l^i / i!.  Each operation is O(1) scalar
+    work, with r the rate of an exponent (_rate), |C(e, i)| <= r^i / i!:
+    a unit is 1 - g^e (1 + x)^e, whose row i has norm at most
+    2 r^i / i!, or -sum_i C(e, i + 1) x^i with |C(e, i + 1)| <= |e| r^i
+    / i!; a power q^s has rows of norm |C(s, i)|; and by the binomial
+    theorem sum_t l1^t / t! l2^(i - t) / (i - t)! = (l1 + l2)^i / i!,
+    the norm of a cyclic convolution being at most the product of the
+    norms.  A shift by x^k keeps the pair, since i! / (i - k)! <= l^k
+    for i < P."""
 
+    def __init__(self, d: int, precision: int):
+        self.d, self.precision = d, precision
 
-class _Norms(_Rows):
-    """Bounds on A_P: each row an int at least the l1 norm, the sum of the
-    |coefficients|, of that row of the element it stands for.  Every
-    operation mirrors _Ring's by the triangle inequality: a rotation keeps
-    a row's norm, a weight counts as its absolute value, and the norm of a
-    cyclic convolution is at most the product of the norms.  It raises
-    _TooWide once a bound needs a slot wider than PACK_BITS."""
+    def _rate(self, e: int) -> int:
+        # |C(e, i)| <= r^i / i! for i <= P: C(-e', i) = (-1)^i C(e' + i
+        # - 1, i) for e' > 0
+        return e if e >= 0 else self.precision - e
 
-    def _bounded(self, rows: list) -> list:
-        if max(rows) >> (PACK_BITS - 1):
-            raise _TooWide
-        return rows
+    def zero(self) -> tuple:
+        return 0, self.precision
 
-    def _times_series(self, a: list, weights: list) -> list:
-        out = []
-        for i in range(self.precision):
-            bound = 0
-            for t in range(i + 1):
-                bound += abs(weights[i - t]) * a[t]
-            out.append(bound)
-        return out
+    def one(self) -> tuple:
+        return 1, self.precision
 
-    def times_power(self, a: list, s: int) -> list:
-        return self._bounded(
-            self._times_series(a, self._binomial_series(s)))
+    def bound(self, a: tuple) -> int:
+        """The largest row norm a proves, b l^(P - 1) / (P - 1)! rounded
+        up: l^i / i! grows with i while i < l."""
+        b, l = a
+        top = self.precision - 1
+        return -(-b * l ** top // factorial(top))
 
-    def times_unit(self, a: list, e: int) -> list:
-        series = self._binomial_series(e)
-        if e % self.d == 0:
-            return self._bounded(self._times_series(a, series[1:]))
-        # a - a q^e: a's bound plus a q^e's
-        return self._bounded([x + y for x, y in
-                              zip(a, self._times_series(a, series))])
+    def shifted(self, a: tuple, k: int) -> tuple:
+        return a
 
-    def mul(self, a: list, b: list) -> list:
-        return self._bounded(self._times_series(a, b))
+    def times_power(self, a: tuple, s: int) -> tuple:
+        b, l = a
+        return b, l + self._rate(s)
 
-    def add(self, a: list, b: list, c: int) -> list:
-        return self._bounded([x + abs(c) * y for x, y in zip(a, b)])
+    def times_unit(self, a: tuple, e: int) -> tuple:
+        b, l = a
+        return (abs(e) if e % self.d == 0 else 2) * b, l + self._rate(e)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        return a[0] * b[0], a[1] + b[1]
+
+    def add(self, a: tuple, b: tuple, c: int) -> tuple:
+        return a[0] + abs(c) * b[0], max(a[1], b[1])
 
 
 class _Packed(_Rows):
@@ -303,8 +312,8 @@ class _Packed(_Rows):
     - 1, W = 8 width, kept in [0, M]: g^d is 1 there, so g -> 2^W is a
     ring map from Z[g]/(g^d - 1), exact whatever the coefficients.  read
     gives a row's coefficients back only while each is below 2^(W - 1)
-    in absolute value, so the width comes from a bound that _Norms
-    proves before the work."""
+    in absolute value, so the width comes from the bound that a _Norms
+    majorant of the same work proves first."""
 
     def __init__(self, d: int, precision: int, bound: int):
         # slots of w bytes hold every coefficient of absolute value at
@@ -484,12 +493,12 @@ def _bracket(ring: _Rows, left: list[_Sum], right: list[_Sum], lift_l: int,
 def _ring(d: int, precision: int, left: list[_Sum], right: list[_Sum],
           lift_l: int, lift_r: int) -> _Rows:
     """The form of A_P for this bracket: packed at the width its _Norms
-    pass proves, if that is at most PACK_BITS, else lists."""
-    try:
-        bounds = _bracket(_Norms(d, precision), left, right, lift_l, lift_r)
-    except _TooWide:
+    majorant proves, if that is at most PACK_BITS, else lists."""
+    norms = _Norms(d, precision)
+    bound = norms.bound(_bracket(norms, left, right, lift_l, lift_r))
+    if bound >> (PACK_BITS - 1):
         return _Ring(d, precision)
-    return _Packed(d, precision, max(bounds))
+    return _Packed(d, precision, bound)
 
 
 def certify_part(lhs: list[SeriesSum], rhs: list[SeriesSum], d: int,

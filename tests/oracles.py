@@ -14,15 +14,16 @@ list pass per binomial (the oracle for the packed accumulator), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
 the packed lifts and delta), and the product conjectures through the
 global path, their sums expanded and multiplied out (the oracle for the
-local path), and the local path's runs to their last step, every unit
-applied (the oracle for its stopped runs).  Also here: Jackson's
-terminating 6phi5 summation, its two sides as plans compared exactly,
-and the global cases of the two fingerprint sweeps, which the width and
-cross-path tests run.  And the classical side as exact rationals: each
-plain-family term at q = 1, each truncation summed as Fractions term by
-term, its valuations and residues read off the reduced rational, and
-each term's valuation taken whole (the oracle for padic's integer
-numerators and Kummer's carries).
+local path), the local path's runs to their last step, every unit
+applied (the oracle for its stopped runs), and its l1 bounds row by row
+(the oracle for the two-number majorants that prove a packed width).
+Also here: Jackson's terminating 6phi5 summation, its two sides as plans
+compared exactly, and the global cases of the two fingerprint sweeps,
+which the width and cross-path tests run.  And the classical side as
+exact rationals: each plain-family term at q = 1, each truncation summed
+as Fractions term by term, its valuations and residues read off the
+reduced rational, and each term's valuation taken whole (the oracle for
+padic's integer numerators and Kummer's carries).
 """
 
 import functools
@@ -33,7 +34,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from qcongruence import congruence
+from qcongruence import congruence, local
 from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
 from qcongruence.padic import _require_odd_prime, padic_valuation
 from qcongruence.polycore import INFINITE, Poly
@@ -466,6 +467,41 @@ def local_bracket_full(ring, a, b, lift_a: int, lift_b: int) -> list:
         seed = ring.times_unit(seed, e)
     return local_run_full(ring, long, ring.add(ring.zero(), seed, -1), units,
                           up)
+
+
+class LocalNorms(local._Rows):
+    """l1 bounds on A_P, row by row: each row an int at least the l1 norm,
+    the sum of the |coefficients|, of that row of the element it stands
+    for.  Every operation mirrors local._Ring's by the triangle
+    inequality: a rotation keeps a row's norm, a weight counts as its
+    absolute value, and the norm of a cyclic convolution is at most the
+    product of the norms.  The oracle for local._Norms's majorants,
+    which bound these rows."""
+
+    def _times_series(self, a: list, weights: list) -> list:
+        out = []
+        for i in range(self.precision):
+            bound = 0
+            for t in range(i + 1):
+                bound += abs(weights[i - t]) * a[t]
+            out.append(bound)
+        return out
+
+    def times_power(self, a: list, s: int) -> list:
+        return self._times_series(a, self._binomial_series(s))
+
+    def times_unit(self, a: list, e: int) -> list:
+        series = self._binomial_series(e)
+        if e % self.d == 0:
+            return self._times_series(a, series[1:])
+        # a - a q^e: a's bound plus a q^e's
+        return [x + y for x, y in zip(a, self._times_series(a, series))]
+
+    def mul(self, a: list, b: list) -> list:
+        return self._times_series(a, b)
+
+    def add(self, a: list, b: list, c: int) -> list:
+        return [x + abs(c) * y for x, y in zip(a, b)]
 
 
 def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,

@@ -15,6 +15,7 @@ unit alone, and must stop where it can.
 import json
 import random
 from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from qcongruence.qseries import (
 )
 
 from oracles import (
+    LocalNorms,
     local_bracket_full,
     local_evaluate_full,
     product_conjecture_global,
@@ -322,20 +324,53 @@ def _within(rows, bounds):
                for row, bound in zip(rows, bounds, strict=True))
 
 
+def _majorizes(pair, bounds):
+    # the majorant (b, l) of _Norms is at least every row's bound:
+    # b l^i / i! >= bounds[i], in integers
+    b, l = pair
+    return all(b * l ** i >= bound * factorial(i)
+               for i, bound in enumerate(bounds))
+
+
+def test_each_rate_bounds_its_binomials():
+    # The three weights _Norms bounds by the rate r of an exponent, for
+    # i < P <= 12 and every nonzero exponent in [-400, 400]: |C(e, i)| <=
+    # r^i / i! (a power q^e), delta_i0 + |C(e, i)| <= 2 r^i / i! (the unit
+    # of 1 - q^e where d does not divide e) and |C(e, i + 1)| <= |e| r^i
+    # / i! (where it does), in integers.
+    for precision in range(1, 13):
+        norms = local._Norms(2, precision)
+        for e in range(-400, 401):
+            if not e:
+                continue
+            rate, series = norms._rate(e), local._binomials(e, precision + 1)
+            for i in range(precision):
+                top, scale = rate ** i, factorial(i)
+                assert abs(series[i]) * scale <= top, (e, precision, i)
+                assert ((i == 0) + abs(series[i])) * scale <= 2 * top, \
+                    (e, precision, i)
+                assert abs(series[i + 1]) * scale <= abs(e) * top, \
+                    (e, precision, i)
+
+
 def test_packed_rows_and_norm_bounds_match_the_list_ring():
-    # Random runs of every operation, d from 2 to 60 and P from 1 to 6:
-    # each _Norms row bounds the l1 norm of the list ring's row, and the
-    # packed ring, built at the width those bounds prove, reads back the
-    # list ring's rows exactly.
+    # Random runs of every operation, d from 2 to 60 and P from 1 to 8:
+    # each _Norms majorant bounds the oracle's row-by-row l1 bounds, each
+    # of those bounds the l1 norm of the list ring's row, and the packed
+    # ring, built at the width the majorants prove, reads back the list
+    # ring's rows exactly.
     rng = random.Random(2804)
     seen = Counter()
     for _ in range(120):
-        d, precision = rng.randint(2, 60), rng.randint(1, 6)
+        d, precision = rng.randint(2, 60), rng.randint(1, 8)
         program = _program(rng, d, rng.randint(4, 10))
-        bounds = _apply(local._Norms(d, precision), program)
+        norms = local._Norms(d, precision)
+        pairs = _apply(norms, program)
+        bounds = _apply(LocalNorms(d, precision), program)
         rows = _apply(local._Ring(d, precision), program)
+        assert all(map(_majorizes, pairs, bounds)), (d, precision, program)
         assert all(map(_within, rows, bounds)), (d, precision, program)
-        packed = local._Packed(d, precision, max(map(max, bounds)))
+        packed = local._Packed(d, precision, max(map(norms.bound, pairs)))
         assert [list(map(packed.read, element))
                 for element in _apply(packed, program)] == rows, \
             (d, precision, program)
@@ -347,12 +382,12 @@ def test_packed_rows_and_norm_bounds_match_the_list_ring():
     assert min(seen.values()) >= 50, seen
 
 
-def test_plan_brackets_pack_at_their_proven_width(monkeypatch):
+def test_plan_brackets_pack_at_their_proven_width():
     # The brackets of random plans, one sum against one or against a
-    # product of two (through mul), d from 2 to 60 and P from 1 to 6:
-    # the _Norms bracket, run with no limit, bounds the list ring's rows,
-    # and where the width it proves is at most PACK_BITS, _ring packs and
-    # its rows read back as the list ring's.
+    # product of two (through mul), d from 2 to 60 and P from 1 to 6: the
+    # _Norms majorant of the bracket bounds the oracle's rows, which bound
+    # the list ring's, and where the width it proves is at most
+    # PACK_BITS, _ring packs and its rows read back as the list ring's.
     rng = random.Random(2805)
     kinds = Counter()
     for trial in range(60):
@@ -363,10 +398,9 @@ def test_plan_brackets_pack_at_their_proven_width(monkeypatch):
                      for _ in range(trial % 2)]
         lifts = [rng.randint(0, 2) for _ in sides]
         rows = local._bracket(local._Ring(d, precision), *sides, *lifts)
-        with monkeypatch.context() as unlimited:
-            unlimited.setattr(local, "PACK_BITS", 1 << 16)
-            bounds = local._bracket(local._Norms(d, precision), *sides,
-                                    *lifts)
+        bounds = local._bracket(LocalNorms(d, precision), *sides, *lifts)
+        pair = local._bracket(local._Norms(d, precision), *sides, *lifts)
+        assert _majorizes(pair, bounds), (sides, d, precision, lifts)
         assert _within(rows, bounds), (sides, d, precision, lifts)
         ring = local._ring(d, precision, *sides, *lifts)
         kinds[type(ring).__name__, len(sides[1])] += 1
@@ -378,10 +412,10 @@ def test_plan_brackets_pack_at_their_proven_width(monkeypatch):
 
 def test_the_proven_width_chooses_the_ring(monkeypatch):
     # The benchmark's (7, 2) parts and conj41 (7, 1) pack: their bracket
-    # rows are proven to fit slots of 152 to 536 bits (thm1-full's rows
+    # rows are proven to fit slots of 152 to 544 bits (thm1-full's rows
     # hold 41 bits at d = 49).  thm1-full (7, 3)'s d = 7 part would need
-    # 4312 bits by the same bound, so its _Norms pass stops at PACK_BITS
-    # and it takes the list ring.
+    # 4312 bits by the same bound (4310 bits and a sign), so it takes the
+    # list ring.
     chosen, calls = Counter(), []
     real = local._ring
 
@@ -400,11 +434,11 @@ def test_the_proven_width_chooses_the_ring(monkeypatch):
     kind = "wide"
     lhs, rhs = _sides("C", 7, 3, 1)
     certify_part([lhs], [rhs], 7, dict(build_modulus_theorem(7, 3).parts)[7])
-    assert chosen == {("thm1-full", 7, "_Packed", 57): 1,
+    assert chosen == {("thm1-full", 7, "_Packed", 58): 1,
                       ("thm1-full", 49, "_Packed", 19): 1,
-                      ("thm2-full", 7, "_Packed", 50): 1,
-                      ("thm2-full", 49, "_Packed", 26): 1,
-                      ("conj41", 7, "_Packed", 67): 1,
+                      ("thm2-full", 7, "_Packed", 51): 1,
+                      ("thm2-full", 49, "_Packed", 28): 1,
+                      ("conj41", 7, "_Packed", 68): 1,
                       ("wide", 7, "_Ring", 0): 1}
     assert 8 * max(width for *_, width in chosen) <= local.PACK_BITS
     monkeypatch.setattr(local, "PACK_BITS", 8192)
