@@ -8,7 +8,10 @@ Subcommands
 
 Every check is one row of CHECKS: its name, description, parameter axes and
 runner, the q-side rows built from congruence.CHECKS.  A case is plain
-data, (name, params), so it can be pickled.
+data, (name, params), so it can be pickled.  run_case names and times a
+classical report, as verify_case does a q-side one: its kind, its label
+the name and axis=value for each param (_label, which labels every error
+entry too) and its elapsed_ms the whole case.
 
 Exit codes: 0 all asserted (non-conjectural) cases pass; 1 some asserted
 case failed; 2 usage or config error; 3 report write error; 4 some sweep
@@ -241,13 +244,26 @@ def enumerate_cases(cfg: RunConfig) -> list[tuple]:
 
 
 def run_case(spec: tuple) -> dict:
-    """The report entry of one (name, params) case."""
+    """The report entry of one (name, params) case.  A classical report is
+    named and timed here, a q-side one by verify_case."""
     name, params = spec
-    return CHECKS[name].run(name, **params).to_dict()
+    check = CHECKS[name]
+    start = time.perf_counter()
+    report = check.run(name, **params)
+    if check.classical:
+        report.elapsed_ms = (time.perf_counter() - start) * 1e3
+        report.kind, report.label = name, _label(name, params)
+    return report.to_dict()
 
 
-#: An axis -> the name the classical reports give it in their labels.
+#: An axis -> the name the classical labels give it.
 _LABEL_AXES = {"exponent": "exp", "kcap": "K"}
+
+
+def _label(name: str, params: dict) -> str:
+    # a classical case's label, and that of any case's error entry
+    return " ".join([name] + [f"{_LABEL_AXES.get(k, k)}={v}"
+                              for k, v in params.items()])
 
 
 def _run_recorded(spec: tuple) -> dict:
@@ -257,9 +273,7 @@ def _run_recorded(spec: tuple) -> dict:
         return run_case(spec)
     except Exception as exc:
         name, params = spec
-        label = " ".join([name] + [f"{_LABEL_AXES.get(k, k)}={v}"
-                                   for k, v in params.items()])
-        return {"type": "error", "label": label, "kind": name,
+        return {"type": "error", "label": _label(name, params), "kind": name,
                 "params": dict(params), "conjectural": False, "pass": False,
                 "error": " ".join(f"{type(exc).__name__}: {exc}".split()),
                 "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3)}

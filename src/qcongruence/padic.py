@@ -20,15 +20,18 @@ term is formed.  So a reported residue or valuation is a statement about
 the exact value, with no modulus or height bound to trust.  Only
 dwork_quotient_check works with residues mod p^exponent, and its
 valuation is capped there.
+
+Each check returns a bare report, as congruence.check_congruence does:
+cli.run_case gives it its kind, label and elapsed_ms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 
+from .cyclotomic import _prime_factors
 from .polycore import INFINITE
 from .qseries import eta_product_coefficients, target_sign
 
@@ -39,19 +42,16 @@ MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
 
 @dataclass
 class ResidueReport:
-    label: str
-    kind: str
     params: dict
     exponent: int
     valuation: object       # int or INFINITE
     passed: bool
     conjectural: bool = False
-    timings: dict = field(default_factory=dict)
+    label: str = ""         # these three set by cli.run_case
+    kind: str = ""
+    elapsed_ms: float = 0.0
     note: str = ""
     extra: dict = field(default_factory=dict)
-
-    def elapsed_ms(self) -> float:
-        return sum(self.timings.values())
 
     def to_dict(self) -> dict:
         val = None if self.valuation == INFINITE else self.valuation
@@ -67,23 +67,12 @@ class ResidueReport:
             "valuation": val,
             "note": self.note,
             "extra": dict(self.extra),
-            "elapsed_ms": round(self.elapsed_ms(), 3),
+            "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def padic_valuation(n: int, p: int):
@@ -150,13 +139,9 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
     _require_odd_prime(p, minimum=MIN_PRIME[kind])
     if not 1 <= exponent <= 4:
         raise ValueError("exponent must be between 1 and 4")
-    t0 = time.perf_counter()
     val = _companion_valuation("C" if kind == "c2" else "J", p, 1, 2)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ResidueReport(
-        label=f"{kind} p={p} exp={exponent}", kind=kind,
-        params={"p": p}, exponent=exponent, valuation=val,
-        passed=val >= exponent, timings={"total_ms": ms})
+    return ResidueReport(params={"p": p}, exponent=exponent, valuation=val,
+                         passed=val >= exponent)
 
 
 def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
@@ -173,16 +158,12 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
         raise ValueError("r must be >= 1")
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    t0 = time.perf_counter()
     family = "C" if kind in ("c3", "cc") else "J"
     div = 2 if kind in ("c3", "j3") else 1
     val = _companion_valuation(family, p, r, div)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ResidueReport(
-        label=f"{kind} p={p} r={r} exp={exponent}", kind=kind,
-        params={"p": p, "r": r}, exponent=exponent, valuation=val,
-        passed=val >= exponent, conjectural=exponent > 3 * r,
-        timings={"total_ms": ms})
+    return ResidueReport(params={"p": p, "r": r}, exponent=exponent,
+                         valuation=val, passed=val >= exponent,
+                         conjectural=exponent > 3 * r)
 
 
 def verify_m2(p: int) -> ResidueReport:
@@ -190,7 +171,6 @@ def verify_m2(p: int) -> ResidueReport:
     coefficient gamma_p modulo p^3; the valuation is v_p(full - gamma_p).
     Both sums are read off their numerators over 256^K."""
     _require_odd_prime(p)
-    t0 = time.perf_counter()
     modulus = p ** 3
     gamma_p = eta_product_coefficients(p)[p - 1]
     k_half, k_full = (p - 1) // 2, p - 1
@@ -200,11 +180,8 @@ def verify_m2(p: int) -> ResidueReport:
     full = n_full * pow(256, -k_full, modulus) % modulus
     passed = half == full == gamma
     diff_val = padic_valuation(n_full - (gamma_p << 8 * k_full), p)
-    ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
-        label=f"m2 p={p}", kind="m2", params={"p": p}, exponent=3,
-        valuation=diff_val, passed=passed,
-        timings={"total_ms": ms},
+        params={"p": p}, exponent=3, valuation=diff_val, passed=passed,
         extra={"half_residue": half, "full_residue": full,
                "gamma_residue": gamma, "modulus": modulus})
 
@@ -234,7 +211,6 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
         exponent = r
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    t0 = time.perf_counter()
     modulus = p ** exponent
     cut_hi = p ** (r + 1)     # f_{r+1} keeps k < p^{r+1}
     cut_mid = p ** r
@@ -259,13 +235,9 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
             mismatches.append(m)
             valuation = min(valuation,
                             padic_valuation((lhs - rhs) % modulus, p))
-    ms = (time.perf_counter() - t0) * 1e3
     return ResidueReport(
-        label=f"dwork p={p} r={r} K={degree_cap} exp={exponent}",
-        kind="dwork", params={"p": p, "r": r, "K": degree_cap},
-        exponent=exponent, valuation=valuation,
-        passed=not mismatches, conjectural=exponent > r,
-        timings={"total_ms": ms},
+        params={"p": p, "r": r, "K": degree_cap}, exponent=exponent,
+        valuation=valuation, passed=not mismatches, conjectural=exponent > r,
         extra={"mismatched_degrees": mismatches[:10]})
 
 
@@ -291,10 +263,6 @@ def lucas_min_valuation(p: int, r: int) -> int:
 
 
 def verify_lucas(p: int, r: int) -> ResidueReport:
-    t0 = time.perf_counter()
     best = lucas_min_valuation(p, r)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ResidueReport(
-        label=f"lucas p={p} r={r}", kind="lucas", params={"p": p, "r": r},
-        exponent=4, valuation=best, passed=best >= 4,
-        timings={"total_ms": ms})
+    return ResidueReport(params={"p": p, "r": r}, exponent=4, valuation=best,
+                         passed=best >= 4)

@@ -182,7 +182,7 @@ def test_criterion_08_classical_quotient_congruences():
             for r in (1, 2):
                 for kind in ("c3", "j3", "cc", "jj"):
                     rep = verify_swisher(kind, p, r, 3 * r)
-                    assert rep.passed and not rep.conjectural, rep.label
+                    assert rep.passed and not rep.conjectural, (kind, p, r)
                     rep4 = verify_swisher(kind, p, r, 4 * r)
                     assert rep4.conjectural
                     if not rep4.passed:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pickle
+import time
 
 import pytest
 
@@ -98,8 +99,7 @@ def test_asserted_failure_gives_exit_one(capsys, monkeypatch):
 
     def failing(kind, p, exponent):
         from qcongruence.padic import ResidueReport
-        return ResidueReport(label="c2 p=5 exp=4", kind="c2",
-                             params={"p": p}, exponent=exponent,
+        return ResidueReport(params={"p": p}, exponent=exponent,
                              valuation=0, passed=False)
 
     monkeypatch.setattr(cli, "verify_van_hamme", failing)
@@ -111,8 +111,7 @@ def test_conjectural_failure_keeps_exit_zero(capsys, monkeypatch):
 
     def failing(kind, p, r, exponent):
         from qcongruence.padic import ResidueReport
-        return ResidueReport(label="jj p=5 r=1 exp=4", kind="jj",
-                             params={"p": p, "r": r}, exponent=exponent,
+        return ResidueReport(params={"p": p, "r": r}, exponent=exponent,
                              valuation=3, passed=False, conjectural=True)
 
     monkeypatch.setattr(cli, "verify_swisher", failing)
@@ -332,6 +331,26 @@ def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
     entries = sweep(cfg).entries
     assert {e["type"] for e in entries} == {"error"}
     assert [e["label"] for e in entries] == labels
+
+
+def test_elapsed_ms_covers_the_whole_case(monkeypatch):
+    # planning the sides of a q-side case and running a classical check
+    # both count, not only the phases of the comparison
+    import qcongruence.cli as cli
+    import qcongruence.congruence as congruence
+
+    def slowed(original):
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return original(*args, **kwargs)
+        return slow
+
+    monkeypatch.setattr(congruence, "plan_sum", slowed(congruence.plan_sum))
+    entry = congruence.verify_case("thm1-half", n=3, r=1).to_dict()
+    assert entry["elapsed_ms"] >= 20
+    monkeypatch.setattr(cli, "verify_lucas", slowed(cli.verify_lucas))
+    entry = run_case(("lucas", {"p": 5, "r": 1}))
+    assert entry["label"] == "lucas p=5 r=1" and entry["elapsed_ms"] >= 20
 
 
 def test_mixed_results_serialize_and_count_asserted_only():
