@@ -389,7 +389,7 @@ def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
         raise ValueError("j out of the admissible range")
     m = (2 * j + 1) * n
     lhs, rhs = _sides(family, n, r, d, -m)
-    other = SeriesSum([([], [], None, 0, 1)], bits=1).scaled(m, 1) \
+    other = SeriesSum([([], [], [], 0, 1)], bits=1).scaled(m, 1) \
         if family == "C_PARAM" else _target(family, n, r, d, -m, printed=True)
     equal, second = (check_identity_equal(*pair)
                      for pair in ((lhs, rhs), (lhs, other)))
@@ -468,7 +468,7 @@ def _corrected_target(family: str, n: int) -> SeriesSum:
     # 24 + c (1 - q^n)^2, c = n^2 - 1, as a two-term run, scaled by
     # +-q^{(1-n)/2} [n]
     c = n * n - 1
-    return SeriesSum([([], [], None, 0, 24), ([n, n], [], None, 0, c)],
+    return SeriesSum([([], [], [], 0, 24), ([n, n], [], [], 0, c)],
                      bits=(24 + 2 * c).bit_length()) \
         .scaled(n, target_sign(family, n))
 

@@ -56,9 +56,9 @@ any row is built, and mu is the least of them.  The numerator runs
 
 u(dens_k) the product of the units of step k's denominator binomials and
 X_k the unit part of term k's numerator, with its coefficient and shift
-(which hold the sign, the units -q^|e| of the turned negative exponents
-and a scale's c q^{(1-n)/2}; the scale's 1 - q^n, unless it cancels one
-of extra, is a binomial of step 0); B is the product of every
+(which hold the sign, the units -q^e the plan took out of its negative
+exponents, and a scale's c q^{(1-n)/2}; the scale's 1 - q^n, unless it
+cancels one of extra, is a binomial of step 0); B is the product of every
 denominator unit and of those of the held divisor (extra), and sigma is
 mu less the x-order of extra.  The run of a sum that stops at a
 vanishing term ends before it, so the later steps enter V and B not at
@@ -392,32 +392,30 @@ class _Sum:
 def _read(plan: SeriesSum, d: int) -> _Sum:
     """The x-orders and the exponent bounds of a plan's sum.
 
-    Term k times the nominal denominator is its coefficient times prod_k
-    (1 - q^top) q^shift / extra (the shift holds the units of the turned
-    denominator exponents up to step k), times the binomials of the later
-    steps, so its exponents lie in the ranges added below.
+    Term k times the nominal denominator times extra is its coefficient
+    times q^shift and binomials 1 - q^e, e >= 1: those of prod_k, its own
+    and the later steps' dens, so its exponents run from shift to shift
+    plus their sum.  The held numerator is exactly divisible by extra, so
+    the nominal numerator's top is at most the largest term's less extra's.
     """
     extra = [m for m, e in plan.extra.factors.items() for _ in range(e)]
-    up_order = den_order = up_low = up_high = degree = 0
+    up_order = den_order = up_degree = degree = 0
     orders, lows, highs = [], [], []
-    for ups, dens, top, shift, _ in plan.numerator:
+    for ups, dens, tops, shift, _ in plan.numerator:
         den_order += sum(e % d == 0 for e in dens)
         degree += sum(dens)
-        for e in ups:
-            up_order += e % d == 0
-            up_low += min(e, 0)
-            up_high += max(e, 0)
-        top_order, top_low, top_high = (0, 0, 0) if top is None \
-            else (top % d == 0, min(top, 0), max(top, 0) - sum(extra))
-        orders.append(up_order + top_order - den_order)
-        lows.append(up_low + top_low + shift)
-        highs.append(up_high + top_high + shift - degree)
+        up_order += sum(e % d == 0 for e in ups)
+        up_degree += sum(ups)
+        orders.append(up_order + sum(e % d == 0 for e in tops) - den_order)
+        lows.append(shift)
+        highs.append(up_degree + sum(tops) + shift - degree)
     mu, total = min(orders, default=0), sum(
         m * e for m, e in plan.denominator.factors.items())
     return _Sum(plan.numerator, extra, [m - mu for m in orders],
                 mu - sum(e % d == 0 for e in extra),
                 plan.denominator.ord_cyclotomic(d), total,
-                min(lows, default=0), max(highs, default=0) + total)
+                min(lows, default=0),
+                max(highs, default=0) + total - sum(extra))
 
 
 def _live(series: _Sum, lift: int, precision: int) -> list:
@@ -436,14 +434,16 @@ def _run(ring: _Rows, steps: list, numerator: list, prod: list,
     nested product prod: each step multiplies numerator by its denominator
     units and adds x^(lift + gap) times its term, skipped when that is x^P
     or beyond."""
-    for (ups, dens, top, shift, coeff), gap in steps:
+    for (ups, dens, tops, shift, coeff), gap in steps:
         for e in dens:
             numerator = ring.times_unit(numerator, e)
         for e in ups:
             prod = ring.times_unit(prod, e)
         if lift + gap >= ring.precision:
             continue
-        term = prod if top is None else ring.times_unit(prod, top)
+        term = prod
+        for e in tops:
+            term = ring.times_unit(term, e)
         if shift:
             term = ring.times_power(term, shift)
         numerator = ring.add(numerator, ring.shifted(term, lift + gap), coeff)

@@ -6,8 +6,8 @@ integer, its value at q = 2^W with W = 8w for slots of w bytes, and
 _unpack (or _slots, every slot) reads it back while every
 |c| < 2^(W - 1).  Packed arithmetic is exact whatever the coefficients;
 only the unpack needs that bound, so w always comes from a bound proven
-before the work.  A product with a binomial 1 - q^m is one
-shift-subtract x - (x << W m) of the packed value (_packed_one_minus)
+before the work.  A product with a binomial 1 - q^m, m >= 1, is one
+shift-subtract x - (x << W m) of the packed value, written inline,
 and at most doubles max|c|.  The q-series sums and the lifts and delta
 of a global check stay packed from their first step to the delta, which
 is unpacked once (qseries, congruence).  On a list, a product with a
@@ -87,14 +87,6 @@ def _kronecker(a, b) -> list:
             + min(la, lb).bit_length() + 2)
     w = (bits + 7) // 8
     return _unpack(_pack(a, w) * _pack(b, w), w, la + lb - 1)
-
-
-def _packed_one_minus(x: int, e: int, bits: int) -> tuple[int, int]:
-    # x * (1 - q^e) at q = 2^bits, and the move of the offset; a negative e
-    # is folded as -q^e (1 - q^-e) = q^e (q^-e - 1)
-    if e >= 0:
-        return x - (x << bits * e), 0
-    return (x << -bits * e) - x, e
 
 
 def _times_one_minus(cs, m: int) -> list:

@@ -2,22 +2,23 @@
 
 A sum is (cofactor * numerator) / denominator with the denominator a
 *factored* product prod (1 - q^m)^e, m >= 1, a multiset of binomials
-whose cyclotomic valuations are read off the bases m.  A binomial with a
-negative exponent is rewritten 1 - q^{-m} = -q^{-m} (1 - q^m) as it
-enters, and its unit goes into the numerator.  Consecutive terms of every
-supported family share nested denominators, so each step multiplies the
-running numerator by the new binomials and adds the next term's
-numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) / (1 - q^s)
-enters as one binomial 1 - q^{sN}; the divisor 1 - q^s, common to every
-term, is held in the denominator.
+whose cyclotomic valuations are read off the bases m.  Consecutive terms
+of every supported family share nested denominators, so each step
+multiplies the running numerator by the new binomials and adds the next
+term's numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) /
+(1 - q^s) enters as one binomial 1 - q^{sN}; the divisor 1 - q^s,
+common to every term, is held in the denominator.
 
 A sum is described once, by its plan (plan_sum): its run of steps (the
 whole value, a scale included, each term with an integer coefficient;
 the empty run is 0), denominator, cofactor, held divisor and a count
-bound on its numerator.  The local path reads the run (local), the
-global path builds it at a slot width proven from that bound, numerator
-and nested product each one packed integer (polycore._pack), each
-binomial one shift-subtract.  A global check never unpacks its sums
+bound on its numerator.  Every binomial of a plan has a positive
+exponent: one with a negative exponent is rewritten 1 - q^{-m} =
+-q^{-m} (1 - q^m) as it enters, and its unit goes into the sign and
+shift of the terms it reaches.  The local path reads the run (local),
+the global path builds it at a slot width proven from that bound,
+numerator and nested product each one packed integer (polycore._pack),
+each binomial one shift-subtract.  A global check never unpacks its sums
 (congruence); only SeriesSum.series, which no check calls, unpacks a sum
 and divides its held divisor out.
 
@@ -57,14 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .polycore import (
-    Poly,
-    _divide_one_minus,
-    _pack,
-    _packed_one_minus,
-    _slots,
-    _times_one_minus,
-)
+from .polycore import Poly, _divide_one_minus, _pack, _slots, _times_one_minus
 
 PLAIN_FAMILIES = ("C", "J", "M")
 PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
@@ -127,11 +121,13 @@ class SeriesSum:
 
     cofactor and denominator are factored products, cofactor dividing
     denominator.  numerator is a Poly, or a run of _planned that is only
-    ever built packed; it is N times the binomials of extra (an undivided
-    1 - q^step, the 1 - q of a scale), so it is held over held,
-    denominator / cofactor times extra, set as the sum is made.  packed(w)
-    builds it as one integer (polycore._pack) in slots of w bytes, once
-    per w; bits is a count bound: every |c| of it is below 2^bits.
+    ever built packed, each step (ups, dens, tops, shift, coeff) with
+    three lists of positive exponents; it is N times the binomials of
+    extra (an undivided 1 - q^step, the 1 - q of a scale), so it is held
+    over held, denominator / cofactor times extra, set as the sum is
+    made.  packed(w) builds it as one integer (polycore._pack) in slots of
+    w bytes, once per w; bits is a count bound: every |c| of it is below
+    2^bits.
     """
 
     numerator: object
@@ -161,9 +157,9 @@ class SeriesSum:
         if extra[n]:
             extra[n], up = extra[n] - 1, []
         extra[1] += 1
-        numerator = [([*ups, *up] if k == 0 else ups, dens, top,
+        numerator = [([*ups, *up] if k == 0 else ups, dens, tops,
                       shift + (1 - n) // 2, coeff * c)
-                     for k, (ups, dens, top, shift, coeff)
+                     for k, (ups, dens, tops, shift, coeff)
                      in enumerate(self.numerator)]
         return replace(self, numerator=numerator,
                        extra=FactoredProduct(dict(+extra)),
@@ -229,23 +225,19 @@ class FamilySpec:
 # term generation
 
 # Per family, the exponents of the binomials that enter the numerator
-# product and the raw denominator at step k (k >= 1), before any
-# positive-base normalization of negative denominator exponents.
+# product and the raw denominator at step k (k >= 1), before any turning
+# of negative exponents; a plain family's are its parametric family's at
+# t = 0 (M's those of C).
 
 
 def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
-    s, t = spec.base, spec.t
+    s, t = spec.base, spec.t or 0
     odd = 2 * k - 1
-    if spec.family in ("C", "M"):
-        return [s * odd] * 4, [2 * s * k] * 4
-    if spec.family == "J":
-        return [s * odd, s * odd, 2 * s * odd], [4 * s * k] * 3
-    if spec.family == "C_PARAM":
-        return ([s * odd + t, s * odd - t, s * odd, s * odd],
-                [2 * s * k + t, 2 * s * k - t, 2 * s * k, 2 * s * k])
-    # J_PARAM
-    return ([s * odd + t, s * odd - t, 2 * s * odd],
-            [4 * s * k + t, 4 * s * k - t, 4 * s * k])
+    if spec.family in SEXTIC_FAMILIES:
+        return ([s * odd + t, s * odd - t, 2 * s * odd],
+                [4 * s * k + t, 4 * s * k - t, 4 * s * k])
+    return ([s * odd + t, s * odd - t, s * odd, s * odd],
+            [2 * s * k + t, 2 * s * k - t, 2 * s * k, 2 * s * k])
 
 
 def _q_integer_step(spec: FamilySpec) -> int:
@@ -257,16 +249,16 @@ def _q_integer_step(spec: FamilySpec) -> int:
     return 0
 
 
-def _term_binomial(spec: FamilySpec, k: int) -> tuple[Optional[int], int]:
-    """(top, shift): term k's numerator is prod_k (1 - q^top) q^shift over
-    1 - q^step, its q-integer [N]_{q^step} = (1 - q^{step N}) / (1 - q^step)
-    written as one binomial; top is None for M."""
+def _term_binomial(spec: FamilySpec, k: int) -> tuple[list[int], int]:
+    """(tops, shift): term k's numerator is prod_k (1 - q^e), e in tops,
+    times q^shift over 1 - q^step, its q-integer [N]_{q^step} = (1 -
+    q^{step N}) / (1 - q^step) written as one binomial; M has none."""
     s, step = spec.base, _q_integer_step(spec)
     if spec.family in ("C", "C_PARAM"):
-        return step * (4 * k + 1), 0
+        return [step * (4 * k + 1)], 0
     if spec.family in SEXTIC_FAMILIES:
-        return step * (6 * k + 1), (1 if spec.printed else s) * k * k
-    return None, 2 * s * k
+        return [step * (6 * k + 1)], (1 if spec.printed else s) * k * k
+    return [], 2 * s * k
 
 
 def _steps(spec: FamilySpec) -> list[tuple]:
@@ -278,29 +270,33 @@ def _steps(spec: FamilySpec) -> list[tuple]:
 def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
     """The sum of steps over the common (last) denominator, planned.
 
-    Step k is (ups, dens, top, shift): prod_k is prod_{k-1} times 1 - q^e,
-    e in ups; term k is prod_k (1 - q^top) q^shift / (1 - q^step) (no
-    binomial for top None, no divisor for step 0) over the binomials of
-    dens of steps 0..k, unit * F_k with F_{k-1} dividing F_k.  The run
-    keeps each step's binomials of F_k / F_{k-1} and its term's offset
-    and integer coefficient, the unit's sign.  From a zero in ups on,
-    every term is zero and each step's binomials go to the cofactor.  bits
-    counts: each binomial at most doubles max|c|, so term j times the
-    binomials of later steps stays below 2^num_bits, and the sum of the
-    terms below 2^(num_bits + bits(terms)).
+    Step k is (ups, dens, tops, shift): prod_k is prod_{k-1} times 1 -
+    q^e, e in ups; term k is prod_k times 1 - q^e, e in tops, times
+    q^shift / (1 - q^step) (no divisor for step 0) over the binomials of
+    dens of steps 0..k.  Every exponent is turned positive as it enters,
+    1 - q^e = -q^e (1 - q^-e) for e < 0: the unit of one in dens or ups
+    goes into the sign and shift of this term and every later one, that
+    of one in tops into this term's only.  So the run keeps, per step,
+    the binomials of prod_k / prod_{k-1}, of F_k / F_{k-1} and of the
+    term, all positive, and the term's shift and integer coefficient, the
+    units' sign.  From a zero in ups on, every term is zero and each
+    step's binomials go to the cofactor.  bits counts: each binomial at
+    most doubles max|c|, so term j times the binomials of later steps
+    stays below 2^num_bits, and the sum of the terms below 2^(num_bits +
+    bits(terms)).
     """
     factors: dict[int, int] = {}
     tail: Optional[dict[int, int]] = None   # cofactor, once stopped
     run = []
     unit_sign, unit_power = 1, 0
     prod_bits, num_bits = 1, 0
-    for ups, dens, top, shift in steps:
+    for ups, dens, tops, shift in steps:
         new = []
         for e in dens:
             if e == 0:
                 raise ZeroDivisionError("vanishing denominator factor")
             if e < 0:
-                unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
+                unit_sign, unit_power, e = -unit_sign, unit_power - e, -e
             factors[e] = factors.get(e, 0) + 1
             new.append(e)
         if tail is None and 0 in ups:
@@ -309,9 +305,19 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
             for e in new:
                 tail[e] = tail.get(e, 0) + 1
             continue
+        turned, own = [], []
+        for e in ups:
+            if e < 0:
+                unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
+            turned.append(e)
+        sign, power = unit_sign, unit_power
+        for e in tops:
+            if e < 0:
+                sign, power, e = -sign, power + e, -e
+            own.append(e)
         prod_bits += len(ups)
-        num_bits = max(num_bits + len(new), prod_bits + (top is not None))
-        run.append((ups, new, top, shift - unit_power, unit_sign))
+        num_bits = max(num_bits + len(new), prod_bits + len(tops))
+        run.append((turned, new, own, shift + power, sign))
     return SeriesSum(run, FactoredProduct(factors),
                      FactoredProduct(tail or {}),
                      FactoredProduct({step: 1} if step else {}),
@@ -322,31 +328,27 @@ def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
     """The held numerator of a run of _planned in slots of w bytes, and its
     offset (0 for the empty run): kept over F_k (1 - q^step), it is
     multiplied by each step's binomials and takes the term times 1 -
-    q^step, coeff prod_k (1 - q^top) q^shift, with no division.  The
-    numerator and prod are packed integers, so each binomial is one
-    shift-subtract, and a coefficient -1 a negation (on a long int, ten
-    times cheaper than a product)."""
+    q^step, coeff prod_k (1 - q^e, e in tops) q^shift, with no division.
+    The numerator and prod are packed integers, so each binomial is one
+    shift-subtract, and a term of coefficient -1 is subtracted (on a long
+    int, ten times cheaper than a product)."""
     bits = 8 * w
-    prod, prod_off = 1, 0
-    num, num_off = 0, 0
-    for ups, new, top, shift, coeff in run:
+    prod, num, num_off = 1, 0, 0
+    for ups, dens, tops, shift, coeff in run:
         for e in ups:
-            prod, move = _packed_one_minus(prod, e, bits)
-            prod_off += move
-        for e in new:
+            prod -= prod << bits * e
+        for e in dens:
             num -= num << bits * e
-        term, move = (prod, 0) if top is None \
-            else _packed_one_minus(prod, top, bits)
-        term_off = prod_off + move + shift
-        if coeff == -1:
-            term = -term
-        elif coeff != 1:
+        term = prod
+        for e in tops:
+            term -= term << bits * e
+        if coeff != 1 and coeff != -1:
             term *= coeff
-        if term_off >= num_off:
-            num += term << bits * (term_off - num_off)
+        if shift >= num_off:
+            term <<= bits * (shift - num_off)
         else:
-            num = (num << bits * (num_off - term_off)) + term
-            num_off = term_off
+            num, num_off = num << bits * (num_off - shift), shift
+        num = num - term if coeff == -1 else num + term
     return num, num_off
 
 

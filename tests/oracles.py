@@ -12,11 +12,13 @@ a binomial, a family term, the scale of a sum held as a Poly, the
 pole-free q = 1 value of a plain-family term, the sums built with one
 list pass per binomial (the oracle for the packed accumulator), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
-the packed lifts and delta), and the product conjectures through the
-global path, their sums expanded and multiplied out (the oracle for the
-local path), the local path's runs to their last step, every unit
-applied (the oracle for its stopped runs), and its l1 bounds row by row
-(the oracle for the two-number majorants that prove a packed width).
+the packed lifts and delta), the raw steps of a plan summed with no
+exponent turned (the oracle for the plan's turning), and the product
+conjectures through the global path, their sums expanded and multiplied
+out (the oracle for the local path), the local path's runs to their
+last step, every unit applied (the oracle for its stopped runs), and its
+l1 bounds row by row (the oracle for the two-number majorants that prove
+a packed width).
 Also here: Jackson's terminating 6phi5 summation, its two sides as plans
 compared exactly, and the global cases of the two fingerprint sweeps,
 which the width and cross-path tests run.  And the classical side as
@@ -362,6 +364,34 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
                      FactoredProduct(tail or {}))
 
 
+def raw_steps_sum(steps) -> tuple[Poly, Poly]:
+    """(N, D), the sum of qseries._planned's raw steps (ups, dens, tops,
+    shift) as N / D, with no exponent turned: every binomial is multiplied
+    in by times_one_minus as its exponent comes, negative or zero, and no
+    sum is stopped, since a zero in ups makes every later term zero by
+    itself.  D is the product of every step's dens, and N the terms, each
+    times the dens of the steps after it."""
+    prod, num, den = Poly.one(), Poly.zero(), Poly.one()
+    for ups, dens, tops, power in steps:
+        prod = times_one_minus(prod, ups)
+        num, den = times_one_minus(num, dens), times_one_minus(den, dens)
+        num = add(num, shift(times_one_minus(prod, tops), power))
+    return num, den
+
+
+def raw_steps_side(steps) -> SeriesSum:
+    """raw_steps_sum(steps) as a side over positive binomials: the product
+    of 1 - q^|e| over the dens is D times a unit +-q^j, read off the two
+    polynomials' lowest terms, and N takes that unit."""
+    num, den = raw_steps_sum(steps)
+    positive = FactoredProduct(dict(Counter(
+        abs(e) for step in steps for e in step[1])))
+    full = positive.expand()
+    unit = Poly([full.coeffs[0] * den.coeffs[0]], full.offset - den.offset)
+    assert den * unit == full
+    return SeriesSum(num * unit, positive)
+
+
 def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
     """[count] in base q^step as the binomials of times_binomials:
     (1 - q^{step*count}) / (1 - q^step), or none at all for count 1.
@@ -432,14 +462,16 @@ def local_run_full(ring, series, numerator: list, prod: list,
                    lift: int = 0) -> list:
     """local._run over the whole of series' run, the steps after its last
     live term included: the oracle for the stopped run."""
-    for (ups, dens, top, shift, coeff), gap in zip(series.run, series.gaps):
+    for (ups, dens, tops, shift, coeff), gap in zip(series.run, series.gaps):
         for e in dens:
             numerator = ring.times_unit(numerator, e)
         for e in ups:
             prod = ring.times_unit(prod, e)
         if lift + gap >= ring.precision:
             continue
-        term = prod if top is None else ring.times_unit(prod, top)
+        term = prod
+        for e in tops:
+            term = ring.times_unit(term, e)
         if shift:
             term = ring.times_power(term, shift)
         numerator = ring.add(numerator, ring.shifted(term, lift + gap), coeff)
@@ -524,17 +556,17 @@ def jackson_6phi5_terminating(a_exp: int, b_exp: int, c_exp: int,
     # nested product by the k-th numerator factors of the four shifted
     # factorials, and its term carries 1 - q^{A+2sk}.  A vanishing
     # denominator factor raises ZeroDivisionError in the plan.
-    lhs = _planned([([], [a], a, 0)] + [
+    lhs = _planned([([], [a], [a], 0)] + [
         ((a + s * (k - 1), b + s * (k - 1), c + s * (k - 1), s * (k - 1 - n)),
          [s * k, a - b + s * k, a - c + s * k, a + s * (n + k)],
-         a + 2 * s * k, lam * k) for k in range(1, n + 1)])
+         [a + 2 * s * k], lam * k) for k in range(1, n + 1)])
 
-    # the closed form as one term: the plan turns its negative
-    # denominator exponents around and moves their unit to the numerator
+    # the closed form as one term: the plan turns its negative exponents
+    # around and moves their units into the term's sign and shift
     ks = range(1, n + 1)
     rhs = _planned([(
         [e for k in ks for e in (a + s * k, a - b - c + s * k)],
-        [e for k in ks for e in (a - b + s * k, a - c + s * k)], None, 0)])
+        [e for k in ks for e in (a - b + s * k, a - c + s * k)], [], 0)])
     return congruence.check_identity_equal(lhs, rhs)
 
 

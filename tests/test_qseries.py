@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qcongruence.cli import CHECKS, RunConfig, sweep
+from qcongruence.congruence import check_identity_equal
 from qcongruence.cyclotomic import valuation_at
 from qcongruence.polycore import Poly
 from qcongruence.qseries import (
@@ -27,6 +30,8 @@ from oracles import (
     power,
     q_integer,
     q_integer_binomials,
+    raw_steps_side,
+    raw_steps_sum,
     scaled,
     series_times,
     shift,
@@ -243,7 +248,7 @@ def test_denominator_vanishing_is_an_error():
         FamilySpec("C_PARAM", 1, 3, 2)
     # a zero factor reaching a denominator position is an error
     with pytest.raises(ZeroDivisionError):
-        _planned([([], [2, 0], None, 0)])
+        _planned([([], [2, 0], [], 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +348,73 @@ def test_series_sum_carries_its_cofactor():
 def test_vanishing_denominator_after_the_stop_still_raises():
     # the nested product vanishes at step 1, so its binomials and those of
     # step 2 go to the cofactor; a zero exponent among them still raises
-    steps = [([], [], None, 0), ([0], [3, -1], None, 0),
-             ([], [5, 0], None, 0)]
+    steps = [([], [], [], 0), ([0], [3, -1], [], 0), ([], [5, 0], [], 0)]
     stopped = _planned(steps[:2]).series()
     assert stopped.numerator == Poly.one()
     assert stopped.cofactor.factors == {3: 1, 1: 1}
     with pytest.raises(ZeroDivisionError):
         _planned(steps)
+
+
+def test_every_plan_of_the_fingerprint_sweep_has_positive_binomials(
+        monkeypatch):
+    # every plan the checks build, scaled plans and the literal plans of
+    # congruence included, holds each step's binomials as lists of
+    # positive exponents, a term's empty for M
+    runs = []
+    post_init = SeriesSum.__post_init__
+
+    def record(self):
+        runs.append(self.numerator)
+        post_init(self)
+
+    monkeypatch.setattr(SeriesSum, "__post_init__", record)
+    sweep(RunConfig.from_dict({
+        "checks": list(CHECKS), "n_values": [3], "r_max": 2,
+        "d_values": [1, 2], "t_values": [7], "primes": [5],
+        "exponent_policy": "both"}))
+    steps = [step for run in runs if isinstance(run, list) for step in run]
+    assert len(steps) > 400
+    for ups, dens, tops, _, _ in steps:
+        assert all(isinstance(b, list) for b in (ups, dens, tops))
+        assert all(e > 0 for e in [*ups, *dens, *tops]), (ups, dens, tops)
+    assert any(not tops for _, _, tops, _, _ in steps[1:])
+
+
+def _raw_steps(rng):
+    # up to 5 steps of small exponents, negative ones everywhere; now and
+    # then a zero among the numerator binomials or the denominators
+    def exponents(most, zero):
+        return [0 if rng.random() < zero else rng.choice((-1, 1))
+                * rng.randint(1, 6) for _ in range(rng.randint(0, most))]
+    return [(exponents(3, 0.06), exponents(3, 0.02), exponents(2, 0.04),
+             rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
+
+
+def test_the_turning_of_raw_steps_matches_the_unturned_sum():
+    # 1 - q^e = -q^e (1 - q^-e) for e < 0, taken in _planned as each
+    # exponent enters, against the sum with every binomial multiplied in
+    # as it comes; a zero in ups stops the sum into the cofactor, a zero
+    # in dens raises
+    rng = random.Random(3101)
+    seen = Counter()
+    for _ in range(300):
+        steps = _raw_steps(rng)
+        if any(0 in step[1] for step in steps):
+            seen["raised"] += 1
+            with pytest.raises(ZeroDivisionError):
+                _planned(steps)
+            continue
+        plan = _planned(steps)
+        series = plan.series()
+        num, den = raw_steps_sum(steps)
+        assert series.cofactor.expand() * series.numerator * den \
+            == num * series.denominator.expand(), steps
+        assert check_identity_equal(plan, raw_steps_side(steps)), steps
+        seen["stopped"] += bool(plan.cofactor.factors)
+        for name, b in zip(("ups", "dens", "tops"), zip(*steps)):
+            seen[name] += any(e < 0 for exps in b for e in exps)
+    assert min(seen.values()) >= 20 and sum(seen.values()) > 200, seen
 
 
 # The sums of the checks: base 1 to 48 (the theorems at n = 7, r = 2),
