@@ -99,12 +99,15 @@ from .qseries import (
 
 @dataclass
 class ModulusSpec:
-    """A modulus prod Phi_d^e as (d, e) pairs with distinct d >= 2."""
+    """A modulus prod Phi_d^e as (d, e) pairs with distinct d >= 2 and
+    e >= 1.  An empty list raises ValueError, as a bad pair does."""
 
     parts: tuple[tuple[int, int], ...]
 
     def __init__(self, parts):
         self.parts = tuple(sorted(parts))
+        if not self.parts:
+            raise ValueError("a modulus needs at least one part")
         if any(d < 2 for d, _ in self.parts):
             raise ValueError("cyclotomic index must be >= 2")
         if any(e < 1 for _, e in self.parts):

@@ -44,9 +44,13 @@ A monomial and a binomial go over as
 
 and u(0) is nonzero in Z[zeta] (1 - zeta^j with d not dividing j, or
 -e), so u is a unit of Q(zeta)[[x]] and the x-order of a product of
-binomials is the count v of exponents d divides.  Multiplying by u is one
-triangular pass over the rows and one rotation of every row by g^j, never
-a general product.
+binomials is the count v of exponents d divides.  Multiplying a by u or
+by q^s is one truncated convolution of a's rows with binomial weights,
+rotated by g^j, never a general product: q^s convolves with C(s, .) at
+j = s, a unit with d dividing e with -C(e, . + 1) at j = 0, and any
+other unit gives a less the convolution with C(e, .) at j = e.  Both
+forms of a row run that one algorithm (_Rows), each supplying only its
+convolution kernel.
 
 A sum sum_k T_k is held as x^sigma V / B with V and B in A_P and B(0) a
 unit.  The x-order m_k of term k is counted from its binomials before
@@ -149,7 +153,10 @@ PACK_BITS = 640
 class _Rows:
     """What the list and packed forms of A_P share for one d and one
     precision P: an element is a list of P rows, row i the coefficient of
-    x^i.  Every operation returns new rows and never changes its
+    x^i, and the one algorithm for a power and a unit.  A form supplies
+    only its kernel, _convolved(a, weights, j, base): g^j sum_t
+    weights[i - t] a_t for each row i, or base less that when base is
+    given.  Every operation returns new rows and never changes its
     arguments."""
 
     def __init__(self, d: int, precision: int):
@@ -174,10 +181,26 @@ class _Rows:
             return self.zero()
         return self.zero()[:k] + a[:self.precision - k]
 
+    def times_power(self, a: list, s: int) -> list:
+        """a * q^s."""
+        return self._convolved(a, self._binomial_series(s), s)
+
+    def times_unit(self, a: list, e: int) -> list:
+        """a * u for 1 - q^e = x^v u; v is 1 if d divides e, else 0."""
+        series = self._binomial_series(e)
+        if e % self.d == 0:
+            return self._convolved(a, [-c for c in series[1:]])
+        # a - a q^e
+        return self._convolved(a, series, e, a)
+
 
 class _Ring(_Rows):
     """A_P with each row a list of d ints, the coefficients of g^0 ..
-    g^(d-1): the form of the parts wider than PACK_BITS."""
+    g^(d-1): the form of the parts wider than PACK_BITS.  Its kernel
+    rotates a's rows by g^j once, then makes one triangular pass over
+    them that skips a zero weight and takes a row as it is for a weight
+    of 1; with a base it negates the weights once, so that each row
+    operation is an add."""
 
     def zero(self) -> list:
         return [[0] * self.d for _ in range(self.precision)]
@@ -191,63 +214,35 @@ class _Ring(_Rows):
         """row's coefficients of g^0 .. g^(d-1)."""
         return row
 
-    def _rotated(self, row: list, j: int) -> list:
-        # row * g^j in Z[g]/(g^d - 1)
+    def _convolved(self, a: list, weights: list, j: int = 0,
+                   base: list = None) -> list:
         j %= self.d
-        return row[-j:] + row[:-j] if j else row
-
-    def _times_series(self, a: list, weights: list) -> list:
-        # a * sum_i weights[i] x^i mod x^P: one triangular pass over rows
+        if j:
+            a = [row[-j:] + row[:-j] for row in a]
+        if base is not None:
+            weights = [-w for w in weights[:self.precision]]
         out = []
         for i in range(self.precision):
-            row = None
+            row = None if base is None else base[i]
             for t in range(i + 1):
                 w = weights[i - t]
                 if not w:
                     continue
-                src = a[t]
                 if row is None:
-                    row = src if w == 1 else [w * v for v in src]
+                    row = a[t] if w == 1 else [w * v for v in a[t]]
                 else:
-                    row = [r + w * v for r, v in zip(row, src)]
+                    row = [r + w * v for r, v in zip(row, a[t])]
             out.append(row if row is not None else [0] * self.d)
         return out
 
-    def times_power(self, a: list, s: int) -> list:
-        """a * q^s."""
-        return [self._rotated(row, s)
-                for row in self._times_series(a, self._binomial_series(s))]
-
-    def times_unit(self, a: list, e: int) -> list:
-        """a * u for 1 - q^e = x^v u; v is 1 if d divides e, else 0."""
-        series = self._binomial_series(e)
-        if e % self.d == 0:
-            return self._times_series(a, [-c for c in series[1:]])
-        # a - g^e (1 + x)^e a, row i less sum over t <= i of
-        # C(e, i - t) g^e a_t
-        turned = [self._rotated(row, e) for row in a]
-        out = []
-        for i, row in enumerate(a):
-            for t in range(i + 1):
-                w = series[i - t]
-                if w:
-                    row = [x - w * y for x, y in zip(row, turned[t])]
-            out.append(row)
-        return out
-
     def mul(self, a: list, b: list) -> list:
-        """The general product, row by row, each row pair a cyclic
-        convolution of d slots."""
-        precision = self.precision
-        turned = [[self._rotated(row, s) for row in b] for s in range(self.d)]
+        """The general product: over each slot s of a's rows, g^s times b
+        convolved with that slot's column."""
         out = self.zero()
-        for i, row in enumerate(a):
-            for s, v in enumerate(row):
-                if not v:
-                    continue
-                for j in range(precision - i):
-                    out[i + j] = [x + v * y for x, y in
-                                  zip(out[i + j], turned[s][j])]
+        for s, column in enumerate(zip(*a)):
+            if any(column):
+                # out less the convolution with -column adds it
+                out = self._convolved(b, [-v for v in column], s, out)
         return out
 
     def add(self, a: list, b: list, c: int) -> list:
@@ -313,7 +308,9 @@ class _Packed(_Rows):
     ring map from Z[g]/(g^d - 1), exact whatever the coefficients.  read
     gives a row's coefficients back only while each is below 2^(W - 1)
     in absolute value, so the width comes from the bound that a _Norms
-    majorant of the same work proves first."""
+    majorant of the same work proves first.  Its kernel takes each row's
+    convolution as one dot product of ints, shifted by jW bits for g^j,
+    and folds each row once."""
 
     def __init__(self, d: int, precision: int, bound: int):
         # slots of w bytes hold every coefficient of absolute value at
@@ -338,30 +335,19 @@ class _Packed(_Rows):
             row -= self._modulus
         return _unpack(row, self.width, self.d)
 
-    def _times_series(self, a: list, weights: list, j: int = 0) -> list:
-        # a * g^j sum_i weights[i] x^i mod x^P; g^j is a shift by jW bits
+    def _convolved(self, a: list, weights: list, j: int = 0,
+                   base: list = None) -> list:
         shift = self._bits * (j % self.d)
-        return [self._fold(sum(map(mul, weights[i::-1], a)) << shift)
-                for i in range(self.precision)]
-
-    def times_power(self, a: list, s: int) -> list:
-        """a * q^s."""
-        return self._times_series(a, self._binomial_series(s), s)
-
-    def times_unit(self, a: list, e: int) -> list:
-        """a * u for 1 - q^e = x^v u; v is 1 if d divides e, else 0."""
-        series = self._binomial_series(e)
-        if e % self.d == 0:
-            return self._times_series(a, [-c for c in series[1:]])
-        # a - a q^e, each row folded once
-        shift = self._bits * (e % self.d)
-        return [self._fold(row - (sum(map(mul, series[i::-1], a)) << shift))
-                for i, row in enumerate(a)]
+        if base is None:
+            return [self._fold(sum(map(mul, weights[i::-1], a)) << shift)
+                    for i in range(self.precision)]
+        return [self._fold(row - (sum(map(mul, weights[i::-1], a)) << shift))
+                for i, row in enumerate(base)]
 
     def mul(self, a: list, b: list) -> list:
         """The general product: each row pair's cyclic convolution is one
         integer product."""
-        return self._times_series(b, a)
+        return self._convolved(b, a)
 
     def add(self, a: list, b: list, c: int) -> list:
         """a + c b."""

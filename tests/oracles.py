@@ -16,8 +16,10 @@ the packed lifts and delta), the raw steps of a plan summed with no
 exponent turned (the oracle for the plan's turning), and the product
 conjectures through the global path, their sums expanded and multiplied
 out (the oracle for the local path), the local path's runs to their
-last step, every unit applied (the oracle for its stopped runs), and its
-l1 bounds row by row (the oracle for the two-number majorants that prove
+last step, every unit applied (the oracle for its stopped runs), the
+value of a Laurent polynomial in A_P one monomial at a time (the oracle
+for the power, unit and product of both row forms), and its l1 bounds
+row by row (the oracle for the two-number majorants that prove
 a packed width).
 Also here: Jackson's terminating 6phi5 summation, its two sides as plans
 compared exactly, and the global cases of the two fingerprint sweeps,
@@ -499,6 +501,20 @@ def local_bracket_full(ring, a, b, lift_a: int, lift_b: int) -> list:
         seed = ring.times_unit(seed, e)
     return local_run_full(ring, long, ring.add(ring.zero(), seed, -1), units,
                           up)
+
+
+def local_value(coeffs, offset: int, d: int, precision: int) -> list:
+    """sum_k coeffs[k] q^(offset + k) in A_P = (Z[g]/(g^d - 1))[x]/(x^P),
+    q -> g (1 + x), as P rows of d slots: each monomial c q^s adds c C(s,
+    i), the falling factorial s (s - 1) .. (s - i + 1) over i!, to slot s
+    mod d of row i."""
+    rows = [[0] * d for _ in range(precision)]
+    for k, c in enumerate(coeffs):
+        s = offset + k
+        for i in range(precision):
+            falling = math.prod(range(s - i + 1, s + 1))
+            rows[i][s % d] += c * (falling // math.factorial(i))
+    return rows
 
 
 class LocalNorms(local._Rows):

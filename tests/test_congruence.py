@@ -63,6 +63,8 @@ def test_modulus_spec_validation():
         ModulusSpec([(3, 0)])
     with pytest.raises(ValueError):
         ModulusSpec([(3, 1), (3, 2)])
+    with pytest.raises(ValueError):
+        ModulusSpec([])
     assert modulus_q_integer(9).parts == ((3, 1), (9, 1))
 
 

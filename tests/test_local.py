@@ -33,7 +33,7 @@ from qcongruence.congruence import (
     verify_case,
 )
 from qcongruence.local import certify_part
-from qcongruence.polycore import INFINITE, Poly
+from qcongruence.polycore import INFINITE, Poly, _pack
 from qcongruence.qseries import (
     FAMILIES,
     FamilySpec,
@@ -45,11 +45,16 @@ from qcongruence.qseries import (
 
 from oracles import (
     LocalNorms,
+    add,
     local_bracket_full,
     local_evaluate_full,
+    local_value,
+    mul_schoolbook,
+    one_minus_q,
     product_conjecture_global,
     scaled,
     series_times,
+    shift,
     sweep_cases,
 )
 
@@ -382,6 +387,46 @@ def test_packed_rows_and_norm_bounds_match_the_list_ring():
     assert min(seen.values()) >= 50, seen
 
 
+def test_both_forms_match_the_value_of_each_product():
+    # Both forms against local_value (tests/oracles.py), which maps a
+    # Laurent polynomial to A_P one monomial at a time, on seeded random
+    # f and h, d from 2 to 40 and P from 1 to 7: x^v times the unit of
+    # 1 - q^e times f, v = [d | e], is the value of f (1 - q^e), for
+    # positive e, negative e and e a multiple of d; f q^s, f h and f + c h
+    # are the values of the product and the sum.  The packed form enters
+    # its operands through polycore._pack and reads back at the width of
+    # the largest slot expected.
+    rng = random.Random(3202)
+    units = Counter()
+    for _ in range(300):
+        d, precision = rng.randint(2, 40), rng.randint(1, 7)
+        f, h = (Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))],
+                     rng.randint(-3 * d, 3 * d)) for _ in range(2))
+        e = rng.choice((rng.randint(1, 3 * d), -rng.randint(1, 3 * d),
+                        d * rng.choice((-2, -1, 1, 3))))
+        s, c = rng.randint(-3 * d, 3 * d), rng.choice((-7, -1, 1, 2, 24))
+        units["divisible" if e % d == 0 else "negative" if e < 0
+              else "positive"] += 1
+
+        def value(p):
+            return local_value(p.coeffs, p.offset, d, precision)
+
+        expected = [value(mul_schoolbook(f, one_minus_q(e))),
+                    value(shift(f, s)), value(mul_schoolbook(f, h)),
+                    value(add(f, h, c))]
+        top = max(abs(v) for rows in expected for row in rows for v in row)
+        ring = local._Ring(d, precision)
+        packed = local._Packed(d, precision, top)
+        for form, enter in ((ring, value), (packed, lambda p: [
+                packed._fold(_pack(row, packed.width)) for row in value(p)])):
+            a, b = enter(f), enter(h)
+            got = [form.shifted(form.times_unit(a, e), int(e % d == 0)),
+                   form.times_power(a, s), form.mul(a, b), form.add(a, b, c)]
+            assert [list(map(form.read, rows)) for rows in got] == expected, \
+                (type(form).__name__, d, precision, f, h, e, s, c)
+    assert min(units.values()) >= 50, units
+
+
 def test_plan_brackets_pack_at_their_proven_width():
     # The brackets of random plans, one sum against one or against a
     # product of two (through mul), d from 2 to 60 and P from 1 to 6: the
@@ -415,7 +460,7 @@ def test_the_proven_width_chooses_the_ring(monkeypatch):
     # rows are proven to fit slots of 152 to 544 bits (thm1-full's rows
     # hold 41 bits at d = 49).  thm1-full (7, 3)'s d = 7 part would need
     # 4312 bits by the same bound (4310 bits and a sign), so it takes the
-    # list ring.
+    # list ring, and finds 387 there as it does packed at that width.
     chosen, calls = Counter(), []
     real = local._ring
 
@@ -433,7 +478,8 @@ def test_the_proven_width_chooses_the_ring(monkeypatch):
         verify_case(kind, **params)
     kind = "wide"
     lhs, rhs = _sides("C", 7, 3, 1)
-    certify_part([lhs], [rhs], 7, dict(build_modulus_theorem(7, 3).parts)[7])
+    part = [lhs], [rhs], 7, dict(build_modulus_theorem(7, 3).parts)[7]
+    assert certify_part(*part) == 387
     assert chosen == {("thm1-full", 7, "_Packed", 58): 1,
                       ("thm1-full", 49, "_Packed", 19): 1,
                       ("thm2-full", 7, "_Packed", 51): 1,
@@ -443,6 +489,10 @@ def test_the_proven_width_chooses_the_ring(monkeypatch):
     assert 8 * max(width for *_, width in chosen) <= local.PACK_BITS
     monkeypatch.setattr(local, "PACK_BITS", 8192)
     assert 8 * real(*calls[-1]).width == 4312
+    # packed at that width, the same part reads the same
+    kind = "wide, packed"
+    assert certify_part(*part) == 387
+    assert chosen[kind, 7, "_Packed", 539] == 1
 
 
 @pytest.mark.parametrize("lhs, rhs", [

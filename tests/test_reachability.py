@@ -33,8 +33,7 @@ UNENTERED = {
     ("polycore", "Poly.one"): BASIC,
     ("polycore", "Poly.__str__"): BASIC,
     **{("local", f"_Ring.{name}"): WIDE
-       for name in ("zero", "one", "read", "_rotated", "_times_series",
-                    "times_power", "times_unit", "mul", "add")},
+       for name in ("zero", "one", "read", "_convolved", "mul", "add")},
 }
 
 
