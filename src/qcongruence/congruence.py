@@ -8,7 +8,7 @@ and the denominator D multisets of binomials 1 - q^m, so ord_d of either
 is the sum of its exponents over the m divisible by d.  Before any
 arithmetic the check reads off each side its held denominator H, D / C
 times the binomials its packed numerator V still carries, and the lcm L
-of the two, at each base m the larger exponent (_lifts).  Then
+of the two, at each base m the larger exponent.  Then
 
     delta = (L / lhsH) * lhsV - (L / rhsH) * rhsV = L * (LHS - RHS),
 
@@ -21,23 +21,23 @@ the valuation of the full difference of the nominal numerators, lhsD *
 rhsD * delta / L, since valuations add (cyclotomic.valuation_at counts it
 one in-place pass per power of Phi_d).  Every value stays one packed
 integer from the sum's first step to delta: each lift is one
-shift-subtract per binomial and the difference one integer subtraction
-(_delta).  check_identity_equal is delta == 0; the global path unpacks
-delta once, for valuation_at.  Each comparison builds its sums at its
-own slot width (_lifts), each sum once per width: the sides' count
-bounds, one bit per binomial of a lift, one for the difference and one
-for the sign.  It is proven before the work, from counts alone, and it
-is loose (for the J sums by up to 1.8x); it is not to be tightened
-without a proof, since a coefficient that overflows its slot unpacks
-wrong without any error.
+shift-subtract per binomial and the difference one integer subtraction.
+One function, _delta, does all of it, and check_identity_equal is delta
+== 0; the global path unpacks delta once, for valuation_at.  Each
+comparison builds its sums at its own slot width, each sum once per
+width: the sides' count bounds, one bit per binomial of a lift, one for
+the difference and one for the sign.  It is proven before the work,
+from counts alone, and it is loose (for the J sums by up to 1.8x); it
+is not to be tightened without a proof, since a coefficient that
+overflows its slot unpacks wrong without any error.
 
 The local path (local.certify_part) reads each part off a few rows of
 integers at q = zeta_d (1 + x), from the sums' plans, with the same found
-as the global path; its reports time the one phase local_ms.  The two
-paths answer alike: each gives every part's found, whether the sides are
-equal, and its timings, and _compare alone picks the path, computes each
-part's required (the exponent, plus the Phi_d content of every nominal
-denominator unless count_denominators is False) and builds the report.
+as the global path.  The two paths answer alike: each gives every
+part's found and whether the sides are equal, and _compare alone picks
+the path, computes each part's required (the exponent, plus the Phi_d
+content of every nominal denominator unless count_denominators is
+False) and builds the report.
 A product of sums always goes local: the product conjectures (conj41,
 conj42, conj43), whose right side is a product of two sums.  So does a
 comparison of two plans whose longer run has at least LOCAL_RUN steps;
@@ -141,7 +141,6 @@ class CongruenceReport:
     kind: str = ""
     elapsed_ms: float = 0.0
     conjectural: bool = False
-    timings: dict = field(default_factory=dict)    # the path's phases
     note: str = ""
     extra: dict = field(default_factory=dict)
 
@@ -234,8 +233,7 @@ def _compare(lhs: list[SeriesSum], rhs: list[SeriesSum],
     # a side held as a Poly comes only from the tests, and stays global
     local = len(sides) > 2 or all(isinstance(run, list) for run in runs) \
         and max(map(len, runs)) >= LOCAL_RUN
-    founds, identical, timings = (_local if local else _global)(
-        lhs, rhs, modulus)
+    founds, identical = (_local if local else _global)(lhs, rhs, modulus)
     parts = []
     for (d, e), found in zip(modulus.parts, founds):
         required = e + sum(side.denominator.ord_cyclotomic(d)
@@ -244,60 +242,51 @@ def _compare(lhs: list[SeriesSum], rhs: list[SeriesSum],
                                 component))
     return CongruenceReport(
         parts=parts, passed=all(p.met() for p in parts),
-        identically_equal=identical, timings=timings, **report)
+        identically_equal=identical, **report)
 
 
 def _global(lhs: list[SeriesSum], rhs: list[SeriesSum],
             modulus: ModulusSpec):
-    """(founds, identically equal, timings) of one sum a side on the
-    global path: the sums built, their delta unpacked once and each part
-    counted by valuation_at."""
+    """(founds, identically equal) of one sum a side on the global path:
+    their delta unpacked once and each part counted by valuation_at."""
     (lhs,), (rhs,) = lhs, rhs
-    t0 = time.perf_counter()
-    w, lifts = _built(lhs, rhs)
-    t1 = time.perf_counter()
-    lcm, delta, offset = _delta(lhs, rhs, w, lifts)
-    identical = not delta
+    lcm, delta, w, offset = _delta(lhs, rhs)
+    if not delta:
+        return [INFINITE] * len(modulus.parts), True
     delta = Poly(_slots(delta, w), offset)      # the one unpack
-    t2 = time.perf_counter()
-    founds = [INFINITE if identical else valuation_at(delta, d)
-              + lhs.denominator.ord_cyclotomic(d)
-              + rhs.denominator.ord_cyclotomic(d) - lcm.ord_cyclotomic(d)
-              for d, _ in modulus.parts]
-    t3 = time.perf_counter()
-    return founds, identical, {"build_ms": (t1 - t0) * 1e3,
-                               "delta_ms": (t2 - t1) * 1e3,
-                               "valuation_ms": (t3 - t2) * 1e3}
+    return [valuation_at(delta, d) + lhs.denominator.ord_cyclotomic(d)
+            + rhs.denominator.ord_cyclotomic(d) - lcm.ord_cyclotomic(d)
+            for d, _ in modulus.parts], False
 
 
 def _local(lhs: list[SeriesSum], rhs: list[SeriesSum], modulus: ModulusSpec):
-    """(founds, identically equal, timings) of prod(lhs) == prod(rhs) on
-    the local path, each side a list of plans: each part from
-    local.certify_part.  Between two single sums, a part whose rows all
-    vanish is settled by check_identity_equal, computed once.  Once a
-    part reads INFINITE the sides are equal, and every later part is
-    INFINITE with no row built."""
-    t0 = time.perf_counter()
+    """(founds, identically equal) of prod(lhs) == prod(rhs) on the local
+    path, each side a list of plans: each part from local.certify_part.
+    Between two single sums, a part whose rows all vanish is settled by
+    check_identity_equal, computed once.  Once a part reads INFINITE the
+    sides are equal, and every later part is INFINITE with no row built."""
     equal = cache(partial(check_identity_equal, *lhs, *rhs)) \
         if len(lhs) == len(rhs) == 1 else None
     founds = []
     for d, e in modulus.parts:
         founds.append(INFINITE if INFINITE in founds
                       else certify_part(lhs, rhs, d, e, equal))
-    return founds, INFINITE in founds, \
-        {"local_ms": (time.perf_counter() - t0) * 1e3}
+    return founds, INFINITE in founds
 
 
 def check_identity_equal(lhs: SeriesSum, rhs: SeriesSum) -> bool:
     """Exact equality of the two rational functions: a packed delta of 0."""
-    return not _delta(lhs, rhs, *_built(lhs, rhs))[1]
+    return not _delta(lhs, rhs)[1]
 
 
-def _lifts(lhs: SeriesSum, rhs: SeriesSum):
-    """(L, L / lhs.held, L / rhs.held, w): L the lcm of the held
-    denominators, each base at the larger exponent, the lifts as base ->
-    exponent, and the slot width w in bytes that holds the delta: one bit
-    per binomial of a lift, one for the difference, one for the sign."""
+def _delta(lhs: SeriesSum, rhs: SeriesSum):
+    """(L, delta, w, offset): L the lcm of the held denominators, each base
+    at the larger exponent, and delta = L * (LHS - RHS) = (L / lhs.held) *
+    lhsV - (L / rhs.held) * rhsV, packed from offset in slots of w bytes.
+    w is set from counts before any arithmetic: the sides' count bounds,
+    one bit per binomial of a lift, one for the difference, one for the
+    sign.  Each side is built at w (once per width) and lifted by one
+    shift-subtract per binomial."""
     left, right = lhs.held.factors, rhs.held.factors
     lcm, up_l = dict(left), {}
     for m, e in right.items():
@@ -305,38 +294,20 @@ def _lifts(lhs: SeriesSum, rhs: SeriesSum):
             lcm[m], up_l[m] = e, e - left.get(m, 0)
     up_r = {m: e - right.get(m, 0) for m, e in left.items()
             if e > right.get(m, 0)}
-    bits = max(lhs.bits + sum(up_l.values()),
-               rhs.bits + sum(up_r.values())) + 1
-    return FactoredProduct(lcm), up_l, up_r, bits // 8 + 1
-
-
-def _built(lhs, rhs):
-    """(w, _lifts): both sides built at the width w of their delta, each
-    sum once per width."""
-    lifts = _lifts(lhs, rhs)
-    w = lifts[3]
-    lhs.packed(w)
-    rhs.packed(w)
-    return w, lifts
-
-
-def _delta(lhs: SeriesSum, rhs: SeriesSum, w: int, lifts):
-    """(L, delta, its offset): delta = L * (LHS - RHS) = (L / lhs.held) *
-    lhsV - (L / rhs.held) * rhsV, packed in slots of w bytes, one
-    shift-subtract per binomial of each lift."""
-    lcm, up_l, up_r, _ = lifts
-    (x, x_off), (y, y_off) = (_lifted(*side.packed(w), up, 8 * w)
-                              for side, up in ((lhs, up_l), (rhs, up_r)))
+    w = (max(lhs.bits + sum(up_l.values()),
+             rhs.bits + sum(up_r.values())) + 1) // 8 + 1
+    (x, x_off), (y, y_off) = lhs.packed(w), rhs.packed(w)
     off = min(x_off, y_off)
-    return lcm, ((x << 8 * w * (x_off - off))
-                 - (y << 8 * w * (y_off - off))), off
+    return (FactoredProduct(lcm),
+            (_lifted(x, up_l, 8 * w) << 8 * w * (x_off - off))
+            - (_lifted(y, up_r, 8 * w) << 8 * w * (y_off - off)), w, off)
 
 
-def _lifted(x: int, offset: int, lift: dict, bits: int):
+def _lifted(x: int, lift: dict, bits: int) -> int:
     for m, e in sorted(lift.items()):
         for _ in range(e):
             x -= x << bits * m
-    return x, offset
+    return x
 
 
 # ---------------------------------------------------------------------------

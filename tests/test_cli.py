@@ -586,3 +586,21 @@ def test_sweep_digest_is_unchanged(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["meta"]["config_digest"] == digest
+
+
+def test_every_report_field_is_emitted():
+    # a field that no entry carries is one that no report shows: every
+    # dataclass field of both report kinds is a key of a real entry,
+    # passed under the name pass
+    from dataclasses import fields
+
+    from qcongruence.congruence import CongruenceReport, verify_case
+    from qcongruence.padic import ResidueReport
+
+    for cls, entry in (
+            (CongruenceReport, verify_case("thm1-full", n=3).to_dict()),
+            (ResidueReport, run_case(("c3", {"p": 5, "r": 1,
+                                             "exponent": 3})))):
+        names = {"pass" if f.name == "passed" else f.name
+                 for f in fields(cls)}
+        assert names <= set(entry), (cls.__name__, names - set(entry))

@@ -145,12 +145,16 @@ def _nests(big, small):
 
 
 def _lifted_sides(lhs, rhs):
-    # the engine's two lifted sides, unpacked: (L, lifted lhs, lifted rhs)
-    w, lifts = congruence._built(lhs, rhs)
-    return (lifts[0], *(Poly(polycore._slots(x, w), offset) for x, offset
-                        in (congruence._lifted(*side.packed(w), up, 8 * w)
-                            for side, up in ((lhs, lifts[1]),
-                                             (rhs, lifts[2])))))
+    # the engine's two lifted sides, unpacked: (L, lifted lhs, lifted
+    # rhs), each read as the delta against a side of numerator 0 over
+    # the other's denominator, whose lifted numerator is 0
+    def lifted(side, other):
+        zero = SeriesSum(Poly.zero(), other.denominator, other.cofactor)
+        lcm, delta, w, offset = congruence._delta(side, zero)
+        return lcm, Poly(polycore._slots(delta, w), offset)
+
+    (lcm, over_l), (_, over_r) = lifted(lhs, rhs), lifted(rhs, lhs)
+    return lcm, over_l, over_r
 
 
 def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):

@@ -1,7 +1,7 @@
 """The slot width of the packed delta holds every comparison it is used for.
 
 A global comparison sets its slot width before any arithmetic, from
-counts alone (congruence._lifts): a side's count bound, one bit per
+counts alone (congruence._delta): a side's count bound, one bit per
 binomial of its lift, one bit for the difference and a sign bit.  The
 delta is unpacked once, and a packed zero reads as a zero polynomial,
 only while every coefficient fits its slot with its sign.  Every delta
@@ -47,13 +47,13 @@ def deltas(monkeypatch):
     seen = []
     real = congruence._delta
 
-    def checked(lhs, rhs, w, lifts):
-        lcm, delta, offset = real(lhs, rhs, w, lifts)
+    def checked(lhs, rhs):
+        lcm, delta, w, offset = real(lhs, rhs)
         cs = _slots(delta, w)
         assert max(map(abs, cs)) < 1 << (8 * w - 1)
         assert _pack(cs, w) == delta
         seen.append((lhs, rhs, delta))
-        return lcm, delta, offset
+        return lcm, delta, w, offset
 
     monkeypatch.setattr(congruence, "_delta", checked)
     return seen
