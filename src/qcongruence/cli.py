@@ -9,9 +9,8 @@ Subcommands
 Every check is one row of CHECKS: its name, description, parameter axes and
 runner, the q-side rows built from congruence.CHECKS.  A case is plain
 data, (name, params), so it can be pickled.  run_case names and times a
-classical report, as verify_case does a q-side one: its kind, its label
-the name and axis=value for each param (_label, which labels every error
-entry too) and its elapsed_ms the whole case.
+classical report by congruence.Report.named, as verify_case does a q-side
+one; congruence.label labels every error entry the same way.
 
 Exit codes: 0 all asserted (non-conjectural) cases pass; 1 some asserted
 case failed; 2 usage or config error; 3 report write error; 4 some sweep
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .congruence import CHECKS as Q_CHECKS
-from .congruence import admissible_root_indices, verify_case
+from .congruence import admissible_root_indices, label, verify_case
 from .padic import (
     MIN_PRIME,
     dwork_quotient_check,
@@ -251,19 +250,8 @@ def run_case(spec: tuple) -> dict:
     start = time.perf_counter()
     report = check.run(name, **params)
     if check.classical:
-        report.elapsed_ms = (time.perf_counter() - start) * 1e3
-        report.kind, report.label = name, _label(name, params)
+        report.named(name, params, start)
     return report.to_dict()
-
-
-#: An axis -> the name the classical labels give it.
-_LABEL_AXES = {"exponent": "exp", "kcap": "K"}
-
-
-def _label(name: str, params: dict) -> str:
-    # a classical case's label, and that of any case's error entry
-    return " ".join([name] + [f"{_LABEL_AXES.get(k, k)}={v}"
-                              for k, v in params.items()])
 
 
 def _run_recorded(spec: tuple) -> dict:
@@ -273,7 +261,7 @@ def _run_recorded(spec: tuple) -> dict:
         return run_case(spec)
     except Exception as exc:
         name, params = spec
-        return {"type": "error", "label": _label(name, params), "kind": name,
+        return {"type": "error", "label": label(name, params), "kind": name,
                 "params": dict(params), "conjectural": False, "pass": False,
                 "error": " ".join(f"{type(exc).__name__}: {exc}".split()),
                 "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3)}

@@ -60,8 +60,9 @@ over the half sum's denominator.
 
 CHECKS is the one table of the q-side checks (the cli's q-side rows come
 from it).  verify_case rejects a param outside the row's axes and names
-the report; the runner validates the values, assembles both sides,
-picks the right modulus, and delegates here.  The theorem, closed-form
+the report by Report.named, the schema of q-side and classical reports
+alike; the runner validates the values, assembles both sides, picks the
+right modulus, and delegates here.  The theorem, closed-form
 identity, root and sampled checks share one shape, built by _sides: the
 base-1 sum to (n^r - 1) // div against its companion _target, the
 base-n sum to (n^{r-1} - 1) // div scaled in its plan by +-q^{(1-n)/2}
@@ -131,38 +132,68 @@ class PartResult:
         return self.margin >= 0 if self.expect == "ge" else self.margin < 0
 
 
-@dataclass
-class CongruenceReport:
+#: An axis -> the name a label gives it.
+_LABEL_AXES = {"exponent": "exp", "kcap": "K"}
+
+
+def label(kind: str, params: dict) -> str:
+    """The kind, then axis=value per param: exp= for the exponent, K= for
+    kcap.  It labels every report and every error entry."""
+    return " ".join([kind] + [f"{_LABEL_AXES.get(k, k)}={v}"
+                              for k, v in params.items()])
+
+
+def _enc(v):
+    # INFINITE is written as null
+    return None if v == INFINITE else v
+
+
+@dataclass(kw_only=True)
+class Report:
+    """The fields every report carries; to_dict adds its kind's _own()."""
+
     params: dict
-    parts: list[PartResult]
     passed: bool
-    identically_equal: bool
-    label: str = ""        # these three set by verify_case
+    conjectural: bool = False
+    label: str = ""        # these three set by named
     kind: str = ""
     elapsed_ms: float = 0.0
-    conjectural: bool = False
     note: str = ""
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        def enc(v):
-            return None if v == INFINITE else v
+    def named(self, kind: str, params: dict, start: float) -> Report:
+        """Set kind, the label of params and elapsed_ms since start."""
+        self.elapsed_ms = (time.perf_counter() - start) * 1e3
+        self.kind, self.label = kind, label(kind, params)
+        return self
 
+    def to_dict(self) -> dict:
         return {
-            "type": "q",
             "label": self.label,
             "kind": self.kind,
             "params": dict(self.params),
             "conjectural": self.conjectural,
             "pass": self.passed,
-            "identically_equal": self.identically_equal,
-            "parts": [{"component": p.component, "d": p.d,
-                       "required": p.required, "found": enc(p.found),
-                       "margin": enc(p.margin), "expect": p.expect}
-                      for p in self.parts],
             "note": self.note,
             "extra": dict(self.extra),
             "elapsed_ms": round(self.elapsed_ms, 3),
+            **self._own(),
+        }
+
+
+@dataclass(kw_only=True)
+class CongruenceReport(Report):
+    parts: list[PartResult]
+    identically_equal: bool
+
+    def _own(self) -> dict:
+        return {
+            "type": "q",
+            "identically_equal": self.identically_equal,
+            "parts": [{"component": p.component, "d": p.d,
+                       "required": p.required, "found": _enc(p.found),
+                       "margin": _enc(p.margin), "expect": p.expect}
+                      for p in self.parts],
         }
 
 
@@ -541,10 +572,9 @@ CHECKS = {
 
 
 def verify_case(kind: str, **params) -> CongruenceReport:
-    """Assemble and certify a single named check.  The report is named
-    and timed here: its kind, its label the kind and axis=value for each
-    of the check's axes, and its elapsed_ms the whole case, planning the
-    sides included.
+    """Assemble and certify a single named check.  Report.named names it,
+    with the row's axes read off the report, and times the whole case,
+    planning the sides included.
 
     params are the check's own parameters: n, plus r, d, j or t where the
     check takes them (r defaults to 1, d to 2, j to 0).
@@ -555,10 +585,7 @@ def verify_case(kind: str, **params) -> CongruenceReport:
     for axis in params:
         if axis not in axes:
             raise TypeError(f"check {kind!r} takes no {axis}")
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     report = run(**params)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
-    report.kind = kind
-    report.label = " ".join(
-        [kind] + [f"{axis}={report.params[axis]}" for axis in axes])
-    return report
+    return report.named(
+        kind, {axis: report.params[axis] for axis in axes}, start)

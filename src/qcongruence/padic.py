@@ -21,16 +21,17 @@ the exact value, with no modulus or height bound to trust.  Only
 dwork_quotient_check works with residues mod p^exponent, and its
 valuation is capped there.
 
-Each check returns a bare report, as congruence.check_congruence does:
-cli.run_case gives it its kind, label and elapsed_ms.
+Each check returns a bare ResidueReport, a congruence.Report as the
+q-side's are; cli.run_case names it with Report.named.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .congruence import Report, _enc
 from .cyclotomic import _prime_factors
 from .polycore import INFINITE
 from .qseries import eta_product_coefficients, target_sign
@@ -40,34 +41,17 @@ MIN_PRIME = {"c2": 5, "j2": 5, "c3": 5, "j3": 5, "cc": 5, "jj": 5,
              "m2": 3, "dwork": 3, "lucas": 3}
 
 
-@dataclass
-class ResidueReport:
-    params: dict
+@dataclass(kw_only=True)
+class ResidueReport(Report):
     exponent: int
     valuation: object       # int or INFINITE
-    passed: bool
-    conjectural: bool = False
-    label: str = ""         # these three set by cli.run_case
-    kind: str = ""
-    elapsed_ms: float = 0.0
-    note: str = ""
-    extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        val = None if self.valuation == INFINITE else self.valuation
+    def _own(self) -> dict:
         return {
             "type": "classical",
-            "label": self.label,
-            "kind": self.kind,
-            "params": dict(self.params),
-            "conjectural": self.conjectural,
-            "pass": self.passed,
             "p": self.params.get("p"),
             "exponent": self.exponent,
-            "valuation": val,
-            "note": self.note,
-            "extra": dict(self.extra),
-            "elapsed_ms": round(self.elapsed_ms, 3),
+            "valuation": _enc(self.valuation),
         }
 
 

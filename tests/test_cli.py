@@ -94,6 +94,21 @@ def test_list_and_bench(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_console_script_names_a_callable_main():
+    # the installed qcongruence command is cli.main, by pyproject.toml
+    import importlib
+    import pathlib
+    import tomllib
+
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"][
+        "qcongruence"]
+    assert target == "qcongruence.cli:main"
+    module, attr = target.split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry) and entry(["list"]) == 0
+
+
 def test_asserted_failure_gives_exit_one(capsys, monkeypatch):
     import qcongruence.cli as cli
 
@@ -316,11 +331,12 @@ def test_both_policy_computes_one_valuation_per_quotient(monkeypatch):
     assert len(calls) == 16 + 32 + 16
 
 
-@pytest.mark.parametrize("name", [name for name, check in CHECKS.items()
-                                  if check.classical])
+@pytest.mark.parametrize("name", CHECKS)
 def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
-    # a classical report names the exponent exp= and the degree cap K=
+    # one label rule names every report and every error entry, q-side and
+    # classical, with exp= for the exponent and K= for the degree cap
     cfg = RunConfig.from_dict({"checks": [name], "primes": [5],
+                               "n_values": [3], "t_values": [7],
                                "exponent_policy": "both"})
     labels = [e["label"] for e in sweep(cfg).entries]
 
