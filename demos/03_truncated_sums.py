@@ -21,12 +21,15 @@ s = sum_truncated(spec)
 print("sum to k=3: numerator degree", s.numerator.high_degree,
       "| denominator factors", s.denominator.factors)
 
-# %% parametric families specialize a free parameter to q^t (t odd)
+# %% C and J take an optional t: the free parameter specialized to q^t,
+# t odd.  It moves one pair of Pochhammer factors: C's (q;q^2)_k^2 becomes
+# (q^{1+t};q^2)_k (q^{1-t};q^2)_k and its (q^2;q^2)_k^2 becomes
+# (q^{2+t};q^2)_k (q^{2-t};q^2)_k.  M takes no t.
 # At t=-3 the numerator factor 1 - q^{(2k-1)+t} is 1 - q^0 at k=2, so every
 # term from k=2 on is zero and the sum stops there: the numerator holds the
 # terms k < 2, and the binomials of the steps k >= 2 stay factored in the
 # cofactor.  The sum is cofactor * numerator / denominator.
-p = sum_truncated(FamilySpec("C_PARAM", base=1, upper=2, t=-3))
+p = sum_truncated(FamilySpec("C", base=1, upper=2, t=-3))
 print("specialized sum at t=-3: numerator", p.numerator)
 print("  cofactor factors", p.cofactor.factors,
       "| denominator factors", p.denominator.factors)

@@ -395,10 +395,10 @@ def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
     m = (2 * j + 1) * n
     lhs, rhs = _sides(family, n, r, d, -m)
     other = SeriesSum([([], [], [], 0, 1)], bits=1).scaled(m, 1) \
-        if family == "C_PARAM" else _target(family, n, r, d, -m, printed=True)
+        if family == "C" else _target(family, n, r, d, -m, printed=True)
     equal, second = (check_identity_equal(*pair)
                      for pair in ((lhs, rhs), (lhs, other)))
-    if family == "C_PARAM":
+    if family == "C":
         passed, extra = equal and second, {"closed_form": second}
     else:
         passed = equal or second
@@ -430,7 +430,7 @@ def _sampled_case(family: str, n: int, r: int = 1, d: int = 2,
     pairs = {"lhs==0": (lhs, zero), "rhs==0": (rhs, zero),
              "lhs==rhs": (lhs, rhs)}
     readings = {}
-    if family == "J_PARAM":
+    if family == "J":
         printed = _target(family, n, r, d, t, printed=True)
         readings = {"rhs==0": (printed, zero), "lhs==rhs": (lhs, printed)}
     sub = [check(*pair, component=name) for name, pair in pairs.items()]
@@ -549,21 +549,19 @@ CHECKS = {
     "conj43": (partial(_product_conjecture_case, None, 2, False),
                ("n", "r", "d"),
                "product splitting at divisor d mod Phi_n^2 (conjectural)"),
-    "lemma22": (partial(_identity_case, "C_PARAM"), ("n",),
+    "lemma22": (partial(_identity_case, "C"), ("n",),
                 "quartic root-specialization closed form (exact identity)"),
-    "lemma31": (partial(_identity_case, "J_PARAM"), ("n",),
+    "lemma31": (partial(_identity_case, "J"), ("n",),
                 "sextic root-specialization closed form (exact identity)"),
-    "param-roots-c": (partial(_roots_case, "C_PARAM"), ("n", "r", "d", "j"),
+    "param-roots-c": (partial(_roots_case, "C"), ("n", "r", "d", "j"),
                       "quartic parametric sides equal at root "
                       "specializations"),
-    "param-roots-j": (partial(_roots_case, "J_PARAM"), ("n", "r", "d", "j"),
+    "param-roots-j": (partial(_roots_case, "J"), ("n", "r", "d", "j"),
                       "sextic parametric sides equal at root "
                       "specializations"),
-    "param-sampled-c": (partial(_sampled_case, "C_PARAM"),
-                        ("n", "r", "d", "t"),
+    "param-sampled-c": (partial(_sampled_case, "C"), ("n", "r", "d", "t"),
                         "quartic parametric sides vanish mod [n^r] at odd t"),
-    "param-sampled-j": (partial(_sampled_case, "J_PARAM"),
-                        ("n", "r", "d", "t"),
+    "param-sampled-j": (partial(_sampled_case, "J"), ("n", "r", "d", "t"),
                         "sextic parametric sides vanish mod [n^r] at odd t"),
     "half-vs-full-m": (_half_vs_full_case, _N_R,
                        "truncation separation mod Phi_n, agreement mod "

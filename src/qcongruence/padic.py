@@ -1,6 +1,6 @@
 """Classical prime-power congruences for the q = 1 limits.
 
-The k-th term of a plain family is w_k C(2k,k)^e / 256^k: the quartic
+The k-th term of an unspecialized family is w_k C(2k,k)^e / 256^k: the quartic
 family C has w_k = 4k + 1 and e = 4, the sextic family J has w_k = 6k + 1
 and e = 3 (its C(2k,k)^3 / 64^k times a further 4^-k), and M has w_k = 1
 and e = 4.  So the truncation S_K of a sum is one integer numerator over
@@ -22,7 +22,8 @@ dwork_quotient_check works with residues mod p^exponent, and its
 valuation is capped there.
 
 Each check returns a bare ResidueReport, a congruence.Report as the
-q-side's are; cli.run_case names it with Report.named.
+q-side's are, its params under its case's axis names; cli.run_case names
+it with Report.named.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def verify_van_hamme(kind: str, p: int, exponent: int) -> ResidueReport:
     if not 1 <= exponent <= 4:
         raise ValueError("exponent must be between 1 and 4")
     val = _companion_valuation("C" if kind == "c2" else "J", p, 1, 2)
-    return ResidueReport(params={"p": p}, exponent=exponent, valuation=val,
+    return ResidueReport(params={"p": p, "exponent": exponent},
+                         exponent=exponent, valuation=val,
                          passed=val >= exponent)
 
 
@@ -145,9 +147,9 @@ def verify_swisher(kind: str, p: int, r: int, exponent: int) -> ResidueReport:
     family = "C" if kind in ("c3", "cc") else "J"
     div = 2 if kind in ("c3", "j3") else 1
     val = _companion_valuation(family, p, r, div)
-    return ResidueReport(params={"p": p, "r": r}, exponent=exponent,
-                         valuation=val, passed=val >= exponent,
-                         conjectural=exponent > 3 * r)
+    return ResidueReport(params={"p": p, "r": r, "exponent": exponent},
+                         exponent=exponent, valuation=val,
+                         passed=val >= exponent, conjectural=exponent > 3 * r)
 
 
 def verify_m2(p: int) -> ResidueReport:
@@ -220,8 +222,9 @@ def dwork_quotient_check(p: int, r: int, degree_cap: int,
             valuation = min(valuation,
                             padic_valuation((lhs - rhs) % modulus, p))
     return ResidueReport(
-        params={"p": p, "r": r, "K": degree_cap}, exponent=exponent,
-        valuation=valuation, passed=not mismatches, conjectural=exponent > r,
+        params={"p": p, "r": r, "kcap": degree_cap, "exponent": exponent},
+        exponent=exponent, valuation=valuation, passed=not mismatches,
+        conjectural=exponent > r,
         extra={"mismatched_degrees": mismatches[:10]})
 
 

@@ -22,34 +22,34 @@ each binomial one shift-subtract.  A global check never unpacks its sums
 (congruence); only SeriesSum.series, which no check calls, unpacks a sum
 and divides its held divisor out.
 
-A specialized parametric sum stops at its first vanishing term k0: every
-later term is zero, and the binomials of steps k0..upper enter the full
-last-term denominator F_upper but not the numerator; they are carried
-unexpanded as the sum's cofactor, which divides the denominator.  A sum
-that never vanishes has cofactor 1.
+A sum whose nested product vanishes stops at its first zero term k0:
+every later term is zero, and the binomials of steps k0..upper enter the
+full last-term denominator F_upper but not the numerator; they are
+carried unexpanded as the sum's cofactor, which divides the denominator.
+A sum that never vanishes has cofactor 1.
 
-Five term families are supported, named by the tags used throughout the
-check drivers:
+Three term families are supported, named by the tags used throughout
+the check drivers:
 
-  C        [4k+1] (q^s;q^{2s})_k^4 / (q^{2s};q^{2s})_k^4
-  J        q^{s k^2} [6k+1]_{q^s} (q^s;q^{2s})_k^2 (q^{2s};q^{4s})_k
-             / (q^{4s};q^{4s})_k^3
-  M        q^{2sk} (q^s;q^{2s})_k^4 / (q^{2s};q^{2s})_k^4
-  C_PARAM  [4k+1]_{q^s} (q^{s+t};q^{2s})_k (q^{s-t};q^{2s})_k
-             (q^s;q^{2s})_k^2 / ((q^{2s+t};q^{2s})_k (q^{2s-t};q^{2s})_k
-             (q^{2s};q^{2s})_k^2)
-  J_PARAM  q^{s k^2} [6k+1]_{q^s} (q^{s+t};q^{2s})_k (q^{s-t};q^{2s})_k
-             (q^{2s};q^{4s})_k / ((q^{4s+t};q^{4s})_k (q^{4s-t};q^{4s})_k
-             (q^{4s};q^{4s})_k)
+  C  [4k+1]_{q^s} (q^s;q^{2s})_k^4 / (q^{2s};q^{2s})_k^4
+  J  q^{s k^2} [6k+1]_{q^s} (q^s;q^{2s})_k^2 (q^{2s};q^{4s})_k
+       / (q^{4s};q^{4s})_k^3
+  M  q^{2sk} (q^s;q^{2s})_k^4 / (q^{2s};q^{2s})_k^4
 
-s is the base exponent (the whole series written in q^s) and, for the
-parametric families, t is the exponent of the monomial specialization of
-the free parameter.  t must be odd: the denominator factor exponents then
-stay odd (never zero), while numerator factors are allowed to vanish and
-simply truncate the sum.  A J-family spec can ask for the printed reading
-of a base-raised target instead, q^{k^2} [6k+1]_{q^2} whatever the base,
-because the two readings of that target disagree on the prefactor.
-target_sign is the sign of the sextic targets' (-q)^{(1-n)/2}, at q = 1 too.
+s is the base exponent (the whole series written in q^s).  C and J take
+an optional specialization q^t of the free parameter of the paper's
+parametric sums, which turns two factors (q^a;q^b)_k of the numerator,
+and two of the denominator, into (q^{a+t};q^b)_k (q^{a-t};q^b)_k:
+
+  C at t  (a, b) = (s, 2s) above and (2s, 2s) below
+  J at t  (a, b) = (s, 2s) above and (4s, 4s) below
+
+t must be odd: the denominator factor exponents then stay odd (never
+zero), while numerator factors are allowed to vanish and simply truncate
+the sum.  A J spec can ask for the printed reading of a base-raised
+target instead, q^{k^2} [6k+1]_{q^2} whatever the base, because the two
+readings of that target disagree on the prefactor.  target_sign is the
+sign of the sextic targets' (-q)^{(1-n)/2}, at q = 1 too.
 """
 
 from __future__ import annotations
@@ -60,15 +60,12 @@ from typing import Optional
 
 from .polycore import Poly, _divide_one_minus, _pack, _slots, _times_one_minus
 
-PLAIN_FAMILIES = ("C", "J", "M")
-PARAMETRIC_FAMILIES = ("C_PARAM", "J_PARAM")
-FAMILIES = PLAIN_FAMILIES + PARAMETRIC_FAMILIES
-SEXTIC_FAMILIES = ("J", "J_PARAM")
+FAMILIES = ("C", "J", "M")
 
 
 def target_sign(family: str, n: int) -> int:
-    """(-1)^{(n-1)/2} for the sextic families, 1 for the others; n is odd."""
-    return -1 if family in SEXTIC_FAMILIES and (n - 1) // 2 % 2 else 1
+    """(-1)^{(n-1)/2} for the sextic family J, 1 for the others; n is odd."""
+    return -1 if family == "J" and (n - 1) // 2 % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +189,10 @@ class SeriesSum:
 class FamilySpec:
     """Which family, in which base q^s, truncated at which upper index.
 
-    For parametric families t (odd) is the specialization exponent.
-    printed (J families only) takes the printed reading of the term,
-    q^{k^2} [6k+1]_{q^2}, in place of q^{s k^2} [6k+1]_{q^s}.
+    t, for C and J only, is the odd exponent of the specialization, or
+    None for the unspecialized sum.  printed (J only) takes the printed
+    reading of the term, q^{k^2} [6k+1]_{q^2}, in place of q^{s k^2}
+    [6k+1]_{q^s}.
     """
 
     family: str
@@ -210,61 +208,44 @@ class FamilySpec:
             raise ValueError("base exponent must be >= 1")
         if self.upper < 0:
             raise ValueError("upper index must be >= 0")
-        if self.family in PARAMETRIC_FAMILIES:
-            if self.t is None:
-                raise ValueError("parametric families need a specialization t")
-            if self.t % 2 == 0:
-                raise ValueError("specialization exponent t must be odd")
-        elif self.t is not None:
-            raise ValueError("plain families take no specialization")
-        if self.printed and self.family not in SEXTIC_FAMILIES:
+        if self.t is not None and self.t % 2 == 0:
+            raise ValueError("specialization exponent t must be odd")
+        if self.t is not None and self.family == "M":
+            raise ValueError("the M family takes no specialization")
+        if self.printed and self.family != "J":
             raise ValueError("the printed reading is J-family only")
 
 
 # ---------------------------------------------------------------------------
 # term generation
 
-# Per family, the exponents of the binomials that enter the numerator
-# product and the raw denominator at step k (k >= 1), before any turning
-# of negative exponents; a plain family's are its parametric family's at
-# t = 0 (M's those of C).
 
+def _steps(spec: FamilySpec) -> tuple[list[tuple], int]:
+    """(steps, step): the steps k = 0..upper of spec for _planned, and the
+    base q^step of its terms' q-integers, 0 for M, which has none.
 
-def _step_exponents(spec: FamilySpec, k: int) -> tuple[list[int], list[int]]:
+    Step k >= 1 brings the binomials of the family's Pochhammer factors
+    at k, unturned: the nested product's in ups, the denominator's in
+    dens, the first two of each moved by +-t in a specialized sum.  Term
+    k is its q-integer [N]_{q^step} = (1 - q^{step N}) / (1 - q^step) as
+    one binomial of tops, and its power of q, shift.
+    """
     s, t = spec.base, spec.t or 0
-    odd = 2 * k - 1
-    if spec.family in SEXTIC_FAMILIES:
-        return ([s * odd + t, s * odd - t, 2 * s * odd],
-                [4 * s * k + t, 4 * s * k - t, 4 * s * k])
-    return ([s * odd + t, s * odd - t, s * odd, s * odd],
-            [2 * s * k + t, 2 * s * k - t, 2 * s * k, 2 * s * k])
-
-
-def _q_integer_step(spec: FamilySpec) -> int:
-    """The base q^step of every term's q-integer; 0 for M, which has none."""
-    if spec.family in ("C", "C_PARAM"):
-        return spec.base
-    if spec.family in SEXTIC_FAMILIES:
-        return 2 if spec.printed else spec.base
-    return 0
-
-
-def _term_binomial(spec: FamilySpec, k: int) -> tuple[list[int], int]:
-    """(tops, shift): term k's numerator is prod_k (1 - q^e), e in tops,
-    times q^shift over 1 - q^step, its q-integer [N]_{q^step} = (1 -
-    q^{step N}) / (1 - q^step) written as one binomial; M has none."""
-    s, step = spec.base, _q_integer_step(spec)
-    if spec.family in ("C", "C_PARAM"):
-        return [step * (4 * k + 1)], 0
-    if spec.family in SEXTIC_FAMILIES:
-        return [step * (6 * k + 1)], (1 if spec.printed else s) * k * k
-    return [], 2 * s * k
-
-
-def _steps(spec: FamilySpec) -> list[tuple]:
-    """The steps k = 0..upper of spec for _planned."""
-    return [(*(_step_exponents(spec, k) if k else ([], [])),
-             *_term_binomial(spec, k)) for k in range(spec.upper + 1)]
+    step = 0 if spec.family == "M" else 2 if spec.printed else s
+    steps = []
+    for k in range(spec.upper + 1):
+        odd = s * (2 * k - 1)
+        if spec.family == "J":
+            even = 4 * s * k
+            ups, dens = [odd + t, odd - t, 2 * odd], [even + t, even - t, even]
+            term = [step * (6 * k + 1)], (1 if spec.printed else s) * k * k
+        else:
+            even = 2 * s * k
+            ups = [odd + t, odd - t, odd, odd]
+            dens = [even + t, even - t, even, even]
+            term = ([step * (4 * k + 1)], 0) if step else ([], 2 * s * k)
+        steps.append((ups, dens, *term) if k else ([], [], *term))
+    return steps, step
 
 
 def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
@@ -371,11 +352,11 @@ def plan_sum(spec: FamilySpec, start: int = 0) -> SeriesSum:
     step that carries term start's q-integer and shift."""
     if not 0 <= start <= spec.upper:
         raise ValueError("start must be in 0..upper")
-    steps = _steps(spec)
-    first = ([e for step in steps[:start + 1] for e in step[0]],
-             [e for step in steps[:start + 1] for e in step[1]],
+    steps, step = _steps(spec)
+    first = ([e for taken in steps[:start + 1] for e in taken[0]],
+             [e for taken in steps[:start + 1] for e in taken[1]],
              *steps[start][2:])
-    return _planned([first, *steps[start + 1:]], _q_integer_step(spec))
+    return _planned([first, *steps[start + 1:]], step)
 
 
 # ---------------------------------------------------------------------------

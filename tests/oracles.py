@@ -9,8 +9,9 @@ the Kronecker product), monic long division (the oracle for the
 binomial-pass valuation and cyclotomic construction), the rewrite of
 1 - q^m to a positive base, Euler's totient, the cyclotomic content of
 a binomial, a family term, the scale of a sum held as a Poly, the
-pole-free q = 1 value of a plain-family term, the sums built with one
-list pass per binomial (the oracle for the packed accumulator), [n] as
+pole-free q = 1 value of an unspecialized term, the sums built with one
+list pass per binomial from the Pochhammer symbols of each family (the
+oracle for the packed accumulator and for qseries's steps), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
 the packed lifts and delta), the raw steps of a plan summed with no
 exponent turned (the oracle for the plan's turning), and the product
@@ -24,7 +25,7 @@ a packed width).
 Also here: Jackson's terminating 6phi5 summation, its two sides as plans
 compared exactly, and the global cases of the two fingerprint sweeps,
 which the width and cross-path tests run.  And the classical side as
-exact rationals: each plain-family term at q = 1, each truncation summed
+exact rationals: each unspecialized term at q = 1, each truncation summed
 as Fractions term by term, its valuations and residues read off the
 reduced rational, and each term's valuation taken whole (the oracle for
 padic's integer numerators and Kummer's carries).
@@ -43,13 +44,10 @@ from qcongruence.cli import CHECKS, RunConfig, enumerate_cases
 from qcongruence.padic import _require_odd_prime, padic_valuation
 from qcongruence.polycore import INFINITE, Poly
 from qcongruence.qseries import (
-    PLAIN_FAMILIES,
-    SEXTIC_FAMILIES,
     FactoredProduct,
     FamilySpec,
     SeriesSum,
     _planned,
-    _step_exponents,
     eta_product_coefficients,
     plan_sum,
     sum_truncated,
@@ -303,7 +301,7 @@ def central_q_binomial(k: int, base: int = 1) -> Poly:
 
 
 def term_value_at_one(family: str, k: int) -> Fraction:
-    """Pole-free q = 1 evaluation of the k-th plain-family term.
+    """Pole-free q = 1 evaluation of the k-th unspecialized term.
 
     Each shifted-factorial ratio is rewritten through the central
     q-binomial coefficient divided by (-q^s;q^s)_k^2 so that no factor
@@ -321,6 +319,23 @@ def term_value_at_one(family: str, k: int) -> Fraction:
     return (6 * k + 1) * ratio_a ** 2 * ratio_b
 
 
+def _pochhammers(spec) -> tuple[list, list]:
+    """The (a, b) of each Pochhammer symbol (q^a; q^b)_k of term k of spec,
+    its numerator's and its denominator's, as the qseries docstring writes
+    them; step k multiplies each by 1 - q^{a + b (k - 1)}."""
+    s, t = spec.base, spec.t
+    if spec.family == "J" and t is None:
+        return [(s, 2 * s), (s, 2 * s), (2 * s, 4 * s)], [(4 * s, 4 * s)] * 3
+    if spec.family == "J":
+        return ([(s + t, 2 * s), (s - t, 2 * s), (2 * s, 4 * s)],
+                [(4 * s + t, 4 * s), (4 * s - t, 4 * s), (4 * s, 4 * s)])
+    if t is None:       # C and M
+        return [(s, 2 * s)] * 4, [(2 * s, 2 * s)] * 4
+    return ([(s + t, 2 * s), (s - t, 2 * s), (s, 2 * s), (s, 2 * s)],
+            [(2 * s + t, 2 * s), (2 * s - t, 2 * s), (2 * s, 2 * s),
+             (2 * s, 2 * s)])
+
+
 def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
     """sum_truncated(spec) on coefficient lists, one pass per binomial.
 
@@ -332,17 +347,18 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
     numerator takes each binomial and each (zero) term, and the cofactor
     is 1.
     """
-    s = spec.base
+    s, pochhammers = spec.base, _pochhammers(spec)
     prod = numerator = Poly.one()
     factors, tail = {}, None
     unit_sign, unit_power = 1, 0
     for k in range(1, spec.upper + 1):
-        ups, dens = _step_exponents(spec, k)
+        ups, dens = ([a + b * (k - 1) for a, b in symbols]
+                     for symbols in pochhammers)
         prod = times_one_minus(prod, ups)
-        if spec.family in ("C", "C_PARAM"):
+        if spec.family == "C":
             term = _divided_by_one_minus(
                 times_one_minus(prod, [s * (4 * k + 1)]), s)
-        elif spec.family in SEXTIC_FAMILIES:
+        elif spec.family == "J":
             prefix, step = (1, 2) if spec.printed else (s, s)
             term = shift(_divided_by_one_minus(times_one_minus(
                 prod, [step * (6 * k + 1)]), step), prefix * k * k)
@@ -601,13 +617,13 @@ def sweep_cases() -> dict:
 
 
 def classical_term_value(family: str, k: int) -> Fraction:
-    """Exact rational limit of the k-th term at q = 1 for plain families.
+    """Exact rational limit of the k-th unspecialized term at q = 1.
 
     All three reduce to central binomial coefficients over powers of 4:
     C(2k,k)/4^k is the classical normalized half-integer ratio.
     """
-    if family not in PLAIN_FAMILIES:
-        raise ValueError("classical values exist for plain families only")
+    if family not in ("C", "J", "M"):
+        raise ValueError("classical values exist for C, J and M only")
     if k < 0:
         raise ValueError("k must be >= 0")
     central = math.comb(2 * k, k)
@@ -640,7 +656,8 @@ def truncation(p: int, r: int, cap: int = None) -> list[Fraction]:
 
 
 def classical_sum(family: str, upper: int) -> Fraction:
-    """The plain family's truncation to upper at q = 1, as Fractions."""
+    """The unspecialized family's truncation to upper at q = 1, as
+    Fractions."""
     return sum((classical_term_value(family, k) for k in range(upper + 1)),
                Fraction(0))
 

@@ -276,8 +276,8 @@ def test_criterion_13_property_suites():
         from test_qseries import assert_same_rational, naive_sum
         for spec in [FamilySpec("C", 1, 12), FamilySpec("J", 1, 12),
                      FamilySpec("M", 1, 12),
-                     FamilySpec("C_PARAM", 1, 12, 3),
-                     FamilySpec("J_PARAM", 1, 12, 5)]:
+                     FamilySpec("C", 1, 12, 3),
+                     FamilySpec("J", 1, 12, 5)]:
             assert_same_rational(sum_truncated(spec), *naive_sum(spec))
         # report determinism across two serial sweeps
         base = {"checks": ["thm1-half", "param-sampled-c", "m2"],

@@ -334,11 +334,15 @@ def test_both_policy_computes_one_valuation_per_quotient(monkeypatch):
 @pytest.mark.parametrize("name", CHECKS)
 def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
     # one label rule names every report and every error entry, q-side and
-    # classical, with exp= for the exponent and K= for the degree cap
+    # classical, with exp= for the exponent and K= for the degree cap; and
+    # a classical report carries the params of its case, as its error
+    # entry does
     cfg = RunConfig.from_dict({"checks": [name], "primes": [5],
                                "n_values": [3], "t_values": [7],
                                "exponent_policy": "both"})
-    labels = [e["label"] for e in sweep(cfg).entries]
+    entries = sweep(cfg).entries
+    labels = [e["label"] for e in entries]
+    params = [e["params"] for e in entries]
 
     def raising(name, **params):
         raise RuntimeError("boom")
@@ -347,6 +351,8 @@ def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
     entries = sweep(cfg).entries
     assert {e["type"] for e in entries} == {"error"}
     assert [e["label"] for e in entries] == labels
+    if CHECKS[name].classical:
+        assert [e["params"] for e in entries] == params
 
 
 def test_elapsed_ms_covers_the_whole_case(monkeypatch):
@@ -523,9 +529,9 @@ def test_canonical_entries_fingerprint():
         "exponent_policy": "both"})
     rs = sweep(cfg)
     blob = json.dumps(canonical_entries(rs), sort_keys=True).encode()
-    assert (len(rs.entries), len(blob)) == (67, 20127)
+    assert (len(rs.entries), len(blob)) == (67, 20433)
     assert hashlib.sha256(blob).hexdigest() == (
-        "b21b3382d15ad50647518b0f0101e331fc57f7fa86a2184ede0af4fea93ad28b")
+        "8bd45f94f4c98b6addda0774f0a0230aae11b8890e3378d48010bdbba5210060")
 
 
 @pytest.mark.parametrize("first, second", [

@@ -201,7 +201,7 @@ def test_held_is_the_reduced_denominator_times_extra():
     # cofactor; a scale's 1 - q^n cancels one of extra or joins the
     # numerator, and its 1 - q joins extra; a Poly sum has no extra.
     planned = plan_sum(FamilySpec("C", 1, 3))
-    stopped = plan_sum(FamilySpec("C_PARAM", 1, 4, 3))
+    stopped = plan_sum(FamilySpec("C", 1, 4, 3))
     sides = {"planned": planned, "stopped": stopped,
              "cancelled": plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1),
              "kept": planned.scaled(5, -1),
@@ -429,7 +429,7 @@ def test_common_integer_factors_do_not_change_verdicts():
 
 def test_quartic_root_identity_small():
     # n=3: parametric sum at t=-3 equals q^-1 [3] exactly
-    lhs = sum_truncated(FamilySpec("C_PARAM", 1, 1, -3))
+    lhs = sum_truncated(FamilySpec("C", 1, 1, -3))
     rhs = SeriesSum(shift(q_integer(3), -1))
     assert check_identity_equal(lhs, rhs)
 
@@ -443,7 +443,7 @@ def test_identity_cases_via_driver():
 
 def test_sextic_root_identity_sign():
     # second closed form evaluates to -q^-1 [3] at n=3
-    lhs = sum_truncated(FamilySpec("J_PARAM", 1, 1, -3))
+    lhs = sum_truncated(FamilySpec("J", 1, 1, -3))
     rhs = SeriesSum(scale(shift(q_integer(3), -1), -1))
     assert check_identity_equal(lhs, rhs)
     assert not check_identity_equal(
@@ -568,8 +568,8 @@ def test_parameter_inversion_symmetry():
     # the sum is invariant under t -> -t as a rational function
     for t in (3, 9):
         for d in (1, 2):
-            plus = sum_truncated(FamilySpec("C_PARAM", 1, (3 - 1) // d, t))
-            minus = sum_truncated(FamilySpec("C_PARAM", 1, (3 - 1) // d, -t))
+            plus = sum_truncated(FamilySpec("C", 1, (3 - 1) // d, t))
+            minus = sum_truncated(FamilySpec("C", 1, (3 - 1) // d, -t))
             assert check_identity_equal(plus, minus), (t, d)
 
 

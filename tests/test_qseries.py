@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,8 +11,6 @@ from qcongruence.congruence import check_identity_equal
 from qcongruence.cyclotomic import valuation_at
 from qcongruence.polycore import Poly
 from qcongruence.qseries import (
-    FAMILIES,
-    SEXTIC_FAMILIES,
     FactoredProduct,
     FamilySpec,
     SeriesSum,
@@ -58,26 +57,26 @@ def poch_laurent(start, step, count):
 def naive_term(spec, k):
     s, t = spec.base, spec.t
     fam = spec.family
-    if fam == "C":
+    if fam == "C" and t is None:
         num = q_integer(4 * k + 1, s) * power(poch_laurent(s, 2 * s, k), 4)
         den = power(poch_laurent(2 * s, 2 * s, k), 4)
     elif fam == "M":
         num = shift(power(poch_laurent(s, 2 * s, k), 4), 2 * s * k)
         den = power(poch_laurent(2 * s, 2 * s, k), 4)
-    elif fam == "J":
+    elif fam == "J" and t is None:
         pb, qb = (1, 2) if spec.printed else (s, s)
         num = shift(q_integer(6 * k + 1, qb)
                     * power(poch_laurent(s, 2 * s, k), 2)
                     * poch_laurent(2 * s, 4 * s, k), pb * k * k)
         den = power(poch_laurent(4 * s, 4 * s, k), 3)
-    elif fam == "C_PARAM":
+    elif fam == "C":
         num = (q_integer(4 * k + 1, s)
                * poch_laurent(s + t, 2 * s, k) * poch_laurent(s - t, 2 * s, k)
                * power(poch_laurent(s, 2 * s, k), 2))
         den = (poch_laurent(2 * s + t, 2 * s, k)
                * poch_laurent(2 * s - t, 2 * s, k)
                * power(poch_laurent(2 * s, 2 * s, k), 2))
-    else:  # J_PARAM
+    else:  # J at t
         pb, qb = (1, 2) if spec.printed else (s, s)
         num = shift(q_integer(6 * k + 1, qb)
                     * poch_laurent(s + t, 2 * s, k)
@@ -109,10 +108,10 @@ ALL_SPECS = [
     FamilySpec("C", 1, 12), FamilySpec("C", 2, 9),
     FamilySpec("J", 1, 12), FamilySpec("J", 2, 8),
     FamilySpec("M", 1, 12), FamilySpec("M", 3, 7),
-    FamilySpec("C_PARAM", 1, 10, 3), FamilySpec("C_PARAM", 1, 9, -5),
-    FamilySpec("C_PARAM", 3, 7, 5),
-    FamilySpec("J_PARAM", 1, 9, 3), FamilySpec("J_PARAM", 2, 7, -7),
-    FamilySpec("J_PARAM", 3, 6, 5, printed=True),
+    FamilySpec("C", 1, 10, 3), FamilySpec("C", 1, 9, -5),
+    FamilySpec("C", 3, 7, 5),
+    FamilySpec("J", 1, 9, 3), FamilySpec("J", 2, 7, -7),
+    FamilySpec("J", 3, 6, 5, printed=True),
 ]
 
 
@@ -226,16 +225,16 @@ def test_term_of_rejects_negative_k():
 
 
 def test_printed_reading_is_j_family_only():
-    for family, t in (("C", None), ("M", None), ("C_PARAM", 3)):
+    for family, t in (("C", None), ("M", None), ("C", 3)):
         with pytest.raises(ValueError):
             FamilySpec(family, 3, 2, t, printed=True)
-    for family, t in (("J", None), ("J_PARAM", 3)):
+    for family, t in (("J", None), ("J", 3)):
         assert FamilySpec(family, 3, 2, t, printed=True).printed
 
 
 def test_parametric_term_truncates_at_vanishing_numerator():
     # t = -3: the numerator factor ladder hits 1 - q^0 beyond k = 1
-    spec = FamilySpec("C_PARAM", 1, 4, -3)
+    spec = FamilySpec("C", 1, 4, -3)
     num, _ = term_of(spec, 2)
     assert num.is_zero()
     assert not term_of(spec, 1)[0].is_zero()
@@ -243,9 +242,14 @@ def test_parametric_term_truncates_at_vanishing_numerator():
 
 def test_denominator_vanishing_is_an_error():
     # odd t keeps every family denominator exponent odd, hence nonzero;
-    # even t is rejected up front
-    with pytest.raises(ValueError):
-        FamilySpec("C_PARAM", 1, 3, 2)
+    # even t is rejected up front, and M takes no t at all
+    for family in ("C", "J"):
+        for t in (None, -3, 3):
+            assert FamilySpec(family, 1, 3, t).t == t
+        with pytest.raises(ValueError, match="t must be odd"):
+            FamilySpec(family, 1, 3, 2)
+    with pytest.raises(ValueError, match="takes no specialization"):
+        FamilySpec("M", 1, 3, 3)
     # a zero factor reaching a denominator position is an error
     with pytest.raises(ZeroDivisionError):
         _planned([([], [2, 0], [], 0)])
@@ -283,24 +287,24 @@ def test_sums_match_naive_all_families():
 # (spec, k0): t = +-s(2 k0 - 1) makes the numerator factor 1 - q^{s(2k0-1)
 # -+ t} vanish at step k0; k0 > upper never vanishes within the sum.
 EARLY_STOP_SPECS = [
-    (FamilySpec("C_PARAM", 1, 6, 1), 1),
-    (FamilySpec("C_PARAM", 1, 6, -5), 3),
-    (FamilySpec("C_PARAM", 1, 6, 11), 6),
-    (FamilySpec("C_PARAM", 1, 6, -13), 7),
-    (FamilySpec("C_PARAM", 3, 5, -3), 1),
-    (FamilySpec("C_PARAM", 3, 5, 9), 2),
-    (FamilySpec("C_PARAM", 3, 5, -27), 5),
-    (FamilySpec("C_PARAM", 3, 4, 27), 5),
-    (FamilySpec("J_PARAM", 1, 6, -1), 1),
-    (FamilySpec("J_PARAM", 1, 6, 7), 4),
-    (FamilySpec("J_PARAM", 1, 6, -11), 6),
-    (FamilySpec("J_PARAM", 1, 5, 11), 6),
-    (FamilySpec("J_PARAM", 3, 5, 3), 1),
-    (FamilySpec("J_PARAM", 3, 5, -15), 3),
-    (FamilySpec("J_PARAM", 3, 5, 27), 5),
-    (FamilySpec("J_PARAM", 3, 5, -9, printed=True), 2),
-    (FamilySpec("J_PARAM", 3, 4, 15, printed=True), 3),
-    (FamilySpec("J_PARAM", 3, 3, -27, printed=True), 5),
+    (FamilySpec("C", 1, 6, 1), 1),
+    (FamilySpec("C", 1, 6, -5), 3),
+    (FamilySpec("C", 1, 6, 11), 6),
+    (FamilySpec("C", 1, 6, -13), 7),
+    (FamilySpec("C", 3, 5, -3), 1),
+    (FamilySpec("C", 3, 5, 9), 2),
+    (FamilySpec("C", 3, 5, -27), 5),
+    (FamilySpec("C", 3, 4, 27), 5),
+    (FamilySpec("J", 1, 6, -1), 1),
+    (FamilySpec("J", 1, 6, 7), 4),
+    (FamilySpec("J", 1, 6, -11), 6),
+    (FamilySpec("J", 1, 5, 11), 6),
+    (FamilySpec("J", 3, 5, 3), 1),
+    (FamilySpec("J", 3, 5, -15), 3),
+    (FamilySpec("J", 3, 5, 27), 5),
+    (FamilySpec("J", 3, 5, -9, printed=True), 2),
+    (FamilySpec("J", 3, 4, 15, printed=True), 3),
+    (FamilySpec("J", 3, 3, -27, printed=True), 5),
 ]
 
 
@@ -323,14 +327,14 @@ def test_sum_stops_at_first_vanishing_term(spec, k0):
 
 
 def test_series_sum_carries_its_cofactor():
-    a = sum_truncated(FamilySpec("C_PARAM", 1, 4, -3))
-    b = sum_truncated(FamilySpec("J_PARAM", 3, 3, 3))
+    a = sum_truncated(FamilySpec("C", 1, 4, -3))
+    b = sum_truncated(FamilySpec("J", 3, 3, 3))
     assert a.cofactor.factors and b.cofactor.factors
     # times q^-1 [3], as a Poly and as a plan
     expected = (a.numerator * a.cofactor.expand() * shift(q_integer(3), -1),
                 a.denominator.expand())
     for tripled in (scaled(a, 3, 1).series(),
-                    plan_sum(FamilySpec("C_PARAM", 1, 4, -3)).scaled(3, 1)
+                    plan_sum(FamilySpec("C", 1, 4, -3)).scaled(3, 1)
                     .series()):
         assert tripled.cofactor == a.cofactor
         assert_same_rational(tripled, *expected)
@@ -424,9 +428,9 @@ ORACLE_SPECS = [
     *(FamilySpec(family, 1, 48) for family in ("C", "J", "M")),
     FamilySpec("C", 7, 6), FamilySpec("J", 7, 6), FamilySpec("M", 7, 6),
     FamilySpec("M", 49, 6), FamilySpec("M", 49, 3),
-    FamilySpec("C_PARAM", 1, 40, -81), FamilySpec("J_PARAM", 1, 40, -81),
+    FamilySpec("C", 1, 40, -81), FamilySpec("J", 1, 40, -81),
     FamilySpec("J", 7, 6, printed=True),
-    FamilySpec("J_PARAM", 7, 3, -21, printed=True),
+    FamilySpec("J", 7, 3, -21, printed=True),
     *ALL_SPECS, *(spec for spec, _ in EARLY_STOP_SPECS),
 ]
 
@@ -438,23 +442,26 @@ def test_sums_match_list_pass_accumulation():
         assert sum_truncated(spec) == sum_by_passes(spec), spec
 
 
+# The five kinds of spec a seeded draw picks from, in the order that fixes
+# its draws: C, J and M, then C and J at a specialization t.
+KINDS = ("C", "J", "M", "C_PARAM", "J_PARAM")
+
+
 def _random_specs(rng, count):
     specs = []
-    for family in FAMILIES:
+    for kind in KINDS:
         for _ in range(count):
-            t = rng.randrange(-9, 10, 2) if family.endswith("_PARAM") \
-                else None
-            specs.append(FamilySpec(family, rng.randint(1, 3),
+            t = rng.randrange(-9, 10, 2) if kind.endswith("_PARAM") else None
+            specs.append(FamilySpec(kind[0], rng.randint(1, 3),
                                     rng.randint(0, 8), t,
-                                    family in SEXTIC_FAMILIES
-                                    and rng.random() < 0.3))
+                                    kind[0] == "J" and rng.random() < 0.3))
     return specs
 
 
 def test_tail_plans_match_list_pass_accumulation():
     # plan_sum(spec, start) is the sum of the terms start..upper over
     # F_upper: times F_upper, the list oracle's sum to upper less its sum
-    # to start - 1 lifted to F_upper.  Seeded specs of all five families
+    # to start - 1 lifted to F_upper.  Seeded specs of all five kinds
     # and the stopped sums, at every start, some past the stop.
     past = 0
     for spec in _random_specs(random.Random(1919), 3) \
@@ -480,6 +487,29 @@ def test_plan_sum_rejects_a_start_outside_the_range():
     for start in (-1, 4):
         with pytest.raises(ValueError, match="start must be in 0..upper"):
             plan_sum(FamilySpec("C", 1, 3), start)
+
+
+def _held(plan):
+    # a plan as its run, its three factored products and its bits
+    return repr((plan.numerator, *(sorted(f.factors.items()) for f in (
+        plan.denominator, plan.cofactor, plan.extra)), plan.bits))
+
+
+def test_plans_keep_their_fingerprint():
+    # every plan of a fixed grid: C, J and M, C and J also at each odd t
+    # in -9..9, J printed or not, bases 1-3, uppers 0-8, every start.  A
+    # step rule that moves any plan fails here.
+    specs = [FamilySpec(family, base, upper, t, printed)
+             for family in ("C", "J", "M")
+             for t in ((None,) if family == "M"
+                       else (None, *range(-9, 10, 2)))
+             for printed in ((False, True) if family == "J" else (False,))
+             for base in (1, 2, 3) for upper in range(9)]
+    held = [_held(plan_sum(spec, start))
+            for spec in specs for start in range(spec.upper + 1)]
+    assert len(held) == 4590
+    assert hashlib.sha256("".join(held).encode()).hexdigest() == (
+        "ac118c11513e42f5d24e27a488303cd5e9047cf03a6273b19cc2cda9e5a690b2")
 
 
 def test_sum_denominator_is_last_term_denominator():

@@ -21,8 +21,8 @@ SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 RECORDED = {
     "reference.json": (51195, "db491a05ca543f8782ca0716d39e1d25"
                               "bf203ea896230112d662d5d1754fac7f"),
-    "all-checks.json": (52540, "448e347a84200b9c8072bc2072e50563"
-                               "165c8b1cddd7346aa595caaf2d28eee1"),
+    "all-checks.json": (53152, "a92ac73f88173696a6b67d520d6a4958"
+                               "bee3da4a06d6df337e83a95ba7d5a8a5"),
     "product-conjectures.json": (6684, "231be6a86db46163decc152f634f2ccf"
                                        "32e0abdd4615d806a2ff6e0d57c4f3d1"),
     "product-conjectures-n3.json": (4464, "493aea4204e0af8646d303b88a3516292"
