@@ -21,7 +21,9 @@ the valuation of the full difference of the nominal numerators, lhsD *
 rhsD * delta / L, since valuations add (cyclotomic.valuation_at counts it
 one in-place pass per power of Phi_d).  Every value stays one packed
 integer from the sum's first step to delta: each lift is one
-shift-subtract per binomial and the difference one integer subtraction.
+shift-subtract per binomial and the difference one integer subtraction;
+a closed form, whose held divisor divides the longer run's extra, enters
+that run as its start value and is lifted by the run's own passes.
 One function, _delta, does all of it, and check_identity_equal is delta
 == 0; the global path unpacks delta once, for valuation_at.  Each
 comparison builds its sums at its own slot width, each sum once per
@@ -92,6 +94,7 @@ from .qseries import (
     FactoredProduct,
     FamilySpec,
     SeriesSum,
+    _accumulate,
     plan_sum,
     sum_truncated,
     target_sign,
@@ -317,7 +320,13 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
     w is set from counts before any arithmetic: the sides' count bounds,
     one bit per binomial of a lift, one for the difference, one for the
     sign.  Each side is built at w (once per width) and lifted by one
-    shift-subtract per binomial."""
+    shift-subtract per binomial, except where the longer run S is not yet
+    built at w and the other side O's held divisor divides S.extra: then
+    O, built and lifted by S.extra / O.held, negated, is S's start value,
+    and S's run ends at V_S - V_O * S.held / O.held (negated when S is on
+    the right), as its dens passes carry the start to S.held / S.extra;
+    O's offset is at most 0, so the offset is the same too.  Such a run
+    is not memoized, so a built S keeps the lift path."""
     left, right = lhs.held.factors, rhs.held.factors
     lcm, up_l = dict(left), {}
     for m, e in right.items():
@@ -327,6 +336,18 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
             if e > right.get(m, 0)}
     w = (max(lhs.bits + sum(up_l.values()),
              rhs.bits + sum(up_r.values())) + 1) // 8 + 1
+    runs = lhs.numerator, rhs.numerator
+    if all(isinstance(run, list) and run for run in runs):
+        flip = len(runs[1]) > len(runs[0])
+        long, other = (rhs, lhs) if flip else (lhs, rhs)
+        extra, held = long.extra.factors, other.held.factors
+        if w not in long._built and all(extra.get(m, 0) >= e
+                                        for m, e in held.items()):
+            y, y_off = other.packed(w)
+            lift = {m: e - held.get(m, 0) for m, e in extra.items()}
+            num, off = _accumulate(long.numerator, w,
+                                   -_lifted(y, lift, 8 * w), y_off)
+            return FactoredProduct(lcm), -num if flip else num, w, off
     (x, x_off), (y, y_off) = lhs.packed(w), rhs.packed(w)
     off = min(x_off, y_off)
     return (FactoredProduct(lcm),

@@ -305,16 +305,20 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
                      num_bits + len(run).bit_length())
 
 
-def _accumulate(run: list[tuple], w: int) -> tuple[int, int]:
+def _accumulate(run: list[tuple], w: int, start: int = 0, start_off: int = 0
+                ) -> tuple[int, int]:
     """The held numerator of a run of _planned in slots of w bytes, and its
-    offset (0 for the empty run): kept over F_k (1 - q^step), it is
+    offset (start_off for the empty run): kept over F_k (1 - q^step), it is
     multiplied by each step's binomials and takes the term times 1 -
     q^step, coeff prod_k (1 - q^e, e in tops) q^shift, with no division.
     The numerator and prod are packed integers, so each binomial is one
     shift-subtract, and a term of coefficient -1 is subtracted (on a long
-    int, ten times cheaper than a product)."""
+    int, ten times cheaper than a product).  The numerator starts at
+    start, from start_off: every dens binomial of the run multiplies it,
+    so the result gains start times held / extra, and its offset is at
+    most start_off."""
     bits = 8 * w
-    prod, num, num_off = 1, 0, 0
+    prod, num, num_off = 1, start, start_off
     for ups, dens, tops, shift, coeff in run:
         for e in ups:
             prod -= prod << bits * e

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     shift,
     sub,
     sum_by_passes,
+    times_binomials,
     times_one_minus,
 )
 
@@ -270,6 +272,126 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
     else:
         verify_case(**case)
     assert sum(seen) > 0
+
+
+def _closed_form(rng):
+    # a side of one or two terms held over 1 - q or nothing: a lemma or
+    # root closed form, gw's or qj2's corrected target, or a bare
+    # one-term run, held over nothing, so lifted by all of the other's extra
+    family, n = rng.choice("CJ"), rng.randrange(3, 12, 2)
+    draw = rng.randrange(4)
+    if draw == 0:
+        return congruence._target(family, n, 1, 2, -n), "lemma"
+    if draw == 1:
+        m = n * rng.randrange(1, 6, 2)
+        return SeriesSum([([], [], [], 0, 1)], bits=1).scaled(m, 1), "root"
+    if draw == 2:
+        return congruence._corrected_target(family, n), "corrected"
+    c = rng.choice((-1, 1)) * rng.randint(1, 40)
+    return SeriesSum([([], [], [], rng.randint(-3, 3), c)],
+                     bits=c.bit_length()), "bare"
+
+
+def _long_side(rng):
+    # a C, J or M plan in base 1-3, with or without t, maybe scaled
+    family = rng.choice(qseries.FAMILIES)
+    t = rng.choice((None, rng.randrange(-9, 10, 2))) if family != "M" \
+        else None
+    side = plan_sum(FamilySpec(family, rng.randint(1, 3), rng.randint(2, 6),
+                               t))
+    tags = {family, "t" if t else "no t"}
+    if side.cofactor.factors:
+        tags.add("stopped")
+    if rng.random() < 0.5:
+        side = side.scaled(rng.choice((1, 3, 5)), rng.choice((-1, 1, 24)))
+        tags.add("scaled")
+    return side, tags
+
+
+def _pair(seed):
+    # (lhs, rhs, the long side, tags): the closed form on either side
+    rng = random.Random(seed)
+    (closed, form), (long, tags) = _closed_form(rng), _long_side(rng)
+    if rng.random() < 0.5:
+        return closed, long, long, tags | {form, "closed left"}
+    return long, closed, long, tags | {form, "closed right"}
+
+
+def _over_held(side):
+    # the side as a Poly numerator over its held divisor, from its sum
+    # unpacked and times its extra
+    s = side.series()
+    return SeriesSum(times_binomials(s.numerator, side.extra.factors),
+                     factored_times(side.denominator, side.extra),
+                     side.cofactor)
+
+
+def test_a_closed_form_starts_the_long_run(monkeypatch):
+    # A side whose held divisor divides the longer run's extra starts
+    # that run, lifted by extra / held and negated on the right, when the
+    # run is not yet built at w.  Its delta is the oracle's difference of
+    # the two sides lifted to their lcm, and it is, byte for byte, the
+    # delta of the same sides with the long run built at w first, which
+    # lifts the closed form instead.
+    starts = []
+    real = congruence._accumulate
+
+    def spy(run, w, start=0, start_off=0):
+        starts.append(start)
+        return real(run, w, start, start_off)
+
+    monkeypatch.setattr(congruence, "_accumulate", spy)
+    rng = random.Random(3636)
+    draws = []
+    for trial in range(80):
+        seed = rng.random()
+        lhs, rhs, _, tags = _pair(seed)
+        before = len(starts)
+        lcm, delta, w, offset = congruence._delta(lhs, rhs)
+        if len(starts) > before:
+            assert starts[-1], trial
+            tags.add("started")
+        lhs, rhs, long, _ = _pair(seed)
+        long.packed(w)
+        before = len(starts)
+        assert congruence._delta(lhs, rhs) == (lcm, delta, w, offset), trial
+        assert len(starts) == before, trial
+        oracle_lcm, a, b = lcm_cross_products(_over_held(lhs),
+                                              _over_held(rhs))
+        assert oracle_lcm == lcm, trial
+        assert Poly(polycore._slots(delta, w), offset) == sub(a, b), trial
+        draws.append(tags)
+    started = [tags for tags in draws if "started" in tags]
+    assert {"C", "J", "M"} <= set().union(*draws)
+    for tag in ("closed left", "closed right", "lemma", "root", "corrected",
+                "bare", "t", "no t", "stopped", "scaled"):
+        assert any(tag in tags for tags in started), tag
+    assert len(started) < len(draws)
+
+
+def test_the_lemma_cases_make_no_long_lift(monkeypatch):
+    # lemma22 and lemma31 at n = 81 and gw at n = 15 compare a long sum
+    # with a closed form held over a divisor of the sum's extra: the
+    # closed form starts the sum's run, so no binomial is lifted (the two
+    # lemma cases lifted 160 and 120 when the closed form was lifted to
+    # the sum's held divisor).  param-roots-c at (5, 2), j = 1, builds its
+    # left sum once, through the memo, for both of its comparisons.
+    lifted = []
+    real_lifted = congruence._lifted
+    monkeypatch.setattr(congruence, "_lifted", lambda x, lift, bits: (
+        lifted.append(sum(lift.values())) or real_lifted(x, lift, bits)))
+    for kind, n in (("lemma22", 81), ("lemma31", 81), ("gw", 15)):
+        lifted.clear()
+        assert verify_case(kind, n=n).passed, kind
+        assert lifted == [0], kind
+    runs = []
+    for module in (qseries, congruence):
+        monkeypatch.setattr(module, "_accumulate", partial(
+            lambda real, run, w, *start: runs.append((len(run), start))
+            or real(run, w, *start), module._accumulate))
+    assert verify_case("param-roots-c", n=5, r=2, d=2, j=1).passed
+    longest = max(runs)[0]
+    assert [start for n, start in runs if n == longest] == [()]
 
 
 def _random_poly(rng):
