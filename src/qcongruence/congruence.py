@@ -408,7 +408,8 @@ def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
     For family C the shared closed form q^{(1-(2j+1)n)/2} [(2j+1)n] is
     checked as well.  For family J both readings of the target prefactor
     (scaled: q^{nk^2}[6k+1]_{q^n}; printed: q^{k^2}[6k+1]_{q^2}) are
-    evaluated and reported.
+    evaluated and reported.  The report's params are the case's axes, and
+    its extra carries the derived t.
     """
     _require_case(n, r, d)
     if j not in admissible_root_indices(n, r, d):
@@ -425,8 +426,8 @@ def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
         passed = equal or second
         extra = {"readings": {"scaled": equal, "printed": second}}
     return CongruenceReport(
-        params={"n": n, "r": r, "d": d, "j": j, "t": -m}, parts=[],
-        passed=passed, identically_equal=equal, extra=extra)
+        params={"n": n, "r": r, "d": d, "j": j}, parts=[], passed=passed,
+        identically_equal=equal, extra={**extra, "t": -m})
 
 
 def _sampled_case(family: str, n: int, r: int = 1, d: int = 2,

@@ -335,8 +335,7 @@ def test_both_policy_computes_one_valuation_per_quotient(monkeypatch):
 def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
     # one label rule names every report and every error entry, q-side and
     # classical, with exp= for the exponent and K= for the degree cap; and
-    # a classical report carries the params of its case, as its error
-    # entry does
+    # every report carries the params of its case, as its error entry does
     cfg = RunConfig.from_dict({"checks": [name], "primes": [5],
                                "n_values": [3], "t_values": [7],
                                "exponent_policy": "both"})
@@ -351,8 +350,7 @@ def test_an_error_entry_is_labelled_as_its_report(monkeypatch, name):
     entries = sweep(cfg).entries
     assert {e["type"] for e in entries} == {"error"}
     assert [e["label"] for e in entries] == labels
-    if CHECKS[name].classical:
-        assert [e["params"] for e in entries] == params
+    assert [e["params"] for e in entries] == params
 
 
 def test_elapsed_ms_covers_the_whole_case(monkeypatch):
@@ -531,7 +529,7 @@ def test_canonical_entries_fingerprint():
     blob = json.dumps(canonical_entries(rs), sort_keys=True).encode()
     assert (len(rs.entries), len(blob)) == (67, 20433)
     assert hashlib.sha256(blob).hexdigest() == (
-        "8bd45f94f4c98b6addda0774f0a0230aae11b8890e3378d48010bdbba5210060")
+        "b440ff7216d7a4dbf3c9b93cc9c1661ebeac0257f5bab49f51e8b876e9cb20ea")
 
 
 @pytest.mark.parametrize("first, second", [

@@ -19,10 +19,10 @@ SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 #: sweep config -> (bytes, SHA-256) of its canonical entries, as README.md
 #: records them
 RECORDED = {
-    "reference.json": (51195, "db491a05ca543f8782ca0716d39e1d25"
-                              "bf203ea896230112d662d5d1754fac7f"),
-    "all-checks.json": (53152, "a92ac73f88173696a6b67d520d6a4958"
-                               "bee3da4a06d6df337e83a95ba7d5a8a5"),
+    "reference.json": (51195, "6d63f03d3ab92494cb5688eefc9d911e"
+                              "ef2d89c2a155a18464a9fd1688ccab9b"),
+    "all-checks.json": (53152, "6aa86e9af817db414eeafa2b99db1f00"
+                               "1f01258f5773eeac5a44f6477c763f30"),
     "product-conjectures.json": (6684, "231be6a86db46163decc152f634f2ccf"
                                        "32e0abdd4615d806a2ff6e0d57c4f3d1"),
     "product-conjectures-n3.json": (4464, "493aea4204e0af8646d303b88a3516292"
