@@ -328,8 +328,8 @@ def _over_held(side):
 
 def test_a_closed_form_starts_the_long_run(monkeypatch):
     # A side whose held divisor divides the longer run's extra starts
-    # that run, lifted by extra / held and negated on the right, when the
-    # run is not yet built at w.  Its delta is the oracle's difference of
+    # that run, lifted by extra / held and negated, when the run is not
+    # yet built at w.  Its delta is the oracle's difference of
     # the two sides lifted to their lcm, and it is, byte for byte, the
     # delta of the same sides with the long run built at w first, which
     # lifts the closed form instead.
@@ -391,7 +391,7 @@ def test_the_lemma_cases_make_no_long_lift(monkeypatch):
             or real(run, w, *start), module._accumulate))
     assert verify_case("param-roots-c", n=5, r=2, d=2, j=1).passed
     longest = max(runs)[0]
-    assert [start for n, start in runs if n == longest] == [()]
+    assert [start for steps, start in runs if steps == longest] == [()]
 
 
 def _random_poly(rng):
