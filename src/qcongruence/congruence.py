@@ -22,16 +22,16 @@ rhsD * delta / L, since valuations add (cyclotomic.valuation_at counts it
 one in-place pass per power of Phi_d).  Every value stays one packed
 integer from the sum's first step to delta: each lift is one
 shift-subtract per binomial and the difference one integer subtraction;
-a closed form, whose held divisor divides the longer run's extra, enters
-that run as its start value and is lifted by the run's own passes.
-One function, _delta, does all of it, and check_identity_equal is delta
-== 0; the global path unpacks delta once, for valuation_at.  Each
-comparison builds its sums at its own slot width, each sum once per
-width: the sides' count bounds, one bit per binomial of a lift, one for
-the difference and one for the sign.  It is proven before the work,
-from counts alone, and it is loose (for the J sums by up to 1.8x); it
-is not to be tightened without a proof, since a coefficient that
-overflows its slot unpacks wrong without any error.
+a side held over exactly the other run's extra, a closed form against
+its sum, enters that run as its start value, negated, and is lifted by
+the run's own passes.  One function, _delta, does all of it, and
+check_identity_equal is delta == 0; the global path unpacks delta once,
+for valuation_at.  Each comparison builds its sums afresh at its own
+slot width: the sides' count bounds, one bit per binomial of a lift,
+one for the difference and one for the sign.  It is proven before the
+work, from counts alone, and it is loose (for the J sums by up to
+1.8x); it is not to be tightened without a proof, since a coefficient
+that overflows its slot unpacks wrong without any error.
 
 The local path (local.certify_part) reads each part off a few rows of
 integers at q = zeta_d (1 + x), from the sums' plans, with the same found
@@ -319,14 +319,12 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
     lhsV - (L / rhs.held) * rhsV, packed from offset in slots of w bytes.
     w is set from counts before any arithmetic: the sides' count bounds,
     one bit per binomial of a lift, one for the difference, one for the
-    sign.  Each side is built at w (once per width) and lifted by one
-    shift-subtract per binomial, except where the longer run S is not yet
-    built at w and the other side O's held divisor divides S.extra: then
-    O, built and lifted by S.extra / O.held, negated, is S's start value,
-    and S's run ends at V_S - V_O * S.held / O.held (negated when S is on
-    the right), as its dens passes carry the start to S.held / S.extra;
-    O's offset is at most 0, so the offset is the same too.  Such a run
-    is not memoized, so a built S keeps the lift path."""
+    sign.  Each side is built at w and lifted by one shift-subtract per
+    binomial, except where a non-empty run S has extra equal to the other
+    side O's held: then L is S.held, and O's value, negated, is S's start
+    value, which S's dens passes carry to S.held / S.extra, so the run
+    ends at V_S - V_O * S.held / O.held (negated when S is on the right).
+    An empty run has no dens pass to carry a start, and never starts."""
     left, right = lhs.held.factors, rhs.held.factors
     lcm, up_l = dict(left), {}
     for m, e in right.items():
@@ -336,18 +334,12 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
             if e > right.get(m, 0)}
     w = (max(lhs.bits + sum(up_l.values()),
              rhs.bits + sum(up_r.values())) + 1) // 8 + 1
-    runs = lhs.numerator, rhs.numerator
-    if all(isinstance(run, list) and run for run in runs):
-        flip = len(runs[1]) > len(runs[0])
-        long, other = (rhs, lhs) if flip else (lhs, rhs)
-        extra, held = long.extra.factors, other.held.factors
-        if w not in long._built and all(extra.get(m, 0) >= e
-                                        for m, e in held.items()):
+    for run, other, sign in (lhs, rhs, 1), (rhs, lhs, -1):
+        if isinstance(run.numerator, list) and run.numerator \
+                and run.extra == other.held:
             y, y_off = other.packed(w)
-            lift = {m: e - held.get(m, 0) for m, e in extra.items()}
-            num, off = _accumulate(long.numerator, w,
-                                   -_lifted(y, lift, 8 * w), y_off)
-            return FactoredProduct(lcm), -num if flip else num, w, off
+            num, off = _accumulate(run.numerator, w, -y, y_off)
+            return FactoredProduct(lcm), sign * num, w, off
     (x, x_off), (y, y_off) = lhs.packed(w), rhs.packed(w)
     off = min(x_off, y_off)
     return (FactoredProduct(lcm),
@@ -418,8 +410,9 @@ def _roots_case(family: str, n: int, r: int = 1, d: int = 2, j: int = 0
     lhs, rhs = _sides(family, n, r, d, -m)
     other = SeriesSum([([], [], [], 0, 1)], bits=1).scaled(m, 1) \
         if family == "C" else _target(family, n, r, d, -m, printed=True)
-    equal, second = (check_identity_equal(*pair)
-                     for pair in ((lhs, rhs), (lhs, other)))
+    equal = check_identity_equal(lhs, rhs)
+    # exact equality is transitive: once lhs == rhs, rhs stands in for lhs
+    second = check_identity_equal(rhs if equal else lhs, other)
     if family == "C":
         passed, extra = equal and second, {"closed_form": second}
     else:

@@ -122,9 +122,11 @@ class SeriesSum:
     three lists of positive exponents; it is N times the binomials of
     extra (an undivided 1 - q^step, the 1 - q of a scale), so it is held
     over held, denominator / cofactor times extra, set as the sum is
-    made.  packed(w) builds it as one integer (polycore._pack) in slots of
-    w bytes, once per w; bits is a count bound: every |c| of it is below
-    2^bits.
+    made.  A non-empty run's dens are denominator / cofactor, so its
+    passes carry a start value to held / extra (congruence._delta relies
+    on it; a hand-built run over binomials its dens lack breaks it).
+    packed(w) builds it as one integer (polycore._pack) in slots of w
+    bytes; bits is a count bound: every |c| of it is below 2^bits.
     """
 
     numerator: object
@@ -133,8 +135,6 @@ class SeriesSum:
     extra: FactoredProduct = field(default_factory=FactoredProduct)
     bits: Optional[int] = None
     held: FactoredProduct = field(init=False, repr=False, compare=False)
-    _built: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         # raises unless the cofactor divides the denominator
@@ -163,14 +163,11 @@ class SeriesSum:
                        bits=self.bits + len(up) + (abs(c) - 1).bit_length())
 
     def packed(self, w: int) -> tuple[int, int]:
-        """(the built value at q = 2^(8w), its offset), built once per w;
-        it unpacks exactly when bits <= 8w - 1."""
-        if w not in self._built:
-            num = self.numerator
-            # a Poly numerator comes only from the tests' sides
-            self._built[w] = (_pack(num.coeffs, w), num.offset) \
-                if isinstance(num, Poly) else _accumulate(num, w)
-        return self._built[w]
+        """(the numerator at q = 2^(8w), its offset): exact if bits < 8w."""
+        num = self.numerator
+        # a Poly numerator comes only from the tests' sides
+        return (_pack(num.coeffs, w), num.offset) \
+            if isinstance(num, Poly) else _accumulate(num, w)
 
     # kept only for sum_truncated, which perfbench/tracing.py wraps
     def series(self) -> "SeriesSum":

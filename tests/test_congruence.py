@@ -326,18 +326,25 @@ def _over_held(side):
                      side.cofactor)
 
 
+def _starts(lhs, rhs):
+    # the rule: a non-empty run whose extra is the other side's held
+    return any(isinstance(run.numerator, list) and run.numerator
+               and run.extra == other.held
+               for run, other in ((lhs, rhs), (rhs, lhs)))
+
+
 def test_a_closed_form_starts_the_long_run(monkeypatch):
-    # A side whose held divisor divides the longer run's extra starts
-    # that run, lifted by extra / held and negated, when the run is not
-    # yet built at w.  Its delta is the oracle's difference of
-    # the two sides lifted to their lcm, and it is, byte for byte, the
-    # delta of the same sides with the long run built at w first, which
-    # lifts the closed form instead.
+    # A non-empty run whose extra is the other side's held divisor starts
+    # from the other side's value, negated, whatever was built before.
+    # Its delta is the oracle's difference of the two sides lifted to
+    # their lcm, and building the run at w first changes neither the
+    # delta nor the start value that the run receives.  A bare one-term
+    # run, held over nothing, starts only an unscaled M run.
     starts = []
     real = congruence._accumulate
 
     def spy(run, w, start=0, start_off=0):
-        starts.append(start)
+        starts.append((start, start_off))
         return real(run, w, start, start_off)
 
     monkeypatch.setattr(congruence, "_accumulate", spy)
@@ -348,14 +355,16 @@ def test_a_closed_form_starts_the_long_run(monkeypatch):
         lhs, rhs, _, tags = _pair(seed)
         before = len(starts)
         lcm, delta, w, offset = congruence._delta(lhs, rhs)
-        if len(starts) > before:
-            assert starts[-1], trial
+        first = starts[before:]
+        assert bool(first) == _starts(lhs, rhs), trial
+        if first:
+            assert first[0][0], trial
             tags.add("started")
         lhs, rhs, long, _ = _pair(seed)
         long.packed(w)
         before = len(starts)
         assert congruence._delta(lhs, rhs) == (lcm, delta, w, offset), trial
-        assert len(starts) == before, trial
+        assert starts[before:] == first, trial
         oracle_lcm, a, b = lcm_cross_products(_over_held(lhs),
                                               _over_held(rhs))
         assert oracle_lcm == lcm, trial
@@ -366,16 +375,32 @@ def test_a_closed_form_starts_the_long_run(monkeypatch):
     for tag in ("closed left", "closed right", "lemma", "root", "corrected",
                 "bare", "t", "no t", "stopped", "scaled"):
         assert any(tag in tags for tags in started), tag
+    assert all("M" in tags and "scaled" not in tags
+               for tags in started if "bare" in tags)
     assert len(started) < len(draws)
+
+
+def test_an_empty_run_over_a_denominator_starts_nothing():
+    # 0 over 1 - q^2 against the one-term run 1: the empty run's extra is
+    # the other's held (both empty), but it has no dens pass to carry the
+    # start to its held 1 - q^2, so the lift path gives L * (0 - 1).
+    zero = SeriesSum([], FactoredProduct({2: 1}), bits=0)
+    one = SeriesSum([([], [], [], 0, 1)], bits=1)
+    lcm, delta, w, offset = congruence._delta(zero, one)
+    oracle_lcm, a, b = lcm_cross_products(_over_held(zero), _over_held(one))
+    assert lcm == oracle_lcm == FactoredProduct({2: 1})
+    assert Poly(polycore._slots(delta, w), offset) == sub(a, b) \
+        == laurent([-1, 0, 1])
 
 
 def test_the_lemma_cases_make_no_long_lift(monkeypatch):
     # lemma22 and lemma31 at n = 81 and gw at n = 15 compare a long sum
-    # with a closed form held over a divisor of the sum's extra: the
-    # closed form starts the sum's run, so no binomial is lifted (the two
-    # lemma cases lifted 160 and 120 when the closed form was lifted to
-    # the sum's held divisor).  param-roots-c at (5, 2), j = 1, builds its
-    # left sum once, through the memo, for both of its comparisons.
+    # with a closed form held over the sum's extra: the closed form
+    # starts the sum's run, so nothing is lifted.  An r = 1 root case
+    # runs its left sum once: its closed form is compared with the
+    # companion once the two sums are equal.  param-roots-c at (5, 2),
+    # j = 1, lifts both sums and runs its left sum, stopped by t = -15
+    # after 8 steps, once too.
     lifted = []
     real_lifted = congruence._lifted
     monkeypatch.setattr(congruence, "_lifted", lambda x, lift, bits: (
@@ -383,15 +408,42 @@ def test_the_lemma_cases_make_no_long_lift(monkeypatch):
     for kind, n in (("lemma22", 81), ("lemma31", 81), ("gw", 15)):
         lifted.clear()
         assert verify_case(kind, n=n).passed, kind
-        assert lifted == [0], kind
+        assert lifted == [], kind
     runs = []
     for module in (qseries, congruence):
         monkeypatch.setattr(module, "_accumulate", partial(
-            lambda real, run, w, *start: runs.append((len(run), start))
+            lambda real, run, w, *start: runs.append(len(run))
             or real(run, w, *start), module._accumulate))
-    assert verify_case("param-roots-c", n=5, r=2, d=2, j=1).passed
-    longest = max(runs)[0]
-    assert [start for steps, start in runs if steps == longest] == [()]
+    for kind, case, steps in (("param-roots-c", (81, 1, 2, 0), 41),
+                              ("param-roots-j", (81, 1, 2, 0), 41),
+                              ("param-roots-c", (5, 2, 2, 1), 8)):
+        runs.clear()
+        assert verify_case(kind, **dict(zip("nrdj", case))).passed, kind
+        assert max(runs) == steps and runs.count(steps) == 1, (kind, case)
+
+
+@pytest.mark.parametrize("kind", ["param-roots-c", "param-roots-j"])
+def test_a_root_case_falls_back_to_its_long_sum(monkeypatch, kind):
+    # When the two sums differ, the closed form (C) or the printed reading
+    # (J) is compared with the long sum itself, and the report carries
+    # what a direct comparison gives.
+    pairs = []
+    real = congruence.check_identity_equal
+
+    def check(lhs, rhs):
+        pairs.append((lhs, rhs))
+        return real(lhs, rhs) if len(pairs) > 1 else False
+
+    monkeypatch.setattr(congruence, "check_identity_equal", check)
+    report = verify_case(kind, n=5, r=2, d=2, j=1)
+    (lhs, _), (left, other) = pairs
+    assert left is lhs
+    direct = real(lhs, other)
+    if kind == "param-roots-c":
+        assert report.extra["closed_form"] is direct
+    else:
+        assert report.extra["readings"] == {"scaled": False,
+                                            "printed": direct}
 
 
 def _random_poly(rng):
