@@ -26,13 +26,17 @@ print("sum to k=3: numerator degree", s.numerator.high_degree,
 # (q^{1+t};q^2)_k (q^{1-t};q^2)_k and its (q^2;q^2)_k^2 becomes
 # (q^{2+t};q^2)_k (q^{2-t};q^2)_k.  M takes no t.
 # At t=-3 the numerator factor 1 - q^{(2k-1)+t} is 1 - q^0 at k=2, so every
-# term from k=2 on is zero and the sum stops there: the numerator holds the
-# terms k < 2, and the binomials of the steps k >= 2 stay factored in the
-# cofactor.  The sum is cofactor * numerator / denominator.
+# term from k=2 on is zero and the plan's run stops there: the run holds
+# the terms k < 2, held over their denominators' binomials (and the
+# q-integers' 1 - q), and the binomials of the steps k >= 2, the tail,
+# enter the denominator only.  sum_truncated multiplies the tail back into
+# the numerator, so the sum is numerator / denominator.
+plan = plan_sum(FamilySpec("C", base=1, upper=2, t=-3))
+print("specialized plan at t=-3:", len(plan.numerator), "steps in its run")
+print("  held factors", plan.held.factors,
+      "| denominator factors", plan.denominator.factors)
 p = sum_truncated(FamilySpec("C", base=1, upper=2, t=-3))
 print("specialized sum at t=-3: numerator", p.numerator)
-print("  cofactor factors", p.cofactor.factors,
-      "| denominator factors", p.denominator.factors)
 
 # %% the eta-style product q (q^2;q^2)^4 (q^4;q^4)^4 expands exactly
 print("gamma_1..gamma_13:", eta_product_coefficients(13))

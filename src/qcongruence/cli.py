@@ -385,20 +385,20 @@ def _usage_error(message: str) -> int:
 
 def _cmd_single(args) -> int:
     # verify and classical: the cases of one check, from flags.  A flag left
-    # out is None; a given one pins its axis, and one the check does not
-    # take is an error.
+    # out is None (--kcap and --t then take RunConfig's defaults); a given
+    # one pins its axis, and one the check does not take is an error.
     classical = args.command == "classical"
     if classical:
         cfg = RunConfig(checks=[args.check], primes=[args.p],
                         r_max=args.r or 1,
-                        dwork_degree_cap=50 if args.kcap is None
-                        else args.kcap)
+                        dwork_degree_cap=RunConfig.dwork_degree_cap
+                        if args.kcap is None else args.kcap)
         flags = {"r": args.r, "exponent": args.exp, "kcap": args.kcap}
     else:
         cfg = RunConfig(checks=[args.check], n_values=[args.n],
                         r_max=args.r or 1,
                         d_values=[2 if args.d is None else args.d],
-                        t_values=args.t or [3, 5, 7])
+                        t_values=args.t or RunConfig().t_values)
         flags = {"r": args.r, "d": args.d, "j": args.j, "t": args.t}
     check = CHECKS.get(args.check)
     if check is None or check.classical != classical:
@@ -476,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classical.add_argument("--p", type=int, required=True)
     p_classical.add_argument("--exp", type=int, default=None)
     p_classical.add_argument("--kcap", type=int, default=None,
-                             help="dwork degree cap; default: 50")
+                             help="dwork degree cap; default: "
+                             f"{RunConfig.dwork_degree_cap}")
 
     p_sweep = sub.add_parser("sweep", help="run a config-file case grid")
     p_sweep.add_argument("--config", required=True)

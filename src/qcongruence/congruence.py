@@ -3,12 +3,13 @@
 A congruence LHS == RHS (mod prod over (d,e) of Phi_d^e) between rational
 functions is certified through the valuation semantics: the Phi_d-adic
 valuation of LHS - RHS must be at least e for every part.  A global check
-holds each side as a qseries.SeriesSum, (C * N) / D with the cofactor C
-and the denominator D multisets of binomials 1 - q^m, so ord_d of either
-is the sum of its exponents over the m divisible by d.  Before any
-arithmetic the check reads off each side its held denominator H, D / C
-times the binomials its packed numerator V still carries, and the lcm L
-of the two, at each base m the larger exponent.  Then
+holds each side as a qseries.SeriesSum, N / D with the denominator D a
+multiset of binomials 1 - q^m, so ord_d of it is the sum of its
+exponents over the m divisible by d.  Before any arithmetic the check
+reads off each side its held denominator H, the binomials its packed
+numerator V is over (a run's dens and its extra, which V still
+carries), and the lcm L of the two, at each base m the larger exponent.
+Then
 
     delta = (L / lhsH) * lhsV - (L / rhsH) * rhsV = L * (LHS - RHS),
 
@@ -320,11 +321,11 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
     w is set from counts before any arithmetic: the sides' count bounds,
     one bit per binomial of a lift, one for the difference, one for the
     sign.  Each side is built at w and lifted by one shift-subtract per
-    binomial, except where a non-empty run S has extra equal to the other
-    side O's held: then L is S.held, and O's value, negated, is S's start
-    value, which S's dens passes carry to S.held / S.extra, so the run
-    ends at V_S - V_O * S.held / O.held (negated when S is on the right).
-    An empty run has no dens pass to carry a start, and never starts."""
+    binomial, except where a run S has extra equal to the other side O's
+    held: then L is S.held, and O's value, negated, is S's start value,
+    which S's dens passes carry to S.held / S.extra, since held is read
+    off those dens, so the run ends at V_S - V_O * S.held / O.held
+    (negated when S is on the right)."""
     left, right = lhs.held.factors, rhs.held.factors
     lcm, up_l = dict(left), {}
     for m, e in right.items():
@@ -335,8 +336,7 @@ def _delta(lhs: SeriesSum, rhs: SeriesSum):
     w = (max(lhs.bits + sum(up_l.values()),
              rhs.bits + sum(up_r.values())) + 1) // 8 + 1
     for run, other, sign in (lhs, rhs, 1), (rhs, lhs, -1):
-        if isinstance(run.numerator, list) and run.numerator \
-                and run.extra == other.held:
+        if isinstance(run.numerator, list) and run.extra == other.held:
             y, y_off = other.packed(w)
             num, off = _accumulate(run.numerator, w, -y, y_off)
             return FactoredProduct(lcm), sign * num, w, off

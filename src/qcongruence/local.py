@@ -66,8 +66,8 @@ cancels one of extra, is a binomial of step 0); B is the product of every
 denominator unit and of those of the held divisor (extra), and sigma is
 mu less the x-order of extra.  The run of a sum that stops at a
 vanishing term ends before it, so the later steps enter V and B not at
-all (their binomials, the cofactor, stay in the nominal denominator and
-its content); the empty run is 0.
+all (their binomials, the tail, stay in the nominal denominator and its
+content); the empty run is 0.
 
 A sum entered at x^lift runs only to its last live step, the last k
 with lift + gap_k below P: each later step only multiplies V and B by
@@ -87,7 +87,7 @@ The difference of two sides, with m the lesser sigma, is
 
 so its x-order is m plus the index of the first row of the bracket that
 is nonzero modulo Phi_d(g), and found is that plus the Phi_d content of
-both nominal denominators, cofactors included: the valuation of the
+both nominal denominators, tails included: the valuation of the
 cross-multiplied numerator difference, as the global path reports it.
 Rows below P are exact, since no factor carries a negative power of x.
 
@@ -360,9 +360,9 @@ class _Sum:
 
     run is the plan's run, the steps before the stop, and gaps their
     terms' m_k - mu; extra lists the binomials of the held divisor;
-    content is ord_d of the nominal denominator, cofactor included, and
+    content is ord_d of the nominal denominator, tail included, and
     degree its degree; low and high bound the exponents of the nominal
-    numerator (cofactor times numerator), the sum times that denominator.
+    numerator, the sum times that denominator.
     """
 
     run: list

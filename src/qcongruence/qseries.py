@@ -1,9 +1,9 @@
 """Truncated q-hypergeometric sums held as exact rational functions.
 
-A sum is (cofactor * numerator) / denominator with the denominator a
-*factored* product prod (1 - q^m)^e, m >= 1, a multiset of binomials
-whose cyclotomic valuations are read off the bases m.  Consecutive terms
-of every supported family share nested denominators, so each step
+A sum is numerator / denominator with the denominator a *factored*
+product prod (1 - q^m)^e, m >= 1, a multiset of binomials whose
+cyclotomic valuations are read off the bases m.  Consecutive terms of
+every supported family share nested denominators, so each step
 multiplies the running numerator by the new binomials and adds the next
 term's numerator.  A term's q-integer [N]_{q^s} = (1 - q^{sN}) /
 (1 - q^s) enters as one binomial 1 - q^{sN}; the divisor 1 - q^s,
@@ -11,22 +11,21 @@ common to every term, is held in the denominator.
 
 A sum is described once, by its plan (plan_sum): its run of steps (the
 whole value, a scale included, each term with an integer coefficient;
-the empty run is 0), denominator, cofactor, held divisor and a count
-bound on its numerator.  Every binomial of a plan has a positive
-exponent: one with a negative exponent is rewritten 1 - q^{-m} =
--q^{-m} (1 - q^m) as it enters, and its unit goes into the sign and
-shift of the terms it reaches.  The local path reads the run (local),
-the global path builds it at a slot width proven from that bound,
-numerator and nested product each one packed integer (polycore._pack),
-each binomial one shift-subtract.  A global check never unpacks its sums
-(congruence); only SeriesSum.series, which no check calls, unpacks a sum
-and divides its held divisor out.
+the empty run is 0), denominator, held divisor and a count bound on its
+numerator.  Every binomial of a plan has a positive exponent: one with
+a negative exponent is rewritten 1 - q^{-m} = -q^{-m} (1 - q^m) as it
+enters, and its unit goes into the sign and shift of the terms it
+reaches.  The local path reads the run (local), the global path builds
+it at a slot width proven from that bound, numerator and nested product
+each one packed integer (polycore._pack), each binomial one
+shift-subtract.  A global check never unpacks its sums (congruence);
+only SeriesSum.series, which no check calls, unpacks a sum.
 
 A sum whose nested product vanishes stops at its first zero term k0:
 every later term is zero, and the binomials of steps k0..upper enter the
-full last-term denominator F_upper but not the numerator; they are
-carried unexpanded as the sum's cofactor, which divides the denominator.
-A sum that never vanishes has cofactor 1.
+full last-term denominator F_upper but not the run.  They are the tail
+of the denominator, the binomials the run's dens lack; a sum that never
+vanishes has none.
 
 Three term families are supported, named by the tags used throughout
 the check drivers:
@@ -87,16 +86,6 @@ class FactoredProduct:
             if m < 1 or e < 1:
                 raise ValueError("factor bases and exponents must be >= 1")
 
-    def divided_by(self, other: "FactoredProduct") -> "FactoredProduct":
-        """self / other, exactly; other's binomials must be among self's."""
-        rest = Counter(self.factors)
-        rest.subtract(other.factors)
-        for m, left in rest.items():
-            if left < 0:
-                raise ValueError(f"(1 - q^{m})^{other.factors[m]} does not "
-                                 "divide the product")
-        return FactoredProduct(dict(+rest))
-
     def ord_cyclotomic(self, d: int) -> int:
         """Multiplicity of the d-th cyclotomic polynomial, analytically."""
         if d < 1:
@@ -114,33 +103,38 @@ class FactoredProduct:
 
 @dataclass
 class SeriesSum:
-    """A truncated sum as (cofactor * N) / denominator.
+    """A truncated sum as N / denominator, a factored product.
 
-    cofactor and denominator are factored products, cofactor dividing
-    denominator.  numerator is a Poly, or a run of _planned that is only
-    ever built packed, each step (ups, dens, tops, shift, coeff) with
-    three lists of positive exponents; it is N times the binomials of
-    extra (an undivided 1 - q^step, the 1 - q of a scale), so it is held
-    over held, denominator / cofactor times extra, set as the sum is
-    made.  A non-empty run's dens are denominator / cofactor, so its
-    passes carry a start value to held / extra (congruence._delta relies
-    on it; a hand-built run over binomials its dens lack breaks it).
-    packed(w) builds it as one integer (polycore._pack) in slots of w
-    bytes; bits is a count bound: every |c| of it is below 2^bits.
+    numerator is a Poly, or a run of _planned that is only ever built
+    packed, each step (ups, dens, tops, shift, coeff) with three lists of
+    positive exponents.  Either is held over held, set as the sum is made:
+    extra (an undivided 1 - q^step, the 1 - q of a scale) times the run's
+    dens, or times the whole denominator for a Poly.  A run's dens are
+    among the denominator's binomials (ValueError otherwise); the rest
+    are the tail of a stopped sum.  So a run's passes carry a start value
+    to held / extra (congruence._delta relies on it), and N is the held
+    numerator over extra, times the tail.  packed(w) builds the held
+    numerator as one integer (polycore._pack) in slots of w bytes; bits
+    is a count bound: every |c| of it is below 2^bits.
     """
 
     numerator: object
     denominator: FactoredProduct = field(default_factory=FactoredProduct)
-    cofactor: FactoredProduct = field(default_factory=FactoredProduct)
     extra: FactoredProduct = field(default_factory=FactoredProduct)
     bits: Optional[int] = None
     held: FactoredProduct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # raises unless the cofactor divides the denominator
-        reduced = self.denominator.divided_by(self.cofactor)
-        self.held = FactoredProduct(dict(Counter(self.extra.factors)
-                                         + Counter(reduced.factors)))
+        extra, den = self.extra.factors, self.denominator.factors
+        held = dict(extra)
+        for m, e in (den.items() if isinstance(self.numerator, Poly) else
+                     ((m, 1) for step in self.numerator for m in step[1])):
+            held[m] = held.get(m, 0) + e
+        for m, e in held.items():
+            if e - extra.get(m, 0) > den.get(m, 0):
+                raise ValueError(f"a 1 - q^{m} of the run is not among the "
+                                 "denominator's binomials")
+        self.held = FactoredProduct(held)
         if self.bits is None:
             self.bits = max(map(abs, self.numerator.coeffs),
                             default=0).bit_length()
@@ -171,15 +165,19 @@ class SeriesSum:
 
     # kept only for sum_truncated, which perfbench/tracing.py wraps
     def series(self) -> "SeriesSum":
-        """The sum with a Poly numerator: built at its own width, unpacked
-        once and divided by extra in place, exactly."""
+        """The sum with a Poly numerator over its denominator: built at its
+        own width, unpacked once, divided by extra in place, exactly, and
+        multiplied by the tail."""
         w = self.bits // 8 + 1
         x, off = self.packed(w)
         cs = _slots(x, w) if x else []
         for m in Counter(self.extra.factors).elements() if x else ():
             if not _divide_one_minus(cs, m):
                 raise AssertionError(f"inexact division by 1 - q^{m}")
-        return SeriesSum(Poly(cs, off), self.denominator, self.cofactor)
+        for m in (Counter(self.denominator.factors) + Counter(
+                self.extra.factors) - Counter(self.held.factors)).elements():
+            cs = _times_one_minus(cs, m)
+        return SeriesSum(Poly(cs, off), self.denominator)
 
 
 @dataclass
@@ -257,14 +255,14 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
     of one in tops into this term's only.  So the run keeps, per step,
     the binomials of prod_k / prod_{k-1}, of F_k / F_{k-1} and of the
     term, all positive, and the term's shift and integer coefficient, the
-    units' sign.  From a zero in ups on, every term is zero and each
-    step's binomials go to the cofactor.  bits counts: each binomial at
-    most doubles max|c|, so term j times the binomials of later steps
-    stays below 2^num_bits, and the sum of the terms below 2^(num_bits +
-    bits(terms)).
+    units' sign.  From a zero in ups on, every term is zero, and each
+    step's dens enter the denominator only, as its tail.  bits counts:
+    each binomial at most doubles max|c|, so term j times the binomials
+    of later steps stays below 2^num_bits, and the sum of the terms below
+    2^(num_bits + bits(terms)).
     """
     factors: dict[int, int] = {}
-    tail: Optional[dict[int, int]] = None   # cofactor, once stopped
+    stopped = False
     run = []
     unit_sign, unit_power = 1, 0
     prod_bits, num_bits = 1, 0
@@ -277,11 +275,8 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
                 unit_sign, unit_power, e = -unit_sign, unit_power - e, -e
             factors[e] = factors.get(e, 0) + 1
             new.append(e)
-        if tail is None and 0 in ups:
-            tail = {}
-        if tail is not None:
-            for e in new:
-                tail[e] = tail.get(e, 0) + 1
+        stopped = stopped or 0 in ups
+        if stopped:
             continue
         turned, own = [], []
         for e in ups:
@@ -297,7 +292,6 @@ def _planned(steps: list[tuple], step: int = 0) -> SeriesSum:
         num_bits = max(num_bits + len(new), prod_bits + len(tops))
         run.append((turned, new, own, shift + power, sign))
     return SeriesSum(run, FactoredProduct(factors),
-                     FactoredProduct(tail or {}),
                      FactoredProduct({step: 1} if step else {}),
                      num_bits + len(run).bit_length())
 
@@ -339,10 +333,10 @@ def sum_truncated(spec: FamilySpec) -> SeriesSum:
     """Sum of the terms k = 0..upper over the common (last) denominator.
 
     The first zero term (k0 >= 1, as term 0 is 1; only a vanishing
-    numerator factor makes one) stops the sum: the binomials of steps
-    k0..upper become the cofactor, and the numerator is the sum of the
-    terms k < k0 over F_{k0-1}.  The sum is built at its own width,
-    unpacked once and divided by its q-integers' 1 - q^step in place.
+    numerator factor makes one) stops the plan's run; the binomials of
+    steps k0..upper, the tail, are multiplied back into the numerator
+    once it is built at its own width, unpacked and divided by its
+    q-integers' 1 - q^step in place.
     """
     return plan_sum(spec).series()
 

@@ -13,7 +13,9 @@ pole-free q = 1 value of an unspecialized term, the sums built with one
 list pass per binomial from the Pochhammer symbols of each family (the
 oracle for the packed accumulator and for qseries's steps), [n] as
 binomials, the cross-multiplied sides as polynomials (the oracle for
-the packed lifts and delta), the raw steps of a plan summed with no
+the packed lifts and delta), the quotient of two multisets of binomials,
+a plan's tail, a plan's run summed over its held divisor (the oracle
+for the packed build and for held), the raw steps of a plan summed with no
 exponent turned (the oracle for the plan's turning), and the product
 conjectures through the global path, their sums expanded and multiplied
 out (the oracle for the local path), the local path's runs to their
@@ -281,7 +283,7 @@ def scaled(series: SeriesSum, n: int, c: int) -> SeriesSum:
     extra[1] += 1
     numerator = scale(shift(times_one_minus(series.numerator, up),
                             (1 - n) // 2), c)
-    return SeriesSum(numerator, series.denominator, series.cofactor,
+    return SeriesSum(numerator, series.denominator,
                      FactoredProduct(dict(+extra)))
 
 
@@ -336,20 +338,18 @@ def _pochhammers(spec) -> tuple[list, list]:
              (2 * s, 2 * s)])
 
 
-def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
+def sum_by_passes(spec) -> SeriesSum:
     """sum_truncated(spec) on coefficient lists, one pass per binomial.
 
     Each step multiplies the nested product and then the running
     numerator (over the last denominator) by its binomials, and adds the
-    term, whose q-integer is one pass and one exact division.  A zero term
-    stops the sum as in the engine: the binomials of the steps from it on
-    become the cofactor.  With stop False every step is taken, so the
-    numerator takes each binomial and each (zero) term, and the cofactor
-    is 1.
+    term, whose q-integer is one pass and one exact division.  Every step
+    is taken, where the engine stops its run at a zero term: the numerator
+    takes each binomial and each (zero) term.
     """
     s, pochhammers = spec.base, _pochhammers(spec)
     prod = numerator = Poly.one()
-    factors, tail = {}, None
+    factors = {}
     unit_sign, unit_power = 1, 0
     for k in range(1, spec.upper + 1):
         ups, dens = ([a + b * (k - 1) for a, b in symbols]
@@ -364,22 +364,15 @@ def sum_by_passes(spec, stop: bool = True) -> SeriesSum:
                 prod, [step * (6 * k + 1)]), step), prefix * k * k)
         else:
             term = shift(prod, 2 * s * k)
-        if stop and term.is_zero() and tail is None:
-            tail = {}
         new = []
         for e in dens:
             if e < 0:
                 unit_sign, unit_power, e = -unit_sign, unit_power + e, -e
             factors[e] = factors.get(e, 0) + 1
             new.append(e)
-        if tail is not None:
-            for e in new:
-                tail[e] = tail.get(e, 0) + 1
-            continue
         numerator = add(times_one_minus(numerator, new),
                         shift(scale(term, unit_sign), -unit_power))
-    return SeriesSum(numerator, FactoredProduct(factors),
-                     FactoredProduct(tail or {}))
+    return SeriesSum(numerator, FactoredProduct(factors))
 
 
 def raw_steps_sum(steps) -> tuple[Poly, Poly]:
@@ -423,21 +416,21 @@ def q_integer_binomials(count: int, step: int = 1) -> dict[int, int]:
 
 
 def lcm_cross_products(lhs: SeriesSum, rhs: SeriesSum):
-    """(L, (L / R_L) * lhsN, (L / R_R) * rhsN) as polynomials, for the
-    reduced denominators R_L = D_L / C_L and R_R = D_R / C_R and their lcm
-    L as multisets of binomials: at each base m, the larger exponent.
+    """(L, (L / D_L) * lhsN, (L / D_R) * rhsN) as polynomials, for two sums
+    held as a Poly with no extra, their denominators D_L and D_R and
+    their lcm L as multisets of binomials: at each base m, the larger
+    exponent.
 
     Both products are L * (LHS - RHS) split in two, so they are equal
-    exactly when the two sides are.  Each lift L / R is a multiset of
+    exactly when the two sides are.  Each lift L / D is a multiset of
     binomials, multiplied in by times_binomials.
     """
-    left = lhs.denominator.divided_by(lhs.cofactor)
-    right = rhs.denominator.divided_by(rhs.cofactor)
+    left, right = lhs.denominator, rhs.denominator
     lcm = FactoredProduct({m: max(left.factors.get(m, 0),
                                   right.factors.get(m, 0))
                            for m in left.factors | right.factors})
-    return (lcm, times_binomials(lhs.numerator, lcm.divided_by(left).factors),
-            times_binomials(rhs.numerator, lcm.divided_by(right).factors))
+    return (lcm, times_binomials(lhs.numerator, divided_by(lcm, left).factors),
+            times_binomials(rhs.numerator, divided_by(lcm, right).factors))
 
 
 def factored_times(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:
@@ -445,12 +438,46 @@ def factored_times(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:
     return FactoredProduct(dict(Counter(a.factors) + Counter(b.factors)))
 
 
+def divided_by(a: FactoredProduct, b: FactoredProduct) -> FactoredProduct:
+    """a / b exactly: b's binomials taken out of a's, a ValueError unless
+    b is a sub-multiset of a."""
+    rest = Counter(a.factors)
+    rest.subtract(b.factors)
+    if any(e < 0 for e in rest.values()):
+        raise ValueError(f"{b.factors} is not among {a.factors}")
+    return FactoredProduct(dict(+rest))
+
+
+def cofactor(side: SeriesSum) -> FactoredProduct:
+    """The tail of a stopped plan: its denominator less its run's dens,
+    the binomials of the steps from the stop on; none for a sum held as a
+    Poly."""
+    if isinstance(side.numerator, Poly):
+        return FactoredProduct()
+    return divided_by(side.denominator, FactoredProduct(dict(Counter(
+        e for step in side.numerator for e in step[1]))))
+
+
+def over_held(side: SeriesSum) -> SeriesSum:
+    """A plan as a Poly sum over its held divisor, the oracle of its packed
+    build: its run summed one list pass per binomial, the nested product
+    times each step's ups, the numerator times its dens plus the term,
+    coeff q^shift prod_k (1 - q^e, e in tops), over extra times every
+    step's dens."""
+    prod, num, held = Poly.one(), Poly.zero(), Counter(side.extra.factors)
+    for ups, dens, tops, power, coeff in side.numerator:
+        prod = times_one_minus(prod, ups)
+        num = add(times_one_minus(num, dens),
+                  shift(scale(times_one_minus(prod, tops), coeff), power))
+        held.update(dens)
+    return SeriesSum(num, FactoredProduct(dict(held)))
+
+
 def series_times(a: SeriesSum, b: SeriesSum) -> SeriesSum:
     """The product of two sums: the numerators multiplied out, the
-    denominators and the cofactors merged."""
+    denominators merged."""
     return SeriesSum(a.numerator * b.numerator,
-                     factored_times(a.denominator, b.denominator),
-                     factored_times(a.cofactor, b.cofactor))
+                     factored_times(a.denominator, b.denominator))
 
 
 #: kind -> (divisor of the ranges, None for the d axis; exponent of Phi_n;

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -26,10 +28,13 @@ from qcongruence.qseries import (
 
 from oracles import (
     PRODUCT_CONJECTURES,
+    cofactor,
     div_rem_by_monic,
+    divided_by,
     factored_times,
     jackson_6phi5_terminating,
     lcm_cross_products,
+    over_held,
     product_conjecture_global,
     q_integer,
     scale,
@@ -111,18 +116,6 @@ def _shared(fp_a, fp_b):
                             if m in fp_b.factors})
 
 
-def _nominal(series):
-    # cofactor * numerator, the cofactor expanded by the schoolbook product
-    return _times_expanded(series.numerator, series.cofactor)
-
-
-def _reduced(series):
-    # the denominator with the cofactor's binomials taken out
-    left = {m: e - series.cofactor.factors.get(m, 0)
-            for m, e in series.denominator.factors.items()}
-    return FactoredProduct({m: e for m, e in left.items() if e})
-
-
 def _division_valuation(lp, d):
     # Phi_d-adic valuation of a nonzero lp by repeated monic division
     phi, body, count = cyclotomic(d), Poly(lp.coeffs), 0
@@ -151,7 +144,7 @@ def _lifted_sides(lhs, rhs):
     # rhs), each read as the delta against a side of numerator 0 over
     # the other's denominator, whose lifted numerator is 0
     def lifted(side, other):
-        zero = SeriesSum(Poly.zero(), other.denominator, other.cofactor)
+        zero = SeriesSum(Poly.zero(), other.denominator)
         lcm, delta, w, offset = congruence._delta(side, zero)
         return lcm, Poly(polycore._slots(delta, w), offset)
 
@@ -193,34 +186,34 @@ def test_lcm_lifts_are_content_maxima_and_exact_quotients(monkeypatch):
             if _nests(big, small):
                 assert over_big == Poly.one()
                 assert over_small \
-                    == _times_expanded(Poly.one(), big.divided_by(small))
+                    == _times_expanded(Poly.one(), divided_by(big, small))
 
 
 def test_held_is_the_reduced_denominator_times_extra():
-    # held, set as the sum is made, is D / C times extra: expanded, it
-    # times the cofactor C is the denominator D times extra.  A planned
-    # sum holds its q-integers' 1 - q^step in extra; a stopped sum has a
-    # cofactor; a scale's 1 - q^n cancels one of extra or joins the
-    # numerator, and its 1 - q joins extra; a Poly sum has no extra.
+    # held, set as the sum is made, is extra times the run's dens, the
+    # denominator D less the tail C of a stopped sum: expanded, it times
+    # C is D times extra.  A planned sum holds its q-integers' 1 - q^step
+    # in extra; a scale's 1 - q^n cancels one of extra or joins the
+    # numerator, and its 1 - q joins extra; a Poly sum is held over its
+    # whole denominator.  A run whose dens D lacks raises.
     planned = plan_sum(FamilySpec("C", 1, 3))
     stopped = plan_sum(FamilySpec("C", 1, 4, 3))
     sides = {"planned": planned, "stopped": stopped,
              "cancelled": plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1),
              "kept": planned.scaled(5, -1),
-             "poly": SeriesSum(q_integer(3), FactoredProduct({2: 1, 4: 2}),
-                               FactoredProduct({4: 1}))}
-    assert stopped.cofactor.factors
+             "poly": SeriesSum(q_integer(3), FactoredProduct({2: 1, 4: 1}))}
+    assert cofactor(stopped).factors
     for name, side in sides.items():
         assert _times_expanded(_times_expanded(Poly.one(), side.held),
-                               side.cofactor) \
+                               cofactor(side)) \
             == _times_expanded(_times_expanded(Poly.one(), side.denominator),
                                side.extra), name
     assert planned.held == FactoredProduct({1: 1, 2: 4, 4: 4, 6: 4})
     assert sides["cancelled"].held == FactoredProduct({1: 1, 6: 4})
     assert sides["kept"].held == FactoredProduct({1: 2, 2: 4, 4: 4, 6: 4})
     assert sides["poly"].held == FactoredProduct({2: 1, 4: 1})
-    with pytest.raises(ValueError, match="does not divide"):
-        SeriesSum(Poly.one(), FactoredProduct({2: 1}), FactoredProduct({4: 1}))
+    with pytest.raises(ValueError, match="not among"):
+        SeriesSum([([], [2], [], 0, 1)], FactoredProduct({4: 1}), bits=1)
 
 
 @pytest.mark.parametrize("case", [
@@ -232,10 +225,9 @@ def test_held_is_the_reduced_denominator_times_extra():
     dict(kind="half-vs-full-m", n=3, r=2),   # against 0 over F_half
 ])
 def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
-    # With full = C_L lhsN * D_R - C_R rhsN * D_L (the nominal numerators,
-    # both denominators expanded) and L the lcm of the held denominators
-    # (the reduced denominators D_L / C_L and D_R / C_R times the binomials
-    # each packed numerator still carries) as multisets of binomials, the
+    # With full = lhsN * D_R - rhsN * D_L (the nominal numerators, both
+    # denominators expanded) and L the lcm of the held denominators (the
+    # binomials each packed numerator is over) as multisets of binomials, the
     # delta handed to valuation_at times D_L D_R is L full, and every found
     # valuation is full's, counted by repeated division.
     seen = []
@@ -244,8 +236,8 @@ def test_delta_matches_expanded_denominator_oracle(monkeypatch, case):
 
     def check(lhs, rhs, modulus, **kwargs):
         a, b = lhs.series(), rhs.series()
-        full = sub(_times_expanded(_nominal(a), b.denominator),
-                   _times_expanded(_nominal(b), a.denominator))
+        full = sub(_times_expanded(a.numerator, b.denominator),
+                   _times_expanded(b.numerator, a.denominator))
         lcm = _lcm(lhs.held, rhs.held)
         deltas = []
         monkeypatch.setattr(
@@ -300,7 +292,7 @@ def _long_side(rng):
     side = plan_sum(FamilySpec(family, rng.randint(1, 3), rng.randint(2, 6),
                                t))
     tags = {family, "t" if t else "no t"}
-    if side.cofactor.factors:
+    if cofactor(side).factors:
         tags.add("stopped")
     if rng.random() < 0.5:
         side = side.scaled(rng.choice((1, 3, 5)), rng.choice((-1, 1, 24)))
@@ -317,24 +309,14 @@ def _pair(seed):
     return long, closed, long, tags | {form, "closed right"}
 
 
-def _over_held(side):
-    # the side as a Poly numerator over its held divisor, from its sum
-    # unpacked and times its extra
-    s = side.series()
-    return SeriesSum(times_binomials(s.numerator, side.extra.factors),
-                     factored_times(side.denominator, side.extra),
-                     side.cofactor)
-
-
 def _starts(lhs, rhs):
-    # the rule: a non-empty run whose extra is the other side's held
-    return any(isinstance(run.numerator, list) and run.numerator
-               and run.extra == other.held
+    # the rule: a run whose extra is the other side's held
+    return any(isinstance(run.numerator, list) and run.extra == other.held
                for run, other in ((lhs, rhs), (rhs, lhs)))
 
 
 def test_a_closed_form_starts_the_long_run(monkeypatch):
-    # A non-empty run whose extra is the other side's held divisor starts
+    # A run whose extra is the other side's held divisor starts
     # from the other side's value, negated, whatever was built before.
     # Its delta is the oracle's difference of the two sides lifted to
     # their lcm, and building the run at w first changes neither the
@@ -365,8 +347,7 @@ def test_a_closed_form_starts_the_long_run(monkeypatch):
         before = len(starts)
         assert congruence._delta(lhs, rhs) == (lcm, delta, w, offset), trial
         assert starts[before:] == first, trial
-        oracle_lcm, a, b = lcm_cross_products(_over_held(lhs),
-                                              _over_held(rhs))
+        oracle_lcm, a, b = lcm_cross_products(over_held(lhs), over_held(rhs))
         assert oracle_lcm == lcm, trial
         assert Poly(polycore._slots(delta, w), offset) == sub(a, b), trial
         draws.append(tags)
@@ -380,17 +361,64 @@ def test_a_closed_form_starts_the_long_run(monkeypatch):
     assert len(started) < len(draws)
 
 
-def test_an_empty_run_over_a_denominator_starts_nothing():
-    # 0 over 1 - q^2 against the one-term run 1: the empty run's extra is
-    # the other's held (both empty), but it has no dens pass to carry the
-    # start to its held 1 - q^2, so the lift path gives L * (0 - 1).
-    zero = SeriesSum([], FactoredProduct({2: 1}), bits=0)
+def _hand_built(rng):
+    # a run of 0-4 steps of small binomials, each term's coefficient
+    # below 4 in size, over its dens and 0-2 more binomials (the tail of
+    # a stopped sum), and 1 - q or nothing as extra; bits counts each
+    # binomial as a doubling, two bits for the coefficient and the terms'
+    # count
+    run = [tuple([rng.randint(1, 6) for _ in range(rng.randint(0, most))]
+                 for most in (2, 2, 1))
+           + (rng.randint(-2, 2), rng.choice((-3, -1, 1, 2)))
+           for _ in range(rng.randint(0, 4))]
+    den = Counter(e for step in run for e in step[1])
+    den.update(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
+    bits = sum(len(b) for step in run for b in step[:3]) + 2 \
+        + len(run).bit_length()
+    return SeriesSum(run, FactoredProduct(dict(den)),
+                     FactoredProduct({1: 1} if rng.random() < 0.5 else {}),
+                     bits)
+
+
+def test_hand_built_runs_over_a_tail_match_the_oracle():
+    # A hand-built run whose denominator holds binomials its dens lack is
+    # held over its extra times its dens alone, so both delta paths, a
+    # closed form starting the run and the lift of each side, give the
+    # oracle's difference of the two sides lifted to their lcm, with the
+    # run on either side and empty runs too: 1 and 0 over the tail 1 - q^2
+    # against 1 first, then seeded draws.  A run whose dens its
+    # denominator lacks raises.
+    def matches(lhs, rhs):
+        lcm, delta, w, offset = congruence._delta(lhs, rhs)
+        oracle_lcm, a, b = lcm_cross_products(over_held(lhs), over_held(rhs))
+        assert oracle_lcm == lcm
+        assert Poly(polycore._slots(delta, w), offset) == sub(a, b)
+        assert check_identity_equal(lhs, rhs) == (a == b)
+        return a == b
+
     one = SeriesSum([([], [], [], 0, 1)], bits=1)
-    lcm, delta, w, offset = congruence._delta(zero, one)
-    oracle_lcm, a, b = lcm_cross_products(_over_held(zero), _over_held(one))
-    assert lcm == oracle_lcm == FactoredProduct({2: 1})
-    assert Poly(polycore._slots(delta, w), offset) == sub(a, b) \
-        == laurent([-1, 0, 1])
+    tail = FactoredProduct({2: 1})
+    for side, equal in ((replace(one, denominator=tail), True),
+                        (SeriesSum([], tail, bits=0), False)):
+        assert matches(side, one) == matches(one, side) == equal
+    rng = random.Random(3737)
+    seen = Counter()
+    for _ in range(300):
+        run, (closed, _) = _hand_built(rng), _closed_form(rng)
+        lhs, rhs = (run, closed) if rng.random() < 0.5 else (closed, run)
+        matches(lhs, rhs)
+        seen["started" if _starts(lhs, rhs) else "lifted"] += 1
+        seen["tail"] += run.held != factored_times(run.denominator, run.extra)
+        seen["empty"] += not run.numerator and _starts(lhs, rhs)
+        dens = [e for step in run.numerator for e in step[1]]
+        if dens:
+            lacked = rng.choice(dens)
+            with pytest.raises(ValueError, match="not among"):
+                SeriesSum(run.numerator, FactoredProduct(
+                    {m: e for m, e in run.denominator.factors.items()
+                     if m != lacked}), run.extra, run.bits)
+            seen["raised"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_the_lemma_cases_make_no_long_lift(monkeypatch):
@@ -464,9 +492,10 @@ def test_found_matches_full_difference_on_random_pairs():
                                  for j in rng.sample(range(1, 14), 4)})
         den_r = FactoredProduct({2 * n * n * k: rng.randint(1, 2)
                                  for k in rng.sample(range(1, 3), 1)})
-        cof_l = FactoredProduct({m: 1 for m in list(den_l.factors)[:1]}) \
-            if trial % 3 == 0 else FactoredProduct()
-        lhs = SeriesSum(_random_poly(rng), den_l, cof_l)
+        # every third left numerator holds a binomial of its denominator
+        cof_l = {m: 1 for m in list(den_l.factors)[:1]} if trial % 3 == 0 \
+            else {}
+        lhs = SeriesSum(times_binomials(_random_poly(rng), cof_l), den_l)
         rhs = SeriesSum(_random_poly(rng), den_r)
         if trial % 10 == 1:
             rhs = lhs                               # identical sides
@@ -476,24 +505,17 @@ def test_found_matches_full_difference_on_random_pairs():
             lhs, rhs = rhs, lhs
         modulus = ModulusSpec([(d, 1) for d in sorted(
             {2, n, 2 * n, n * n, 2 * n * n, rng.randint(3, 40)})])
-        full = sub(_times_expanded(_nominal(lhs), rhs.denominator),
-                   _times_expanded(_nominal(rhs), lhs.denominator))
+        full = sub(_times_expanded(lhs.numerator, rhs.denominator),
+                   _times_expanded(rhs.numerator, lhs.denominator))
         report = check_congruence(lhs, rhs, modulus)
         assert report.identically_equal == full.is_zero()
         expected = [INFINITE if full.is_zero() else _division_valuation(full, d)
                     for d, _ in modulus.parts]
         assert [p.found for p in report.parts] == expected, trial
         assert check_identity_equal(lhs, rhs) == full.is_zero()
-        reduced = _reduced(lhs), _reduced(rhs)
-        shapes.add((full.is_zero(),
-                    _nests(*reduced) or _nests(*reduced[::-1])))
+        held = lhs.held, rhs.held
+        shapes.add((full.is_zero(), _nests(*held) or _nests(*held[::-1])))
     assert shapes == {(True, True), (False, False), (False, True)}
-
-
-def _full_accumulation(spec):
-    # every step, as before the early stop: the numerator takes each new
-    # binomial and each (possibly zero) term, and the cofactor is 1
-    return sum_by_passes(spec, stop=False)
 
 
 @pytest.mark.parametrize("family", ["c", "j"])
@@ -507,13 +529,14 @@ def test_sampled_parts_match_full_accumulation(monkeypatch, family):
 
     def recording_plan(spec):
         side = engine_plan(spec)
-        stopped.append(side.cofactor != FactoredProduct())
+        stopped.append(cofactor(side) != FactoredProduct())
         return side
 
     monkeypatch.setattr(congruence, "plan_sum", recording_plan)
     fast = [verify_case(**case).to_dict() for case in cases]
-    # the full accumulations are Poly sums, so the oracle scales them
-    monkeypatch.setattr(congruence, "plan_sum", _full_accumulation)
+    # the full accumulations, every step taken, are Poly sums, so the
+    # oracle scales them
+    monkeypatch.setattr(congruence, "plan_sum", sum_by_passes)
     monkeypatch.setattr(SeriesSum, "scaled", scaled)
     slow = [verify_case(**case).to_dict() for case in cases]
     for a, b in zip(fast, slow):
@@ -807,7 +830,7 @@ def test_half_vs_full_compares_the_tail_past_the_half(monkeypatch):
         tail = tail.series()
         assert tail.denominator == full.denominator
         assert tail.numerator == sub(full.numerator, _times_expanded(
-            half.numerator, full.denominator.divided_by(half.denominator)))
+            half.numerator, divided_by(full.denominator, half.denominator)))
 
 
 def test_verify_case_rejects_bad_parameters():

@@ -45,6 +45,7 @@ from qcongruence.qseries import (
 from oracles import (
     LocalNorms,
     add,
+    cofactor,
     local_bracket_full,
     local_evaluate_full,
     local_value,
@@ -199,7 +200,7 @@ def _compare(plans, sums, d, exponent):
 
 def test_random_pairs_match_the_global_path():
     # A left sum against one sum or a product of two, at d from 2 to 27;
-    # stopped specialized sums carry a cofactor.  Every fourth pair is an
+    # stopped specialized sums have a tail.  Every fourth pair is an
     # unspecialized sum against its truncation at (d - 1) / 2 for an odd
     # d: the terms between vanish to order 3 or more, so the margin is
     # positive and shows only after the precision doubles.  The plans
@@ -221,7 +222,7 @@ def test_random_pairs_match_the_global_path():
         plans = [plan_sum(spec) for spec in lhs + rhs]
         sums = [plan.series() for plan in plans]
         part = _compare(plans, sums, d, exponent)
-        stopped += any(series.cofactor.factors for series in sums)
+        stopped += any(cofactor(plan).factors for plan in plans)
         doubled += part.margin > 0
         turned += any(e < 0 for spec in lhs + rhs
                       for step in _steps(spec)[0] for e in step[1])
@@ -520,7 +521,7 @@ def test_the_proven_width_chooses_the_ring(monkeypatch):
     ([FamilySpec("C", 1, 2)], [FamilySpec("C", 1, 2)]),
     ([FamilySpec("C", 1, 2)],
      [FamilySpec("M", 3, 0), FamilySpec("C", 1, 2)]),  # times the sum 1
-    # stopped at k = 2, so equal to its truncation at 1 over a cofactor
+    # stopped at k = 2, so equal to its truncation at 1 over a tail
     ([FamilySpec("C", 1, 3, 3)], [FamilySpec("C", 1, 1, 3)]),
 ])
 def test_equal_sides_are_infinite(lhs, rhs):

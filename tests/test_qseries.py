@@ -1,11 +1,14 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qcongruence import qseries
 from qcongruence.cli import CHECKS, RunConfig, sweep
 from qcongruence.congruence import check_identity_equal
 from qcongruence.cyclotomic import valuation_at
@@ -24,6 +27,8 @@ from oracles import (
     add,
     central_q_binomial,
     classical_term_value,
+    cofactor,
+    divided_by,
     factored_times,
     one_minus_q,
     power,
@@ -41,6 +46,8 @@ from oracles import (
     times_binomials,
     times_one_minus,
 )
+
+SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 
 # ---------------------------------------------------------------------------
 # independent oracle: build each term by direct per-factor expansion and add
@@ -98,8 +105,8 @@ def naive_sum(spec):
 
 
 def assert_same_rational(series: SeriesSum, num: Poly, den: Poly):
-    # series holds (cofactor * numerator) / denominator
-    left = series.numerator * series.cofactor.expand() * den
+    # series holds numerator / denominator
+    left = series.numerator * den
     right = num * series.denominator.expand()
     assert left == right
 
@@ -160,27 +167,6 @@ def test_q_integer_product_matches_general_product():
         count, step = rng.randint(1, 30), rng.randint(1, 8)
         assert times_binomials(lp, q_integer_binomials(count, step)) \
             == lp * q_integer(count, step)
-
-
-def _random_factored(rng):
-    factors = {rng.randint(1, 40): rng.randint(1, 4)
-               for _ in range(rng.randint(0, 8))}
-    return FactoredProduct(factors)
-
-
-def test_divided_by_non_sub_multiset_raises():
-    rng = random.Random(77)
-    for _ in range(100):
-        a = _random_factored(rng)
-        m = rng.randint(1, 40)
-        over = FactoredProduct({m: a.factors.get(m, 0) + 1})
-        with pytest.raises(ValueError):
-            a.divided_by(over)
-        with pytest.raises(ValueError):
-            a.divided_by(factored_times(a, over))
-        assert a.divided_by(a) == FactoredProduct()
-    assert FactoredProduct({3: 2, 4: 1}).divided_by(
-        FactoredProduct({3: 1})) == FactoredProduct({3: 1, 4: 1})
 
 
 def test_factored_product_validation():
@@ -312,50 +298,53 @@ EARLY_STOP_SPECS = [
 def test_sum_stops_at_first_vanishing_term(spec, k0):
     series = sum_truncated(spec)
     assert_same_rational(series, *naive_sum(spec))
-    # the denominator stays the last term's; the cofactor holds the
-    # binomials of steps k0..upper, and the numerator is over F_{k0-1}
+    # the denominator stays the last term's; the plan's tail, the
+    # cofactor, holds the binomials of steps k0..upper, and its run and
+    # held divisor are over F_{k0-1}
+    plan = plan_sum(spec)
     last = term_of(spec, spec.upper)[1].factors
     before = term_of(spec, min(k0 - 1, spec.upper))[1].factors
-    assert series.denominator.factors == last
-    assert series.cofactor.factors == {
+    assert series.denominator.factors == plan.denominator.factors == last
+    assert cofactor(plan).factors == {
         m: e - before.get(m, 0) for m, e in last.items()
         if e != before.get(m, 0)}
-    assert (series.cofactor == FactoredProduct()) == (k0 > spec.upper)
+    assert divided_by(plan.held, plan.extra).factors == before
+    assert (cofactor(plan) == FactoredProduct()) == (k0 > spec.upper)
     stopped = [k for k in range(1, spec.upper + 1)
                if term_of(spec, k)[0].is_zero()]
     assert stopped == list(range(k0, spec.upper + 1))
 
 
 def test_series_sum_carries_its_cofactor():
-    a = sum_truncated(FamilySpec("C", 1, 4, -3))
-    b = sum_truncated(FamilySpec("J", 3, 3, 3))
-    assert a.cofactor.factors and b.cofactor.factors
+    # a stopped plan's tail, the cofactor, is in its denominator but in
+    # neither its run nor its held divisor; a scale keeps it, and series
+    # multiplies it back into the Poly numerator
+    plans = plan_sum(FamilySpec("C", 1, 4, -3)), plan_sum(FamilySpec(
+        "J", 3, 3, 3))
+    for plan in plans:
+        assert cofactor(plan).factors
+        assert factored_times(divided_by(plan.held, plan.extra),
+                              cofactor(plan)) == plan.denominator
+        assert cofactor(plan.scaled(3, 1)) == cofactor(plan)
+    a, b = (plan.series() for plan in plans)
     # times q^-1 [3], as a Poly and as a plan
-    expected = (a.numerator * a.cofactor.expand() * shift(q_integer(3), -1),
+    expected = (a.numerator * shift(q_integer(3), -1),
                 a.denominator.expand())
-    for tripled in (scaled(a, 3, 1).series(),
-                    plan_sum(FamilySpec("C", 1, 4, -3)).scaled(3, 1)
-                    .series()):
-        assert tripled.cofactor == a.cofactor
+    for tripled in (scaled(a, 3, 1).series(), plans[0].scaled(3, 1).series()):
+        assert tripled.denominator == a.denominator
         assert_same_rational(tripled, *expected)
-    product = series_times(a, b)
-    assert product.cofactor == factored_times(a.cofactor, b.cofactor)
-    assert_same_rational(
-        product,
-        a.numerator * a.cofactor.expand() * b.numerator * b.cofactor.expand(),
-        a.denominator.expand() * b.denominator.expand())
-    with pytest.raises(ValueError):     # the cofactor must divide
-        SeriesSum(Poly.one(), FactoredProduct({2: 1}),
-                  FactoredProduct({3: 1}))
+    assert_same_rational(series_times(a, b), a.numerator * b.numerator,
+                         a.denominator.expand() * b.denominator.expand())
 
 
 def test_vanishing_denominator_after_the_stop_still_raises():
     # the nested product vanishes at step 1, so its binomials and those of
-    # step 2 go to the cofactor; a zero exponent among them still raises
+    # step 2 go to the tail; a zero exponent among them still raises
     steps = [([], [], [], 0), ([0], [3, -1], [], 0), ([], [5, 0], [], 0)]
-    stopped = _planned(steps[:2]).series()
-    assert stopped.numerator == Poly.one()
-    assert stopped.cofactor.factors == {3: 1, 1: 1}
+    stopped = _planned(steps[:2])
+    assert cofactor(stopped).factors == {3: 1, 1: 1}
+    assert stopped.series().numerator \
+        == times_one_minus(Poly.one(), [3, 1])
     with pytest.raises(ZeroDivisionError):
         _planned(steps)
 
@@ -398,7 +387,7 @@ def _raw_steps(rng):
 def test_the_turning_of_raw_steps_matches_the_unturned_sum():
     # 1 - q^e = -q^e (1 - q^-e) for e < 0, taken in _planned as each
     # exponent enters, against the sum with every binomial multiplied in
-    # as it comes; a zero in ups stops the sum into the cofactor, a zero
+    # as it comes; a zero in ups stops the sum into the tail, a zero
     # in dens raises
     rng = random.Random(3101)
     seen = Counter()
@@ -412,10 +401,10 @@ def test_the_turning_of_raw_steps_matches_the_unturned_sum():
         plan = _planned(steps)
         series = plan.series()
         num, den = raw_steps_sum(steps)
-        assert series.cofactor.expand() * series.numerator * den \
-            == num * series.denominator.expand(), steps
+        assert series.numerator * den == num * series.denominator.expand(), \
+            steps
         assert check_identity_equal(plan, raw_steps_side(steps)), steps
-        seen["stopped"] += bool(plan.cofactor.factors)
+        seen["stopped"] += bool(cofactor(plan).factors)
         for name, b in zip(("ups", "dens", "tops"), zip(*steps)):
             seen[name] += any(e < 0 for exps in b for e in exps)
     assert min(seen.values()) >= 20 and sum(seen.values()) > 200, seen
@@ -437,7 +426,7 @@ ORACLE_SPECS = [
 
 def test_sums_match_list_pass_accumulation():
     # the packed accumulator against one list pass per binomial: the same
-    # numerator, denominator and cofactor
+    # numerator and denominator
     for spec in ORACLE_SPECS:
         assert sum_truncated(spec) == sum_by_passes(spec), spec
 
@@ -468,18 +457,16 @@ def test_tail_plans_match_list_pass_accumulation():
             + [spec for spec, _ in EARLY_STOP_SPECS]:
         full = sum_by_passes(spec)
         for start in range(spec.upper + 1):
-            tail = plan_sum(spec, start).series()
+            plan = plan_sum(spec, start)
+            tail = plan.series()
             assert tail.denominator == full.denominator, (spec, start)
-            expected = full.numerator * full.cofactor.expand()
+            expected = full.numerator
             if start:
                 head = sum_by_passes(replace(spec, upper=start - 1))
-                expected = sub(expected, head.numerator
-                               * head.cofactor.expand()
-                               * full.denominator.divided_by(
-                                   head.denominator).expand())
-            assert tail.numerator * tail.cofactor.expand() == expected, \
-                (spec, start)
-            past += start and tail.cofactor == tail.denominator
+                expected = sub(expected, head.numerator * divided_by(
+                    full.denominator, head.denominator).expand())
+            assert tail.numerator == expected, (spec, start)
+            past += start and cofactor(plan) == plan.denominator
     assert past >= 5
 
 
@@ -492,7 +479,7 @@ def test_plan_sum_rejects_a_start_outside_the_range():
 def _held(plan):
     # a plan as its run, its three factored products and its bits
     return repr((plan.numerator, *(sorted(f.factors.items()) for f in (
-        plan.denominator, plan.cofactor, plan.extra)), plan.bits))
+        plan.denominator, cofactor(plan), plan.extra)), plan.bits))
 
 
 def test_plans_keep_their_fingerprint():
@@ -510,6 +497,75 @@ def test_plans_keep_their_fingerprint():
     assert len(held) == 4590
     assert hashlib.sha256("".join(held).encode()).hexdigest() == (
         "ac118c11513e42f5d24e27a488303cd5e9047cf03a6273b19cc2cda9e5a690b2")
+
+
+def _stored_cofactor(steps):
+    # the cofactor that _planned once stored: the dens, turned positive,
+    # of the raw steps from the first whose ups hold a zero
+    tail, stopped = Counter(), False
+    for ups, dens, _, _ in steps:
+        stopped = stopped or 0 in ups
+        if stopped:
+            tail.update(abs(e) for e in dens)
+    return tail
+
+
+def test_held_is_the_stored_cofactor_rule(monkeypatch):
+    # held, read off the run's dens, is extra times the denominator less
+    # the cofactor that _planned once stored, for every plan of the
+    # fingerprint grid and every side the committed sweeps with a q-side
+    # check build; a scaled plan keeps its source's cofactor.  An empty
+    # run that no plan made, 0 over a denominator, is held over its extra
+    # alone, where the stored rule held it over the whole denominator.
+    sides, stored = [], {}
+    planned, scaled_plan = qseries._planned, SeriesSum.scaled
+    post_init = SeriesSum.__post_init__
+
+    def record(self):
+        post_init(self)
+        sides.append(self)
+
+    def plan(steps, step=0):
+        side = planned(steps, step)
+        stored[id(side)] = _stored_cofactor(steps)
+        return side
+
+    def scale(self, n, c):
+        side = scaled_plan(self, n, c)
+        stored[id(side)] = stored.get(id(self), Counter())
+        return side
+
+    monkeypatch.setattr(SeriesSum, "__post_init__", record)
+    monkeypatch.setattr(qseries, "_planned", plan)
+    monkeypatch.setattr(SeriesSum, "scaled", scale)
+    specs = [FamilySpec(family, base, upper, t, printed)
+             for family in ("C", "J", "M")
+             for t in ((None,) if family == "M"
+                       else (None, *range(-9, 10, 2)))
+             for printed in ((False, True) if family == "J" else (False,))
+             for base in (1, 2, 3) for upper in range(9)]
+    for spec in specs:
+        for start in range(spec.upper + 1):
+            plan_sum(spec, start)
+    assert len(sides) == 4590
+    for path in sorted(SWEEPS.glob("*.json")):
+        cfg = RunConfig.from_dict(json.loads(path.read_text("utf-8")))
+        if not all(CHECKS[check].classical for check in cfg.checks):
+            sweep(cfg)
+    kinds = Counter()
+    for side in sides:
+        assert isinstance(side.numerator, list)
+        den = Counter(side.denominator.factors)
+        if id(side) not in stored and not side.numerator and den:
+            assert side.held == side.extra
+            kinds["empty"] += 1
+            continue
+        cofactor = stored.get(id(side), Counter())
+        assert not cofactor - den
+        assert side.held.factors == Counter(side.extra.factors) \
+            + den - cofactor
+        kinds["stopped" if cofactor else "plain"] += 1
+    assert len(sides) > 5600 and min(kinds.values()) >= 5, kinds
 
 
 def test_sum_denominator_is_last_term_denominator():

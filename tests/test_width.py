@@ -33,6 +33,7 @@ from qcongruence.qseries import (
 
 from oracles import (
     PRODUCT_CONJECTURES,
+    cofactor,
     jackson_6phi5_terminating,
     lcm_cross_products,
     sweep_cases,
@@ -88,7 +89,7 @@ def _random_side(rng):
     spec = FamilySpec(family, base, rng.randint(0, 5), t, printed)
     side = plan_sum(spec)
     tags = {kind, "printed"} if printed else {kind}
-    if side.cofactor.factors:
+    if cofactor(side).factors:
         tags.add("stopped")
     draw = rng.random()
     if draw < 0.4:
@@ -102,7 +103,7 @@ def _random_side(rng):
 
 
 def _explicit(side):
-    # the same value as a given numerator over the reduced denominator
+    # the same value as a given numerator over the nominal denominator
     return side.series()
 
 
@@ -114,8 +115,7 @@ def _bumped(side):
     cs = list(series.numerator.coeffs) or [0]
     bits = max(map(abs, cs)).bit_length()
     cs[-1] += (1 << bits) * (1 if cs[-1] >= 0 else -1)
-    return SeriesSum(Poly(cs, series.numerator.offset), series.denominator,
-                     series.cofactor)
+    return SeriesSum(Poly(cs, series.numerator.offset), series.denominator)
 
 
 def _oracle_equal(lhs, rhs):
