@@ -59,7 +59,10 @@ sides are equal, and every later part is INFINITE with no row built.
 Every side the engine builds is a plan, its closed forms and targets
 included.  A zero side is an empty plan: the sampled checks compare each
 side with 0, and half-vs-full-m the full sum's tail past the half with 0
-over the half sum's denominator.
+over the half sum's denominator.  The sampled checks then read lhs ==
+rhs off those two reports (_cross) wherever the sides' Phi_d-adic
+valuations differ at every part, since v(LHS - RHS) is then the smaller
+of the two; only a comparison with a tied part builds its delta.
 
 CHECKS is the one table of the q-side checks (the cli's q-side rows come
 from it).  verify_case rejects a param outside the row's axes and names
@@ -434,6 +437,14 @@ def _sampled_case(family: str, n: int, r: int = 1, d: int = 2,
     the monomial substitution preserves that divisibility even where a
     specialized denominator factor collides with the modulus.  For family
     J the scaled reading is asserted and the printed one recorded.
+
+    Each side is compared with 0 first, and each lhs==rhs comparison (the
+    printed reading's too) is read off those two reports by _cross
+    wherever the valuations settle it: v_d is a discrete valuation on
+    Q(q), so v(LHS - RHS) = min(v(LHS), v(RHS)) whenever the two differ,
+    and found is that valuation plus the Phi_d content of both nominal
+    denominators, on the global and the local path alike.  Only a
+    comparison with a tied part builds its delta.
     """
     _require_case(n, r, d)
     if t is None or t % 2 == 0:
@@ -442,22 +453,49 @@ def _sampled_case(family: str, n: int, r: int = 1, d: int = 2,
                     count_denominators=False)
     zero = SeriesSum([], bits=0)
     lhs, rhs = _sides(family, n, r, d, t)
-    pairs = {"lhs==0": (lhs, zero), "rhs==0": (rhs, zero),
-             "lhs==rhs": (lhs, rhs)}
-    readings = {}
+    lhs0 = check(lhs, zero, component="lhs==0")
+    rhs0 = check(rhs, zero, component="rhs==0")
+    sub = [lhs0, rhs0, _cross(check, lhs, rhs, lhs0, rhs0, "lhs==rhs")]
+    parts = [p for rep in sub for p in rep.parts]
+    extra = {}
     if family == "J":
         printed = _target(family, n, r, d, t, printed=True)
-        readings = {"rhs==0": (printed, zero), "lhs==rhs": (lhs, printed)}
-    sub = [check(*pair, component=name) for name, pair in pairs.items()]
-    parts = [p for rep in sub for p in rep.parts]
-    extra = {"printed_reading": {name: check(*pair).passed
-                                 for name, pair in readings.items()}} \
-        if readings else {}
+        printed0 = check(printed, zero)
+        extra = {"printed_reading": {
+            "rhs==0": printed0.passed,
+            "lhs==rhs": _cross(check, lhs, printed, lhs0, printed0).passed}}
     return CongruenceReport(
         params={"n": n, "r": r, "d": d, "t": t}, parts=parts,
         passed=all(p.met() for p in parts),
         identically_equal=all(rep.identically_equal for rep in sub),
         extra=extra)
+
+
+def _cross(check, lhs: SeriesSum, rhs: SeriesSum, lhs0: CongruenceReport,
+           rhs0: CongruenceReport, component: str = "") -> CongruenceReport:
+    """check(lhs, rhs, component=component), read off lhs0 and rhs0, the
+    reports of check(lhs, 0) and check(rhs, 0), unless a part ties.
+
+    A side X's found against 0 is v(X) + ord_d(X's denominator), so at
+    each part lhs0's found plus ord_d(rhs's denominator) and rhs0's found
+    plus ord_d(lhs's denominator) are v(LHS) and v(RHS) raised by the
+    same amount.  Where they differ at every part, each part's found is
+    the smaller and the sides are not equal; check counts no
+    denominators, so required is the exponent, as in lhs0.  A tie can
+    hide a cancellation, so then the comparison is made.
+    """
+    founds = []
+    for a, b in zip(lhs0.parts, rhs0.parts):
+        found_l = a.found + rhs.denominator.ord_cyclotomic(a.d)
+        found_r = b.found + lhs.denominator.ord_cyclotomic(a.d)
+        if found_l == found_r:
+            return check(lhs, rhs, component=component)
+        founds.append(min(found_l, found_r))
+    parts = [PartResult(p.d, p.required, found, found - p.required,
+                        component) for p, found in zip(lhs0.parts, founds)]
+    return CongruenceReport(params={}, parts=parts,
+                            passed=all(p.met() for p in parts),
+                            identically_equal=False)
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,48 @@ def _binomials(e: int, count: int) -> list[int]:
 
 
 #: The widest slot, in bits, that a packed row may take: a part whose
-#: proven width is wider takes the list ring.  Measured part by part,
-#: CPU time with its majorant pass, packing is the cheaper at 666 bits at
-#: d = 289 (0.35 against 0.40 s) and about even at 1003 bits at d = 11;
-#: no part measured at 640 bits or less was slower packed.
-PACK_BITS = 640
+#: proven width is wider takes the list ring.  Measured part by part, the
+#: CPU time of certify_part in s, best of 3, packed against lists, on a
+#: 2-core x86-64 host under Python 3.11 (* where packed was slower); bits
+#: is the width the majorant proves, its sign bit included, the widest
+#: over the part's precisions:
+#:
+#:   bits    d  part               packed   lists
+#:    648  343  thm2-half (7, 3)    0.438   0.461
+#:    664   13  thm1-half (13, 2)   0.014   0.018
+#:    667  289  thm1-full (17, 2)   0.340   0.365
+#:    672   25  thm2-full (5, 3)    0.033   0.040
+#:    686    5  thm2-half (5, 3)    0.005   0.008
+#:    701   15  thm2-half (15, 2)   0.019   0.024
+#:    702  243  thm1-full (3, 5)    0.352   0.340  *
+#:    711    9  thm1-full (9, 2)    0.009   0.013
+#:    776   25  thm1-full (5, 3)    0.036   0.040
+#:    794   49  thm2-half (7, 3)    0.087   0.089
+#:    815    9  thm1-half (15, 2)   0.007   0.007
+#:    817  361  thm1-full (19, 2)   0.627   0.559  *
+#:    841  343  thm1-full (7, 3)    0.664   0.601  *
+#:    851   11  thm2-full (11, 2)   0.019   0.021
+#:    858   17  thm2-half (17, 2)   0.029   0.032
+#:    883   75  thm2-full (15, 2)   0.189   0.178  *
+#:    888   27  thm1-half (3, 5)    0.053   0.049  *
+#:    896    3  thm2-full (9, 2)    0.003   0.003
+#:    949    5  thm2-half (15, 2)   0.005   0.005
+#:    963   75  thm1-full (15, 2)   0.218   0.176  *
+#:    983  441  thm1-full (21, 2)   1.096   0.840  *
+#:    994   49  thm1-half (7, 3)    0.102   0.090  *
+#:   1000  289  thm2-full (17, 2)   0.701   0.566  *
+#:   1004   11  thm1-full (11, 2)   0.021   0.021
+#:   1030   19  thm2-half (19, 2)   0.044   0.044  *
+#:   1038  147  thm1-half (21, 2)   0.514   0.362  *
+#:   1048   17  thm1-half (17, 2)   0.035   0.034  *
+#:   1051    3  thm1-full (9, 2)    0.004   0.004
+#:   1053  243  thm2-full (3, 5)    0.759   0.546  *
+#:   1132   45  thm1-full (15, 2)   0.172   0.132  *
+#:
+#: Every part up to 701 bits was faster packed.  The d = 243 part at 702
+#: bits was slower (0.360 against 0.345 s, best of 6), and from there the
+#: large d favour lists while the small d stay about even.
+PACK_BITS = 701
 
 
 class _Rows:

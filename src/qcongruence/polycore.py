@@ -4,9 +4,11 @@ three list passes and a coefficient holder.
 Big work runs on a packed value: _pack writes a coefficient list as one
 integer, its value at q = 2^W with W = 8w for slots of w bytes, and
 _unpack (or _slots, every slot) reads it back while every
-|c| < 2^(W - 1).  Packed arithmetic is exact whatever the coefficients;
-only the unpack needs that bound, so w always comes from a bound proven
-before the work.  A product with a binomial 1 - q^m, m >= 1, is one
+|c| < 2^(W - 1): slots of at most 8 bytes, on a little-endian host, as
+native int64s, sign-extended by strided byte copies at C speed, and
+wider ones slot by slot.  Packed arithmetic is exact whatever the
+coefficients; only the unpack needs that bound, so w always comes from a
+bound proven before the work.  A product with a binomial 1 - q^m, m >= 1, is one
 shift-subtract x - (x << W m) of the packed value, written inline,
 and at most doubles max|c|.  The q-series sums and the lifts and delta
 of a global check stay packed from their first step to the delta, which
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from struct import iter_unpack
@@ -66,11 +69,24 @@ def _unpack(x: int, w: int, n: int) -> list:
     # the n slots of x = _pack(cs, w), every |c| < 2^(8w - 1): with the
     # bias added no slot borrows from the next, and each slot less the
     # bias is its coefficient
-    half = 1 << (8 * w - 1)
-    data = (x + _bias(w, n)).to_bytes(w * n, "little")
-    slots = map(operator.itemgetter(0), iter_unpack(f"{w}s", data))
-    return list(map(half.__rsub__, map(int.from_bytes, slots,
-                                       repeat("little"))))
+    if w > 8 or sys.byteorder != "little":
+        half = 1 << (8 * w - 1)
+        data = (x + _bias(w, n)).to_bytes(w * n, "little")
+        slots = map(operator.itemgetter(0), iter_unpack(f"{w}s", data))
+        return list(map(half.__rsub__, map(int.from_bytes, slots,
+                                           repeat("little"))))
+    # the bias xored off again leaves each slot in two's complement;
+    # each is sign-extended to 8 bytes, byte k of every slot by one
+    # strided copy, and read as a native int64
+    bias = _bias(w, n)
+    data = ((x + bias) ^ bias).to_bytes(w * n, "little")
+    out = bytearray(8 * n)
+    for k in range(w):
+        out[k::8] = data[k::w]
+    sign = data[w - 1::w].translate(bytes(128) + b"\xff" * 128)
+    for k in range(w, 8):
+        out[k::8] = sign
+    return memoryview(out).cast("q").tolist()
 
 
 def _slots(x: int, w: int) -> list:

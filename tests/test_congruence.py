@@ -3,6 +3,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -544,6 +545,49 @@ def test_sampled_parts_match_full_accumulation(monkeypatch, family):
         b.pop("elapsed_ms")
         assert a == b, a["label"]
     assert any(stopped) and not all(stopped)
+
+
+def test_sampled_differences_read_off_match_the_comparison(monkeypatch):
+    # Every param-sampled case at n in {3, 5, 7} with n^r < 30, d in
+    # {1, 2} and odd t in -15..15 reports the same, printed readings
+    # included, whether congruence._cross reads lhs==rhs off the sides'
+    # reports against 0 or always makes the comparison.  The grid reaches
+    # both kinds of tie: a part where lhs - rhs vanishes to a higher order
+    # than either side, and equal sides.
+    cases = [dict(kind=f"param-sampled-{family}", n=n, r=r, d=d, t=t)
+             for family in "cj" for n, r in product((3, 5, 7), (1, 2, 3))
+             if n ** r < 30 for d in (1, 2) for t in range(-15, 16, 2)]
+    real = congruence._cross
+    counts = Counter()
+
+    def counted(check, lhs, rhs, lhs0, rhs0, component=""):
+        made = []
+
+        def comparing(*args, **kwargs):
+            made.append(True)
+            return check(*args, **kwargs)
+
+        report = real(comparing, lhs, rhs, lhs0, rhs0, component)
+        for part, a in zip(report.parts, lhs0.parts):
+            tie = a.found + rhs.denominator.ord_cyclotomic(a.d)
+            counts["equal" if part.found == INFINITE else
+                   "raised" if made and part.found > tie else
+                   "tied" if made else "read off"] += 1
+        return report
+
+    monkeypatch.setattr(congruence, "_cross", counted)
+    fast = [verify_case(**case).to_dict() for case in cases]
+    monkeypatch.setattr(congruence, "_cross",
+                        lambda check, lhs, rhs, lhs0, rhs0, component="":
+                        check(lhs, rhs, component=component))
+    slow = [verify_case(**case).to_dict() for case in cases]
+    for a, b in zip(fast, slow):
+        a.pop("elapsed_ms")
+        b.pop("elapsed_ms")
+        assert a == b, a["label"]
+    # 440 asserted and 72 printed parts read off
+    assert counts == {"read off": 512, "tied": 196, "raised": 44,
+                      "equal": 208}
 
 
 def _identity_pairs(rng):

@@ -118,23 +118,36 @@ def test_sweep_comparisons_match_the_global_path(monkeypatch):
     # against their scaled companions, gw's and qj2's against their
     # corrected targets, the sampled sides against each other and against
     # zero (an empty plan), half-vs-full-m's tail against zero.  found
-    # only: neither path computes required.  Left out: half-vs-full-m
-    # (5, 2), whose 62-step run check_congruence already sends local,
-    # while the global path takes seconds on it, and the 8 parts whose
-    # sides are equal (param-sampled at n = 3, r = 2, t = 9), which take
-    # up to 1.5 s each before the rows alone prove them INFINITE.
+    # only: neither path computes required.  A sampled lhs==rhs that
+    # congruence._cross reads off the two sides' reports against zero
+    # makes no check_congruence call, so its sides and parts are recorded
+    # from _cross and certified here all the same.  Left out:
+    # half-vs-full-m (5, 2), whose 62-step run check_congruence already
+    # sends local, while the global path takes seconds on it, and the 8
+    # parts whose sides are equal (param-sampled at n = 3, r = 2, t = 9),
+    # which take up to 1.5 s each before the rows alone prove them
+    # INFINITE.
     a = plan_sum(FamilySpec("C", 1, 4))
     b = plan_sum(FamilySpec("C", 3, 1)).scaled(3, 1)
     assert certify_part([a], [b], 3, 3) == 11
     seen = []
-    real = congruence.check_congruence
+    real, real_cross = congruence.check_congruence, congruence._cross
 
     def recorded(lhs, rhs, modulus, **kwargs):
         report = real(lhs, rhs, modulus, **kwargs)
         seen.append((kind, lhs, rhs, modulus, report))
         return report
 
+    def crossed(check, lhs, rhs, *args):
+        made = len(seen)
+        report = real_cross(check, lhs, rhs, *args)
+        if len(seen) == made:       # read off, no comparison made
+            modulus = ModulusSpec([(p.d, p.required) for p in report.parts])
+            seen.append((kind, lhs, rhs, modulus, report))
+        return report
+
     monkeypatch.setattr(congruence, "check_congruence", recorded)
+    monkeypatch.setattr(congruence, "_cross", crossed)
     for (kind, items), params in sweep_cases().items():
         if (kind, items) != ("half-vs-full-m", (("n", 5), ("r", 2))):
             verify_case(kind, **params)

@@ -1,13 +1,18 @@
 import math
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 from fractions import Fraction
 
+from qcongruence import polycore
 from qcongruence.polycore import (
     INFINITE,
     _divide_one_minus,
+    _pack,
     _times_one_minus,
+    _unpack,
     Poly,
 )
 from qcongruence.cyclotomic import cyclotomic, valuation_at
@@ -32,6 +37,25 @@ from oracles import (
 
 def rand_poly(rng, degree, bound=9):
     return Poly([rng.randint(-bound, bound) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("byteorder", sorted({sys.byteorder, "big"}))
+def test_unpack_reads_back_every_slot_width(monkeypatch, byteorder):
+    # w <= 8 on a little-endian host reads int64s, and w > 8 or a
+    # big-endian host reads slot by slot; both at the extremes a slot
+    # holds, -2^(8w - 1) and +-(2^(8w - 1) - 1)
+    monkeypatch.setattr(polycore, "sys", SimpleNamespace(byteorder=byteorder))
+    rng = random.Random(3901)
+    for w in range(1, 13):
+        top = 1 << (8 * w - 1)
+        extremes = [-top, top - 1, 1 - top]
+        assert _unpack(_pack(extremes + [0, 1, -1], w), w, 6) == \
+            extremes + [0, 1, -1]
+        for n in (1, 2, 7, 300):
+            cs = [rng.randrange(-top, top) for _ in range(n)]
+            for i, c in zip(rng.sample(range(n), min(n, 3)), extremes):
+                cs[i] = c
+            assert _unpack(_pack(cs, w), w, n) == cs, (w, n)
 
 
 def test_mul_difference_of_squares():
